@@ -210,6 +210,34 @@ void check_run_against_graph(const BuiltSystem& sys,
     }
 }
 
+bool same_result(const CheckResult& a, const CheckResult& b) {
+    return a.ok == b.ok && a.reason == b.reason && a.witness == b.witness;
+}
+
+/// First difference between two tolerance reports, field by field.
+std::optional<std::string> first_report_difference(const ToleranceReport& a,
+                                                   const ToleranceReport& b) {
+    if (!same_result(a.in_absence, b.in_absence))
+        return "in_absence: '" + a.in_absence.reason + "' vs '" +
+               b.in_absence.reason + "' (ok, reason or witness)";
+    if (!same_result(a.in_presence, b.in_presence))
+        return "in_presence: '" + a.in_presence.reason + "' vs '" +
+               b.in_presence.reason + "' (ok, reason or witness)";
+    if (a.invariant_size != b.invariant_size || a.span_size != b.span_size ||
+        a.span_complete != b.span_complete)
+        return "sizes: |S|=" + std::to_string(a.invariant_size) + " vs " +
+               std::to_string(b.invariant_size) + ", |T|=" +
+               std::to_string(a.span_size) + " vs " +
+               std::to_string(b.span_size);
+    const auto& sa = a.fault_span.backing_bits();
+    const auto& sb = b.fault_span.backing_bits();
+    if (a.fault_span.name() != b.fault_span.name() || !sa || !sb || *sa != *sb)
+        return std::string("fault span predicates differ");
+    if (a.deepest_trace != b.deepest_trace)
+        return std::string("deepest exploration traces differ");
+    return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<std::string> first_graph_difference(
@@ -548,6 +576,75 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     validate_witness(sys, failsafe.in_presence.witness,
                      "failsafe/in_presence", out);
     validate_witness(sys, failsafe.deepest_trace, "failsafe/deepest", out);
+
+    // -- tolerance oracles -------------------------------------------------
+    {
+        // check_tolerance skips the span's closure for the masking and
+        // fail-safe grades: the span is the node set of its own p [] F
+        // graph. The definitional path re-proves it. refines_weakened
+        // explores from T itself (every span state a root), so it must
+        // agree on the verdict; refines_spec_on on check_tolerance's own
+        // graph numbers nodes the same way, so it must also reproduce the
+        // reason and witness byte for byte.
+        const auto inv = std::make_shared<StateSet>(
+            materialize(*sys.space, sys.invariant));
+        const auto ts_pf = ExplorationCache::global().get_or_build(
+            sys.program, &sys.faults, predicate_of(inv, sys.invariant.name()));
+        for (const Tolerance grade : {Tolerance::FailSafe, Tolerance::Masking}) {
+            const std::string where = to_string(grade);
+            const ToleranceReport r = check_tolerance(
+                sys.program, sys.faults, sys.problem, sys.invariant, grade);
+            const CheckResult def =
+                refines_weakened(sys.program, &sys.faults, sys.problem, grade,
+                                 r.fault_span, sys.invariant);
+            if (def.ok != r.in_presence.ok)
+                out.push_back({"tolerance/presence-vs-refines",
+                               where + ": in_presence ok=" +
+                                   (r.in_presence.ok ? "true" : "false") +
+                                   " but refines_weakened over the span ok=" +
+                                   (def.ok ? "true" : "false") + " (" +
+                                   def.reason + ")"});
+            validate_witness(sys, def.witness,
+                             "tolerance/presence-vs-refines", out);
+            const CheckResult same_graph = refines_spec_on(
+                *ts_pf, &sys.faults,
+                grade == Tolerance::FailSafe ? sys.problem.failsafe_weakening()
+                                             : sys.problem,
+                r.fault_span);
+            if (!same_result(same_graph, r.in_presence))
+                out.push_back({"tolerance/presence-vs-refines",
+                               where + ": in_presence '" +
+                                   r.in_presence.reason +
+                                   "' vs refines_spec_on with closure '" +
+                                   same_graph.reason +
+                                   "' (ok, reason or witness differ)"});
+        }
+    }
+    {
+        // The grades share one exploration cache and one memoized
+        // invariant scan; neither may leak into a verdict. Forward order
+        // against reverse order on a fresh predicate implementation (an
+        // empty eval_bits slot) and a cleared cache.
+        const Tolerance forward[] = {Tolerance::FailSafe,
+                                     Tolerance::Nonmasking,
+                                     Tolerance::Masking};
+        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        std::vector<ToleranceReport> first;
+        for (const Tolerance grade : forward)
+            first.push_back(check_tolerance(sys.program, sys.faults,
+                                            sys.problem, sys.invariant, grade));
+        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        const Predicate fresh = sys.invariant.renamed(sys.invariant.name());
+        for (std::size_t i = std::size(forward); i-- > 0;) {
+            const ToleranceReport again = check_tolerance(
+                sys.program, sys.faults, sys.problem, fresh, forward[i]);
+            if (auto d = first_report_difference(first[i], again))
+                out.push_back({"tolerance/grade-order",
+                               to_string(forward[i]) +
+                                   " differs between orders: " + *d});
+        }
+        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+    }
 
     // -- early-exit tolerance oracle ---------------------------------------
     {

@@ -43,6 +43,22 @@
 //                               failure the identical in-presence
 //                               reason/witness and a strictly partial
 //                               span; on success the full span.
+//   tolerance/presence-vs-refines
+//                               for fail-safe and masking, check_tolerance's
+//                               in_presence (which skips the span's
+//                               closure, true by construction) vs the
+//                               definitional refines_weakened over
+//                               report.fault_span: same verdict, and the
+//                               same ok/reason/witness as refines_spec_on
+//                               with closure on check_tolerance's own
+//                               p [] F graph (refines_weakened explores
+//                               from the span, so its node numbering and
+//                               witnesses differ).
+//   tolerance/grade-order       the three grades run in reverse order on a
+//                               fresh invariant implementation (empty
+//                               eval_bits memo) and a cleared exploration
+//                               cache reproduce the forward-order reports
+//                               exactly.
 //   graded/game-vs-explicit    masking_distance (layered product game on
 //                               the recorded CSR edges) vs check_failsafe:
 //                               distance inf iff the in-presence safety

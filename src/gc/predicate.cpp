@@ -1,12 +1,29 @@
 #include "gc/predicate.hpp"
 
+#include <mutex>
+
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 
 namespace dcft {
 
 struct Predicate::Impl {
+    /// eval_bits' one-slot memo: the whole-space bits of the predicate
+    /// over the space whose uid is `space_uid`. Sound because predicates
+    /// are pure and a uid names one frozen space for the life of the
+    /// process. A copied Impl (renamed()) starts with an empty slot.
+    struct ScanMemo {
+        ScanMemo() = default;
+        ScanMemo(const ScanMemo&) {}
+        ScanMemo& operator=(const ScanMemo&) = delete;
+
+        std::mutex mutex;
+        std::uint64_t space_uid = 0;
+        std::shared_ptr<const BitVec> bits;
+    };
+
     std::string name;
     Fn fn;
     /// Non-null iff the predicate is set-backed; then for every valid s,
@@ -19,6 +36,8 @@ struct Predicate::Impl {
     VarId var2 = 0;
     Value value = 0;
     std::vector<Predicate> kids;
+    /// Filled by eval_bits for non-backed predicates.
+    mutable ScanMemo memo{};
 };
 
 namespace {
@@ -241,18 +260,39 @@ BitVec eval_bits(const StateSpace& space, const Predicate& p,
         obs::count("verify/predicate_eval/backed_hits");
         return *bits;
     }
+    // Scan at most once per (predicate, space): concurrent callers wait
+    // for the scan in flight and then share its bits.
+    Predicate::Impl::ScanMemo& memo = p.impl_->memo;
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    if (memo.bits != nullptr && memo.space_uid == space.uid()) {
+        obs::count("verify/predicate_eval/memo_hits");
+        return *memo.bits;
+    }
     const obs::ScopedSpan span("verify/predicate_eval");
+    // Refuse a bitset the host could never hold, rather than let the
+    // allocation end the process with bad_alloc.
+    static const std::uint64_t ram_bytes = obs::host_info().total_ram_bytes;
+    const std::uint64_t bytes = (n + BitVec::kWordBits - 1) /
+                                BitVec::kWordBits * sizeof(std::uint64_t);
+    if (ram_bytes != 0 && bytes > ram_bytes)
+        throw ContractError(
+            "state space too large: " + std::to_string(n) +
+            " states need a " + std::to_string(bytes) +
+            "-byte bitset to evaluate predicate " + p.name() + ", more than " +
+            std::to_string(ram_bytes) + " bytes of physical RAM");
     obs::count("verify/predicate_eval/bulk_scans");
     obs::count("verify/predicate_eval/states_scanned", n);
-    BitVec out(n);
+    auto out = std::make_shared<BitVec>(n);
     const unsigned threads = resolve_verifier_threads(n_threads);
     // Chunks are aligned to 64 states so no two workers share a word.
     parallel_chunks(n, threads, BitVec::kWordBits,
                     [&](unsigned, std::uint64_t begin, std::uint64_t end) {
                         for (StateIndex s = begin; s < end; ++s)
-                            if (p.eval(space, s)) out.set(s);
+                            if (p.eval(space, s)) out->set(s);
                     });
-    return out;
+    memo.space_uid = space.uid();
+    memo.bits = out;
+    return *out;
 }
 
 bool implies_everywhere(const StateSpace& space, const Predicate& a,

@@ -113,6 +113,8 @@ public:
     friend Predicate operator&&(const Predicate& a, const Predicate& b);
     friend Predicate operator||(const Predicate& a, const Predicate& b);
     friend Predicate operator!(const Predicate& a);
+    friend BitVec eval_bits(const StateSpace& space, const Predicate& p,
+                            unsigned n_threads);
 
 private:
     struct Impl;
@@ -131,6 +133,15 @@ Predicate implies(const Predicate& a, const Predicate& b);
 /// n_threads workers (0 = default_verifier_threads(); results are
 /// identical for every thread count). Backed predicates are copied in
 /// O(|space|/64) without re-evaluation.
+///
+/// The scan of a non-backed predicate is memoized in one slot on its
+/// shared implementation (so on every copy of p), keyed by space.uid():
+/// asking again for the same space copies the remembered bits, asking for
+/// another space rescans and replaces them. Thread-safe; concurrent
+/// callers share one scan. Relies on the purity contract above.
+///
+/// Throws ContractError, before allocating, when the bitset (|space|/8
+/// bytes) would exceed the host's physical RAM.
 BitVec eval_bits(const StateSpace& space, const Predicate& p,
                  unsigned n_threads = 1);
 

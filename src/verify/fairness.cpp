@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
+#include <span>
 
 #include "obs/telemetry.hpp"
+#include "verify/action_kernel.hpp"
 
 namespace dcft {
 namespace {
@@ -117,37 +120,58 @@ std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
     // Infinite fair computations confined to !target: feasible SCCs.
     const SccResult scc = tarjan_scc(ts, in_h);
     if (scc.num_comps > 0) {
-        std::vector<std::vector<NodeId>> members(scc.num_comps);
+        // Bucket the members of every component into one CSR array by
+        // counting sort: component c owns order[start[c], start[c + 1]),
+        // in ascending node order.
+        std::vector<std::uint32_t> start(scc.num_comps + 1, 0);
         for (NodeId v = 0; v < n; ++v)
-            if (scc.comp[v] != kNoComp) members[scc.comp[v]].push_back(v);
+            if (scc.comp[v] != kNoComp) ++start[scc.comp[v] + 1];
+        for (std::uint32_t c = 0; c < scc.num_comps; ++c)
+            start[c + 1] += start[c];
+        std::vector<NodeId> order(start.back());
+        {
+            std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+            for (NodeId v = 0; v < n; ++v)
+                if (scc.comp[v] != kNoComp) order[next[scc.comp[v]]++] = v;
+        }
 
+        // Guards are probed through the compiled kernel (bytecode, with
+        // kCall for opaque subtrees), compiled only if some component
+        // needs a probe.
+        std::unique_ptr<CompiledActionSet> guards;
         const std::size_t num_actions = ts.num_program_actions();
         std::vector<char> has_internal(num_actions);
         for (std::uint32_t c = 0; c < scc.num_comps; ++c) {
-            const auto& nodes = members[c];
-            // Internal edges per action, and whether any exist at all.
+            const std::span<const NodeId> nodes(order.data() + start[c],
+                                                start[c + 1] - start[c]);
+            // A singleton without a self-loop hosts no infinite run.
+            if (nodes.size() == 1) {
+                const auto edges = ts.program_edges(nodes[0]);
+                if (std::none_of(edges.begin(), edges.end(),
+                                 [&](const auto& e) {
+                                     return e.to == nodes[0];
+                                 }))
+                    continue;
+            }
+            // Internal edges per action.
             std::fill(has_internal.begin(), has_internal.end(), 0);
-            bool any_internal = false;
             for (NodeId v : nodes) {
                 for (const auto& e : ts.program_edges(v)) {
-                    if (in_h[e.to] && scc.comp[e.to] == c) {
+                    if (in_h[e.to] && scc.comp[e.to] == c)
                         has_internal[e.action] = 1;
-                        any_internal = true;
-                    }
                 }
             }
-            if (!any_internal) continue;  // trivial SCC, no self-loop
             bool feasible = true;
             for (std::uint32_t a = 0; a < num_actions && feasible; ++a) {
                 if (has_internal[a]) continue;
-                bool enabled_everywhere = true;
-                for (NodeId v : nodes) {
-                    if (!ts.enabled(v, a)) {
-                        enabled_everywhere = false;
-                        break;
-                    }
-                }
-                if (enabled_everywhere) feasible = false;
+                if (guards == nullptr)
+                    guards = std::make_unique<CompiledActionSet>(
+                        ts.program().space_ptr(), ts.program().actions());
+                const CompiledAction& guard = (*guards)[a];
+                if (std::all_of(nodes.begin(), nodes.end(), [&](NodeId v) {
+                        return guard.enabled(ts.state_of(v));
+                    }))
+                    feasible = false;
             }
             if (feasible) {
                 for (NodeId v : nodes) {

@@ -81,6 +81,8 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
     const obs::ScopedSpan span("verify/safety");
     obs::count("verify/obligations/safety");
     const StateSpace& space = ts.space();
+    // A transition-free spec allows every step: only states can violate it.
+    const bool state_only = spec.state_only();
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const StateIndex s = ts.state_of(n);
         if (!spec.state_allowed(space, s)) {
@@ -90,6 +92,7 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
                     ts.format_witness(n),
                 ts.witness_trace(n));
         }
+        if (state_only) continue;
         for (const auto& e : ts.program_edges(n)) {
             const StateIndex t = ts.state_of(e.to);
             if (!spec.transition_allowed(space, s, t)) {
@@ -195,6 +198,11 @@ CheckResult refines_spec_on(const TransitionSystem& ts,
         obs::count("verify/obligations/failed");
         return r;
     }
+    return check_spec_on(ts, faults, spec);
+}
+
+CheckResult check_spec_on(const TransitionSystem& ts, const FaultClass* faults,
+                          const ProblemSpec& spec) {
     const bool with_faults = faults != nullptr;
     if (CheckResult r = check_safety_on(ts, spec.safety(), with_faults); !r) {
         obs::count("verify/obligations/failed");

@@ -59,6 +59,14 @@ CheckResult refines_spec_on(const TransitionSystem& ts,
                             const FaultClass* faults, const ProblemSpec& spec,
                             const Predicate& from);
 
+/// The safety and liveness half of refines_spec_on, over every node of
+/// `ts` and without the closure check. For a complete system this is
+/// refines_spec_on from its node set, whose closure under the recorded
+/// edges holds by construction — e.g. the canonical fault span, which is
+/// the node set of the p [] F exploration.
+CheckResult check_spec_on(const TransitionSystem& ts, const FaultClass* faults,
+                          const ProblemSpec& spec);
+
 /// 'p_prime refines p from `from`' up to stuttering on the variables of p.
 CheckResult refines_program(const Program& p_prime, const Program& p,
                             const Predicate& from);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace dcft {
@@ -97,6 +101,67 @@ TEST(PredicateTest, RenamedPreservesSemantics) {
 
 TEST(PredicateTest, NullFunctionRejected) {
     EXPECT_THROW(Predicate("bad", nullptr), ContractError);
+}
+
+/// An opaque predicate that counts its evaluations.
+Predicate counting(std::shared_ptr<std::atomic<std::uint64_t>> calls) {
+    return Predicate("odd-b", [calls](const StateSpace& sp, StateIndex s) {
+        calls->fetch_add(1, std::memory_order_relaxed);
+        return sp.get(s, 1) % 2 == 1;
+    });
+}
+
+TEST(PredicateTest, EvalBitsMemoHitReturnsIdenticalBits) {
+    auto sp = space2x3();
+    auto calls = std::make_shared<std::atomic<std::uint64_t>>(0);
+    const Predicate p = counting(calls);
+    const BitVec first = eval_bits(*sp, p);
+    EXPECT_EQ(calls->load(), sp->num_states());
+    const Predicate copy = p;  // copies share the memo slot
+    EXPECT_EQ(eval_bits(*sp, copy, 4), first);
+    EXPECT_EQ(calls->load(), sp->num_states());  // no second scan
+    for (StateIndex s = 0; s < sp->num_states(); ++s)
+        EXPECT_EQ(first.test(s), p.eval(*sp, s));
+    // renamed() builds a fresh implementation with an empty slot.
+    calls->store(0);
+    EXPECT_EQ(eval_bits(*sp, p.renamed("again")), first);
+    EXPECT_EQ(calls->load(), sp->num_states());
+}
+
+TEST(PredicateTest, EvalBitsMemoIsKeyedBySpaceUid) {
+    auto sp = space2x3();
+    // A copy is extensionally the same space under a fresh uid, and a
+    // wider space differs outright: neither may be served the slot of sp.
+    auto twin = std::make_shared<StateSpace>(*sp);
+    auto wide = make_space({Variable{"a", 2, {}}, Variable{"b", 5, {}}});
+    ASSERT_NE(twin->uid(), sp->uid());
+    auto calls = std::make_shared<std::atomic<std::uint64_t>>(0);
+    const Predicate p = counting(calls);
+    const BitVec on_sp = eval_bits(*sp, p);
+    const BitVec on_wide = eval_bits(*wide, p);
+    EXPECT_EQ(on_wide.size_bits(), wide->num_states());
+    for (StateIndex s = 0; s < wide->num_states(); ++s)
+        EXPECT_EQ(on_wide.test(s), wide->get(s, 1) % 2 == 1);
+    EXPECT_EQ(eval_bits(*twin, p), on_sp);
+    EXPECT_EQ(calls->load(), 2 * sp->num_states() + wide->num_states());
+    // The slot holds the last space only: sp is scanned again.
+    EXPECT_EQ(eval_bits(*sp, p), on_sp);
+    EXPECT_EQ(calls->load(), 3 * sp->num_states() + wide->num_states());
+}
+
+TEST(PredicateTest, EvalBitsMemoIsThreadSafe) {
+    auto sp = make_space({Variable{"a", 64, {}}, Variable{"b", 64, {}}});
+    auto calls = std::make_shared<std::atomic<std::uint64_t>>(0);
+    const Predicate p = counting(calls);
+    constexpr int kThreads = 8;
+    std::vector<BitVec> got(kThreads);
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kThreads; ++i)
+        workers.emplace_back([&, i] { got[i] = eval_bits(*sp, p, 2); });
+    for (auto& w : workers) w.join();
+    for (int i = 1; i < kThreads; ++i) EXPECT_EQ(got[i], got[0]);
+    EXPECT_EQ(got[0].popcount(), sp->num_states() / 2);
+    EXPECT_EQ(calls->load(), sp->num_states());  // one shared scan
 }
 
 }  // namespace

@@ -60,6 +60,82 @@ System random_system(std::uint64_t seed) {
     return System{space, std::move(p), std::move(target)};
 }
 
+/// A random structured guard over x, y: one or two var_eq/var_ne/vars_eq/
+/// vars_ne atoms, possibly combined and negated. Guards like these lower to
+/// bytecode with no kCall op, so fair_avoidance_set probes them compiled.
+Predicate structured_guard(const StateSpace& sp, Rng& rng) {
+    auto atom = [&]() {
+        const VarId v = static_cast<VarId>(rng.below(2));
+        const Value c = static_cast<Value>(rng.below(3));
+        switch (rng.below(4)) {
+            case 0: return Predicate::var_eq(sp, v, c);
+            case 1: return Predicate::var_ne(sp, v, c);
+            case 2: return Predicate::vars_eq(sp, 0, 1);
+            default: return Predicate::vars_ne(sp, 0, 1);
+        }
+    };
+    Predicate g = atom();
+    if (rng.chance(0.5)) g = rng.chance(0.5) ? (g && atom()) : (g || atom());
+    if (rng.chance(0.2)) g = !g;
+    return g;
+}
+
+/// Random two-variable (3 x 3) system with structured guards. Even seeds
+/// build a DAG of forward moves (every SCC a singleton) plus skip actions
+/// that put self-loops on some of those singletons; odd seeds mix in
+/// cyclic moves, so multi-node SCCs meet the compiled enabledness probe.
+System structured_system(std::uint64_t seed) {
+    Rng rng(seed);
+    auto space = make_space({Variable{"x", 3, {}}, Variable{"y", 3, {}}});
+    Program p(space, "structured");
+    const bool dag = seed % 2 == 0;
+    const std::size_t num_actions = 2 + rng.below(4);
+    for (std::size_t a = 0; a < num_actions; ++a) {
+        const std::string name = "ac" + std::to_string(a);
+        Predicate guard = structured_guard(*space, rng);
+        const VarId v = static_cast<VarId>(rng.below(2));
+        switch (rng.below(3)) {
+            case 0:
+                p.add_action(Action::skip(name, std::move(guard)));
+                break;
+            case 1:
+                if (dag) {
+                    // One state-index step forward, acyclic except for a
+                    // self-loop on the last state.
+                    p.add_action(Action::nondet(
+                        name, std::move(guard),
+                        [](const StateSpace& sp, StateIndex s,
+                           std::vector<StateIndex>& out) {
+                            out.push_back(std::min(s + 1, sp.num_states() - 1));
+                        }));
+                } else {
+                    p.add_action(Action::assign_add_mod(
+                        *space, name, std::move(guard), v, v, 1, 3));
+                }
+                break;
+            default:
+                if (dag) {
+                    // Jump to the last state, the sink of the DAG.
+                    p.add_action(Action::nondet(
+                        name, std::move(guard),
+                        [](const StateSpace& sp, StateIndex,
+                           std::vector<StateIndex>& out) {
+                            out.push_back(sp.num_states() - 1);
+                        }));
+                } else {
+                    p.add_action(Action::assign_const(
+                        *space, name, std::move(guard),
+                        space->variable(v).name,
+                        static_cast<Value>(rng.below(3))));
+                }
+                break;
+        }
+    }
+    std::vector<char> target(space->num_states());
+    for (auto& t : target) t = rng.chance(0.25) ? 1 : 0;
+    return System{space, std::move(p), std::move(target)};
+}
+
 /// Brute-force avoidance set, straight from the definition.
 std::vector<char> oracle(const TransitionSystem& ts,
                          const std::vector<char>& target) {
@@ -153,15 +229,12 @@ std::vector<char> oracle(const TransitionSystem& ts,
     return avoid;
 }
 
-class FairnessOracleTest : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(FairnessOracleTest, SccEngineMatchesBruteForce) {
-    const System sys = random_system(GetParam());
+/// fair_avoidance_set against the brute-force oracle on one system.
+void expect_engine_matches_oracle(const System& sys) {
     const TransitionSystem ts(sys.program, nullptr, Predicate::top());
-    ASSERT_EQ(ts.num_nodes(), static_cast<std::size_t>(kStates));
+    ASSERT_EQ(ts.num_nodes(), sys.target.size());
     // NodeId ordering equals state order because every state is initial.
-    std::vector<char> target(kStates);
+    std::vector<char> target(ts.num_nodes());
     for (NodeId v = 0; v < ts.num_nodes(); ++v)
         target[v] = sys.target[ts.state_of(v)];
 
@@ -171,6 +244,17 @@ TEST_P(FairnessOracleTest, SccEngineMatchesBruteForce) {
         EXPECT_EQ(static_cast<bool>(fast[v]), static_cast<bool>(slow[v]))
             << "node " << v << " state "
             << ts.space().format(ts.state_of(v));
+}
+
+class FairnessOracleTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(FairnessOracleTest, SccEngineMatchesBruteForce) {
+    expect_engine_matches_oracle(random_system(GetParam()));
+}
+
+TEST_P(FairnessOracleTest, CompiledGuardProbeMatchesBruteForce) {
+    expect_engine_matches_oracle(structured_system(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FairnessOracleTest,

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/catalog.hpp"
+#include "obs/telemetry.hpp"
+#include "verify/exploration_cache.hpp"
+#include "verify/masking_distance.hpp"
+
 namespace dcft {
 namespace {
 
@@ -176,6 +181,40 @@ TEST(ToleranceTest, IntolerantBaseFailsInAbsenceCheck) {
     const ToleranceReport r =
         check_masking(p, f, goal_spec(*sp), Predicate::top());
     EXPECT_FALSE(r.in_absence.ok);
+}
+
+std::uint64_t counter(std::string_view path) {
+    for (const auto& c : obs::Registry::global().counters())
+        if (c.path == path) return c.value;
+    return 0;
+}
+
+TEST(ToleranceTest, GridScansTheInvariantOnceAndSkipsSpanClosure) {
+    // A `dcft verify` grid plus the masking distance: the invariant is
+    // scanned once for all four calls, and the only closure obligations
+    // discharged are the in-absence ones (the fault span is closed by
+    // construction).
+    const apps::SystemInstance sys = apps::load_system("token-ring", 5);
+    ExplorationCache::global().clear();
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    std::uint64_t grades = 0;
+    for (const auto& [variant, program] : sys.variants) {
+        for (const Tolerance grade :
+             {Tolerance::FailSafe, Tolerance::Nonmasking, Tolerance::Masking}) {
+            check_tolerance(program, *sys.faults, sys.spec, sys.invariant,
+                            grade);
+            ++grades;
+        }
+        masking_distance(program, *sys.faults, sys.spec, sys.invariant);
+    }
+    const std::uint64_t scanned =
+        counter("verify/predicate_eval/states_scanned");
+    const std::uint64_t closures = counter("verify/obligations/closure");
+    obs::set_enabled(false);
+    ExplorationCache::global().clear();
+    EXPECT_EQ(scanned, sys.space->num_states());
+    EXPECT_EQ(closures, grades);
 }
 
 }  // namespace
