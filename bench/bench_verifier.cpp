@@ -248,10 +248,9 @@ struct Workload {
     std::uint64_t invariant_size = 0;
     std::uint64_t span_size = 0;
     double reference_ms = 0.0;
-    double interpreted_ms = 0.0;  ///< DCFT_NO_COMPILE=1, 1 thread (ablation)
-    double peak_rss_mb = -1.0;    ///< VmHWM across the sweep (large tier only)
-    double full_ms = 0.0;         ///< kind "early_exit": full exploration
-    double early_exit_ms = 0.0;   ///< kind "early_exit": stop-predicate run
+    double peak_rss_mb = -1.0;   ///< VmHWM across the sweep (large tier only)
+    double full_ms = 0.0;        ///< kind "early_exit": full exploration
+    double early_exit_ms = 0.0;  ///< kind "early_exit": stop-predicate run
     std::uint64_t spill_bytes = 0;           ///< huge tier: spill volume
     std::uint64_t spill_released_bytes = 0;  ///< huge tier: RSS released
     int differential_identical = -1;  ///< "spill_differential": 1 ok, 0 not
@@ -279,13 +278,6 @@ struct Workload {
 void set_verifier_threads(unsigned t) {
     setenv("DCFT_VERIFIER_THREADS", std::to_string(t).c_str(), 1);
 }
-
-/// RAII: forces the interpreted (DCFT_NO_COMPILE=1) path for one scope —
-/// the compiled-vs-interpreted ablation column of the JSON series.
-struct ScopedNoCompile {
-    ScopedNoCompile() { setenv("DCFT_NO_COMPILE", "1", 1); }
-    ~ScopedNoCompile() { unsetenv("DCFT_NO_COMPILE"); }
-};
 
 /// Thread counts actually swept: counts above hardware_concurrency are
 /// dropped (oversubscribed sweeps on a small host measure scheduler noise,
@@ -328,16 +320,6 @@ Workload bench_ts_build(int n, const std::vector<unsigned>& threads,
             benchmark::DoNotOptimize(ref.num_nodes());
         },
         smoke);
-    {
-        const ScopedNoCompile interp;
-        w.interpreted_ms = time_ms(
-            [&] {
-                const TransitionSystem ts(sys.ring, nullptr,
-                                          Predicate::top(), 1);
-                benchmark::DoNotOptimize(ts.num_nodes());
-            },
-            smoke);
-    }
     for (const unsigned t : threads) {
         const double ms = time_ms(
             [&] {
@@ -379,16 +361,6 @@ Workload bench_verdict(const std::string& name, const std::string& system,
     // ExplorationCache; clearing it inside the timed region keeps every
     // rep an honest cold-start build (otherwise rep 2+ would measure
     // cache hits, not verification).
-    {
-        const ScopedNoCompile interp;
-        w.interpreted_ms = time_ms(
-            [&] {
-                ExplorationCache::global().clear();
-                benchmark::DoNotOptimize(
-                    check_tolerance(p, f, spec, inv, grade));
-            },
-            smoke);
-    }
     for (const unsigned t : threads) {
         set_verifier_threads(t);
         const double ms = time_ms(
@@ -706,11 +678,10 @@ void write_json(const std::string& path, const std::vector<Workload>& ws,
             w.kv("invariant_size", wl.invariant_size);
             w.kv("span_size", wl.span_size);
         }
-        // Large-tier workloads skip the seed reference / interpreted
-        // ablations (the seed explorer on 16.7M states would dominate the
-        // whole run); their keys are simply absent rather than zero.
+        // Large-tier workloads skip the seed reference (the seed explorer
+        // on 16.7M states would dominate the whole run); its key is simply
+        // absent rather than zero.
         if (wl.reference_ms > 0) w.kv("reference_ms", wl.reference_ms);
-        if (wl.interpreted_ms > 0) w.kv("interpreted_ms", wl.interpreted_ms);
         w.key("ms_by_threads");
         w.begin_object();
         for (const auto& [t, ms] : wl.ms_by_threads)
@@ -749,9 +720,6 @@ void write_json(const std::string& path, const std::vector<Workload>& ws,
         if (wl.reference_ms > 0)
             w.kv("speedup_vs_reference",
                  best > 0 ? wl.reference_ms / best : 0.0);
-        if (wl.interpreted_ms > 0)
-            w.kv("speedup_vs_interpreted",
-                 best > 0 ? wl.interpreted_ms / best : 0.0);
         w.end_object();
     }
     w.end_array();
@@ -908,11 +876,9 @@ int emit_json(const std::string& path, bool smoke, bool large, bool huge,
     std::printf("wrote %s (%zu workloads)\n", path.c_str(), ws.size());
     for (const Workload& w : ws)
         std::printf(
-            "  %-40s ref=%9.2fms interp=%9.2fms best=%9.2fms "
-            "speedup=%.2fx (vs interp %.2fx)\n",
-            w.name.c_str(), w.reference_ms, w.interpreted_ms, w.best_ms(),
-            w.best_ms() > 0 ? w.reference_ms / w.best_ms() : 0.0,
-            w.best_ms() > 0 ? w.interpreted_ms / w.best_ms() : 0.0);
+            "  %-40s ref=%9.2fms best=%9.2fms speedup=%.2fx\n",
+            w.name.c_str(), w.reference_ms, w.best_ms(),
+            w.best_ms() > 0 ? w.reference_ms / w.best_ms() : 0.0);
     return huge_mismatch;
 }
 

@@ -322,13 +322,6 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     if (auto d = first_ts_difference(ts1, tsN))
         out.push_back({"graph/threads-1-vs-N", *d});
 
-    {
-        const EnvGuard no_compile("DCFT_NO_COMPILE", "1");
-        const TransitionSystem interpreted(sys.program, faults, sys.init, 1);
-        if (auto d = first_ts_difference(ts1, interpreted))
-            out.push_back({"graph/compiled-vs-interpreted", *d});
-    }
-
     // -- batch-kernel oracles ----------------------------------------------
     {
         // The batch layer (fused guard+successor sweeps, block-batched

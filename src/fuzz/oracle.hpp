@@ -11,9 +11,6 @@
 //                               edges, terminality, witness paths.
 //   graph/threads-1-vs-N        CSR exploration at 1 thread vs N threads
 //                               (the determinism contract).
-//   graph/compiled-vs-interpreted
-//                               exploration with compiled action kernels
-//                               vs DCFT_NO_COMPILE=1 (std::function path).
 //   cache/hit-shares-build      two ExplorationCache::get_or_build calls
 //                               for the same key return the same object.
 //   cache/cached-vs-fresh       the cached graph equals a cache-bypassing

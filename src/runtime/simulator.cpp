@@ -1,7 +1,5 @@
 #include "runtime/simulator.hpp"
 
-#include <memory>
-
 #include "common/check.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -52,15 +50,12 @@ RunResult Simulator::run(StateIndex initial, const RunOptions& options) {
     scheduler_->reset();
     if (injector_ != nullptr) injector_->reset();
 
-    // Compile the program's guards and effects once per run (interpreted
-    // under DCFT_NO_COMPILE). The per-step enabled scan probes bytecode
-    // guards instead of virtual Predicate::eval; enabled-index order and
-    // successor order match the interpreted path exactly, so schedulers
-    // and the RNG see identical streams.
-    std::unique_ptr<CompiledActionSet> compiled;
-    if (!compile_disabled())
-        compiled = std::make_unique<CompiledActionSet>(program_->space_ptr(),
-                                                       program_->actions());
+    // Compile the program's guards and effects once per run. The per-step
+    // enabled scan probes bytecode guards instead of virtual
+    // Predicate::eval; enabled indices come in action order and successors
+    // in statement order, as Action::successors gives them.
+    const CompiledActionSet compiled(program_->space_ptr(),
+                                     program_->actions());
 
     RunResult result;
     result.initial = initial;
@@ -92,24 +87,15 @@ RunResult Simulator::run(StateIndex initial, const RunOptions& options) {
         }
 
         enabled.clear();
-        if (compiled != nullptr) {
-            for (std::size_t a = 0; a < program_->num_actions(); ++a)
-                if ((*compiled)[a].enabled(s)) enabled.push_back(a);
-        } else {
-            for (std::size_t a = 0; a < program_->num_actions(); ++a)
-                if (program_->action(a).enabled(space, s))
-                    enabled.push_back(a);
-        }
+        for (std::size_t a = 0; a < compiled.size(); ++a)
+            if (compiled[a].enabled(s)) enabled.push_back(a);
         if (enabled.empty()) {
             result.deadlocked = true;
             break;
         }
         const std::size_t a = scheduler_->pick(enabled, rng_);
         succ.clear();
-        if (compiled != nullptr)
-            (*compiled)[a].successors(s, succ);
-        else
-            program_->action(a).successors(space, s, succ);
+        compiled[a].successors(s, succ);
         const StateIndex t = succ[rng_.below(succ.size())];
         notify_step(s, t, /*fault=*/false, result.steps);
         if (options.record_trace) result.trace.push_back(TraceStep{t, a});

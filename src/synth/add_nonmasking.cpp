@@ -9,7 +9,6 @@
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "verify/action_kernel.hpp"
 #include "verify/fault_span.hpp"
 
 namespace dcft {
@@ -19,21 +18,19 @@ constexpr std::size_t kMaxReportedUnrecoverable = 16;
 
 /// Enumerates the candidate-recovery neighbours of `u` in the *reverse*
 /// direction: states s (differing from u in exactly one writable variable)
-/// such that the recovery transition s -> u is admissible. When a
-/// CompiledSpace is supplied the digit extraction and substitution run on
-/// the divmod-free fast path (set_digit is a single stride-delta add); the
-/// enumeration order is identical either way.
+/// such that the recovery transition s -> u is admissible. Digit
+/// extraction and substitution run on the CompiledSpace's divmod-free fast
+/// path (set_digit is a single stride-delta add).
 template <typename Fn>
-void for_each_recovery_pred(const StateSpace& space, const CompiledSpace* cs,
+void for_each_recovery_pred(const StateSpace& space, const CompiledSpace& cs,
                             const std::vector<VarId>& writable,
                             const SafetySpec* safety, StateIndex u, Fn&& fn) {
     for (VarId v : writable) {
-        const Value current = cs != nullptr ? cs->get(u, v) : space.get(u, v);
+        const Value current = cs.get(u, v);
         const Value domain = space.variable(v).domain_size;
         for (Value c = 0; c < domain; ++c) {
             if (c == current) continue;
-            const StateIndex s = cs != nullptr ? cs->set_digit(u, v, current, c)
-                                               : space.set(u, v, c);
+            const StateIndex s = cs.set_digit(u, v, current, c);
             if (safety != nullptr &&
                 (!safety->transition_allowed(space, s, u) ||
                  !safety->state_allowed(space, u)))
@@ -64,12 +61,10 @@ NonmaskingSynthesis add_nonmasking(const Program& p, const FaultClass& f,
         for (const auto& name : opts.writable) writable.push_back(space.find(name));
     }
 
-    // Compile the space once per synthesis (interpreted under
-    // DCFT_NO_COMPILE); the ranking fixpoint below does one get/set_digit
-    // pair per (state, writable var, value) triple.
-    std::shared_ptr<const CompiledSpace> cspace;
-    if (!compile_disabled()) cspace = compile_space(p.space_ptr());
-    const CompiledSpace* cs = cspace.get();
+    // Compile the space once per synthesis; the ranking fixpoint below
+    // does one get/set_digit pair per (state, writable var, value) triple.
+    const std::shared_ptr<const CompiledSpace> cspace =
+        compile_space(p.space_ptr());
 
     // Multi-source backward BFS from the invariant along admissible
     // recovery transitions, restricted to the fault span. next_hop[s] is
@@ -89,7 +84,7 @@ NonmaskingSynthesis add_nonmasking(const Program& p, const FaultClass& f,
     while (!frontier.empty()) {
         const StateIndex u = frontier.front();
         frontier.pop_front();
-        for_each_recovery_pred(space, cs, writable, opts.safety, u,
+        for_each_recovery_pred(space, *cspace, writable, opts.safety, u,
                                [&](StateIndex s) {
                                    if (!span.states->contains(s)) return;
                                    if (ranked.contains(s)) return;

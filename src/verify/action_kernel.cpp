@@ -1,18 +1,12 @@
 #include "verify/action_kernel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "obs/telemetry.hpp"
 
 namespace dcft {
-
-bool compile_disabled() {
-    return env_flag_enabled("DCFT_NO_COMPILE");
-}
 
 // ---------------------------------------------------------------------------
 // GuardCode: compile + eval

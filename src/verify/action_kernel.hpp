@@ -1,8 +1,9 @@
 // Compiled action kernels: guard bytecode + divmod-free effects.
 //
-// The interpreted exploration path pays three indirections per successor:
-// a std::function guard (often a tree of captured lambdas), a
-// std::function effect, and mixed-radix divmod inside StateSpace::set.
+// Interpreting a guarded command through Action/Predicate pays three
+// indirections per successor: a std::function guard (often a tree of
+// captured lambdas), a std::function effect, and mixed-radix divmod inside
+// StateSpace::set.
 // This layer compiles a guarded command once per exploration:
 //
 //   * guards with structural metadata (Predicate::NodeKind) lower to a
@@ -17,12 +18,12 @@
 //     stride-delta arithmetic on the packed index; kGeneric effects call
 //     the original statement.
 //
-// Compiled and interpreted paths are semantically identical by
-// construction (structured effects generate their interpreted lambda from
-// the same fields; guards always agree with Predicate::eval) and the
-// differential tests pin successor sequences bit-for-bit. Set
-// DCFT_NO_COMPILE=1 to force every consumer back onto the interpreted
-// path — the differential oracle.
+// This is the only execution path of the verifier. It agrees with the
+// Action/Predicate semantics by construction (structured effects generate
+// their interpreted lambda from the same fields; guards always agree with
+// Predicate::eval): the differential tests pin successor sequences
+// bit-for-bit, and verify/reference explores with Action::successors as
+// the naive oracle.
 #pragma once
 
 #include <cstdint>
@@ -37,11 +38,6 @@
 #include "gc/program.hpp"
 
 namespace dcft {
-
-/// True iff DCFT_NO_COMPILE is set (non-empty, not "0"): consumers must
-/// use the interpreted Action/Predicate path. Re-read on every call so
-/// tests can flip it per scope.
-bool compile_disabled();
 
 /// Postfix bytecode for one guard predicate. Compiled from the structural
 /// metadata of a Predicate; opaque subtrees become kCall ops.

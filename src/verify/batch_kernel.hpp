@@ -29,7 +29,7 @@
 // fast path, and each action set fits a 64-bit mask. Everything else
 // falls back to the scalar per-state path, which remains bit-for-bit
 // identical. DCFT_NO_BATCH=1 forces the scalar path — the differential
-// oracle for this layer (DCFT_NO_COMPILE remains the ground truth below
+// oracle for this layer (verify/reference remains the ground truth below
 // both).
 #pragma once
 

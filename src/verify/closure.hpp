@@ -15,21 +15,4 @@ CheckResult check_closed(const Program& p, const Predicate& s);
 /// F-span condition, Section 2.3).
 CheckResult check_preserved(const FaultClass& f, const Predicate& s);
 
-/// Early-exit closure check: 'S closed in p' (and preserved by every
-/// action of f, when f is non-null), decided by exploring p [] f from S
-/// with the stop predicate !S. Every S-state is a root of that
-/// exploration, so any violating transition is discovered at depth 1 —
-/// the scan touches |S| states plus one successor level instead of
-/// sweeping the whole space, and it terminates at the first (canonically
-/// least node id) escaping state with a replayable witness.
-/// Verdict-equivalent to check_closed(p, s) && check_preserved(*f, s);
-/// with f == nullptr the failure message is identical to check_closed's
-/// (same state order, action order, successor order). With faults the
-/// reported violation is the canonically first escaping *state*, which
-/// may attribute the escape to a fault action where the two-pass check
-/// would have reported a later program violation first.
-CheckResult check_closed_reachable(const Program& p, const FaultClass* f,
-                                   const Predicate& s,
-                                   unsigned n_threads = 0);
-
 }  // namespace dcft

@@ -369,7 +369,8 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
     {
         const SectionEntry& sec = hdr.sections[kSecInitial];
         arrays.initial.resize(hdr.num_initial);
-        std::memcpy(arrays.initial.data(), bytes + sec.offset, sec.bytes);
+        if (sec.bytes != 0)
+            std::memcpy(arrays.initial.data(), bytes + sec.offset, sec.bytes);
     }
     ::munmap(whole, file_size);
 

@@ -1,6 +1,5 @@
 #include "verify/reachability.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -13,14 +12,10 @@ namespace dcft {
 StateSet reachable_states(const Program& p, const FaultClass* f,
                           const Predicate& from, unsigned n_threads) {
     const StateSpace& space = p.space();
-    const StateIndex n_states = space.num_states();
     const unsigned threads = resolve_verifier_threads(n_threads);
 
-    // Compile the guarded commands once per sweep (interpreted under
-    // DCFT_NO_COMPILE). Successor sets are identical on both paths.
-    std::unique_ptr<CompiledProgram> compiled;
-    if (!compile_disabled())
-        compiled = std::make_unique<CompiledProgram>(p, f);
+    // Compile the guarded commands once per sweep.
+    const CompiledProgram compiled(p, f);
 
     // Seed: bulk-evaluate the source predicate (each state exactly once).
     StateSet seen(eval_bits(space, from, threads));
@@ -44,16 +39,10 @@ StateSet reachable_states(const Program& p, const FaultClass* f,
                             out.clear();
                             for (std::uint64_t i = b; i < e; ++i) {
                                 const StateIndex s = frontier[i];
-                                if (compiled != nullptr) {
-                                    compiled->program_actions().successors(
-                                        s, out);
-                                    if (compiled->has_faults())
-                                        compiled->fault_actions().successors(
-                                            s, out);
-                                } else {
-                                    p.successors(s, out);
-                                    if (f != nullptr) f->successors(s, out);
-                                }
+                                compiled.program_actions().successors(s, out);
+                                if (compiled.has_faults())
+                                    compiled.fault_actions().successors(s,
+                                                                        out);
                             }
                         });
         next.clear();
@@ -62,7 +51,6 @@ StateSet reachable_states(const Program& p, const FaultClass* f,
                 if (seen.insert(t)) next.push_back(t);
         frontier.swap(next);
     }
-    (void)n_states;
     return seen;
 }
 

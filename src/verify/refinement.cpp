@@ -3,7 +3,6 @@
 #include "common/bitvec.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/action_kernel.hpp"
-#include "verify/closure.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/fairness.hpp"
 
@@ -220,19 +219,21 @@ CheckResult check_spec_on(const TransitionSystem& ts, const FaultClass* faults,
 
 CheckResult refines_program(const Program& p_prime, const Program& p,
                             const Predicate& from) {
-    if (CheckResult r = check_closed(p_prime, from); !r) return r;
-
     const StateSpace& space = p_prime.space();
     const VarSet& pvars = p.vars();
     const auto ts_ptr =
         ExplorationCache::global().get_or_build(p_prime, nullptr, from);
     const TransitionSystem& ts = *ts_ptr;
+    // Closure of `from` in p' on the graph just built: its roots are the
+    // from-states in ascending order, so the first escaping edge is the
+    // one a whole-space check_closed would report.
+    if (CheckResult r = check_closure_on(ts, eval_bits(space, from), from,
+                                         nullptr);
+        !r)
+        return r;
     // Compile the base program's actions once: the matching loop below
     // enumerates their successors for every non-stuttering step of p'.
-    std::unique_ptr<CompiledActionSet> base_compiled;
-    if (!compile_disabled())
-        base_compiled =
-            std::make_unique<CompiledActionSet>(p.space_ptr(), p.actions());
+    const CompiledActionSet base_compiled(p.space_ptr(), p.actions());
     std::vector<StateIndex> base_succ;
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const StateIndex s = ts.state_of(n);
@@ -244,12 +245,8 @@ CheckResult refines_program(const Program& p_prime, const Program& p,
             bool matched = false;
             for (std::size_t ai = 0; ai < p.actions().size(); ++ai) {
                 base_succ.clear();
-                if (base_compiled != nullptr) {
-                    const CompiledAction& ka = (*base_compiled)[ai];
-                    if (ka.enabled(s)) ka.successors(s, base_succ);
-                } else {
-                    p.actions()[ai].successors(space, s, base_succ);
-                }
+                const CompiledAction& ka = base_compiled[ai];
+                if (ka.enabled(s)) ka.successors(s, base_succ);
                 for (StateIndex u : base_succ) {
                     if (space.project(u, pvars) == tp) {
                         matched = true;

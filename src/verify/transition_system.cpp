@@ -427,12 +427,11 @@ void TransitionSystem::explore(const FaultClass* faults,
 
     // Compile the guarded commands once per exploration (guard bytecode,
     // divmod-free effects, whole-space enabled bitsets for fully compiled
-    // guards). DCFT_NO_COMPILE=1 keeps everything on the interpreted
-    // Action/Predicate path — the differential oracle.
+    // guards). Opaque guard subtrees run through kCall ops.
     std::unique_ptr<CompiledProgram> compiled;
     std::vector<const BitVec*> prog_gbits;
     std::vector<const BitVec*> fault_gbits;
-    if (!compile_disabled()) {
+    {
         const obs::ScopedSpan cspan("verify/compile");
         const obs::TraceSpan ctspan(tracing ? tr().compile : 0);
         compiled = std::make_unique<CompiledProgram>(program_, faults);
@@ -456,89 +455,66 @@ void TransitionSystem::explore(const FaultClass* faults,
         if (compiled->has_faults())
             collect(compiled->fault_actions(), fault_gbits);
     }
+    const CompiledSpace& cspace = compiled->cspace();
 
     // Batch layer on top of the compiled program: fused guard+successor
     // kernels over blocks of states (see batch_kernel.hpp). Only engaged
     // when every action is batchable; DCFT_NO_BATCH=1 pins the scalar
     // path — the differential oracle for this layer.
     std::unique_ptr<BatchKernel> batch;
-    if (compiled != nullptr && !batch_disabled()) {
+    if (!batch_disabled()) {
         auto bk =
             std::make_unique<BatchKernel>(*compiled, prog_gbits, fault_gbits);
         if (bk->batchable()) batch = std::move(bk);
     }
 
-    // The early-exit stop predicate, compiled to guard bytecode when the
-    // exploration itself is compiled (opaque subtrees fall back to eval).
+    // The early-exit stop predicate, compiled to guard bytecode.
     std::unique_ptr<GuardCode> stop_code;
-    if (stop_on != nullptr && compiled != nullptr)
-        stop_code = std::make_unique<GuardCode>(compiled->cspace(), *stop_on);
+    if (stop_on != nullptr)
+        stop_code = std::make_unique<GuardCode>(cspace, *stop_on);
     std::uint64_t stop_scans = 0;
     auto stop_at = [&](StateIndex s) {
         ++stop_scans;
-        return stop_code != nullptr ? stop_code->eval(compiled->cspace(), s)
-                                    : stop_on->eval(*space_, s);
+        return stop_code->eval(cspace, s);
     };
 
-    // Expands one state: evaluates each guard (bitset probe, bytecode, or
-    // interpreted predicate) and appends each enabled action's successors
-    // via on_prog/on_fault(action index, target). Successor order is
-    // identical on both paths: actions in declaration order, each
-    // action's successors in its statement order.
+    // Expands one state: tests each guard (bitset probe or bytecode) and
+    // appends each enabled action's successors via on_prog/on_fault(action
+    // index, target) — actions in declaration order, each action's
+    // successors in its statement order.
     auto expand = [&](StateIndex s, std::vector<StateIndex>& scratch,
                       auto&& on_prog, auto&& on_fault) {
-        if (compiled != nullptr) {
-            const auto pacts = compiled->program_actions().actions();
-            for (std::uint32_t a = 0; a < pacts.size(); ++a) {
-                const CompiledAction& ka = pacts[a];
-                const BitVec* gb = prog_gbits[a];
+        const auto pacts = compiled->program_actions().actions();
+        for (std::uint32_t a = 0; a < pacts.size(); ++a) {
+            const CompiledAction& ka = pacts[a];
+            const BitVec* gb = prog_gbits[a];
+            if (gb != nullptr ? !gb->test(s) : !ka.enabled(s)) continue;
+            scratch.clear();
+            ka.successors(s, scratch);
+            for (StateIndex t : scratch) on_prog(a, t);
+        }
+        if (compiled->has_faults()) {
+            const auto facts = compiled->fault_actions().actions();
+            for (std::uint32_t a = 0; a < facts.size(); ++a) {
+                const CompiledAction& ka = facts[a];
+                const BitVec* gb = fault_gbits[a];
                 if (gb != nullptr ? !gb->test(s) : !ka.enabled(s)) continue;
                 scratch.clear();
                 ka.successors(s, scratch);
-                for (StateIndex t : scratch) on_prog(a, t);
-            }
-            if (compiled->has_faults()) {
-                const auto facts = compiled->fault_actions().actions();
-                for (std::uint32_t a = 0; a < facts.size(); ++a) {
-                    const CompiledAction& ka = facts[a];
-                    const BitVec* gb = fault_gbits[a];
-                    if (gb != nullptr ? !gb->test(s) : !ka.enabled(s))
-                        continue;
-                    scratch.clear();
-                    ka.successors(s, scratch);
-                    for (StateIndex t : scratch) on_fault(a, t);
-                }
-            }
-            return;
-        }
-        for (std::uint32_t a = 0; a < program_.num_actions(); ++a) {
-            scratch.clear();
-            program_.action(a).successors(*space_, s, scratch);
-            for (StateIndex t : scratch) on_prog(a, t);
-        }
-        if (faults != nullptr) {
-            std::uint32_t a = 0;
-            for (const auto& fac : faults->actions()) {
-                scratch.clear();
-                fac.successors(*space_, s, scratch);
                 for (StateIndex t : scratch) on_fault(a, t);
-                ++a;
             }
         }
     };
 
-    // Seed: bulk-evaluate init over the space (each state exactly once,
-    // chunked across workers). Done before the interner is chosen so the
-    // initial-set cardinality can size it.
+    // Seed: bulk-evaluate init over the space (each state exactly once).
+    // Done before the interner is chosen so the initial-set cardinality
+    // can size it.
     const BitVec init_bits = [&] {
         const obs::ScopedSpan seed_span("verify/explore/seed");
         const obs::TraceSpan seed_tspan(tracing ? tr().seed : 0);
-        if (compiled != nullptr) {
-            BitVec b(n_states);
-            fill_guard_bits(compiled->cspace(), init, b);
-            return b;
-        }
-        return eval_bits(*space_, init, n_threads);
+        BitVec b(n_states);
+        fill_guard_bits(cspace, init, b);
+        return b;
     }();
     const std::uint64_t init_pop = init_bits.popcount();
 
@@ -1210,18 +1186,14 @@ void TransitionSystem::explore(const FaultClass* faults,
         reg.counter("verify/explore/parallel_threshold").set(work_min);
         reg.counter("verify/explore/levels_below_threshold")
             .add(levels_below_threshold);
-        reg.counter("verify/explore/compiled")
-            .add(compiled != nullptr ? 1 : 0);
         reg.counter("verify/explore/batched").add(batch != nullptr ? 1 : 0);
         reg.counter("verify/explore/sweep_states").add(sweep_states);
-        if (compiled != nullptr) {
-            // kCall fallback ops across the compiled guards: how much of
-            // the program escaped full guard compilation (and with it the
-            // batch layer). A pure function of the program, so it stays
-            // thread-count-invariant.
-            reg.counter("verify/kernel/kcall_fallbacks")
-                .add(batch_coverage(*compiled).kcall_ops);
-        }
+        // kCall fallback ops across the compiled guards: how much of the
+        // program escaped full guard compilation (and with it the batch
+        // layer). A pure function of the program, so it stays
+        // thread-count-invariant.
+        reg.counter("verify/kernel/kcall_fallbacks")
+            .add(batch_coverage(*compiled).kcall_ops);
         reg.counter("verify/explore/levels").add(n_levels);
         reg.counter("verify/explore/frontier_peak").record_max(frontier_max);
         reg.counter("verify/explore/nodes").add(states_.size());

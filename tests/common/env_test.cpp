@@ -1,6 +1,6 @@
 // The shared DCFT_* environment parsing rule (common/env.hpp): one
 // truthiness table for every boolean flag, one positive-integer parser for
-// every numeric knob — and the consumers (telemetry, compile gate,
+// every numeric knob — and the consumers (telemetry, batch gate,
 // exploration cache) all observe the shared rule, including the historical
 // bugs it fixes ("00" and "false" used to count as enabled).
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 
 #include "common/env.hpp"
 #include "obs/telemetry.hpp"
-#include "verify/action_kernel.hpp"
+#include "verify/batch_kernel.hpp"
 #include "verify/exploration_cache.hpp"
 
 namespace dcft {
@@ -77,15 +77,15 @@ TEST(EnvTest, PositiveU64) {
 
 // -- consumers observe the shared rule (the historical divergences) --------
 
-TEST(EnvTest, CompileGateTreatsFalseAndDoubleZeroAsDisabled) {
-    setenv("DCFT_NO_COMPILE", "false", 1);
-    EXPECT_FALSE(compile_disabled());
-    setenv("DCFT_NO_COMPILE", "00", 1);
-    EXPECT_FALSE(compile_disabled());
-    setenv("DCFT_NO_COMPILE", "1", 1);
-    EXPECT_TRUE(compile_disabled());
-    unsetenv("DCFT_NO_COMPILE");
-    EXPECT_FALSE(compile_disabled());
+TEST(EnvTest, BatchGateTreatsFalseAndDoubleZeroAsDisabled) {
+    setenv("DCFT_NO_BATCH", "false", 1);
+    EXPECT_FALSE(batch_disabled());
+    setenv("DCFT_NO_BATCH", "00", 1);
+    EXPECT_FALSE(batch_disabled());
+    setenv("DCFT_NO_BATCH", "1", 1);
+    EXPECT_TRUE(batch_disabled());
+    unsetenv("DCFT_NO_BATCH");
+    EXPECT_FALSE(batch_disabled());
 }
 
 TEST(EnvTest, ExplorationCacheGateTreatsFalseAndDoubleZeroAsDisabled) {

@@ -11,7 +11,6 @@
 // forms with opaque lambdas (kCall / kGeneric fallbacks).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -244,25 +243,6 @@ TEST(ActionKernelTest, GuardBitsMatchPerStateEval) {
             ASSERT_EQ(bits.test(s), g.eval(*space, s))
                 << g.name() << " at s=" << s;
     }
-}
-
-TEST(ActionKernelTest, NoCompileEnvForcesInterpretedPath) {
-    // The whole suite may legitimately run under DCFT_NO_COMPILE=1 (the
-    // differential CI pass), so save and restore whatever is set.
-    const char* preset = std::getenv("DCFT_NO_COMPILE");
-    const std::string saved = preset != nullptr ? preset : "";
-
-    unsetenv("DCFT_NO_COMPILE");
-    EXPECT_FALSE(compile_disabled());
-    setenv("DCFT_NO_COMPILE", "1", 1);
-    EXPECT_TRUE(compile_disabled());
-    setenv("DCFT_NO_COMPILE", "0", 1);  // "0" counts as unset
-    EXPECT_FALSE(compile_disabled());
-
-    if (preset != nullptr)
-        setenv("DCFT_NO_COMPILE", saved.c_str(), 1);
-    else
-        unsetenv("DCFT_NO_COMPILE");
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Persistent graph store (verify/graph_store.hpp): snapshot round-trips
 // are bit-identical to the explored graph across thread counts and
-// in-core vs spill builds; keys are stable within a run and distinct
-// across systems; corrupted/truncated/version-skewed files are rejected
-// with clear errors (never a crash, never a silently wrong graph); the
-// byte budget evicts least-recently-used entries; and the
-// ExplorationCache serves repeat queries — including early-exit ones —
-// from the store after its in-memory entries are gone.
+// in-core vs spill builds, empty graphs included; keys are stable within
+// a run and distinct across systems; corrupted/truncated/version-skewed
+// files are rejected with clear errors (never a crash, never a silently
+// wrong graph); the byte budget evicts least-recently-used entries; and
+// the ExplorationCache serves repeat queries — including early-exit
+// ones — from the store after its in-memory entries are gone.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -145,6 +145,26 @@ TEST(GraphStoreTest, SpillBuiltSnapshotMatchesInCoreBuild) {
     ASSERT_NE(loaded, nullptr);
     expect_bit_identical(in_core, *loaded);
     EXPECT_FALSE(loaded->spilled());
+}
+
+TEST(GraphStoreTest, EmptyGraphRoundTrips) {
+    // An exploration from false has no initial nodes: every section is
+    // empty, and loading must not copy into the empty initial array.
+    auto sys = apps::make_token_ring(4, 4);
+    TempStore tmp;
+    GraphStore store(tmp.dir(), 0);
+    const GraphKey key = key_of(sys, Predicate::bottom());
+
+    const TransitionSystem empty(sys.ring, &sys.corrupt_any,
+                                 Predicate::bottom(), 1);
+    ASSERT_EQ(empty.num_nodes(), 0u);
+    ASSERT_TRUE(store.save(key, empty));
+
+    std::string error;
+    auto loaded = store.load(key, sys.ring, &sys.corrupt_any, &error);
+    ASSERT_NE(loaded, nullptr) << error;
+    expect_bit_identical(empty, *loaded);
+    EXPECT_TRUE(loaded->initial_nodes().empty());
 }
 
 TEST(GraphStoreTest, KeysSeparateSystemsFaultsAndInitialSets) {

@@ -12,7 +12,6 @@
 
 #include "apps/token_ring.hpp"
 #include "spec/safety_spec.hpp"
-#include "verify/closure.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/reachability.hpp"
 #include "verify/refinement.hpp"
@@ -162,8 +161,8 @@ TEST(EarlyExitTest, StopPredicateThatNeverFiresYieldsTheCompleteGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// Early-exit obligations: check_unreachable / check_closed_reachable /
-// check_tolerance(early_exit) agree with the full pipelines — verdicts,
+// Early-exit obligations: check_unreachable / check_tolerance(early_exit) /
+// refines_spec(early_exit) agree with the full pipelines — verdicts,
 // messages, and witness traces — across thread counts and cache bypass.
 // ---------------------------------------------------------------------------
 
@@ -202,33 +201,6 @@ TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
     EXPECT_TRUE(
         check_unreachable(sys.ring, &sys.corrupt_any, sys.legitimate, none)
             .ok);
-}
-
-TEST(EarlyExitTest, CheckClosedReachableMatchesCheckClosed) {
-    const auto sys = apps::make_token_ring(5, 5);
-
-    // Closed predicate: the legitimate set is closed in the ring.
-    ExplorationCache::global().clear();
-    EXPECT_TRUE(check_closed(sys.ring, sys.legitimate).ok);
-    EXPECT_TRUE(check_closed_reachable(sys.ring, nullptr, sys.legitimate).ok);
-
-    // Non-closed predicate: identical failure messages (program-only).
-    const Predicate x0 = Predicate::var_eq(*sys.space, "x.0", 0);
-    const CheckResult a = check_closed(sys.ring, x0);
-    ExplorationCache::global().clear();
-    const CheckResult b = check_closed_reachable(sys.ring, nullptr, x0);
-    ASSERT_FALSE(a.ok);
-    ASSERT_FALSE(b.ok);
-    EXPECT_EQ(a.reason, b.reason);
-    ASSERT_FALSE(b.witness.empty());
-
-    // With faults: verdict-equivalent to check_closed && check_preserved.
-    ExplorationCache::global().clear();
-    const CheckResult c =
-        check_closed_reachable(sys.ring, &sys.corrupt_any, sys.legitimate);
-    const bool ref = check_closed(sys.ring, sys.legitimate).ok &&
-                     check_preserved(sys.corrupt_any, sys.legitimate).ok;
-    EXPECT_EQ(c.ok, ref);
 }
 
 TEST(EarlyExitTest, FailsafeToleranceEarlyExitMatchesDefaultPipeline) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gc/composition.hpp"
+#include "verify/closure.hpp"
 
 namespace dcft {
 namespace {
@@ -145,6 +146,20 @@ TEST(RefinesProgramTest, ForeignStepRejected) {
     const CheckResult r = refines_program(rogue, p, Predicate::top());
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.reason.find("refinement violated"), std::string::npos);
+}
+
+TEST(RefinesProgramTest, UnclosedFromReportsClosureWithWitness) {
+    auto sp = counter_space(5);
+    const Program p = incrementer(sp, 3);
+    // {0, 2} is not closed in inc: both states step outside it.
+    const Predicate from = at(*sp, 0) || at(*sp, 2);
+    const CheckResult whole_space = check_closed(p, from);
+    ASSERT_FALSE(whole_space.ok);
+    const CheckResult r = refines_program(p, p, from);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.reason, whole_space.reason);
+    ASSERT_FALSE(r.witness.empty());
+    EXPECT_EQ(r.witness.back().state, sp->set(0, 0, 1));
 }
 
 TEST(ConvergesTest, ReachesTarget) {

@@ -9,7 +9,7 @@
 //
 // Default mode runs a campaign: for each derived program seed, generate a
 // random guarded-command system, run the full differential oracle matrix
-// (reference vs CSR exploration, 1 vs N threads, compiled vs interpreted
+// (reference vs CSR exploration, 1 vs N threads, batched vs scalar
 // kernels, cache vs bypass, optimized vs reference verdict pipelines,
 // simulator traces vs explored graphs, witness replay, offline trace
 // checking), and on divergence minimize the program with the
