@@ -177,7 +177,9 @@ void check_run_against_graph(const BuiltSystem& sys,
         const NodeId to = ts.node_of(step.to);
         bool found = false;
         if (step.is_fault()) {
-            for (const auto& e : ts.fault_edges(node))
+            std::vector<TransitionSystem::Edge> row;
+            ts.fault_edges(node, row);
+            for (const auto& e : row)
                 if (e.to == to) {
                     found = true;
                     break;
@@ -254,6 +256,7 @@ std::optional<std::string> first_graph_difference(
         return std::string("node -> state mapping differs");
     if (ref.initial_nodes() != ts.initial_nodes())
         return std::string("initial node sets differ");
+    std::vector<TransitionSystem::Edge> tf;
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const auto& rp = ref.program_edges(n);
         const auto tp = ts.program_edges(n);
@@ -265,8 +268,9 @@ std::optional<std::string> first_graph_difference(
             if (rp[i].action != tp[i].action || rp[i].to != tp[i].to)
                 return "program edge " + std::to_string(i) + " at node " +
                        std::to_string(n) + " differs";
+        // Fault rows are regenerated from the compiled fault kernel.
         const auto& rf = ref.fault_edges(n);
-        const auto tf = ts.fault_edges(n);
+        ts.fault_edges(n, tf);
         if (rf.size() != tf.size())
             return "fault edge count at node " + std::to_string(n) +
                    ": ref " + std::to_string(rf.size()) + " vs csr " +
@@ -290,14 +294,16 @@ std::optional<std::string> first_ts_difference(const TransitionSystem& a,
                std::to_string(b.num_nodes());
     if (a.initial_nodes() != b.initial_nodes())
         return std::string("initial node sets differ");
+    std::vector<TransitionSystem::Edge> fa, fb;
     for (NodeId n = 0; n < a.num_nodes(); ++n) {
         if (a.state_of(n) != b.state_of(n))
             return "state of node " + std::to_string(n) + " differs";
         const auto pa = a.program_edges(n), pb = b.program_edges(n);
         if (!std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
             return "program edges at node " + std::to_string(n) + " differ";
-        const auto fa = a.fault_edges(n), fb = b.fault_edges(n);
-        if (!std::equal(fa.begin(), fa.end(), fb.begin(), fb.end()))
+        a.fault_edges(n, fa);
+        b.fault_edges(n, fb);
+        if (fa != fb)
             return "fault edges at node " + std::to_string(n) + " differ";
         if (a.witness_path(n) != b.witness_path(n))
             return "witness path to node " + std::to_string(n) + " differs";

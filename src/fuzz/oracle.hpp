@@ -7,8 +7,9 @@
 //
 //   graph/ref-vs-csr            RefTransitionSystem (seed-naive BFS) vs
 //                               the CSR TransitionSystem at 1 thread:
-//                               states, initial nodes, program and fault
-//                               edges, terminality, witness paths.
+//                               states, initial nodes, program edges and
+//                               regenerated fault rows, terminality,
+//                               witness paths.
 //   graph/threads-1-vs-N        CSR exploration at 1 thread vs N threads
 //                               (the determinism contract).
 //   cache/hit-shares-build      two ExplorationCache::get_or_build calls

@@ -290,7 +290,7 @@ private:
     }
 
     bool parse_string(std::string& out) {
-        if (text_[pos_] != '"') {
+        if (pos_ >= text_.size() || text_[pos_] != '"') {
             fail("expected '\"'");
             return false;
         }

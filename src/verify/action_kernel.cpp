@@ -402,7 +402,8 @@ CompiledProgram::CompiledProgram(const Program& program,
     if (faults != nullptr) {
         DCFT_EXPECTS(&faults->space() == &program.space(),
                      "CompiledProgram: fault class over a different space");
-        faults_ = std::make_unique<CompiledActionSet>(cs_, faults->actions());
+        faults_ =
+            std::make_shared<const CompiledActionSet>(cs_, faults->actions());
     }
 }
 

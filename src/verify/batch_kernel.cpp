@@ -105,10 +105,17 @@ bool BatchKernel::lower(const CompiledAction& ka, const CompiledSpace& cs,
 BatchKernel::BatchKernel(const CompiledProgram& cp,
                          std::span<const BitVec* const> prog_gbits,
                          std::span<const BitVec* const> fault_gbits)
-    : cs_(cp.cspace()) {
-    const auto pacts = cp.program_actions().actions();
-    const auto facts = cp.has_faults() ? cp.fault_actions().actions()
-                                       : std::span<const CompiledAction>{};
+    : BatchKernel(cp.cspace(), cp.program_actions().actions(), prog_gbits,
+                  cp.has_faults() ? cp.fault_actions().actions()
+                                  : std::span<const CompiledAction>{},
+                  fault_gbits) {}
+
+BatchKernel::BatchKernel(const CompiledSpace& cs,
+                         std::span<const CompiledAction> pacts,
+                         std::span<const BitVec* const> prog_gbits,
+                         std::span<const CompiledAction> facts,
+                         std::span<const BitVec* const> fault_gbits)
+    : cs_(cs) {
     if (!cs_.fast() || pacts.size() > 64 || facts.size() > 64) return;
     prog_.resize(pacts.size());
     for (std::size_t a = 0; a < pacts.size(); ++a)
@@ -158,15 +165,12 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
     const Value* dom = doms_.data();
 
     const std::size_t np = prog_.size();
-    const std::size_t nf = fault_.size();
-    std::uint64_t pw[64], fw[64];  // per-block cached guard words
+    std::uint64_t pw[64];  // per-block cached guard words
     std::uint64_t pcur = out.prog_cursor;
-    std::uint64_t fcur = out.fault_cursor;
 
-    // Emits the successors of action k (index a) at state s. Shared by the
-    // program and fault streams; edge order per state is actions in
-    // declaration order, each action's successors in statement order —
-    // identical to the scalar path.
+    // Emits the successors of action k (index a) at state s. Edge order
+    // per state is actions in declaration order, each action's successors
+    // in statement order — identical to the scalar path.
     auto emit = [&](const Spec& k, std::uint32_t a, StateIndex s, Edge* edges,
                     std::uint64_t& cur) {
         switch (k.kind) {
@@ -211,7 +215,6 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
     StateIndex s = begin;
     for (std::uint64_t w = begin >> 6; s < end; ++w) {
         for (std::size_t a = 0; a < np; ++a) pw[a] = prog_[a].gw[w];
-        for (std::size_t a = 0; a < nf; ++a) fw[a] = fault_[a].gw[w];
         const unsigned lim =
             static_cast<unsigned>(std::min<StateIndex>(64, end - s));
         for (unsigned bit = 0; bit < lim; ++bit, ++s) {
@@ -224,16 +227,6 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
                 emit(prog_[a], a, s, out.prog_edges, pcur);
             }
             out.prog_offsets[s + 1] = pcur;
-            std::uint64_t fm = 0;
-            for (std::size_t a = 0; a < nf; ++a)
-                fm |= ((fw[a] >> bit) & 1u) << a;
-            while (fm != 0) {
-                const unsigned a =
-                    static_cast<unsigned>(std::countr_zero(fm));
-                fm &= fm - 1;
-                emit(fault_[a], a, s, out.fault_edges, fcur);
-            }
-            out.fault_offsets[s + 1] = fcur;
             // Odometer: amortized O(1) digit maintenance for s+1.
             for (std::size_t v = 0; v < nv; ++v) {
                 if (++d[v] < dom[v]) break;
@@ -243,107 +236,105 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
     }
 }
 
+std::uint32_t BatchKernel::emit_at(const Spec& k, std::uint32_t a,
+                                   StateIndex s,
+                                   std::vector<Rec>& recs) const {
+    using EK = Action::EffectForm::Kind;
+    // Digits come from magic-multiply decodes (no odometer available off
+    // the contiguous run).
+    switch (k.kind) {
+        case EK::kSkip:
+            recs.emplace_back(a, s);
+            return 1;
+        case EK::kAssignConst: {
+            const Value cur = cs_.get(s, k.var);
+            recs.emplace_back(
+                a, s + static_cast<StateIndex>(
+                           static_cast<std::int64_t>(k.value - cur) *
+                           k.stride));
+            return 1;
+        }
+        case EK::kAssignVar: {
+            const Value cur = cs_.get(s, k.var);
+            const Value src = cs_.get(s, k.var2);
+            recs.emplace_back(
+                a, s + static_cast<StateIndex>(
+                           static_cast<std::int64_t>(src - cur) * k.stride));
+            return 1;
+        }
+        case EK::kAssignAddMod: {
+            const Value cur = cs_.get(s, k.var);
+            const Value nv = (cs_.get(s, k.var2) + k.value) % k.modulus;
+            recs.emplace_back(
+                a, s + static_cast<StateIndex>(
+                           static_cast<std::int64_t>(nv - cur) * k.stride));
+            return 1;
+        }
+        case EK::kAssignChoice: {
+            const Value cur = cs_.get(s, k.var);
+            for (const Value c : k.choices)
+                recs.emplace_back(
+                    a, s + static_cast<StateIndex>(
+                               static_cast<std::int64_t>(c - cur) *
+                               k.stride));
+            return static_cast<std::uint32_t>(k.choices.size());
+        }
+        case EK::kCorruptAny: {
+            for (const Spec::CorruptVar& cv : k.corrupt) {
+                const Value c0 = cs_.get(s, cv.v);
+                StateIndex t = s + static_cast<StateIndex>(
+                                       -static_cast<std::int64_t>(c0) *
+                                       cv.stride);
+                for (Value c = 0; c < cv.dom;
+                     ++c, t += static_cast<StateIndex>(cv.stride))
+                    if (c != c0) recs.emplace_back(a, t);
+            }
+            return k.max_succ;
+        }
+        default:
+            return 0;
+    }
+}
+
+std::uint64_t BatchKernel::mask_at(const std::vector<Spec>& specs,
+                                   StateIndex s) {
+    const std::uint64_t word = s >> 6;
+    const unsigned bit = static_cast<unsigned>(s & 63);
+    std::uint64_t m = 0;
+    for (std::size_t a = 0; a < specs.size(); ++a)
+        m |= ((specs[a].gw[word] >> bit) & 1u) << a;
+    return m;
+}
+
 std::pair<std::uint64_t, std::uint64_t> BatchKernel::expand_frontier(
     const StateIndex* states, std::size_t n, std::vector<Rec>& recs,
     std::vector<Counts>& counts) const {
-    using EK = Action::EffectForm::Kind;
     DCFT_EXPECTS(batchable_, "BatchKernel::expand_frontier: not batchable");
-    const std::size_t np = prog_.size();
-    const std::size_t nf = fault_.size();
     std::uint64_t prog_total = 0, fault_total = 0;
-
-    // Successors of action k at a scattered state: digits come from magic-
-    // multiply decodes (no odometer available off the contiguous run).
-    auto emit = [&](const Spec& k, std::uint32_t a, StateIndex s,
-                    std::uint32_t& emitted) {
-        switch (k.kind) {
-            case EK::kSkip:
-                recs.emplace_back(a, s);
-                ++emitted;
-                return;
-            case EK::kAssignConst: {
-                const Value cur = cs_.get(s, k.var);
-                recs.emplace_back(
-                    a, s + static_cast<StateIndex>(
-                               static_cast<std::int64_t>(k.value - cur) *
-                               k.stride));
-                ++emitted;
-                return;
-            }
-            case EK::kAssignVar: {
-                const Value cur = cs_.get(s, k.var);
-                const Value src = cs_.get(s, k.var2);
-                recs.emplace_back(
-                    a, s + static_cast<StateIndex>(
-                               static_cast<std::int64_t>(src - cur) *
-                               k.stride));
-                ++emitted;
-                return;
-            }
-            case EK::kAssignAddMod: {
-                const Value cur = cs_.get(s, k.var);
-                const Value nv = (cs_.get(s, k.var2) + k.value) % k.modulus;
-                recs.emplace_back(
-                    a, s + static_cast<StateIndex>(
-                               static_cast<std::int64_t>(nv - cur) *
-                               k.stride));
-                ++emitted;
-                return;
-            }
-            case EK::kAssignChoice: {
-                const Value cur = cs_.get(s, k.var);
-                for (const Value c : k.choices)
-                    recs.emplace_back(
-                        a, s + static_cast<StateIndex>(
-                                   static_cast<std::int64_t>(c - cur) *
-                                   k.stride));
-                emitted += static_cast<std::uint32_t>(k.choices.size());
-                return;
-            }
-            case EK::kCorruptAny: {
-                for (const Spec::CorruptVar& cv : k.corrupt) {
-                    const Value c0 = cs_.get(s, cv.v);
-                    StateIndex t = s + static_cast<StateIndex>(
-                                           -static_cast<std::int64_t>(c0) *
-                                           cv.stride);
-                    for (Value c = 0; c < cv.dom;
-                         ++c, t += static_cast<StateIndex>(cv.stride))
-                        if (c != c0) recs.emplace_back(a, t);
-                    emitted += static_cast<std::uint32_t>(cv.dom - 1);
-                }
-                return;
-            }
-            default:
-                return;
-        }
-    };
-
     for (std::size_t i = 0; i < n; ++i) {
         const StateIndex s = states[i];
-        const std::uint64_t word = s >> 6;
-        const unsigned bit = static_cast<unsigned>(s & 63);
         std::uint32_t n_prog = 0, n_fault = 0;
-        std::uint64_t m = 0;
-        for (std::size_t a = 0; a < np; ++a)
-            m |= ((prog_[a].gw[word] >> bit) & 1u) << a;
-        while (m != 0) {
+        for (std::uint64_t m = mask_at(prog_, s); m != 0; m &= m - 1) {
             const unsigned a = static_cast<unsigned>(std::countr_zero(m));
-            m &= m - 1;
-            emit(prog_[a], a, s, n_prog);
+            n_prog += emit_at(prog_[a], a, s, recs);
         }
-        std::uint64_t fm = 0;
-        for (std::size_t a = 0; a < nf; ++a)
-            fm |= ((fault_[a].gw[word] >> bit) & 1u) << a;
-        while (fm != 0) {
-            const unsigned a = static_cast<unsigned>(std::countr_zero(fm));
-            fm &= fm - 1;
-            emit(fault_[a], a, s, n_fault);
+        for (std::uint64_t m = mask_at(fault_, s); m != 0; m &= m - 1) {
+            const unsigned a = static_cast<unsigned>(std::countr_zero(m));
+            n_fault += emit_at(fault_[a], a, s, recs);
         }
         counts.emplace_back(n_prog, n_fault);
         prog_total += n_prog;
         fault_total += n_fault;
     }
     return {prog_total, fault_total};
+}
+
+void BatchKernel::expand_faults(StateIndex s, std::vector<Rec>& recs) const {
+    DCFT_EXPECTS(batchable_, "BatchKernel::expand_faults: not batchable");
+    for (std::uint64_t m = mask_at(fault_, s); m != 0; m &= m - 1) {
+        const unsigned a = static_cast<unsigned>(std::countr_zero(m));
+        emit_at(fault_[a], a, s, recs);
+    }
 }
 
 }  // namespace dcft

@@ -76,6 +76,13 @@ public:
                 std::span<const BitVec* const> prog_gbits,
                 std::span<const BitVec* const> fault_gbits);
 
+    /// As above over explicit action sets. An empty `prog` gives the
+    /// fault-only kernel of fault-row regeneration (expand_faults).
+    BatchKernel(const CompiledSpace& cs, std::span<const CompiledAction> prog,
+                std::span<const BitVec* const> prog_gbits,
+                std::span<const CompiledAction> faults,
+                std::span<const BitVec* const> fault_gbits);
+
     /// Whether sweep()/count_edges()/expand_frontier() may be used.
     bool batchable() const { return batchable_; }
 
@@ -85,21 +92,19 @@ public:
                                                        StateIndex end) const;
 
     /// Output slice of one sweep segment: absolute CSR arrays plus the
-    /// running edge cursors at `begin` (from count_edges prefix sums).
+    /// running edge cursor at `begin` (from count_edges prefix sums).
     struct SweepSlice {
         Edge* prog_edges;               ///< absolute edge array base
-        Edge* fault_edges;              ///< absolute fault edge array base
         std::uint64_t* prog_offsets;    ///< absolute offsets array base
-        std::uint64_t* fault_offsets;   ///< absolute offsets array base
         std::uint64_t prog_cursor;      ///< edges emitted before `begin`
-        std::uint64_t fault_cursor;
     };
 
     /// Fused guard+successor sweep over the contiguous identity run
     /// [begin, end): for every state s (node id == s) writes its program
-    /// and fault edges at the bump cursors and offsets[s+1]. `begin` must
-    /// be 64-aligned. Requires batchable(). Single writer per slice;
-    /// disjoint slices may run concurrently.
+    /// edges at the bump cursor and offsets[s+1]. Fault edges are not
+    /// stored (count_edges counts them). `begin` must be 64-aligned.
+    /// Requires batchable(). Single writer per slice; disjoint slices may
+    /// run concurrently.
     void sweep(StateIndex begin, StateIndex end, SweepSlice slice) const;
 
     /// Scalar-free expansion of an arbitrary frontier slice: appends the
@@ -110,6 +115,10 @@ public:
     std::pair<std::uint64_t, std::uint64_t> expand_frontier(
         const StateIndex* states, std::size_t n, std::vector<Rec>& recs,
         std::vector<Counts>& counts) const;
+
+    /// Appends the fault records of one state — the fault half of
+    /// expand_frontier, without the program guards. Requires batchable().
+    void expand_faults(StateIndex s, std::vector<Rec>& recs) const;
 
 private:
     /// One action lowered to flat batch form. Strides are signed so the
@@ -143,6 +152,14 @@ private:
 
     static bool lower(const CompiledAction& ka, const CompiledSpace& cs,
                       const BitVec* gbits, Spec& out);
+
+    /// Appends the successors of action k (index a) at a scattered state
+    /// s; returns how many.
+    std::uint32_t emit_at(const Spec& k, std::uint32_t a, StateIndex s,
+                          std::vector<Rec>& recs) const;
+    /// Guard mask of `specs` at state s (bit a = action a enabled).
+    static std::uint64_t mask_at(const std::vector<Spec>& specs,
+                                 StateIndex s);
 
     const CompiledSpace& cs_;
     std::vector<Spec> prog_;

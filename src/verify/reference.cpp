@@ -28,7 +28,7 @@ RefTransitionSystem::RefTransitionSystem(const Program& program,
         frontier.push_back(id);
     }
     prog_edges_.resize(states_.size());
-    fault_edges_.resize(states_.size());
+    fault_rows_.resize(states_.size());
 
     std::vector<StateIndex> succ;
     NodeId current = 0;
@@ -38,7 +38,7 @@ RefTransitionSystem::RefTransitionSystem(const Program& program,
         if (inserted) {
             states_.push_back(t);
             prog_edges_.emplace_back();
-            fault_edges_.emplace_back();
+            fault_rows_.emplace_back();
             parent_.push_back(current);
             frontier.push_back(it->second);
         }
@@ -65,7 +65,7 @@ RefTransitionSystem::RefTransitionSystem(const Program& program,
                 fac.successors(*space_, s, succ);
                 for (StateIndex t : succ) {
                     const NodeId to = intern(t);
-                    fault_edges_[n].push_back(RefEdge{a, to});
+                    fault_rows_[n].push_back(RefEdge{a, to});
                 }
                 ++a;
             }
@@ -92,7 +92,7 @@ const std::vector<std::vector<NodeId>>& RefTransitionSystem::predecessors(
         for (NodeId n = 0; n < states_.size(); ++n) {
             for (const RefEdge& e : prog_edges_[n]) (*cache)[e.to].push_back(n);
             if (include_faults)
-                for (const RefEdge& e : fault_edges_[n])
+                for (const RefEdge& e : fault_rows_[n])
                     (*cache)[e.to].push_back(n);
         }
     }

@@ -65,7 +65,7 @@ public:
         return prog_edges_[n];
     }
     const std::vector<RefEdge>& fault_edges(NodeId n) const {
-        return fault_edges_[n];
+        return fault_rows_[n];
     }
     std::size_t num_program_edges() const;
 
@@ -87,7 +87,7 @@ private:
     std::vector<NodeId> initial_;
     std::vector<NodeId> parent_;
     std::vector<std::vector<RefEdge>> prog_edges_;
-    std::vector<std::vector<RefEdge>> fault_edges_;
+    std::vector<std::vector<RefEdge>> fault_rows_;
     std::unordered_map<StateIndex, NodeId> node_of_;
     mutable std::optional<std::vector<std::vector<NodeId>>> preds_prog_;
     mutable std::optional<std::vector<std::vector<NodeId>>> preds_all_;

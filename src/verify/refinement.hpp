@@ -52,9 +52,10 @@ CheckResult refines_spec(const Program& p, const ProblemSpec& spec,
 /// class (`faults` selects whether fault edges participate), and every
 /// state satisfying `from` must be a node of `ts` — e.g. `ts` was explored
 /// from `from` itself, or `from` denotes a subset of ts.state_bits().
-/// Closure of `from` is checked on the recorded edges; the successor sets
-/// are identical to what a fresh enumeration would produce, so verdicts
-/// (and, when `ts` was explored from `from`, messages) match refines_spec.
+/// Closure of `from` is checked on the recorded program edges and the
+/// regenerated fault rows; the successor sets are identical to what a
+/// fresh enumeration would produce, so verdicts (and, when `ts` was
+/// explored from `from`, messages) match refines_spec.
 CheckResult refines_spec_on(const TransitionSystem& ts,
                             const FaultClass* faults, const ProblemSpec& spec,
                             const Predicate& from);

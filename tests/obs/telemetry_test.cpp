@@ -174,6 +174,15 @@ TEST(JsonTest, ParserRejectsMalformedDocuments) {
     }
 }
 
+TEST(JsonTest, ParserStopsAtTheEndOfTheView) {
+    // The view ends right after '{'; the '"' behind it must not be read.
+    std::string error;
+    EXPECT_FALSE(
+        obs::parse_json(std::string_view("{\"k\":1}", 1), &error)
+            .has_value());
+    EXPECT_NE(error.find("expected '\"'"), std::string::npos) << error;
+}
+
 TEST(RunReportTest, SchemaRoundTrips) {
     TelemetryGuard guard;
     obs::count("verify/explorations", 3);

@@ -64,6 +64,7 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b,
     const auto& pa = a.predecessors(/*include_faults=*/true);
     const auto& pb = b.predecessors(/*include_faults=*/true);
     ASSERT_EQ(pa.num_items(), pb.num_items());
+    std::vector<TransitionSystem::Edge> fault_a, fault_b;
     for (NodeId n = 0; n < a.num_nodes(); ++n) {
         ASSERT_EQ(a.state_of(n), b.state_of(n)) << "node " << n;
         const auto prog_a = a.program_edges(n);
@@ -71,12 +72,9 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b,
         ASSERT_EQ(prog_a.size(), prog_b.size()) << "node " << n;
         ASSERT_TRUE(std::equal(prog_a.begin(), prog_a.end(), prog_b.begin()))
             << "program edges of node " << n;
-        const auto fault_a = a.fault_edges(n);
-        const auto fault_b = b.fault_edges(n);
-        ASSERT_EQ(fault_a.size(), fault_b.size()) << "node " << n;
-        ASSERT_TRUE(
-            std::equal(fault_a.begin(), fault_a.end(), fault_b.begin()))
-            << "fault edges of node " << n;
+        a.fault_edges(n, fault_a);
+        b.fault_edges(n, fault_b);
+        ASSERT_EQ(fault_a, fault_b) << "fault edges of node " << n;
         if (n % witness_stride == 0) {
             ASSERT_EQ(a.witness_path(n), b.witness_path(n)) << "node " << n;
             const auto preds_a = pa[n];

@@ -56,6 +56,7 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b) {
     ASSERT_EQ(a.num_program_edges(), b.num_program_edges());
     ASSERT_EQ(a.num_fault_edges(), b.num_fault_edges());
     ASSERT_EQ(a.complete(), b.complete());
+    std::vector<TransitionSystem::Edge> fa, fb;
     for (NodeId n = 0; n < a.num_nodes(); ++n) {
         ASSERT_EQ(a.state_of(n), b.state_of(n)) << "node " << n;
         const auto pa = a.program_edges(n);
@@ -65,13 +66,9 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b) {
             ASSERT_EQ(pa[i].action, pb[i].action) << "node " << n;
             ASSERT_EQ(pa[i].to, pb[i].to) << "node " << n;
         }
-        const auto fa = a.fault_edges(n);
-        const auto fb = b.fault_edges(n);
-        ASSERT_EQ(fa.size(), fb.size()) << "node " << n;
-        for (std::size_t i = 0; i < fa.size(); ++i) {
-            ASSERT_EQ(fa[i].action, fb[i].action) << "node " << n;
-            ASSERT_EQ(fa[i].to, fb[i].to) << "node " << n;
-        }
+        a.fault_edges(n, fa);
+        b.fault_edges(n, fb);
+        ASSERT_EQ(fa, fb) << "node " << n;
     }
     // Witness paths (BFS parents) agree on a spread of nodes.
     const NodeId last = static_cast<NodeId>(a.num_nodes() - 1);

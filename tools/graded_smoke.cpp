@@ -8,12 +8,21 @@
 //     in-presence safety obligation holds, and a finite distance comes
 //     with a witness carrying exactly `distance` fault steps.
 //
+//     The distances are pinned per variant.
+//
 //  2. Determinism: the catalog-standard graded blocks (game + 200-run
 //     Monte Carlo estimate, fixed base seed) serialized through the
 //     dcft.report query writer must be byte-identical across Monte Carlo
 //     thread counts 1/2/8 — the merge is slice-ordered, so pooled
 //     samples (and float summation order) never depend on scheduling.
+//
+//  3. Game determinism: on large graphs the game regenerates fault rows
+//     over parallel node chunks, so its distance, reason, witness and
+//     layer counts must be identical at 1 and 4 verifier threads, with
+//     the parallel work threshold forced down so these graphs split.
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +62,17 @@ void check_consistency() {
             if (n == name) return s;
         return 0;
     };
+    // Masking distances of every variant at these sizes ("inf" = masking).
+    const std::map<std::string, std::string> pinned = {
+        {"memory/failsafe", "inf"},  {"memory/intolerant", "1"},
+        {"memory/masking", "inf"},   {"memory/nonmasking", "1"},
+        {"tmr/failsafe", "inf"},     {"tmr/intolerant", "1"},
+        {"tmr/masking", "inf"},      {"byzantine/failsafe", "inf"},
+        {"byzantine/intolerant", "1"}, {"byzantine/masking", "1"},
+        {"token-ring/ring", "1"},    {"spanning-tree/tree", "1"},
+        {"election/election", "1"},  {"termination/probe", "1"},
+        {"barrier/rechecking", "inf"}, {"barrier/trusting", "1"},
+        {"reset/reset", "1"},        {"abp/protocol", "inf"}};
     for (const std::string& name : dcft::apps::catalog_names()) {
         const SystemInstance sys = dcft::apps::load_system(name,
                                                            size_of(name));
@@ -79,6 +99,10 @@ void check_consistency() {
                 expect(game.witness.empty(),
                        where + ": masking verdict with a witness trace");
             }
+            const auto pin = pinned.find(where);
+            expect(pin != pinned.end() && pin->second == fmt_distance(game),
+                   where + ": distance " + fmt_distance(game) +
+                       " differs from the pinned value");
             std::printf("graded_smoke: %-28s distance %s\n", where.c_str(),
                         fmt_distance(game).c_str());
         }
@@ -124,11 +148,52 @@ void check_determinism() {
     }
 }
 
+/// Everything a game result reports, as one comparable string.
+std::string game_bytes(const dcft::MaskingDistanceResult& r) {
+    std::string out = fmt_distance(r) + "|" + r.reason + "|" +
+                      std::to_string(r.game_nodes) + "|" +
+                      std::to_string(r.game_layers);
+    for (const dcft::WitnessStep& step : r.witness)
+        out += "|" + step.state_repr + "/" + step.action +
+               (step.fault ? "/f" : "");
+    return out;
+}
+
+/// Phase 3: the game at 1 and 4 verifier threads.
+void check_game_threads() {
+    ::setenv("DCFT_PARALLEL_WORK_MIN", "1", 1);
+    const std::vector<std::pair<std::string, int>> systems = {
+        {"token-ring", 6}, {"barrier", 8}, {"byzantine", 5}, {"reset", 8},
+        {"abp", 6}};
+    for (const auto& [name, size] : systems) {
+        const dcft::apps::SystemInstance sys =
+            dcft::apps::load_system(name, size);
+        for (const auto& [variant, program] : sys.variants) {
+            std::string base;
+            for (const char* threads : {"1", "4"}) {
+                ::setenv("DCFT_VERIFIER_THREADS", threads, 1);
+                const std::string got = game_bytes(dcft::masking_distance(
+                    program, *sys.faults, sys.spec, sys.invariant));
+                if (base.empty()) base = got;
+                expect(got == base, name + "/" + variant +
+                                        ": game differs between 1 and " +
+                                        threads + " verifier threads");
+            }
+            ::unsetenv("DCFT_VERIFIER_THREADS");
+            std::printf("graded_smoke: %s %d/%-10s game identical at "
+                        "1/4 verifier threads\n",
+                        name.c_str(), size, variant.c_str());
+        }
+    }
+    ::unsetenv("DCFT_PARALLEL_WORK_MIN");
+}
+
 }  // namespace
 
 int main() {
     check_consistency();
     check_determinism();
+    check_game_threads();
     dcft::ExplorationCache::global().clear();
     if (failures != 0) {
         std::fprintf(stderr, "graded_smoke: %d failure(s)\n", failures);

@@ -6,10 +6,14 @@
 // and the identical suite runs again. The second pass must be served
 // entirely from the store: zero new explorations, store hits for every
 // graph the suite needs, no new misses or saves, and verdicts identical
-// to the first pass (the mmap-adopted graphs are bit-identical).
+// to the first pass (the mmap-adopted graphs are bit-identical). Every
+// snapshot is format v2, which stores no fault edges: a p [] F file holds
+// exactly the header page plus the page-padded states, parents, program
+// CSR and initial list.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "apps/catalog.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/exploration_cache.hpp"
+#include "verify/graph_store.hpp"
 #include "verify/tolerance_checker.hpp"
 
 namespace {
@@ -63,6 +68,50 @@ std::vector<Row> run_suite() {
     return rows;
 }
 
+/// The format version of a snapshot (the u32 after the 8-byte magic).
+std::uint32_t snapshot_version(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    char magic[8];
+    std::uint32_t version = 0;
+    in.read(magic, sizeof(magic));
+    in.read(reinterpret_cast<char*>(&version), sizeof(version));
+    return in ? version : 0;
+}
+
+/// Saves the token-ring 6 fault span and checks the file size against the
+/// sections a v2 snapshot carries.
+void check_snapshot_size(const std::string& dir) {
+    constexpr std::uint64_t kPage = 4096;
+    auto padded = [&](std::uint64_t bytes) {
+        return (bytes + kPage - 1) / kPage * kPage;
+    };
+    const dcft::apps::SystemInstance sys =
+        dcft::apps::load_system("token-ring", 6);
+    const dcft::Program& program = sys.variants.begin()->second;
+    const dcft::BitVec init = dcft::eval_bits(*sys.space, sys.invariant);
+    const dcft::TransitionSystem ts(program, sys.faults.get(), sys.invariant);
+    dcft::GraphStore store(dir, 0);
+    const dcft::GraphKey key =
+        dcft::graph_key(program, sys.faults.get(), init);
+    check(store.save(key, ts), "fault-span snapshot saved");
+
+    const std::uint64_t n = ts.num_nodes();
+    const std::uint64_t v2_bytes =
+        kPage + padded(n * sizeof(dcft::StateIndex)) +
+        padded(n * sizeof(dcft::NodeId)) +
+        padded((n + 1) * sizeof(std::uint64_t)) +
+        padded(ts.num_program_edges() * sizeof(dcft::TransitionSystem::Edge)) +
+        padded(ts.initial_nodes().size() * sizeof(dcft::NodeId));
+    const std::filesystem::path path = dir + "/" + key.hex() + ".dcftg";
+    const std::uint64_t file_bytes = std::filesystem::file_size(path);
+    check(snapshot_version(path) == 2, "snapshot is dcft.graph v2");
+    check(ts.num_fault_edges() > 0 && file_bytes == v2_bytes,
+          "snapshot holds no fault edges (" + std::to_string(file_bytes) +
+              " bytes, header + states + parent + program CSR + initial = " +
+              std::to_string(v2_bytes) + ", " +
+              std::to_string(ts.num_fault_edges()) + " fault edges)");
+}
+
 }  // namespace
 
 int main() {
@@ -93,6 +142,12 @@ int main() {
           "one .dcftg snapshot per save (" +
               std::to_string(stored_files) + " files, " +
               std::to_string(saves) + " saves)");
+    bool all_v2 = stored_files > 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(store_dir))
+        if (entry.path().extension() == ".dcftg")
+            all_v2 = all_v2 && snapshot_version(entry.path()) == 2;
+    check(all_v2, "every snapshot is dcft.graph v2");
 
     // Simulate a process restart: the in-memory cache is gone, only the
     // store directory survives.
@@ -120,6 +175,8 @@ int main() {
         verdicts_match = cold[i] == warm[i];
     check(verdicts_match,
           "mmap-served verdicts identical to freshly explored ones");
+
+    check_snapshot_size(store_dir + "/size");
 
     std::error_code ec;
     std::filesystem::remove_all(store_dir, ec);

@@ -199,8 +199,10 @@ void check_query(const JsonValue& q, bool graded, bool* ok_out,
 
 /// The 'timeline' member: one entry per exploration, each with per-level
 /// rows whose level numbers run consecutively from 0. Returns the total
-/// number of level rows (cross-checked against the event trace).
-std::size_t check_timeline(const JsonValue& doc) {
+/// number of level rows (cross-checked against the event trace); adds the
+/// rows' fault_edges into `fault_edges` (cross-checked against the
+/// verify/explore/fault_edges counter).
+std::size_t check_timeline(const JsonValue& doc, double* fault_edges) {
     std::size_t level_rows = 0;
     const auto& timelines =
         member(doc, "timeline", JsonValue::Kind::Array).as_array();
@@ -229,6 +231,9 @@ std::size_t check_timeline(const JsonValue& doc) {
             require(member(row, "frontier", JsonValue::Kind::Number)
                             .as_number() > 0.0,
                     "timeline level with empty frontier");
+            *fault_edges +=
+                member(row, "fault_edges", JsonValue::Kind::Number)
+                    .as_number();
         }
         level_rows += levels.size();
     }
@@ -374,7 +379,8 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
                     "batchable program with uncovered actions");
     }
 
-    summary.timeline_levels = check_timeline(doc);
+    double timeline_fault_edges = 0.0;
+    summary.timeline_levels = check_timeline(doc, &timeline_fault_edges);
 
     const JsonValue& telemetry =
         member(doc, "telemetry", JsonValue::Kind::Object);
@@ -387,6 +393,14 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
         require(value.is_number() && value.as_number() >= 0.0,
                 "counter '" + path + "' is not a non-negative number");
     }
+    // Fault edges are counted as they are enumerated, never stored: the
+    // per-level rows must add up to the exploration counter.
+    const auto fault_counter = counters.find("verify/explore/fault_edges");
+    require(timeline_fault_edges ==
+                (fault_counter != counters.end()
+                     ? fault_counter->second.as_number()
+                     : 0.0),
+            "timeline fault_edges do not sum to verify/explore/fault_edges");
     const auto& spans =
         member(telemetry, "spans", JsonValue::Kind::Array).as_array();
     require(!spans.empty(), "telemetry with no spans");
