@@ -94,23 +94,17 @@ BarrierSystem make_barrier(int n) {
                                  root_witness && all_arrived,
                                  release_effect));
 
+    // Fault: some clear witness flips to 1 (structured, so the kernel
+    // compiles its guard to a bitset and its effect to stride arithmetic).
     FaultClass fault(space, "corrupt-witness");
-    const Predicate some_witness_clear(
-        "some-witness-clear", [w, n](const StateSpace& sp, StateIndex s) {
-            for (int k = 1; k < n; ++k)
-                if (sp.get(s, w[static_cast<std::size_t>(k)]) == 0)
-                    return true;
-            return false;
-        });
-    fault.add_action(Action::nondet(
-        "flip-witness", some_witness_clear,
-        [w, n](const StateSpace& sp, StateIndex s,
-               std::vector<StateIndex>& out) {
-            for (int k = 1; k < n; ++k) {
-                const VarId v = w[static_cast<std::size_t>(k)];
-                if (sp.get(s, v) == 0) out.push_back(sp.set(s, v, 1));
-            }
-        }));
+    const std::vector<VarId> witnesses(w.begin() + 1, w.end());
+    Predicate some_witness_clear = Predicate::var_eq(*space, witnesses[0], 0);
+    for (std::size_t k = 1; k < witnesses.size(); ++k)
+        some_witness_clear =
+            some_witness_clear || Predicate::var_eq(*space, witnesses[k], 0);
+    fault.add_action(Action::set_any(
+        *space, "flip-witness",
+        some_witness_clear.renamed("some-witness-clear"), witnesses, 1));
 
     // Safety: a release (round change) only from an all-arrived state.
     SafetySpec safety(

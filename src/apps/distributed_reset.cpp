@@ -69,16 +69,8 @@ DistributedResetSystem make_distributed_reset(std::vector<int> parent) {
         *space, "complete.0", all_equal && !wc_set, "wc", 1));
 
     FaultClass fault(space, "corrupt-session");
-    fault.add_action(Action::nondet(
-        "corrupt", Predicate::top(),
-        [sn](const StateSpace& sp, StateIndex s,
-             std::vector<StateIndex>& out) {
-            for (VarId v : sn) {
-                const Value cur = sp.get(s, v);
-                for (Value c = 0; c < 3; ++c)
-                    if (c != cur) out.push_back(sp.set(s, v, c));
-            }
-        }));
+    fault.add_action(
+        Action::corrupt_any(*space, "corrupt", Predicate::top(), sn));
 
     // Safety: (i) the witness never lies; (ii) a wave never starts before
     // the previous one completed (sn.0 changes only from all-equal).

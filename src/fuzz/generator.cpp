@@ -112,11 +112,15 @@ EffectNode gen_fault_effect(Rng& rng, const ProgramSpec& spec) {
     const bool chans = !spec.channels.empty();
     const std::uint64_t roll = rng.below(chans ? 6 : 4);
     if (roll <= 2) {
-        e.kind = EffectNode::Kind::kCorruptAny;
-        // Random nonempty victim subset (all generated domains are >= 2).
+        // Random nonempty victim subset (all generated domains are >= 2):
+        // transient corruption, or a flag-raising set_any to 0 or 1.
+        e.kind = rng.chance(0.25) ? EffectNode::Kind::kSetAny
+                                  : EffectNode::Kind::kCorruptAny;
         for (std::size_t v = 0; v < nv; ++v)
             if (rng.chance(0.5)) e.vars.push_back(v);
         if (e.vars.empty()) e.vars.push_back(rng.below(nv));
+        if (e.kind == EffectNode::Kind::kSetAny)
+            e.value = static_cast<Value>(rng.below(2));
     } else if (roll == 3) {
         e.kind = EffectNode::Kind::kAssignChoice;
         e.var = rng.below(nv);

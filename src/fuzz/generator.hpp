@@ -10,7 +10,8 @@
 // and/or/not trees of depth <= 2 over var==c / var!=c / var==var /
 // var!=var leaves), every Action::EffectForm kind, bounded channels with
 // sends/receives, and fault actions drawn from the nondeterministic
-// shapes (corrupt_any, assign_choice, channel lose/duplicate/corrupt).
+// shapes (corrupt_any, set_any, assign_choice, channel
+// lose/duplicate/corrupt).
 // The state-space budget (`max_states`) caps the product of the variable
 // domains, so oracle runs stay fast enough for 10k-program campaigns.
 #pragma once

@@ -53,6 +53,7 @@ void mark_effect_vars(const EffectNode& e, std::vector<bool>& used) {
             if (e.var2 < used.size()) used[e.var2] = true;
             break;
         case E::kCorruptAny:
+        case E::kSetAny:
             for (std::size_t v : e.vars)
                 if (v < used.size()) used[v] = true;
             break;
@@ -104,6 +105,11 @@ void clamp_effect(EffectNode& e, std::size_t var, Value dom) {
     switch (e.kind) {
         case E::kAssignConst:
             if (e.var == var && e.value >= dom) e.value = e.value % dom;
+            break;
+        case E::kSetAny:
+            if (std::find(e.vars.begin(), e.vars.end(), var) != e.vars.end() &&
+                e.value >= dom)
+                e.value = e.value % dom;
             break;
         case E::kAssignAddMod:
             if (e.var == var && e.modulus > dom) e.modulus = dom;
@@ -290,7 +296,8 @@ std::vector<ProgramSpec> shrink_candidates(const ProgramSpec& spec) {
                     out.push_back(std::move(c));
                 }
             }
-            if (e.kind == E::kCorruptAny && e.vars.size() > 1) {
+            if ((e.kind == E::kCorruptAny || e.kind == E::kSetAny) &&
+                e.vars.size() > 1) {
                 for (std::size_t j = 0; j < e.vars.size(); ++j) {
                     ProgramSpec c = spec;
                     auto& target = fault_list ? c.fault_actions : c.actions;

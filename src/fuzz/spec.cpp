@@ -130,6 +130,16 @@ bool validate_action(const ProgramSpec& spec, const ActionDecl& a,
                     return fail(error, at + ": victim domain must be >= 2");
             }
             break;
+        case K::kSetAny:
+            if (e.vars.empty())
+                return fail(error, at + ": empty set_any variable list");
+            for (std::size_t v : e.vars) {
+                if (v >= nv)
+                    return fail(error, at + ": set_any variable out of range");
+                if (e.value < 0 || e.value >= spec.vars[v].domain)
+                    return fail(error, at + ": set_any value out of domain");
+            }
+            break;
         case K::kChanSendConst:
             if (e.value < 0 || e.value >= spec.channels[e.chan].value_domain)
                 return fail(error, at + ": sent value out of channel domain");
@@ -183,6 +193,16 @@ Action build_action(const BuiltSystem& sys, const ActionDecl& a) {
                                          e.choices);
         case K::kCorruptAny:
             return Action::corrupt_any(space, a.name, guard, e.vars);
+        case K::kSetAny: {
+            // set_any needs a guard implying that some variable differs
+            // from the value; conjoin that, so every guard is valid.
+            std::vector<VarId> vars(e.vars.begin(), e.vars.end());
+            Predicate differs = Predicate::var_ne(space, vars[0], e.value);
+            for (std::size_t k = 1; k < vars.size(); ++k)
+                differs = differs || Predicate::var_ne(space, vars[k], e.value);
+            return Action::set_any(space, a.name, guard && differs,
+                                   std::move(vars), e.value);
+        }
         case K::kChanSendConst: {
             const Value v = e.value;
             return sys.channels[e.chan].send(

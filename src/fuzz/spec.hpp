@@ -85,6 +85,7 @@ struct EffectNode {
         kAssignAddMod,   ///< var := (var2 + value) mod modulus
         kAssignChoice,   ///< var := c for each c in choices (nondet)
         kCorruptAny,     ///< each v in vars := any other value (nondet)
+        kSetAny,         ///< each v in vars with v != value := value
         kChanSendConst,  ///< channels[chan].send(value)
         kChanRecvToVar,  ///< var := received value mod dom(var)
         kChanLose,       ///< channel fault: drop head (guard must be true)

@@ -39,6 +39,7 @@ const char* effect_kind_name(EffectNode::Kind k) {
         case K::kAssignAddMod: return "assign_add_mod";
         case K::kAssignChoice: return "assign_choice";
         case K::kCorruptAny: return "corrupt_any";
+        case K::kSetAny: return "set_any";
         case K::kChanSendConst: return "chan_send_const";
         case K::kChanRecvToVar: return "chan_recv_to_var";
         case K::kChanLose: return "chan_lose";
@@ -86,6 +87,7 @@ bool effect_kind_of(const std::string& s, EffectNode::Kind& out) {
         {"assign_add_mod", K::kAssignAddMod},
         {"assign_choice", K::kAssignChoice},
         {"corrupt_any", K::kCorruptAny},
+        {"set_any", K::kSetAny},
         {"chan_send_const", K::kChanSendConst},
         {"chan_recv_to_var", K::kChanRecvToVar},
         {"chan_lose", K::kChanLose},
@@ -167,10 +169,13 @@ void write_effect(JsonWriter& w, const EffectNode& e) {
             w.end_array();
             break;
         case K::kCorruptAny:
+        case K::kSetAny:
             w.key("vars").begin_array();
             for (std::size_t v : e.vars)
                 w.value(static_cast<std::uint64_t>(v));
             w.end_array();
+            if (e.kind == K::kSetAny)
+                w.kv("value", static_cast<std::int64_t>(e.value));
             break;
         case K::kChanSendConst:
             w.kv("chan", static_cast<std::uint64_t>(e.chan));
@@ -301,7 +306,8 @@ bool read_effect(const JsonValue& v, EffectNode& out, std::string* error) {
             }
             break;
         }
-        case K::kCorruptAny: {
+        case K::kCorruptAny:
+        case K::kSetAny: {
             const JsonValue* vars = v.find("vars", JsonValue::Kind::Array);
             if (vars == nullptr) return fail(error, "effect: vars missing");
             for (const JsonValue& item : vars->as_array()) {
@@ -310,6 +316,8 @@ bool read_effect(const JsonValue& v, EffectNode& out, std::string* error) {
                 out.vars.push_back(
                     static_cast<std::size_t>(item.as_number()));
             }
+            if (out.kind == K::kSetAny && !read_value(v, "value", out.value))
+                return fail(error, "effect: set_any value missing");
             break;
         }
         case K::kChanSendConst:

@@ -158,6 +158,28 @@ Action Action::corrupt_any(const StateSpace& space, std::string name,
         nullptr, std::move(form)}));
 }
 
+Action Action::set_any(const StateSpace& space, std::string name,
+                       Predicate guard, std::vector<VarId> vars, Value value) {
+    DCFT_EXPECTS(!vars.empty(), "set_any: requires at least one variable");
+    for (VarId v : vars) {
+        DCFT_EXPECTS(v < space.num_vars(), "set_any: variable out of range");
+        DCFT_EXPECTS(value >= 0 && value < space.variable(v).domain_size,
+                     "set_any: value out of domain");
+    }
+    EffectForm form;
+    form.kind = EffectForm::Kind::kSetAny;
+    form.vars = vars;
+    form.value = value;
+    return Action(std::make_shared<Impl>(Impl{
+        std::move(name), std::move(guard),
+        [vars = std::move(vars), value](const StateSpace& sp, StateIndex s,
+                                        std::vector<StateIndex>& out) {
+            for (VarId v : vars)
+                if (sp.get(s, v) != value) out.push_back(sp.set(s, v, value));
+        },
+        nullptr, std::move(form)}));
+}
+
 Action Action::skip(std::string name, Predicate guard) {
     EffectForm form;
     form.kind = EffectForm::Kind::kSkip;

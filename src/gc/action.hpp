@@ -61,14 +61,15 @@ public:
             kAssignAddMod,  ///< var := (var2 + value) mod modulus
             kAssignChoice,  ///< var := c for each c in choices (nondet)
             kCorruptAny,    ///< each v in vars := each c != cur (nondet)
+            kSetAny,        ///< each v in vars with v != value := value
         };
         Kind kind = Kind::kGeneric;
         VarId var = 0;             ///< assigned variable (kAssign*)
         VarId var2 = 0;            ///< source variable (kAssignVar/AddMod)
-        Value value = 0;           ///< constant / addend
+        Value value = 0;           ///< constant / addend / kSetAny value
         Value modulus = 0;         ///< modulus of kAssignAddMod
         std::vector<Value> choices;  ///< kAssignChoice targets, in order
-        std::vector<VarId> vars;     ///< kCorruptAny victims, in order
+        std::vector<VarId> vars;     ///< kCorruptAny/kSetAny victims, in order
     };
 
     /// Deterministic action.
@@ -111,6 +112,14 @@ public:
     /// with v := c. The successor shape of the paper's transient faults.
     static Action corrupt_any(const StateSpace& space, std::string name,
                               Predicate guard, std::vector<VarId> vars);
+
+    /// Nondeterministic `name :: guard --> v := value` for each v in
+    /// `vars` (in order) whose current value differs from `value` — a
+    /// fault that sets any one of a group of flags. The guard must imply
+    /// that some v differs, so an enabled action has a successor.
+    static Action set_any(const StateSpace& space, std::string name,
+                          Predicate guard, std::vector<VarId> vars,
+                          Value value);
 
     /// Skip action (self-loop); useful for stutter modelling in tests.
     static Action skip(std::string name, Predicate guard);

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/barrier.hpp"
 #include "apps/byzantine.hpp"
 #include "apps/token_ring.hpp"
 #include "common/rng.hpp"
@@ -102,6 +103,32 @@ TEST(ActionKernelTest, ByzantineDifferential) {
     for (const Action& a : sys.byzantine_fault.actions())
         faults.add_action(a);
     expect_differential(faults);
+}
+
+TEST(ActionKernelTest, SetAnyDifferential) {
+    // Barrier's flip-witness fault: set_any over the witness flags under an
+    // or-of-var_eq guard — a guard bitset plus stride arithmetic, with no
+    // kCall fallback.
+    auto sys = apps::make_barrier(8);
+    Program as_program(sys.space, "flip-witness-as-program");
+    for (const Action& a : sys.corrupt_witness.actions())
+        as_program.add_action(a);
+    const CompiledActionSet compiled(sys.space, as_program.actions());
+    ASSERT_EQ(compiled[0].effect_form().kind,
+              Action::EffectForm::Kind::kSetAny);
+    EXPECT_TRUE(compiled[0].guard_fully_compiled());
+    expect_differential(as_program);
+    // Only the flags that differ from the value are set, in order.
+    const Action& flip = sys.corrupt_witness.actions()[0];
+    const VarId w1 = sys.space->find("w.1");
+    const VarId w3 = sys.space->find("w.3");
+    StateIndex s = 0;
+    for (const VarId v : flip.effect_form().vars) s = sys.space->set(s, v, 1);
+    s = sys.space->set(sys.space->set(s, w1, 0), w3, 0);
+    std::vector<StateIndex> succ;
+    flip.successors(*sys.space, s, succ);
+    EXPECT_EQ(succ, (std::vector<StateIndex>{sys.space->set(s, w1, 1),
+                                             sys.space->set(s, w3, 1)}));
 }
 
 /// Random guarded-command program over a >= 10k-state space. Mixes every
