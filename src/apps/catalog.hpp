@@ -1,11 +1,10 @@
 // Catalog of the built-in example systems: one registry mapping a system
 // name (+ size) to everything needed to verify and simulate it.
 //
-// The catalog used to live inside the dcft CLI; it is a library concern
-// now because two frontends share it — `dcft verify/simulate/list` and
-// the dcftd query daemon (src/service/) — and they must agree exactly on
-// what "token-ring 8" means for persistent graph-store keys to be shared
-// between them.
+// It is a library concern because several programs share it — `dcft
+// verify/simulate/list`, the grid benchmark worker, bench_verifier and
+// the smoke tools — and they must agree exactly on what "token-ring 8"
+// means, so their verdicts and persistent graph-store entries match.
 #pragma once
 
 #include <map>
@@ -51,8 +50,8 @@ obs::ReportQuery tolerance_query(const std::string& system,
 /// masking-distance game result plus a fixed-seed Monte Carlo estimate,
 /// already shaped as report blocks. Deterministic for a given (system,
 /// variant, options) — including across exploration and Monte Carlo thread
-/// counts — so both frontends (dcft verify --graded, dcftd graded verify)
-/// emit byte-identical blocks.
+/// counts — so `dcft verify --graded` emits byte-identical blocks on every
+/// run.
 struct GradedBlocks {
     obs::QueryMaskingDistance masking_distance;
     obs::QueryMonteCarlo monte_carlo;

@@ -11,7 +11,7 @@
 //   number of leading zeros)                    -> disabled
 //   anything else ("1", "true", "yes", "on", "2", "x", ...) -> enabled
 //
-// Numeric knobs (DCFT_VERIFIER_THREADS, DCFT_EXPLORE_CACHE_CAP) go through
+// Numeric knobs (DCFT_VERIFIER_THREADS, DCFT_PARALLEL_WORK_MIN) go through
 // env_positive_u64: a strictly positive decimal integer, anything else
 // (unset, empty, junk, zero, negative) yields the caller's fallback.
 #pragma once

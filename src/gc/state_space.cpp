@@ -72,6 +72,14 @@ VarId StateSpace::add_variable(std::string name, Value domain_size) {
     DCFT_EXPECTS(!frozen_, "StateSpace::add_variable after freeze");
     DCFT_EXPECTS(domain_size > 0, "variable domain must be nonempty");
     DCFT_EXPECTS(!has_variable(name), "duplicate variable name: " + name);
+    // Checked on the running product, so an absurd size is refused after
+    // ~64 variables instead of after declaring all of them.
+    const auto domain = static_cast<StateIndex>(domain_size);
+    DCFT_EXPECTS(
+        num_states_ <= std::numeric_limits<StateIndex>::max() / domain,
+        "state space too large for a 64-bit index");
+    strides_.push_back(num_states_);
+    num_states_ *= domain;
     vars_.push_back(Variable{std::move(name), domain_size, {}});
     return vars_.size() - 1;
 }
@@ -88,17 +96,6 @@ VarId StateSpace::add_variable(std::string name,
 void StateSpace::freeze() {
     DCFT_EXPECTS(!frozen_, "StateSpace::freeze called twice");
     DCFT_EXPECTS(!vars_.empty(), "StateSpace must declare >= 1 variable");
-    strides_.resize(vars_.size());
-    StateIndex product = 1;
-    for (VarId v = 0; v < vars_.size(); ++v) {
-        strides_[v] = product;
-        const auto domain = static_cast<StateIndex>(vars_[v].domain_size);
-        DCFT_EXPECTS(product <=
-                         std::numeric_limits<StateIndex>::max() / domain,
-                     "state space too large for a 64-bit index");
-        product *= domain;
-    }
-    num_states_ = product;
     frozen_ = true;
 }
 

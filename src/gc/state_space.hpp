@@ -86,13 +86,15 @@ public:
     /// exploration cache's stale-hit regression test pins).
     std::uint64_t uid() const { return uid_; }
 
-    /// Declares a variable with values {0, ..., domain_size-1}.
+    /// Declares a variable with values {0, ..., domain_size-1}. Throws
+    /// ContractError when the product of the domain sizes so far would no
+    /// longer fit a 64-bit state index.
     VarId add_variable(std::string name, Value domain_size);
 
     /// Declares a variable whose values are named (domain size = #names).
     VarId add_variable(std::string name, std::vector<std::string> value_names);
 
-    /// Finishes construction; computes strides. Must be called exactly once.
+    /// Finishes construction. Must be called exactly once.
     void freeze();
     bool frozen() const { return frozen_; }
 

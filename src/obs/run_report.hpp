@@ -171,8 +171,7 @@ void write_telemetry(JsonWriter& w);
 void write_witness(JsonWriter& w, const std::vector<WitnessStep>& trace);
 
 /// Writes one query object exactly as run reports emit it (verdict,
-/// sizes, witness). Shared with the dcftd verify responses so both
-/// frontends stay schema-identical.
+/// sizes, witness).
 void write_query(JsonWriter& w, const ReportQuery& q);
 
 /// Writes the "timeline" member: every per-level exploration timeline

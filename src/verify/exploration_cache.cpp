@@ -82,16 +82,6 @@ ExplorationCache& ExplorationCache::global() {
     return cache;
 }
 
-std::size_t ExplorationCache::capacity() {
-    if (const auto cap = env_positive_u64("DCFT_EXPLORE_CACHE_CAP"))
-        return static_cast<std::size_t>(*cap);
-    return 8;
-}
-
-std::uint64_t ExplorationCache::byte_budget() {
-    return env_positive_u64("DCFT_EXPLORE_CACHE_BYTES").value_or(0);
-}
-
 std::uint64_t ExplorationCache::resident_bytes() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t total = 0;
@@ -101,28 +91,12 @@ std::uint64_t ExplorationCache::resident_bytes() const {
 
 void ExplorationCache::note_ready_bytes(std::uint64_t token,
                                         std::uint64_t bytes) {
-    const std::uint64_t budget = byte_budget();
-    // Evicted entries are destroyed outside the lock: an entry's future
-    // may hold the last reference to a large TransitionSystem.
-    std::list<Entry> doomed;
     std::uint64_t total = 0;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         for (Entry& e : entries_) {
             if (e.token == token) e.bytes = bytes;
             total += e.bytes;
-        }
-        if (budget != 0) {
-            auto it = entries_.end();
-            while (total > budget && it != entries_.begin()) {
-                --it;
-                if (it == entries_.begin()) break;  // retain the MRU entry
-                if (it->bytes == 0) continue;       // in-flight: keep
-                total -= it->bytes;
-                obs::count("verify/explore_cache/byte_evictions");
-                auto victim = it++;
-                doomed.splice(doomed.end(), entries_, victim);
-            }
         }
     }
     obs::record("verify/explore_cache/resident_bytes", total);
@@ -183,8 +157,7 @@ std::shared_ptr<const TransitionSystem> ExplorationCache::get_or_build(
             token = ++next_token_;
             entries_.push_front(
                 Entry{std::move(key), token, builder.get_future().share()});
-            const std::size_t cap = capacity();
-            while (entries_.size() > cap) {
+            while (entries_.size() > capacity()) {
                 obs::count("verify/explore_cache/evictions");
                 entries_.pop_back();
             }
@@ -347,8 +320,7 @@ bool ExplorationCache::publish_if_absent(
                                            init_bits),
                                   token,
                                   ready.get_future().share()});
-        const std::size_t cap = capacity();
-        while (entries_.size() > cap) {
+        while (entries_.size() > capacity()) {
             obs::count("verify/explore_cache/evictions");
             entries_.pop_back();
         }

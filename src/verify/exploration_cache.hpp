@@ -40,17 +40,11 @@
 // concurrency regression test pins this). A build that throws removes its
 // entry and propagates the exception to every waiter.
 //
-// Eviction is both entry- and byte-aware. Entries are LRU-evicted beyond
-// DCFT_EXPLORE_CACHE_CAP (default 8); additionally, every completed entry
-// records the resident footprint of its TransitionSystem
-// (TransitionSystem::resident_bytes — nodes + CSR + interner) and, when
-// DCFT_EXPLORE_CACHE_BYTES is set, ready entries are LRU-evicted from the
-// tail until the cache fits the byte budget (the most recent entry is
-// always retained so a single over-budget graph still serves its own
-// verdict pipeline). In-flight builds are never byte-evicted — their
-// footprint is unknown and evicting them would break same-key dedup.
-// Counters: verify/explore_cache/evictions (entry cap),
-// verify/explore_cache/byte_evictions, and the resident_bytes gauge.
+// Eviction is LRU beyond capacity() (a constant 8) entries. Every
+// completed entry records the resident footprint of its TransitionSystem
+// (TransitionSystem::resident_bytes — nodes + CSR + interner), summed in
+// the verify/explore_cache/resident_bytes gauge; evictions are counted in
+// verify/explore_cache/evictions.
 //
 // Persistent store integration: when DCFT_GRAPH_STORE names a directory
 // (see verify/graph_store.hpp), a miss first tries to mmap-adopt a stored
@@ -119,13 +113,8 @@ public:
     /// Number of entries, including in-flight builds.
     std::size_t size() const;
 
-    /// Maximum number of retained entries (DCFT_EXPLORE_CACHE_CAP,
-    /// default 8, re-read per insertion).
-    static std::size_t capacity();
-
-    /// Byte budget over the resident footprints of completed entries
-    /// (DCFT_EXPLORE_CACHE_BYTES; 0 = unlimited, the default).
-    static std::uint64_t byte_budget();
+    /// Maximum number of retained entries.
+    static constexpr std::size_t capacity() { return 8; }
 
     /// Sum of the recorded resident bytes of completed entries.
     std::uint64_t resident_bytes() const;
@@ -149,7 +138,7 @@ private:
         std::uint64_t token;  ///< identifies this entry for error removal
         std::shared_future<std::shared_ptr<const TransitionSystem>> ts;
         /// TransitionSystem::resident_bytes once the build completed;
-        /// 0 while in flight (such entries are never byte-evicted).
+        /// 0 while in flight.
         std::uint64_t bytes = 0;
     };
 
@@ -157,8 +146,8 @@ private:
     /// when a build fails; waiters get the exception via the future).
     void remove_entry(std::uint64_t token);
 
-    /// Records the completed entry's footprint and enforces the byte
-    /// budget (LRU from the tail, ready entries only, front retained).
+    /// Records the completed entry's footprint and publishes the
+    /// resident_bytes gauge.
     void note_ready_bytes(std::uint64_t token, std::uint64_t bytes);
 
     /// Inserts a ready entry for (program [, faults], init) unless one is

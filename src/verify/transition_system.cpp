@@ -498,7 +498,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     const bool timeline = telemetry || tracing;
     const bool progress_on = obs::progress_enabled();
     // One count per BFS actually run: snapshot-adopted graphs never pass
-    // here, which is what the service/store smoke tests assert on.
+    // here, which is what the graph-store smoke test asserts on.
     obs::count("verify/explorations");
     const obs::ScopedSpan span("verify/explore");
     const obs::TraceSpan tspan(tracing ? tr().explore : 0);

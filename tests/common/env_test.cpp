@@ -99,17 +99,6 @@ TEST(EnvTest, ExplorationCacheGateTreatsFalseAndDoubleZeroAsDisabled) {
     EXPECT_FALSE(exploration_cache_disabled());
 }
 
-TEST(EnvTest, ExplorationCacheCapacityUsesPositiveParser) {
-    setenv("DCFT_EXPLORE_CACHE_CAP", "3", 1);
-    EXPECT_EQ(ExplorationCache::capacity(), 3u);
-    setenv("DCFT_EXPLORE_CACHE_CAP", "junk", 1);
-    EXPECT_EQ(ExplorationCache::capacity(), 8u) << "fallback on junk";
-    setenv("DCFT_EXPLORE_CACHE_CAP", "0", 1);
-    EXPECT_EQ(ExplorationCache::capacity(), 8u) << "fallback on zero";
-    unsetenv("DCFT_EXPLORE_CACHE_CAP");
-    EXPECT_EQ(ExplorationCache::capacity(), 8u);
-}
-
 TEST(EnvTest, TelemetryResolvesThroughSharedRule) {
     // obs::enabled() caches its first resolution; exercise the resolver
     // through set_enabled-free re-resolution is not possible, so just pin

@@ -1,7 +1,7 @@
 // ExplorationCache behaviour: hits are pointer-identical, every key
 // component invalidates (program rename, action restriction, fault class,
 // initial set), extensionally equal initial predicates share an entry,
-// LRU eviction honours DCFT_EXPLORE_CACHE_CAP, DCFT_NO_EXPLORE_CACHE
+// LRU eviction beyond capacity(), DCFT_NO_EXPLORE_CACHE
 // bypasses the cache entirely, identity keys survive object destruction
 // and allocator address reuse (the ABA regression), and builds of
 // unrelated keys proceed concurrently while same-key builds dedup.
@@ -14,7 +14,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/token_ring.hpp"
 #include "verify/exploration_cache.hpp"
@@ -29,12 +31,10 @@ class ExplorationCacheTest : public ::testing::Test {
 protected:
     void SetUp() override {
         unsetenv("DCFT_NO_EXPLORE_CACHE");
-        unsetenv("DCFT_EXPLORE_CACHE_CAP");
         ExplorationCache::global().clear();
     }
     void TearDown() override {
         unsetenv("DCFT_NO_EXPLORE_CACHE");
-        unsetenv("DCFT_EXPLORE_CACHE_CAP");
         ExplorationCache::global().clear();
     }
 };
@@ -117,28 +117,32 @@ TEST_F(ExplorationCacheTest, RestrictionInvalidates) {
 TEST_F(ExplorationCacheTest, LruEvictionHonoursCap) {
     auto sys = apps::make_token_ring(4, 4);
     auto& cache = ExplorationCache::global();
-    setenv("DCFT_EXPLORE_CACHE_CAP", "2", 1);
-    EXPECT_EQ(ExplorationCache::capacity(), 2u);
+    constexpr std::size_t cap = ExplorationCache::capacity();
 
-    const auto a = cache.get_or_build(sys.ring, nullptr, Predicate::top());
-    const auto a_ptr = a.get();
-    const auto b =
-        cache.get_or_build(sys.ring, &sys.corrupt_any, Predicate::top());
-    const auto c =
-        cache.get_or_build(sys.ring, nullptr, sys.legitimate);  // evicts a
-    EXPECT_LE(cache.size(), 2u);
+    // cap + 1 distinct keys: one single-state initial set each.
+    std::vector<Predicate> inits;
+    std::vector<std::shared_ptr<const TransitionSystem>> built;
+    for (StateIndex k = 0; k <= cap; ++k) {
+        inits.emplace_back("s" + std::to_string(k),
+                           [k](const StateSpace&, StateIndex s) {
+                               return s == k;
+                           });
+        built.push_back(cache.get_or_build(sys.ring, nullptr, inits.back()));
+    }
+    EXPECT_EQ(cache.size(), cap);
 
-    // b and c are still resident (pointer-identical hits)...
-    EXPECT_EQ(
-        cache.get_or_build(sys.ring, &sys.corrupt_any, Predicate::top())
-            .get(),
-        b.get());
-    EXPECT_EQ(cache.get_or_build(sys.ring, nullptr, sys.legitimate).get(),
-              c.get());
-    // ...while the evicted entry rebuilds to a fresh object.
-    EXPECT_NE(
-        cache.get_or_build(sys.ring, nullptr, Predicate::top()).get(),
-        a_ptr);
+    // The newest cap keys are still resident (pointer-identical hits),
+    // and the resident_bytes gauge sums exactly their footprints...
+    std::uint64_t bytes = 0;
+    for (std::size_t k = 1; k <= cap; ++k) {
+        EXPECT_EQ(cache.get_or_build(sys.ring, nullptr, inits[k]).get(),
+                  built[k].get());
+        bytes += built[k]->resident_bytes();
+    }
+    EXPECT_EQ(cache.resident_bytes(), bytes);
+    // ...while the oldest was evicted and rebuilds to a fresh object.
+    EXPECT_NE(cache.get_or_build(sys.ring, nullptr, inits[0]).get(),
+              built[0].get());
 }
 
 TEST_F(ExplorationCacheTest, DisableEnvBypassesCache) {

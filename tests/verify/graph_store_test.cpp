@@ -363,35 +363,5 @@ TEST(GraphStoreTest, ExplorationCacheServesRepeatQueriesFromStore) {
     cache.clear();
 }
 
-TEST(GraphStoreTest, ExplorationCacheByteBudgetEvictsReadyEntries) {
-    EnvGuard bytes_env("DCFT_EXPLORE_CACHE_BYTES", "1");  // evict ~all
-    EnvGuard store_env("DCFT_GRAPH_STORE", nullptr);
-    auto& cache = ExplorationCache::global();
-    cache.clear();
-
-    auto sys = apps::make_token_ring(4, 4);
-    const auto a =
-        cache.get_or_build(sys.ring, &sys.corrupt_any, Predicate::top());
-    const auto b = cache.get_or_build(sys.ring, nullptr, Predicate::top());
-    // The MRU entry is always retained; older ready entries fall to the
-    // 1-byte budget.
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_LE(cache.resident_bytes(), b->resident_bytes());
-
-    // And without a budget the same pair coexists.
-    cache.clear();
-    {
-        EnvGuard no_budget("DCFT_EXPLORE_CACHE_BYTES", nullptr);
-        const auto c = cache.get_or_build(sys.ring, &sys.corrupt_any,
-                                          Predicate::top());
-        const auto d =
-            cache.get_or_build(sys.ring, nullptr, Predicate::top());
-        EXPECT_EQ(cache.size(), 2u);
-        EXPECT_EQ(cache.resident_bytes(),
-                  c->resident_bytes() + d->resident_bytes());
-    }
-    cache.clear();
-}
-
 }  // namespace
 }  // namespace dcft

@@ -17,11 +17,6 @@
 //                 [--trace FILE] [--progress[=SECS]]
 //       Batch-simulate a variant under fault injection and print
 //       aggregate statistics.
-//   dcft client <op> [args] [--socket PATH] [--id TAG]
-//       Query a running dcftd daemon (tools/dcftd.cpp) over its unix
-//       socket: ping | list | stats | shutdown | verify <system> [size].
-//       Prints the single-line JSON response; exits 0 iff the daemon
-//       answered ok.
 //
 // Observability flags accept `--flag value` and `--flag=value`;
 // --progress may also appear bare (1s interval). Each has an environment
@@ -29,6 +24,8 @@
 // same knobs work on binaries launched by scripts or ctest. Contradictory
 // requests fail fast instead of silently doing nothing: --report/--trace
 // with DCFT_TELEMETRY explicitly falsy, or --progress=0, are errors.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,8 +41,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/experiment.hpp"
-#include "service/client.hpp"
-#include "service/protocol.hpp"
 #include "verify/batch_kernel.hpp"
 #include "verify/tolerance_checker.hpp"
 
@@ -130,6 +125,50 @@ bool parse_flags(int argc, char** argv, int arg,
     return true;
 }
 
+/// `text` as a decimal integer in [min, max], or nullopt when it is not
+/// one in full (trailing junk, overflow, out of range).
+std::optional<long long> parse_integer(const std::string& text,
+                                       long long min, long long max) {
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        value < min || value > max)
+        return std::nullopt;
+    return value;
+}
+
+/// Integer flag `key` (>= min), or `fallback` when absent. Prints an
+/// error naming the flag and returns nullopt on a bad value.
+std::optional<long long> integer_flag(const FlagMap& flags, const char* key,
+                                      long long fallback, long long min) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const auto value = parse_integer(it->second, min, LLONG_MAX);
+    if (!value)
+        std::fprintf(stderr,
+                     "error: --%s must be an integer >= %lld (got '%s')\n",
+                     key, min, it->second.c_str());
+    return value;
+}
+
+/// Probability flag `key` in [0, 1], or `fallback` when absent. Prints an
+/// error naming the flag and returns nullopt on a bad value.
+std::optional<double> probability_flag(const FlagMap& flags, const char* key,
+                                       double fallback) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(it->second.c_str(), &end);
+    if (end != it->second.c_str() && *end == '\0' && value >= 0.0 &&
+        value <= 1.0)
+        return value;
+    std::fprintf(stderr,
+                 "error: --%s must be a number in [0, 1] (got '%s')\n", key,
+                 it->second.c_str());
+    return std::nullopt;
+}
+
 void print_usage(std::FILE* out) {
     std::fputs(
         "usage: dcft <command> [args]\n"
@@ -150,11 +189,6 @@ void print_usage(std::FILE* out) {
         "           [--seed S] [--fault-p P] [--max-faults K]\n"
         "           [--trace FILE] [--progress[=SECS]]\n"
         "      Batch-simulate a variant under fault injection.\n"
-        "  client <op> [args] [--socket PATH] [--id TAG]\n"
-        "      Query a running dcftd daemon. Ops: ping, list, stats,\n"
-        "      shutdown, verify <system> [size] [--graded]. Prints the\n"
-        "      one-line JSON response; exits 0 iff the daemon answered ok.\n"
-        "      Socket default: $DCFT_SOCKET or /tmp/dcftd.sock.\n"
         "\n"
         "observability flags (each has an environment twin):\n"
         "  --report FILE      write a dcft.report run report: per-query\n"
@@ -347,13 +381,15 @@ int cmd_simulate(const std::string& name, int size, const FlagMap& flags) {
                      "error: --report is only supported by 'dcft verify'\n");
         return 2;
     }
+    const auto runs = integer_flag(flags, "runs", 200, 1);
+    const auto steps = integer_flag(flags, "steps", 1000, 1);
+    const auto seed = integer_flag(flags, "seed", 1, 0);
+    const auto max_faults = integer_flag(flags, "max-faults", 3, 0);
+    const auto fault_p = probability_flag(flags, "fault-p", 0.1);
+    if (!runs || !steps || !seed || !max_faults || !fault_p) return 2;
     const std::string trace_path =
         setup_observability(flags, /*wants_report=*/false);
     const apps::SystemInstance sys = apps::load_system(name, size);
-    auto flag = [&flags](const char* key, double fallback) {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stod(it->second);
-    };
     std::string variant = flags.count("variant")
                               ? flags.at("variant")
                               : sys.variants.begin()->first;
@@ -367,12 +403,12 @@ int cmd_simulate(const std::string& name, int size, const FlagMap& flags) {
     const Program& program = sys.variants.at(variant);
     ex.program = &program;
     ex.initial = sys.initial;
-    ex.runs = static_cast<std::size_t>(flag("runs", 200));
-    ex.base_seed = static_cast<std::uint64_t>(flag("seed", 1));
-    ex.options.max_steps = static_cast<std::size_t>(flag("steps", 1000));
+    ex.runs = static_cast<std::size_t>(*runs);
+    ex.base_seed = static_cast<std::uint64_t>(*seed);
+    ex.options.max_steps = static_cast<std::size_t>(*steps);
     ex.faults = sys.faults.get();
-    ex.fault_probability = flag("fault-p", 0.1);
-    ex.max_faults = static_cast<std::size_t>(flag("max-faults", 3));
+    ex.fault_probability = *fault_p;
+    ex.max_faults = static_cast<std::size_t>(*max_faults);
     ex.safety = sys.spec.safety();
     ex.corrector = sys.invariant;
 
@@ -399,72 +435,6 @@ int cmd_simulate(const std::string& name, int size, const FlagMap& flags) {
     return finish_trace(trace_path);
 }
 
-const std::vector<FlagSpec> kClientFlags = {
-    {"socket", true}, {"id", true}, {"graded", false}};
-
-int cmd_client(int argc, char** argv) {
-    // argv[2] is the op; verify additionally takes <system> [size].
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "client requires an op: ping | list | stats | "
-                     "shutdown | verify <system> [size]\n");
-        return 2;
-    }
-    const std::string op = argv[2];
-    std::string system;
-    int size = 0;
-    int arg = 3;
-    if (op == "verify") {
-        if (arg >= argc || argv[arg][0] == '-') {
-            std::fprintf(stderr, "client verify requires a system name\n");
-            return 2;
-        }
-        system = argv[arg++];
-        if (arg < argc && argv[arg][0] != '-')
-            size = std::atoi(argv[arg++]);
-    } else if (op != "ping" && op != "list" && op != "stats" &&
-               op != "shutdown") {
-        std::fprintf(stderr, "unknown client op '%s'\n", op.c_str());
-        return 2;
-    }
-    FlagMap flags;
-    std::string error;
-    if (!parse_flags(argc, argv, arg, kClientFlags, flags, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 2;
-    }
-    const std::string socket_path = flags.count("socket")
-                                        ? flags.at("socket")
-                                        : service::default_socket_path();
-
-    obs::JsonWriter w;
-    w.begin_object();
-    w.kv("op", op);
-    if (flags.count("id")) w.kv("id", flags.at("id"));
-    if (!system.empty()) {
-        w.kv("system", system);
-        if (size > 0) w.kv("size", size);
-        if (flags.count("graded")) w.kv("graded", true);
-    }
-    w.end_object();
-
-    const auto response = service::roundtrip(
-        socket_path, service::finish_response_line(w), &error);
-    if (!response.has_value()) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-    }
-    std::printf("%s\n", response->c_str());
-    const auto doc = obs::parse_json(*response, &error);
-    if (!doc.has_value()) {
-        std::fprintf(stderr, "error: response is not valid JSON: %s\n",
-                     error.c_str());
-        return 1;
-    }
-    const auto* ok = doc->find("ok", obs::JsonValue::Kind::Bool);
-    return ok != nullptr && ok->as_bool() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -479,7 +449,6 @@ int main(int argc, char** argv) {
             return 0;
         }
         if (command == "list") return cmd_list();
-        if (command == "client") return cmd_client(argc, argv);
 
         const bool is_verify = command == "verify";
         const bool is_simulate = command == "simulate";
@@ -494,9 +463,20 @@ int main(int argc, char** argv) {
             return 2;
         }
         const std::string system = argv[2];
-        int size = 0;
+        int size = 0;  // omitted: the system's default size
         int arg = 3;
-        if (arg < argc && argv[arg][0] != '-') size = std::atoi(argv[arg++]);
+        if (arg < argc && argv[arg][0] != '-') {
+            const auto parsed = parse_integer(argv[arg], 1, INT_MAX);
+            if (!parsed) {
+                std::fprintf(stderr,
+                             "error: size must be a positive integer (got "
+                             "'%s')\n",
+                             argv[arg]);
+                return 2;
+            }
+            size = static_cast<int>(*parsed);
+            ++arg;
+        }
         FlagMap flags;
         std::string error;
         if (!parse_flags(argc, argv, arg,

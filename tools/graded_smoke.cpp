@@ -110,7 +110,7 @@ void check_consistency() {
 }
 
 /// Serializes one variant's graded blocks through the dcft.report query
-/// writer (the exact bytes both frontends emit).
+/// writer (the exact bytes `dcft verify --graded --report` emits).
 std::string graded_bytes(const dcft::apps::SystemInstance& sys,
                          const dcft::Program& variant,
                          const dcft::ToleranceEstimateOptions& options) {
