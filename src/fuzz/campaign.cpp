@@ -10,7 +10,6 @@
 #include "fuzz/spec_json.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace dcft::fuzz {
 
@@ -51,8 +50,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         const std::uint64_t seed = campaign_program_seed(config.seed, i);
         const ProgramSpec spec = generate_spec(seed, config.generator);
         obs::count("fuzz/programs");
-        static const std::uint32_t trace_id = obs::trace_name("fuzz/program");
-        const obs::TraceSpan program_tspan(trace_id, i);
+        const obs::Span program_span("fuzz/program", i);
         std::vector<Divergence> divergences =
             run_oracles(spec, config.oracle);
         ++result.programs_run;

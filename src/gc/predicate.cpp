@@ -268,7 +268,7 @@ BitVec eval_bits(const StateSpace& space, const Predicate& p,
         obs::count("verify/predicate_eval/memo_hits");
         return *memo.bits;
     }
-    const obs::ScopedSpan span("verify/predicate_eval");
+    const obs::Span span("verify/predicate_eval");
     // Refuse a bitset the host could never hold, rather than let the
     // allocation end the process with bad_alloc.
     static const std::uint64_t ram_bytes = obs::host_info().total_ram_bytes;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <string>
 #include <thread>
 
+#include "common/env.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 
@@ -55,24 +57,6 @@ struct ProgressState {
 ProgressState& state() {
     static ProgressState* s = new ProgressState();  // never destroyed
     return *s;
-}
-
-/// Parses DCFT_PROGRESS as seconds; truthiness follows the shared env
-/// rule (unset/""/"0"/"false"/"off"/"no" = disabled). Non-numeric truthy
-/// values ("on", "true") get the default interval.
-double env_interval_seconds() {
-    const char* v = std::getenv("DCFT_PROGRESS");
-    if (v == nullptr || *v == '\0') return 0.0;
-    char* end = nullptr;
-    const double secs = std::strtod(v, &end);
-    if (end != v && *end == '\0')
-        return secs > 0.0 ? secs : 0.0;
-    // Not a number: fall back to the boolean rule.
-    const std::string s(v);
-    if (s == "0" || s == "false" || s == "off" || s == "no" ||
-        s == "False" || s == "Off" || s == "No" || s == "FALSE")
-        return 0.0;
-    return kDefaultIntervalSec;
 }
 
 std::string fmt_count(std::uint64_t n) {
@@ -224,11 +208,21 @@ void ensure_sampler() {
 
 }  // namespace
 
+double progress_interval_seconds(const char* value) {
+    if (value == nullptr) return 0.0;
+    char* end = nullptr;
+    const double secs = std::strtod(value, &end);
+    if (end != value && *end == '\0' && std::isfinite(secs))
+        return secs > 0.0 ? secs : 0.0;
+    return env_value_truthy(value) ? kDefaultIntervalSec : 0.0;
+}
+
 bool progress_enabled() {
     auto& s = state();
     int v = s.resolved.load(std::memory_order_relaxed);
     if (v < 0) {
-        const double secs = env_interval_seconds();
+        const double secs =
+            progress_interval_seconds(std::getenv("DCFT_PROGRESS"));
         const int on = secs > 0.0 ? 1 : 0;
         if (on)
             s.interval_us.store(static_cast<std::uint64_t>(secs * 1e6),

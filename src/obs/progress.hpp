@@ -27,6 +27,12 @@ namespace dcft::obs {
 /// the environment; afterwards one relaxed load.
 bool progress_enabled();
 
+/// The sample interval a DCFT_PROGRESS value asks for, in seconds; 0 means
+/// off. A finite number is the interval itself (<= 0 is off). Anything
+/// else follows the shared truthiness rule of common/env.hpp: falsy values
+/// ("no", "OFF", "false", ...) are off, truthy ones get the default 1 s.
+double progress_interval_seconds(const char* value);
+
 /// Enables the heartbeat with the given sample interval (seconds); <= 0
 /// disables it. Overrides the environment. Starts the sampler thread on
 /// first enable.

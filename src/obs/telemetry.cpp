@@ -1,42 +1,39 @@
 #include "obs/telemetry.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/env.hpp"
+#include "obs/trace.hpp"
 
 namespace dcft::obs {
 namespace {
 
-/// -1 = not yet resolved from the environment; 0/1 = off/on.
-std::atomic<int>& enabled_state() {
-    static std::atomic<int> state{-1};
-    return state;
-}
-
-int resolve_from_env() {
-    return env_flag_enabled("DCFT_TELEMETRY") ? 1 : 0;
+/// Sets or clears one gate, resolving the other from the environment
+/// first so the programmatic value is the one that sticks.
+void set_gate(unsigned gate, bool on) {
+    unsigned cur = detail::gates();
+    while (!detail::gate_word.compare_exchange_weak(
+        cur, on ? cur | gate : cur & ~gate, std::memory_order_relaxed)) {
+    }
 }
 
 }  // namespace
 
-bool enabled() {
-    int v = enabled_state().load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = resolve_from_env();
-        int expected = -1;
-        // First caller publishes; a concurrent set_enabled() wins.
-        enabled_state().compare_exchange_strong(expected, v,
-                                                std::memory_order_relaxed);
-        v = enabled_state().load(std::memory_order_relaxed);
-    }
-    return v == 1;
+unsigned detail::resolve_gates() {
+    unsigned env = kGatesResolved;
+    if (env_flag_enabled("DCFT_TELEMETRY")) env |= kTelemetryGate;
+    if (env_flag_enabled("DCFT_TRACE")) env |= kTraceGate;
+    unsigned expected = 0;
+    // First resolver publishes; a concurrent set_* (or resolver) wins.
+    if (gate_word.compare_exchange_strong(expected, env,
+                                          std::memory_order_relaxed))
+        return env;
+    return expected;
 }
 
-void set_enabled(bool on) {
-    enabled_state().store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void set_enabled(bool on) { set_gate(detail::kTelemetryGate, on); }
+
+void set_trace_enabled(bool on) { set_gate(detail::kTraceGate, on); }
 
 std::uint64_t now_ns() {
     return static_cast<std::uint64_t>(
@@ -65,7 +62,10 @@ Timer& Registry::timer(std::string_view path) {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = timers_.find(path);
     if (it == timers_.end()) {
-        it = timers_.emplace(std::string(path), std::make_unique<Timer>())
+        it = timers_
+                 .emplace(std::string(path),
+                          std::make_unique<Timer>(
+                              detail::intern_event_name(path)))
                  .first;
     }
     return *it->second;

@@ -1,13 +1,15 @@
-// Unified telemetry: named atomic counters and scoped span timers with a
-// hierarchical phase tree (src/obs/, see DESIGN.md §8).
+// Unified telemetry: named atomic counters, accumulated phase timers with
+// a hierarchical phase tree, and the one span primitive that feeds both the
+// timers and the event trace (src/obs/, see DESIGN.md §8).
 //
 // Design constraints, in order:
-//  1. Near-zero overhead when disabled. Every recording helper first loads
-//     one relaxed atomic bool (`enabled()`); when telemetry is off that load
-//     is the *entire* cost, so the verifier's hot loops stay at their PR 1
-//     speeds. Hot paths additionally accumulate into local variables and
-//     flush once per phase, so even the enabled path never puts an atomic
-//     RMW inside a per-state loop.
+//  1. Near-zero overhead when disabled. The telemetry and trace gates share
+//     one atomic word, resolved once from the environment at first use.
+//     Every recording helper, every Span and every instant first loads it
+//     relaxed; with both gates off that load is the *entire* cost. Hot
+//     paths additionally accumulate into local variables and flush once
+//     per phase, so even the enabled path never puts an atomic RMW inside
+//     a per-state loop.
 //  2. Thread-safe. The registry is a mutex-guarded map from path to a
 //     heap-stable Counter/Timer whose cells are std::atomic — concurrent
 //     checker threads and simulator workers record without coordination
@@ -18,14 +20,23 @@
 //     every DCFT_VERIFIER_THREADS setting — a property the test suite
 //     pins (tests/obs/telemetry_test).
 //
+// Spans: obs::Span(path, arg) is the only way to time a phase. With
+// telemetry on it adds its lifetime to the timer at `path`; with tracing on
+// it emits a balanced begin/end event named `path` on the calling thread's
+// trace lane (obs/trace.hpp), `arg` riding on the begin event. One registry
+// lookup resolves both, because every Timer carries its interned trace
+// name — so the span tree of a run report and its Chrome trace name the
+// same phases. obs::instant(path, arg) marks a point in time on the trace.
+//
 // Naming convention: '/'-separated lower_snake paths whose prefixes form
 // the phase tree, e.g. "verify/explore/level", "verify/closure",
-// "sim/step", "synth/fixpoint". RunReport (obs/run_report.hpp) serializes
+// "sim/run", "synth/fixpoint". RunReport (obs/run_report.hpp) serializes
 // the tree from these paths.
 //
-// Enabling: the DCFT_TELEMETRY environment variable (any value except
-// "0"/"" enables; read once, at first use) or set_enabled(true) from code
-// (dcft_cli --report does this).
+// Enabling: DCFT_TELEMETRY and DCFT_TRACE (the shared truthiness rule of
+// common/env.hpp), or set_enabled / set_trace_enabled from code (dcft
+// --report and --trace do this). A programmatic set wins over the
+// environment.
 #pragma once
 
 #include <atomic>
@@ -39,9 +50,38 @@
 
 namespace dcft::obs {
 
-/// Is telemetry collection on? One relaxed atomic load (after the first
-/// call, which consults DCFT_TELEMETRY).
-bool enabled();
+namespace detail {
+
+inline constexpr unsigned kTelemetryGate = 1u;
+inline constexpr unsigned kTraceGate = 2u;
+inline constexpr unsigned kGatesResolved = 4u;
+
+/// Both gates plus the resolved bit; 0 until the first read.
+inline std::atomic<unsigned> gate_word{0};
+
+/// Publishes the environment's gates unless a set_* call got there first,
+/// and returns the word.
+unsigned resolve_gates();
+
+/// The gate word: one relaxed load once resolved.
+inline unsigned gates() {
+    const unsigned g = gate_word.load(std::memory_order_relaxed);
+    return (g & kGatesResolved) != 0 ? g : resolve_gates();
+}
+
+/// Interns a trace event name, returning its id (obs/trace.cpp). Takes a
+/// lock.
+std::uint32_t intern_event_name(std::string_view path);
+
+/// Records an instant event on the calling thread's lane (obs/trace.cpp).
+void emit_instant(std::string_view path, std::uint64_t arg);
+
+}  // namespace detail
+
+/// Is telemetry collection on? One relaxed load.
+inline bool enabled() {
+    return (detail::gates() & detail::kTelemetryGate) != 0;
+}
 
 /// Programmatic override of the DCFT_TELEMETRY toggle (tests, --report).
 void set_enabled(bool on);
@@ -70,9 +110,12 @@ private:
     std::atomic<std::uint64_t> value_{0};
 };
 
-/// Accumulated wall time and call count for one phase path.
+/// Accumulated wall time and call count for one phase path, plus the
+/// interned trace name the path's spans emit under.
 class Timer {
 public:
+    explicit Timer(std::uint32_t trace_id) : trace_id_(trace_id) {}
+
     void add(std::uint64_t ns, std::uint64_t calls = 1) {
         ns_.fetch_add(ns, std::memory_order_relaxed);
         calls_.fetch_add(calls, std::memory_order_relaxed);
@@ -86,10 +129,12 @@ public:
         ns_.store(0, std::memory_order_relaxed);
         calls_.store(0, std::memory_order_relaxed);
     }
+    std::uint32_t trace_id() const { return trace_id_; }
 
 private:
     std::atomic<std::uint64_t> ns_{0};
     std::atomic<std::uint64_t> calls_{0};
+    const std::uint32_t trace_id_;
 };
 
 /// Process-wide registry of counters and timers, keyed by phase path.
@@ -147,26 +192,38 @@ inline void record(std::string_view path, std::uint64_t v) {
 /// Monotonic clock reading in nanoseconds (steady).
 std::uint64_t now_ns();
 
-/// RAII span timer: measures its own lifetime into the timer at `path`.
-/// When telemetry is disabled at construction the span is inert (one
-/// relaxed load, no clock read).
-class ScopedSpan {
+/// RAII phase span. With telemetry on it adds its lifetime to the timer
+/// at `path`; with tracing on it emits begin (carrying `arg`) and end
+/// events named `path` on the caller's lane. The gates are read once, at
+/// construction: a span that started traced always closes, and with both
+/// gates off the span costs one relaxed load and no clock read.
+class Span {
 public:
-    explicit ScopedSpan(std::string_view path) {
-        if (enabled()) {
-            timer_ = &Registry::global().timer(path);
-            start_ns_ = now_ns();
-        }
+    explicit Span(std::string_view path, std::uint64_t arg = 0) {
+        const unsigned on = detail::gates() &
+                            (detail::kTelemetryGate | detail::kTraceGate);
+        if (on != 0) open(on, path, arg);
     }
-    ~ScopedSpan() {
-        if (timer_ != nullptr) timer_->add(now_ns() - start_ns_);
+    ~Span() {
+        if (timer_ != nullptr) close();
     }
-    ScopedSpan(const ScopedSpan&) = delete;
-    ScopedSpan& operator=(const ScopedSpan&) = delete;
+    Span(const Span&) = delete;
+    Span& operator=(const Span&) = delete;
 
 private:
+    void open(unsigned gates, std::string_view path, std::uint64_t arg);
+    void close();
+
     Timer* timer_ = nullptr;
     std::uint64_t start_ns_ = 0;
+    unsigned gates_ = 0;
 };
+
+/// Instant trace event named `path` on the caller's lane iff tracing is
+/// on; one relaxed load otherwise.
+inline void instant(std::string_view path, std::uint64_t arg = 0) {
+    if ((detail::gates() & detail::kTraceGate) != 0)
+        detail::emit_instant(path, arg);
+}
 
 }  // namespace dcft::obs

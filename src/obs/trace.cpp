@@ -3,32 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
-#include "common/env.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace dcft::obs {
 namespace {
 
-/// Default per-lane capacity: 64Ki events ≈ 1.5 MiB. A 200-level n=8
-/// exploration emits a few thousand span events per lane, so the default
-/// holds hours of BFS; DCFT_TRACE_BUF overrides it.
+/// Per-lane capacity: 64Ki events ≈ 1.5 MiB. A 200-level n=8 exploration
+/// emits a few thousand span events per lane, so a lane holds hours of BFS.
 constexpr std::size_t kDefaultLaneCapacity = std::size_t{1} << 16;
 
 /// Cap on stored exploration timelines (a verify run over all grades does
 /// tens of explorations; fuzz campaigns could otherwise accumulate 10^4).
 constexpr std::size_t kMaxTimelines = 1024;
-
-/// -1 = not yet resolved from the environment; 0/1 = off/on. Same
-/// discipline as obs::enabled().
-std::atomic<int>& trace_state() {
-    static std::atomic<int> state{-1};
-    return state;
-}
 
 struct Lane {
     Lane(std::uint32_t id, std::size_t capacity) : tid(id) {
@@ -45,7 +36,7 @@ struct TraceState {
     std::vector<std::shared_ptr<Lane>> lanes;      ///< All lanes, by tid.
     std::vector<std::shared_ptr<Lane>> free_lanes; ///< Returned by dead threads.
     std::vector<std::string> names;
-    std::unordered_map<std::string, std::uint32_t> name_ids;
+    std::map<std::string, std::uint32_t, std::less<>> name_ids;
     /// Bumped by trace_reset(); threads holding a lane from an older
     /// generation drop it and lease a fresh one.
     std::atomic<std::uint64_t> generation{1};
@@ -56,10 +47,8 @@ struct TraceState {
     std::uint64_t next_timeline_id = 0;
 
     std::size_t lane_capacity_locked() const {
-        if (capacity_override > 0) return capacity_override;
-        if (const auto v = env_positive_u64("DCFT_TRACE_BUF"))
-            return static_cast<std::size_t>(*v);
-        return kDefaultLaneCapacity;
+        return capacity_override > 0 ? capacity_override
+                                     : kDefaultLaneCapacity;
     }
 };
 
@@ -110,8 +99,9 @@ struct LaneLease {
 
 thread_local LaneLease t_lease;
 
-void emit(TracePhase phase, std::uint32_t name, std::uint64_t arg) {
-    if (!trace_enabled()) return;
+/// Appends one event to the caller's lane. Callers have checked the gate.
+void record(TracePhase phase, std::uint32_t name, std::uint64_t arg,
+            std::uint64_t ts_ns) {
     Lane& lane = t_lease.acquire();
     const std::size_t n = lane.size.load(std::memory_order_relaxed);
     if (n >= lane.events.size()) {
@@ -120,7 +110,7 @@ void emit(TracePhase phase, std::uint32_t name, std::uint64_t arg) {
         lane.dropped.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    lane.events[n] = TraceEvent{now_ns(), arg, name, phase};
+    lane.events[n] = TraceEvent{ts_ns, arg, name, phase};
     lane.size.store(n + 1, std::memory_order_release);
 }
 
@@ -168,41 +158,35 @@ const char* phase_str(TracePhase p) {
 
 }  // namespace
 
-bool trace_enabled() {
-    int v = trace_state().load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = env_flag_enabled("DCFT_TRACE") ? 1 : 0;
-        int expected = -1;
-        trace_state().compare_exchange_strong(expected, v,
-                                              std::memory_order_relaxed);
-        v = trace_state().load(std::memory_order_relaxed);
-    }
-    return v == 1;
-}
-
-void set_trace_enabled(bool on) {
-    trace_state().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::uint32_t trace_name(std::string_view path) {
+std::uint32_t detail::intern_event_name(std::string_view path) {
     auto& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.name_ids.find(std::string(path));
-    if (it != s.name_ids.end()) return it->second;
+    if (const auto it = s.name_ids.find(path); it != s.name_ids.end())
+        return it->second;
     const auto id = static_cast<std::uint32_t>(s.names.size());
     s.names.emplace_back(path);
     s.name_ids.emplace(s.names.back(), id);
     return id;
 }
 
-void trace_begin(std::uint32_t name, std::uint64_t arg) {
-    emit(TracePhase::kBegin, name, arg);
+void detail::emit_instant(std::string_view path, std::uint64_t arg) {
+    record(TracePhase::kInstant, intern_event_name(path), arg, now_ns());
 }
 
-void trace_end(std::uint32_t name) { emit(TracePhase::kEnd, name, 0); }
+void Span::open(unsigned gates, std::string_view path, std::uint64_t arg) {
+    timer_ = &Registry::global().timer(path);
+    gates_ = gates;
+    start_ns_ = now_ns();
+    if ((gates & detail::kTraceGate) != 0)
+        record(TracePhase::kBegin, timer_->trace_id(), arg, start_ns_);
+}
 
-void trace_instant(std::uint32_t name, std::uint64_t arg) {
-    emit(TracePhase::kInstant, name, arg);
+void Span::close() {
+    const std::uint64_t end_ns = now_ns();
+    if ((gates_ & detail::kTelemetryGate) != 0)
+        timer_->add(end_ns - start_ns_);
+    if ((gates_ & detail::kTraceGate) != 0)
+        record(TracePhase::kEnd, timer_->trace_id(), 0, end_ns);
 }
 
 TraceSnapshot trace_snapshot() {

@@ -1,18 +1,20 @@
 // Low-overhead event tracing for long-running verification.
 //
-// Where obs/telemetry.hpp records *aggregates* (counters, accumulated span
-// nanos), this layer records *ordered events* — begin/end spans and instant
-// markers with nanosecond timestamps and a lane (thread) id — so questions
-// like "which merge phase stalls at level 190?" become a timeline instead
-// of a guess. The discipline matches telemetry exactly:
+// Where the timers of obs/telemetry.hpp record *aggregates* (accumulated
+// span nanos), this layer records *ordered events* — begin/end spans and
+// instant markers with nanosecond timestamps and a lane (thread) id — so
+// questions like "which merge phase stalls at level 190?" become a
+// timeline instead of a guess. Events are recorded by the primitives of
+// obs/telemetry.hpp, never directly: obs::Span emits a begin/end pair
+// named after its timer path, obs::instant a marker. So every timed phase
+// of a run report is a span of its trace, and the disabled cost is the
+// one relaxed load of the shared gate word.
 //
-//   * Disabled (the default) costs one relaxed atomic load per call site.
-//     trace_enabled() resolves once from DCFT_TRACE (any truthy value; the
+//   * trace_enabled() resolves once from DCFT_TRACE (any truthy value; the
 //     CLIs pass the output path through it) and can be overridden
 //     programmatically with set_trace_enabled().
-//   * Event names are '/'-separated lower_snake paths, interned once per
-//     call site (`static const std::uint32_t id = trace_name("…")`) so the
-//     hot path stores a 4-byte id, never a string.
+//   * Event names are '/'-separated lower_snake paths, interned on first
+//     use, so a recorded event stores a 4-byte id, never a string.
 //   * Each OS thread appends to a lane: a fixed-capacity event buffer it
 //     owns exclusively (size is published with a release store; snapshots
 //     read it with acquire). The BFS merge spawns short-lived workers every
@@ -37,27 +39,26 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "obs/telemetry.hpp"
 
 namespace dcft::obs {
 
 // ---------------------------------------------------------------------------
 // Gate
 
-/// True when event tracing is on. First call resolves DCFT_TRACE from the
-/// environment; afterwards one relaxed load.
-bool trace_enabled();
+/// True when event tracing is on: one relaxed load of the gate word it
+/// shares with obs::enabled().
+inline bool trace_enabled() {
+    return (detail::gates() & detail::kTraceGate) != 0;
+}
 
 /// Programmatic override (the CLIs call this when --trace is given).
 void set_trace_enabled(bool on);
 
 // ---------------------------------------------------------------------------
-// Recording
-
-/// Interns a '/'-separated lower_snake event name, returning its id.
-/// Call once per site via a function-local static; takes a global lock.
-std::uint32_t trace_name(std::string_view path);
+// Events
 
 enum class TracePhase : std::uint8_t { kBegin, kEnd, kInstant };
 
@@ -66,35 +67,6 @@ struct TraceEvent {
     std::uint64_t arg = 0;    ///< One event-specific payload (level, bytes…).
     std::uint32_t name = 0;   ///< Interned name id.
     TracePhase phase = TracePhase::kInstant;
-};
-
-/// Emit directly. Callers gate on trace_enabled() themselves when they
-/// also have other per-event work to skip; the functions re-check and are
-/// no-ops when disabled.
-void trace_begin(std::uint32_t name, std::uint64_t arg = 0);
-void trace_end(std::uint32_t name);
-void trace_instant(std::uint32_t name, std::uint64_t arg = 0);
-
-/// RAII begin/end pair. Decides once at construction, so a span that
-/// started while tracing was on always closes.
-class TraceSpan {
-public:
-    explicit TraceSpan(std::uint32_t name, std::uint64_t arg = 0) {
-        if (trace_enabled()) {
-            name_ = name;
-            active_ = true;
-            trace_begin(name, arg);
-        }
-    }
-    ~TraceSpan() {
-        if (active_) trace_end(name_);
-    }
-    TraceSpan(const TraceSpan&) = delete;
-    TraceSpan& operator=(const TraceSpan&) = delete;
-
-private:
-    std::uint32_t name_ = 0;
-    bool active_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -118,12 +90,11 @@ struct TraceSnapshot {
 TraceSnapshot trace_snapshot();
 
 /// Drops all recorded events and leased lanes (live threads re-lease on
-/// their next event). Name interning survives. For tests and long-running
-/// servers that export per-query traces.
+/// their next event). Name interning survives. For tests.
 void trace_reset();
 
 /// Per-lane capacity in events for lanes leased *after* the call.
-/// 0 restores the default (DCFT_TRACE_BUF or 64Ki events). Tests use a
+/// 0 restores the default of 64Ki events. Tests use a
 /// tiny capacity to exercise the overflow path; combine with trace_reset().
 void set_trace_buffer_capacity(std::size_t events);
 

@@ -12,7 +12,7 @@ ToleranceEstimate estimate_tolerance(const Program& p, const FaultClass& f,
                                      const Predicate& invariant,
                                      StateIndex initial,
                                      const ToleranceEstimateOptions& options) {
-    const obs::ScopedSpan span("runtime/estimate_tolerance");
+    const obs::Span span("runtime/estimate_tolerance");
     obs::count("runtime/estimate_tolerance_queries");
     DCFT_EXPECTS(options.runs > 0,
                  "estimate_tolerance requires at least one run");

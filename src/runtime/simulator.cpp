@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "verify/action_kernel.hpp"
 
 namespace dcft {
@@ -28,9 +27,7 @@ RunResult Simulator::run(StateIndex initial, const RunOptions& options) {
     // locally and flushed at the end, so the per-step path never touches
     // the registry. With telemetry off the only cost is one bool.
     const bool telemetry = obs::enabled();
-    const obs::ScopedSpan run_span("sim/run");
-    static const std::uint32_t trace_id = obs::trace_name("sim/run");
-    const obs::TraceSpan run_tspan(trace_id);
+    const obs::Span run_span("sim/run");
     std::uint64_t monitor_ns = 0;
     std::uint64_t monitor_calls = 0;
     const auto notify_step = [&](StateIndex from, StateIndex to, bool fault,

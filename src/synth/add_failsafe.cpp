@@ -2,15 +2,12 @@
 
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "verify/detection_predicate.hpp"
 
 namespace dcft {
 
 FailsafeSynthesis add_failsafe(const Program& p, const SafetySpec& safety) {
-    const obs::ScopedSpan span("synth/failsafe");
-    static const std::uint32_t trace_id = obs::trace_name("synth/failsafe");
-    const obs::TraceSpan tspan(trace_id);
+    const obs::Span span("synth/failsafe");
     if (obs::progress_enabled()) obs::progress_phase("synth/failsafe");
     obs::count("synth/failsafe/syntheses");
     obs::count("synth/failsafe/detection_predicates", p.num_actions());

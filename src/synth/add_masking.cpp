@@ -2,7 +2,6 @@
 
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace dcft {
 
@@ -10,9 +9,7 @@ MaskingSynthesis add_masking(const Program& p, const FaultClass& f,
                              const SafetySpec& safety,
                              const Predicate& invariant,
                              std::vector<std::string> writable) {
-    const obs::ScopedSpan span("synth/masking");
-    static const std::uint32_t trace_id = obs::trace_name("synth/masking");
-    const obs::TraceSpan tspan(trace_id);
+    const obs::Span span("synth/masking");
     if (obs::progress_enabled()) obs::progress_phase("synth/masking");
     obs::count("synth/masking/syntheses");
     FailsafeSynthesis fs = add_failsafe(p, safety);

@@ -8,7 +8,6 @@
 #include "gc/compiled.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "verify/fault_span.hpp"
 
 namespace dcft {
@@ -45,9 +44,7 @@ void for_each_recovery_pred(const StateSpace& space, const CompiledSpace& cs,
 NonmaskingSynthesis add_nonmasking(const Program& p, const FaultClass& f,
                                    const Predicate& invariant,
                                    const NonmaskingOptions& opts) {
-    const obs::ScopedSpan synth_span("synth/fixpoint");
-    static const std::uint32_t trace_id = obs::trace_name("synth/fixpoint");
-    const obs::TraceSpan tspan(trace_id);
+    const obs::Span synth_span("synth/fixpoint");
     if (obs::progress_enabled()) obs::progress_phase("synth/fixpoint");
     obs::count("synth/fixpoint/syntheses");
     const StateSpace& space = p.space();

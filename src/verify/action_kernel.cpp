@@ -362,7 +362,7 @@ const BitVec& CompiledAction::guard_bits() const {
 
 void CompiledAction::ensure_guard_bits() const {
     if (guard_bits_ != nullptr) return;
-    const obs::ScopedSpan span("verify/compile/guard_bits");
+    const obs::Span span("verify/compile/guard_bits");
     auto bits = std::make_unique<BitVec>(cs_->num_states());
     fill_guard_bits(*cs_, action_.guard(), *bits);
     guard_bits_ = std::move(bits);

@@ -6,7 +6,6 @@
 
 #include "common/env.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "verify/graph_store.hpp"
 
 namespace dcft {
@@ -110,7 +109,7 @@ std::shared_ptr<const TransitionSystem> ExplorationCache::get_or_build(
         return std::make_shared<TransitionSystem>(program, faults, init,
                                                   n_threads);
     }
-    const obs::ScopedSpan span("verify/explore_cache");
+    const obs::Span span("verify/explore_cache");
 
     // Materialize the initial set once: it is both the exact key
     // component and — on a miss — the seed of the exploration (passed as
@@ -133,22 +132,14 @@ std::shared_ptr<const TransitionSystem> ExplorationCache::get_or_build(
             if (!matches(it->key, space, program, faults, h, init_bits))
                 continue;
             obs::count("verify/explore_cache/hits");
-            if (obs::trace_enabled()) {
-                static const std::uint32_t id =
-                    obs::trace_name("verify/explore_cache/hit");
-                obs::trace_instant(id);
-            }
+            obs::instant("verify/explore_cache/hit");
             entries_.splice(entries_.begin(), entries_, it);  // LRU bump
             resident = it->ts;
             break;
         }
         if (!resident.valid()) {
             obs::count("verify/explore_cache/misses");
-            if (obs::trace_enabled()) {
-                static const std::uint32_t id =
-                    obs::trace_name("verify/explore_cache/miss");
-                obs::trace_instant(id);
-            }
+            obs::instant("verify/explore_cache/miss");
 
             // Miss: insert an in-flight entry so concurrent requests for
             // this key dedup onto our build, then release the lock and
@@ -187,11 +178,7 @@ std::shared_ptr<const TransitionSystem> ExplorationCache::get_or_build(
         }
         builder.set_value(ts);
         note_ready_bytes(token, ts->resident_bytes());
-        if (obs::trace_enabled()) {
-            static const std::uint32_t id =
-                obs::trace_name("verify/explore_cache/publish");
-            obs::trace_instant(id, ts->num_nodes());
-        }
+        obs::instant("verify/explore_cache/publish", ts->num_nodes());
         if (store != nullptr && !from_store) store->save(gkey, *ts);
         return ts;
     } catch (...) {
@@ -215,7 +202,7 @@ ExplorationCache::get_or_build_early_exit(const Program& program,
         return std::make_shared<TransitionSystem>(program, faults, init,
                                                   opts);
     }
-    const obs::ScopedSpan span("verify/explore_cache/early_exit");
+    const obs::Span span("verify/explore_cache/early_exit");
 
     const StateSpace& space = program.space();
     BitVec init_bits = [&] {
@@ -238,11 +225,7 @@ ExplorationCache::get_or_build_early_exit(const Program& program,
             if (it->ts.wait_for(std::chrono::seconds(0)) ==
                 std::future_status::ready) {
                 obs::count("verify/explore_cache/early_exit_hits");
-                if (obs::trace_enabled()) {
-                    static const std::uint32_t id = obs::trace_name(
-                        "verify/explore_cache/early_exit_hit");
-                    obs::trace_instant(id);
-                }
+                obs::instant("verify/explore_cache/early_exit_hit");
                 entries_.splice(entries_.begin(), entries_, it);  // LRU
                 resident = it->ts;
             }
@@ -251,11 +234,7 @@ ExplorationCache::get_or_build_early_exit(const Program& program,
     }
     if (resident.valid()) return resident.get();  // full graph; caller scans
     obs::count("verify/explore_cache/early_exit_misses");
-    if (obs::trace_enabled()) {
-        static const std::uint32_t id =
-            obs::trace_name("verify/explore_cache/early_exit_miss");
-        obs::trace_instant(id);
-    }
+    obs::instant("verify/explore_cache/early_exit_miss");
 
     // A stored snapshot is always a *complete* graph, so it serves the
     // early-exit query the same way a resident full graph does: adopt it,
@@ -310,11 +289,7 @@ bool ExplorationCache::publish_if_absent(
         for (const auto& e : entries_)
             if (matches(e.key, space, program, faults, init_hash, init_bits))
                 return false;
-        if (obs::trace_enabled()) {
-            static const std::uint32_t id =
-                obs::trace_name("verify/explore_cache/publish");
-            obs::trace_instant(id, ts->num_nodes());
-        }
+        obs::instant("verify/explore_cache/publish", ts->num_nodes());
         token = ++next_token_;
         entries_.push_front(Entry{make_key(space, program, faults, init_hash,
                                            init_bits),

@@ -207,7 +207,7 @@ std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
 
 CheckResult check_leads_to(const TransitionSystem& ts, const Predicate& p,
                            const Predicate& q, bool include_fault_edges) {
-    const obs::ScopedSpan span("verify/liveness");
+    const obs::Span span("verify/liveness");
     obs::count("verify/obligations/liveness");
     const std::vector<char> target = eval_on_nodes(ts, q);
     std::vector<char> bad = fair_avoidance_set(ts, target);

@@ -13,7 +13,6 @@
 
 #include "common/env.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "verify/spill.hpp"
 
 namespace dcft {
@@ -196,7 +195,7 @@ std::string GraphKey::hex() const {
 
 GraphKey graph_key(const Program& program, const FaultClass* faults,
                    const BitVec& init_bits) {
-    const obs::ScopedSpan span("verify/graph_store/key");
+    const obs::Span span("verify/graph_store/key");
     KeyHasher h;
     const StateSpace& space = program.space();
 
@@ -278,11 +277,7 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
         obs::count("verify/graph_store/misses");
         return nullptr;
     }
-    const obs::ScopedSpan span("verify/graph_store/load");
-    const obs::TraceSpan tspan(obs::trace_enabled()
-                                   ? obs::trace_name(
-                                         "verify/graph_store/load")
-                                   : 0);
+    const obs::Span span("verify/graph_store/load");
 
     auto reject = [&](std::string why) -> std::shared_ptr<TransitionSystem> {
         ::close(fd);
@@ -404,11 +399,7 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
 
     obs::count("verify/graph_store/hits");
     obs::count("verify/graph_store/bytes_loaded", file_size);
-    if (obs::trace_enabled()) {
-        static const std::uint32_t id =
-            obs::trace_name("verify/graph_store/hit");
-        obs::trace_instant(id, hdr.num_nodes);
-    }
+    obs::instant("verify/graph_store/hit", hdr.num_nodes);
     return ts;
 }
 
@@ -419,11 +410,7 @@ bool GraphStore::save(const GraphKey& key, const TransitionSystem& ts,
         if (error != nullptr) *error = "refusing to store an early-exit fragment";
         return false;
     }
-    const obs::ScopedSpan span("verify/graph_store/save");
-    const obs::TraceSpan tspan(obs::trace_enabled()
-                                   ? obs::trace_name(
-                                         "verify/graph_store/save")
-                                   : 0);
+    const obs::Span span("verify/graph_store/save");
 
     Header hdr{};
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));

@@ -194,7 +194,7 @@ std::uint64_t MaskingDistanceResult::witness_faults() const {
 
 MaskingDistanceResult masking_distance_on(const TransitionSystem& ts,
                                           const SafetySpec& safety) {
-    const obs::ScopedSpan span("verify/masking_distance");
+    const obs::Span span("verify/masking_distance");
     obs::count("verify/masking_distance_queries");
     DCFT_EXPECTS(ts.complete(),
                  "masking_distance_on requires a complete exploration");

@@ -57,7 +57,7 @@ StateSet reachable_states(const Program& p, const FaultClass* f,
 CheckResult check_unreachable(const Program& p, const FaultClass* f,
                               const Predicate& from, const Predicate& bad,
                               unsigned n_threads) {
-    const obs::ScopedSpan span("verify/reachability");
+    const obs::Span span("verify/reachability");
     obs::count("verify/obligations/reachability");
     const auto ts = ExplorationCache::global().get_or_build_early_exit(
         p, f, from, bad, n_threads);

@@ -33,7 +33,7 @@ std::vector<WitnessStep> trace_plus_step(const TransitionSystem& ts,
 CheckResult check_closure_on(const TransitionSystem& ts,
                              const BitVec& from_bits, const Predicate& from,
                              const FaultClass* faults) {
-    const obs::ScopedSpan span("verify/closure");
+    const obs::Span span("verify/closure");
     obs::count("verify/obligations/closure");
     const StateSpace& space = ts.space();
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
@@ -79,7 +79,7 @@ CheckResult check_closure_on(const TransitionSystem& ts,
 
 CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
                             bool include_fault_edges) {
-    const obs::ScopedSpan span("verify/safety");
+    const obs::Span span("verify/safety");
     obs::count("verify/obligations/safety");
     const StateSpace& space = ts.space();
     // A transition-free spec allows every step: only states can violate it.
@@ -132,7 +132,7 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
 CheckResult refines_spec_early_exit(const Program& p, const ProblemSpec& spec,
                                     const Predicate& from,
                                     const FaultClass* faults) {
-    const obs::ScopedSpan span("verify/refines_spec");
+    const obs::Span span("verify/refines_spec");
     const Predicate bad = spec.safety().bad_states();
     const Predicate stop = bad || !from;
     const auto ts = ExplorationCache::global().get_or_build_early_exit(
@@ -194,7 +194,7 @@ CheckResult refines_spec(const Program& p, const ProblemSpec& spec,
 CheckResult refines_spec_on(const TransitionSystem& ts,
                             const FaultClass* faults, const ProblemSpec& spec,
                             const Predicate& from) {
-    const obs::ScopedSpan span("verify/refines_spec");
+    const obs::Span span("verify/refines_spec");
     const BitVec from_bits = eval_bits(ts.space(), from);
     if (CheckResult r = check_closure_on(ts, from_bits, from, faults); !r) {
         obs::count("verify/obligations/failed");

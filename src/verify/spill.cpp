@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "obs/trace.hpp"
+#include "obs/telemetry.hpp"
 
 namespace dcft {
 namespace {
@@ -194,10 +194,7 @@ std::size_t SpillFile::release_prefix(std::size_t bytes) {
     // Seal: this prefix is now immutable and about to leave the resident
     // set. Both instants are functions of the byte layout only, so their
     // counts stay identical across thread counts (pinned by trace_test).
-    if (obs::trace_enabled()) {
-        static const std::uint32_t id = obs::trace_name("verify/spill/seal");
-        obs::trace_instant(id, upto);
-    }
+    obs::instant("verify/spill/seal", upto);
     // MAP_SHARED file pages: DONTNEED only unmaps them from this process —
     // dirty contents move to the page cache, nothing is discarded.
     if (::madvise(static_cast<char*>(base_) + begin, upto - begin,
@@ -205,11 +202,7 @@ std::size_t SpillFile::release_prefix(std::size_t bytes) {
         return 0;
     released_mark_ = upto;
     released_total_ += upto - begin;
-    if (obs::trace_enabled()) {
-        static const std::uint32_t id =
-            obs::trace_name("verify/spill/release");
-        obs::trace_instant(id, upto - begin);
-    }
+    obs::instant("verify/spill/release", upto - begin);
     return upto - begin;
 }
 

@@ -44,14 +44,14 @@ ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
                                 const ProblemSpec& spec,
                                 const Predicate& invariant, Tolerance grade,
                                 const ToleranceOptions& options) {
-    const obs::ScopedSpan span("verify/check_tolerance");
+    const obs::Span span("verify/check_tolerance");
     obs::count("verify/tolerance_queries");
     const StateSpace& space = p.space();
     ToleranceReport report;
 
     // Materialize the invariant once; downstream checks probe bits.
     auto inv_states = [&] {
-        const obs::ScopedSpan mspan("verify/check_tolerance/materialize");
+        const obs::Span mspan("verify/check_tolerance/materialize");
         return std::make_shared<StateSet>(
             materialize_parallel(space, invariant));
     }();

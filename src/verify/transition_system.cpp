@@ -383,7 +383,7 @@ std::shared_ptr<TransitionSystem> TransitionSystem::adopt(
 
 const TransitionSystem::FaultKernel& TransitionSystem::fault_kernel() const {
     std::call_once(fault_kernel_once_, [this] {
-        const obs::ScopedSpan span("verify/compile/faults");
+        const obs::Span span("verify/compile/faults");
         fault_kernel_ = std::make_unique<FaultKernel>(
             std::make_shared<const CompiledActionSet>(compile_space(space_),
                                                       faults_->actions()));
@@ -419,7 +419,7 @@ void TransitionSystem::fault_edges(NodeId n, std::vector<Edge>& out) const {
 
 void TransitionSystem::ensure_interner() const {
     std::call_once(interner_once_, [this] {
-        const obs::ScopedSpan span("verify/graph_store/interner_rebuild");
+        const obs::Span span("verify/graph_store/interner_rebuild");
         const std::size_t n = states_.size();
         if (direct_mapped_) {
             node_map_.assign(
@@ -450,58 +450,18 @@ std::uint64_t TransitionSystem::resident_bytes() const {
 
 TransitionSystem::~TransitionSystem() = default;
 
-namespace {
-
-/// Interned trace-event name ids, resolved once per process. The span
-/// names mirror the telemetry span paths exactly, so a Perfetto timeline
-/// and the aggregated span tree in a run report line up term for term.
-struct ExploreTraceIds {
-    std::uint32_t explore = obs::trace_name("verify/explore");
-    std::uint32_t compile = obs::trace_name("verify/compile");
-    std::uint32_t seed = obs::trace_name("verify/explore/seed");
-    std::uint32_t level = obs::trace_name("verify/explore/level");
-    std::uint32_t level_done = obs::trace_name("verify/explore/level_done");
-    std::uint32_t sweep = obs::trace_name("verify/explore/sweep");
-    std::uint32_t sweep_chunk =
-        obs::trace_name("verify/explore/sweep/chunk");
-    std::uint32_t expand = obs::trace_name("verify/explore/expand_claim");
-    std::uint32_t expand_chunk =
-        obs::trace_name("verify/explore/expand_claim/chunk");
-    std::uint32_t filter = obs::trace_name("verify/explore/claim_filter");
-    std::uint32_t filter_chunk =
-        obs::trace_name("verify/explore/claim_filter/chunk");
-    std::uint32_t publish = obs::trace_name("verify/explore/publish");
-    std::uint32_t publish_chunk =
-        obs::trace_name("verify/explore/publish/chunk");
-    std::uint32_t edge_write = obs::trace_name("verify/explore/edge_write");
-    std::uint32_t edge_write_chunk =
-        obs::trace_name("verify/explore/edge_write/chunk");
-    std::uint32_t tier = obs::trace_name("verify/interner/tier");
-    std::uint32_t early_exit =
-        obs::trace_name("verify/explore/early_exit_stop");
-};
-
-const ExploreTraceIds& tr() {
-    static const ExploreTraceIds* ids = new ExploreTraceIds();
-    return *ids;
-}
-
-}  // namespace
-
 void TransitionSystem::explore(const FaultClass* faults,
                                const Predicate& init, unsigned n_threads,
                                const Predicate* stop_on, bool spill) {
     const bool telemetry = obs::enabled();
-    const bool tracing = obs::trace_enabled();
     // The per-level timeline rides on either structured-output mode:
     // run reports (telemetry) embed it, traces cross-reference it.
-    const bool timeline = telemetry || tracing;
+    const bool timeline = telemetry || obs::trace_enabled();
     const bool progress_on = obs::progress_enabled();
     // One count per BFS actually run: snapshot-adopted graphs never pass
     // here, which is what the graph-store smoke test asserts on.
     obs::count("verify/explorations");
-    const obs::ScopedSpan span("verify/explore");
-    const obs::TraceSpan tspan(tracing ? tr().explore : 0);
+    const obs::Span span("verify/explore");
     const StateIndex n_states = space_->num_states();
     const std::uint64_t explore_t0 = timeline ? obs::now_ns() : 0;
 
@@ -523,8 +483,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::vector<const BitVec*> prog_gbits;
     std::vector<const BitVec*> fault_gbits;
     {
-        const obs::ScopedSpan cspan("verify/compile");
-        const obs::TraceSpan ctspan(tracing ? tr().compile : 0);
+        const obs::Span cspan("verify/compile");
         compiled = std::make_unique<CompiledProgram>(program_, faults);
         prog_gbits = guard_bit_ptrs(compiled->program_actions());
         if (compiled->has_faults())
@@ -585,8 +544,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     // Done before the interner is chosen so the initial-set cardinality
     // can size it.
     const BitVec init_bits = [&] {
-        const obs::ScopedSpan seed_span("verify/explore/seed");
-        const obs::TraceSpan seed_tspan(tracing ? tr().seed : 0);
+        const obs::Span seed_span("verify/explore/seed");
         BitVec b(n_states);
         fill_guard_bits(cspace, init, b);
         return b;
@@ -618,9 +576,8 @@ void TransitionSystem::explore(const FaultClass* faults,
     // Tier selection is a function of the seed cardinality and the space
     // size only, so this instant — like every instant below — fires the
     // same number of times for every thread count (pinned by trace_test).
-    if (tracing)
-        obs::trace_instant(tr().tier,
-                           identity_nodes_ ? 0 : direct_mapped_ ? 1 : 2);
+    obs::instant("verify/interner/tier",
+                 identity_nodes_ ? 0 : direct_mapped_ ? 1 : 2);
     if (progress_on) obs::progress_explore_begin(n_states);
 
     // Reserve node/edge storage. Identity explorations have a known exact
@@ -720,9 +677,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             if (stop_at(states_[i])) {
                 bad_node_ = static_cast<NodeId>(i);
                 complete_ = false;
-                if (tracing)
-                    obs::trace_instant(tr().early_exit,
-                                       static_cast<std::uint64_t>(i));
+                obs::instant("verify/explore/early_exit_stop", i);
                 return true;
             }
         }
@@ -779,7 +734,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             tl_prev_prog = prog_edges_.size();
             tl_prev_fault = fault_count;
         }
-        if (tracing) obs::trace_instant(tr().level_done, level_index);
+        obs::instant("verify/explore/level_done", level_index);
         if (progress_on)
             obs::progress_explore_level(
                 level_index, new_nodes, states_.size(),
@@ -817,13 +772,11 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::uint64_t sweep_states = 0;  // telemetry: states via identity sweep
     std::size_t level_begin = 0;
     while (!stopped && level_begin < states_.size()) {
-        const obs::ScopedSpan level_span("verify/explore/level");
+        const std::uint64_t level_index = n_levels;
+        const obs::Span level_span("verify/explore/level", level_index);
         const std::size_t level_end = states_.size();
         const std::uint64_t level_size = level_end - level_begin;
-        const std::uint64_t level_index = n_levels;
         const std::uint64_t lvl_t0 = timeline ? obs::now_ns() : 0;
-        const obs::TraceSpan level_tspan(tracing ? tr().level : 0,
-                                         level_index);
         std::array<std::uint64_t, 4> phase_ns{0, 0, 0, 0};
         ++n_levels;
         frontier_max = std::max(frontier_max, level_size);
@@ -848,8 +801,7 @@ void TransitionSystem::explore(const FaultClass* faults,
         // bit-identical for every thread count.
         if (batch != nullptr && identity_nodes_ && level_begin == 0 &&
             level_end == n_states) {
-            const obs::ScopedSpan sweep_span("verify/explore/sweep");
-            const obs::TraceSpan sweep_tspan(tracing ? tr().sweep : 0);
+            const obs::Span sweep_span("verify/explore/sweep");
             sweep_states = n_states;
             // Every state is already interned, so fault successors need
             // no enumeration at all: their count is a guard popcount.
@@ -903,8 +855,8 @@ void TransitionSystem::explore(const FaultClass* faults,
                     parallel_chunks(
                         seg_words, n_threads, /*align=*/1,
                         [&](unsigned c, std::uint64_t wb, std::uint64_t we) {
-                            const obs::TraceSpan cspan(
-                                tracing ? tr().sweep_chunk : 0, c);
+                            const obs::Span cspan(
+                                "verify/explore/sweep/chunk", c);
                             const StateIndex b = seg + (wb << 6);
                             const StateIndex e = std::min<StateIndex>(
                                 seg_end, seg + (we << 6));
@@ -998,13 +950,12 @@ void TransitionSystem::explore(const FaultClass* faults,
         // Phase A: parallel expand + claim.
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::ScopedSpan pspan("verify/explore/expand_claim");
-            const obs::TraceSpan ptspan(tracing ? tr().expand : 0);
+            const obs::Span pspan("verify/explore/expand_claim");
             parallel_chunks(
                 level_size, n_threads, /*align=*/1,
                 [&](unsigned c, std::uint64_t begin, std::uint64_t end) {
-                    const obs::TraceSpan cspan(
-                        tracing ? tr().expand_chunk : 0, c);
+                    const obs::Span cspan(
+                        "verify/explore/expand_claim/chunk", c);
                     ChunkBuf& buf = bufs[c];
                     buf.recs.clear();
                     buf.counts.clear();
@@ -1099,13 +1050,12 @@ void TransitionSystem::explore(const FaultClass* faults,
         // in order, is the chunk's canonical new-node subsequence.
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::ScopedSpan pspan("verify/explore/claim_filter");
-            const obs::TraceSpan ptspan(tracing ? tr().filter : 0);
+            const obs::Span pspan("verify/explore/claim_filter");
             parallel_chunks(
                 chunks, n_threads, /*align=*/1,
                 [&](unsigned w, std::uint64_t cb, std::uint64_t ce) {
-                    const obs::TraceSpan cspan(
-                        tracing ? tr().filter_chunk : 0, w);
+                    const obs::Span cspan(
+                        "verify/explore/claim_filter/chunk", w);
                     for (std::uint64_t c = cb; c < ce; ++c) {
                         auto& cl = bufs[c].claims;
                         const NodeId mark =
@@ -1141,13 +1091,12 @@ void TransitionSystem::explore(const FaultClass* faults,
         // locks; the join below orders it before phase B's reads.
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::ScopedSpan pspan("verify/explore/publish");
-            const obs::TraceSpan ptspan(tracing ? tr().publish : 0);
+            const obs::Span pspan("verify/explore/publish");
             parallel_chunks(
                 chunks, n_threads, /*align=*/1,
                 [&](unsigned w, std::uint64_t cb, std::uint64_t ce) {
-                    const obs::TraceSpan cspan(
-                        tracing ? tr().publish_chunk : 0, w);
+                    const obs::Span cspan(
+                        "verify/explore/publish/chunk", w);
                     for (std::uint64_t c = cb; c < ce; ++c) {
                         const auto& cl = bufs[c].claims;
                         for (std::size_t j = 0; j < cl.size(); ++j) {
@@ -1171,13 +1120,12 @@ void TransitionSystem::explore(const FaultClass* faults,
         // have done their work (the claims) and are skipped.
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::ScopedSpan pspan("verify/explore/edge_write");
-            const obs::TraceSpan ptspan(tracing ? tr().edge_write : 0);
+            const obs::Span pspan("verify/explore/edge_write");
             parallel_chunks(
                 chunks, n_threads, /*align=*/1,
                 [&](unsigned w, std::uint64_t cb, std::uint64_t ce) {
-                    const obs::TraceSpan cspan(
-                        tracing ? tr().edge_write_chunk : 0, w);
+                    const obs::Span cspan(
+                        "verify/explore/edge_write/chunk", w);
                     for (std::uint64_t c = cb; c < ce; ++c) {
                         const ChunkBuf& buf = bufs[c];
                         std::uint64_t pc = base_prog[c];
@@ -1239,7 +1187,6 @@ void TransitionSystem::explore(const FaultClass* faults,
     // interner statistics live under verify/interner/ and verify/mem/.
     if (telemetry) {
         auto& reg = obs::Registry::global();
-        reg.counter("verify/explorations").add(1);
         // Both threshold counters are functions of the canonical BFS (the
         // level sizes), never of the worker budget, so they stay identical
         // across thread counts like every other verify/explore/ counter.
@@ -1346,7 +1293,7 @@ BitVec TransitionSystem::state_bits() const {
 
 void TransitionSystem::build_predecessors(CsrList& out,
                                           bool include_faults) const {
-    const obs::ScopedSpan span("verify/preds_csr");
+    const obs::Span span("verify/preds_csr");
     obs::count("verify/preds_csr/builds");
     const std::size_t n = states_.size();
     if (spilled_) {

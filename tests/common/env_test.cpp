@@ -1,13 +1,15 @@
 // The shared DCFT_* environment parsing rule (common/env.hpp): one
 // truthiness table for every boolean flag, one positive-integer parser for
 // every numeric knob — and the consumers (telemetry, batch gate,
-// exploration cache) all observe the shared rule, including the historical
-// bugs it fixes ("00" and "false" used to count as enabled).
+// exploration cache, progress heartbeat) all observe the shared rule,
+// including the historical bugs it fixes ("00" and "false" used to count
+// as enabled, "NO" and "OFF" used to turn the heartbeat on).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "common/env.hpp"
+#include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/batch_kernel.hpp"
 #include "verify/exploration_cache.hpp"
@@ -108,6 +110,25 @@ TEST(EnvTest, TelemetryResolvesThroughSharedRule) {
     obs::set_enabled(true);
     EXPECT_TRUE(obs::enabled());
     obs::set_enabled(false);
+}
+
+TEST(EnvTest, ProgressIntervalFollowsSharedRule) {
+    // Numbers are the interval itself; zero and negatives are off.
+    EXPECT_EQ(obs::progress_interval_seconds("2"), 2.0);
+    EXPECT_EQ(obs::progress_interval_seconds("0.25"), 0.25);
+    EXPECT_EQ(obs::progress_interval_seconds("0"), 0.0);
+    EXPECT_EQ(obs::progress_interval_seconds("00"), 0.0);
+    EXPECT_EQ(obs::progress_interval_seconds("-1"), 0.0);
+    // Unset, empty and every falsy spelling of the shared rule are off,
+    // in any case.
+    EXPECT_EQ(obs::progress_interval_seconds(nullptr), 0.0);
+    EXPECT_EQ(obs::progress_interval_seconds(""), 0.0);
+    for (const char* off : {"no", "No", "NO", "off", "Off", "OFF", "false",
+                            "False", "FALSE", "fAlSe"})
+        EXPECT_EQ(obs::progress_interval_seconds(off), 0.0) << off;
+    // Other non-numeric values are truthy: the default 1 s interval.
+    for (const char* on : {"yes", "on", "ON", "true", "x", "inf"})
+        EXPECT_EQ(obs::progress_interval_seconds(on), 1.0) << on;
 }
 
 }  // namespace

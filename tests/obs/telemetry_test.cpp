@@ -13,6 +13,7 @@
 #include "apps/token_ring.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
+#include "obs/trace.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
 
@@ -51,7 +52,7 @@ TEST(TelemetryTest, CountersTimersAndSnapshotsSorted) {
     obs::count_max("t/peak", 3);  // below the high-water mark: ignored
     obs::record("t/gauge", 9);
     obs::record("t/gauge", 5);  // gauge: overwritten
-    { const obs::ScopedSpan span("t/span/inner"); }
+    { const obs::Span span("t/span/inner"); }
 
     EXPECT_EQ(counter_value("t/a"), 5u);
     EXPECT_EQ(counter_value("t/b"), 2u);
@@ -73,11 +74,12 @@ TEST(TelemetryTest, CountersTimersAndSnapshotsSorted) {
 
 TEST(TelemetryTest, DisabledRecordingIsANoOp) {
     obs::set_enabled(false);
+    obs::set_trace_enabled(false);
     obs::count("t/disabled/counter");
     obs::record("t/disabled/gauge", 3);
-    { const obs::ScopedSpan span("t/disabled/span"); }
-    // Disabled helpers never touch the registry — the paths are not even
-    // registered.
+    { const obs::Span span("t/disabled/span"); }
+    // With both gates off, helpers and spans never touch the registry —
+    // the paths are not even registered.
     EXPECT_FALSE(counter_exists("t/disabled/counter"));
     EXPECT_FALSE(counter_exists("t/disabled/gauge"));
     for (const auto& t : obs::Registry::global().timers())
@@ -96,6 +98,19 @@ TEST(TelemetryTest, RegistryResetZeroesButKeepsRegistrations) {
             EXPECT_EQ(t.ns, 0u);
             EXPECT_EQ(t.calls, 0u);
         }
+}
+
+TEST(TelemetryTest, ExplorationCounterMatchesExploreSpanCalls) {
+    TelemetryGuard guard;
+    auto sys = apps::make_token_ring(4, 4);
+    const TransitionSystem ts(sys.ring, &sys.corrupt_any, Predicate::top());
+    const TransitionSystem again(sys.ring, nullptr, Predicate::top());
+    std::uint64_t explore_calls = 0;
+    for (const auto& t : obs::Registry::global().timers())
+        if (t.path == "verify/explore") explore_calls = t.calls;
+    EXPECT_EQ(explore_calls, 2u);
+    // One increment per exploration, not one per recording site.
+    EXPECT_EQ(counter_value("verify/explorations"), explore_calls);
 }
 
 /// Exploration counters under one DCFT_VERIFIER_THREADS setting.
@@ -186,7 +201,7 @@ TEST(JsonTest, ParserStopsAtTheEndOfTheView) {
 TEST(RunReportTest, SchemaRoundTrips) {
     TelemetryGuard guard;
     obs::count("verify/explorations", 3);
-    { const obs::ScopedSpan span("verify/explore/level"); }
+    { const obs::Span span("verify/explore/level"); }
 
     obs::RunReport report("dcft", "verify token-ring 4");
     obs::ReportQuery pass;

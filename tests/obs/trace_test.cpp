@@ -87,11 +87,10 @@ TEST(TraceTest, OverflowDropsCountedWithoutCorruptingExport) {
     obs::set_trace_buffer_capacity(64);
     obs::trace_reset();
 
-    static const std::uint32_t span_id = obs::trace_name("t/overflow/span");
-    static const std::uint32_t tick_id = obs::trace_name("t/overflow/tick");
-    obs::trace_begin(span_id);
-    for (int i = 0; i < 1000; ++i) obs::trace_instant(tick_id, i);
-    obs::trace_end(span_id);  // lane already full: this End is dropped
+    {
+        const obs::Span span("t/overflow/span");
+        for (int i = 0; i < 1000; ++i) obs::instant("t/overflow/tick", i);
+    }  // lane already full: the span's End is dropped
 
     const obs::TraceSnapshot snap = obs::trace_snapshot();
     EXPECT_GT(snap.dropped_total, 0u);
@@ -125,11 +124,10 @@ TEST(TraceTest, OverflowDropsCountedWithoutCorruptingExport) {
 
 TEST(TraceTest, ChromeExportRoundTripsThroughParser) {
     TraceGuard guard;
-    static const std::uint32_t outer = obs::trace_name("t/round/outer");
-    static const std::uint32_t mark = obs::trace_name("t/round/mark");
-    obs::trace_begin(outer, 7);
-    obs::trace_instant(mark, 3);
-    obs::trace_end(outer);
+    {
+        const obs::Span outer("t/round/outer", 7);
+        obs::instant("t/round/mark", 3);
+    }
 
     std::string error;
     const auto doc = obs::parse_json(obs::chrome_trace_json(), &error);
@@ -174,14 +172,40 @@ TEST(TraceTest, ChromeExportRoundTripsThroughParser) {
               0.0);
 }
 
+TEST(TraceTest, SpanFeedsTimerAndTraceUnderOneName) {
+    TraceGuard guard;
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    { const obs::Span span("t/both/span", 5); }
+
+    std::uint64_t calls = 0;
+    for (const auto& t : obs::Registry::global().timers())
+        if (t.path == "t/both/span") calls = t.calls;
+    EXPECT_EQ(calls, 1u);
+    std::vector<obs::TracePhase> phases;
+    std::uint64_t begin_arg = 0;
+    const obs::TraceSnapshot snap = obs::trace_snapshot();
+    for (const obs::TraceLane& lane : snap.lanes)
+        for (const obs::TraceEvent& e : lane.events)
+            if (snap.names[e.name] == "t/both/span") {
+                phases.push_back(e.phase);
+                if (e.phase == obs::TracePhase::kBegin) begin_arg = e.arg;
+            }
+    EXPECT_EQ(phases, (std::vector<obs::TracePhase>{obs::TracePhase::kBegin,
+                                                    obs::TracePhase::kEnd}));
+    EXPECT_EQ(begin_arg, 5u);
+
+    // The two gates share one word but switch independently.
+    obs::set_enabled(false);
+    EXPECT_FALSE(obs::enabled());
+    EXPECT_TRUE(obs::trace_enabled());
+}
+
 TEST(TraceTest, DisabledTracingRecordsNothing) {
     obs::set_trace_enabled(false);
     obs::trace_reset();
-    static const std::uint32_t id = obs::trace_name("t/disabled/span");
-    obs::trace_begin(id);
-    obs::trace_instant(id);
-    obs::trace_end(id);
-    { const obs::TraceSpan span(id); }
+    obs::instant("t/disabled/mark");
+    { const obs::Span span("t/disabled/span"); }
     const obs::TraceSnapshot snap = obs::trace_snapshot();
     for (const obs::TraceLane& lane : snap.lanes)
         EXPECT_TRUE(lane.events.empty());

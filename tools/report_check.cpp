@@ -11,23 +11,28 @@
 // it additionally passes `--trace FILE --progress=0.2` to each verify
 // run and validates the Chrome trace-event JSON: every event name is a
 // '/'-separated lower_snake path, timestamps are monotone within each
-// lane (tid), begin/end events balance like a stack per lane, and the
+// lane (tid), begin/end events balance like a stack per lane, the
 // trace carries at least one `verify/explore/level` span per timeline
-// level row in the report. With --graded it passes `--graded` to each
+// level row in the report, and every span-tree path the report timed
+// (calls > 0) is a balanced begin/end name of the trace — except
+// `sim/run/monitor_hooks`, the one timer filled without a span. With
+// --graded it passes `--graded` to each
 // verify run and requires every query to carry the graded blocks:
 // `masking_distance` (distance null exactly when masking, consistent
 // witness_faults) and `monte_carlo` (run accounting, violation rate in
 // [0,1], stats blocks whose aggregates are numbers or null with a
 // consistent count). Exits non-zero on the first malformed artifact.
 // Registered as the ctest targets `report_check` (token-ring,
-// Byzantine), `trace_smoke` (--trace on token-ring), and
-// `report_check_graded` (--graded on token-ring), so neither the
-// --report, --trace, nor --graded pipeline can rot silently.
+// Byzantine), `trace_smoke` (--trace on token-ring),
+// `report_check_graded` (--graded on token-ring) and `trace_smoke_graded`
+// (--trace --graded on token-ring), so neither the --report, --trace,
+// nor --graded pipeline can rot silently.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,7 +65,9 @@ void check_nonneg_number(const JsonValue& obj, const std::string& key) {
 
 /// A span node: name/path/ns/calls plus recursively valid children whose
 /// paths extend the parent's path.
-void check_span(const JsonValue& span, const std::string& parent_path) {
+/// Adds the path of every span with calls > 0 to `timed`.
+void check_span(const JsonValue& span, const std::string& parent_path,
+                std::set<std::string>* timed) {
     const std::string name =
         member(span, "name", JsonValue::Kind::String).as_string();
     const std::string path =
@@ -73,9 +80,11 @@ void check_span(const JsonValue& span, const std::string& parent_path) {
                                   "'");
     check_nonneg_number(span, "ns");
     check_nonneg_number(span, "calls");
+    if (member(span, "calls", JsonValue::Kind::Number).as_number() > 0.0)
+        timed->insert(path);
     for (const JsonValue& child :
          member(span, "children", JsonValue::Kind::Array).as_array())
-        check_span(child, path);
+        check_span(child, path, timed);
 }
 
 void check_witness_step(const JsonValue& step) {
@@ -260,16 +269,20 @@ void check_event_name(const std::string& name) {
                                 "' has an empty segment");
 }
 
+struct TraceSummary {
+    std::size_t level_spans = 0;   ///< verify/explore/level spans.
+    std::set<std::string> spans;   ///< Names of closed begin/end pairs.
+};
+
 /// Chrome trace-event JSON: monotone timestamps and balanced begin/end
-/// per lane, valid names everywhere. Returns the number of
-/// verify/explore/level spans.
-std::size_t check_trace(const JsonValue& doc) {
+/// per lane, valid names everywhere.
+TraceSummary check_trace(const JsonValue& doc) {
     const auto& events =
         member(doc, "traceEvents", JsonValue::Kind::Array).as_array();
     require(!events.empty(), "trace with no events");
     std::map<double, std::vector<std::string>> open;  // per-tid span stack
     std::map<double, double> last_ts;
-    std::size_t level_spans = 0;
+    TraceSummary summary;
     for (const JsonValue& e : events) {
         const std::string name =
             member(e, "name", JsonValue::Kind::String).as_string();
@@ -289,18 +302,19 @@ std::size_t check_trace(const JsonValue& doc) {
         std::vector<std::string>& stack = open[tid];
         if (ph == "B") {
             stack.push_back(name);
-            if (name == "verify/explore/level") ++level_spans;
+            if (name == "verify/explore/level") ++summary.level_spans;
         } else if (ph == "E") {
             require(!stack.empty() && stack.back() == name,
                     "unbalanced begin/end for '" + name + "'");
             stack.pop_back();
+            summary.spans.insert(name);
         }
     }
     for (const auto& [tid, stack] : open)
         require(stack.empty(), "lane ends with open spans");
     check_nonneg_number(member(doc, "otherData", JsonValue::Kind::Object),
                         "dropped");
-    return level_spans;
+    return summary;
 }
 
 struct ReportSummary {
@@ -308,6 +322,7 @@ struct ReportSummary {
     std::size_t passing_with_witness = 0;
     std::size_t failing_with_witness = 0;
     std::size_t timeline_levels = 0;
+    std::set<std::string> timed_spans;  ///< Span paths with calls > 0.
 };
 
 ReportSummary check_report(const JsonValue& doc, bool graded) {
@@ -404,7 +419,8 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
     const auto& spans =
         member(telemetry, "spans", JsonValue::Kind::Array).as_array();
     require(!spans.empty(), "telemetry with no spans");
-    for (const JsonValue& span : spans) check_span(span, "");
+    for (const JsonValue& span : spans)
+        check_span(span, "", &summary.timed_spans);
     return summary;
 }
 
@@ -439,8 +455,8 @@ int run_system(const std::string& cli, const std::string& spec,
     // --trace, --graded) on the same system never race on one file.
     const std::string report_path = "report_check_" + system +
                                     (graded ? "_graded" : "") + ".json";
-    const std::string trace_path =
-        "report_check_" + system + "_trace.json";
+    const std::string trace_path = "report_check_" + system +
+                                   (graded ? "_graded" : "") + "_trace.json";
     std::string command = "\"" + cli + "\" verify " + system;
     if (!size.empty()) command += " " + size;
     command += " --report " + report_path;
@@ -477,15 +493,24 @@ int run_system(const std::string& cli, const std::string& spec,
     const std::optional<JsonValue> trace = load_json(trace_path);
     if (!trace) return 1;
     try {
-        const std::size_t level_spans = check_trace(*trace);
+        const TraceSummary traced = check_trace(*trace);
         // Timeline rows and level spans come from the same explorations
         // (both record when tracing is on), so the trace must cover every
         // level the report saw.
-        require(level_spans >= summary.timeline_levels,
+        require(traced.level_spans >= summary.timeline_levels,
                 "trace has fewer verify/explore/level spans than the "
                 "report has timeline levels");
-        std::printf("report_check: %s ok (%zu level spans)\n",
-                    trace_path.c_str(), level_spans);
+        // Every timed phase is an obs::Span, which feeds the timer and the
+        // trace alike; monitor_hooks is summed into its timer directly.
+        for (const std::string& path : summary.timed_spans)
+            require(path == "sim/run/monitor_hooks" ||
+                        traced.spans.count(path) != 0,
+                    "span '" + path +
+                        "' is timed in the report but not in the trace");
+        std::printf("report_check: %s ok (%zu level spans, %zu timed "
+                    "spans covered)\n",
+                    trace_path.c_str(), traced.level_spans,
+                    summary.timed_spans.size());
     } catch (const Failure& failure) {
         std::fprintf(stderr, "report_check: %s invalid: %s\n",
                      trace_path.c_str(), failure.message.c_str());
