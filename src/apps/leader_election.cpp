@@ -125,20 +125,13 @@ LeaderElectionSystem make_leader_election(std::vector<int> parent,
             }));
     }
 
+    // Transient faults: any agg.i or ldr.i is corrupted to any value.
     FaultClass fault(space, "corrupt-election-state");
     {
         std::vector<VarId> all = agg;
         all.insert(all.end(), ldr.begin(), ldr.end());
-        fault.add_action(Action::nondet(
-            "corrupt", Predicate::top(),
-            [all, n](const StateSpace& sp, StateIndex s,
-                     std::vector<StateIndex>& out) {
-                for (VarId v : all) {
-                    const Value cur = sp.get(s, v);
-                    for (Value c = 0; c < n; ++c)
-                        if (c != cur) out.push_back(sp.set(s, v, c));
-                }
-            }));
+        fault.add_action(Action::corrupt_any(*space, "corrupt",
+                                             Predicate::top(), all));
     }
 
     Predicate aggregation_correct(

@@ -139,17 +139,10 @@ SpanningTreeSystem make_spanning_tree(Graph graph) {
             }));
     }
 
+    // Transient faults: any dist.i is corrupted to any value.
     FaultClass fault(space, "corrupt-distance");
-    fault.add_action(Action::nondet(
-        "corrupt", Predicate::top(),
-        [dist, n](const StateSpace& sp, StateIndex s,
-                  std::vector<StateIndex>& out) {
-            for (VarId v : dist) {
-                const Value cur = sp.get(s, v);
-                for (Value c = 0; c <= n; ++c)
-                    if (c != cur) out.push_back(sp.set(s, v, c));
-            }
-        }));
+    fault.add_action(
+        Action::corrupt_any(*space, "corrupt", Predicate::top(), dist));
 
     Predicate legitimate(
         "distances-correct",

@@ -85,6 +85,20 @@ public:
         }
     }
 
+    /// Index of the v-line through s — the states that differ from s only
+    /// in v — among the num_states() / domain(v) such lines: s with digit
+    /// v cut out. Multiply/shift when fast().
+    StateIndex line_index(StateIndex s, VarId v) const {
+        const VarCode& c = codes_[v];
+        const std::uint64_t dom = static_cast<std::uint64_t>(c.dom);
+        const std::uint64_t q = fast_ ? div_stride(s, c) : s / c.stride;
+        const std::uint64_t hi = c.dom_identity ? q
+                                 : c.mod_identity ? 0
+                                 : fast_          ? mulhi(c.dom_magic, q)
+                                                  : q / dom;
+        return hi * c.stride + (s - q * c.stride);
+    }
+
     /// Stride of variable v (product of the domains below it).
     StateIndex stride(VarId v) const { return codes_[v].stride; }
     /// Domain size of variable v.

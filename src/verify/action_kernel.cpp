@@ -341,6 +341,26 @@ void fill_guard_bits(const CompiledSpace& cs, const Predicate& p,
 }
 
 // ---------------------------------------------------------------------------
+// LineMarks
+// ---------------------------------------------------------------------------
+
+LineMarks::LineMarks(const CompiledSpace& cs,
+                     std::span<const CompiledAction> faults)
+    : cs_(cs), lines_(cs.num_vars()) {
+    for (const CompiledAction& a : faults) {
+        const Action::EffectForm& f = a.effect_form();
+        if (f.kind != Action::EffectForm::Kind::kCorruptAny) continue;
+        for (const VarId v : f.vars) {
+            const Value dom = cs.domain(v);
+            if (dom < 2 || lines_[v].size_bits() != 0) continue;
+            lines_[v] = BitVec(cs.num_states() /
+                               static_cast<StateIndex>(dom));
+            any_ = true;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // CompiledAction
 // ---------------------------------------------------------------------------
 

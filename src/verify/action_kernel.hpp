@@ -95,6 +95,48 @@ private:
 void fill_guard_bits(const CompiledSpace& cs, const Predicate& p,
                      BitVec& out);
 
+class CompiledAction;
+
+/// Line marks of the corrupt-any line rule (DESIGN.md, "Exploration").
+/// A kCorruptAny action enabled at s sends s, for each victim v, to every
+/// other state of line(s, v) = {s[v:=c] : c in dom(v)}. Once one state of
+/// a line has been expanded with such an action enabled, every state of
+/// the line is interned, so a later expansion may count those successors
+/// instead of interning them again. One bit per (variable, line) — a
+/// marked line is fully interned whichever action marked it — indexed by
+/// CompiledSpace::line_index. Serial exploration only.
+class LineMarks {
+public:
+    /// Marks for every variable of domain > 1 that some kCorruptAny action
+    /// of `faults` corrupts. All bits start clear.
+    LineMarks(const CompiledSpace& cs, std::span<const CompiledAction> faults);
+
+    /// Whether any variable has marks (false: the rule never applies).
+    bool any() const { return any_; }
+
+    /// Marks the v-line through s, the source of an enabled kCorruptAny
+    /// action that corrupts v. Returns true iff it was marked already; the
+    /// line's dom(v)-1 successors of s then count as skipped.
+    bool covered(StateIndex s, VarId v) {
+        BitVec& lines = lines_[v];
+        if (lines.size_bits() == 0 ||
+            lines.test_and_set(cs_.line_index(s, v)))
+            return false;
+        skipped_ += static_cast<std::uint64_t>(cs_.domain(v) - 1);
+        return true;
+    }
+
+    /// Fault successors counted, not interned, because their line was
+    /// marked (telemetry: verify/interner/fault_successors_skipped).
+    std::uint64_t skipped() const { return skipped_; }
+
+private:
+    const CompiledSpace& cs_;
+    std::vector<BitVec> lines_;  ///< per variable; empty = no marks
+    std::uint64_t skipped_ = 0;
+    bool any_ = false;
+};
+
 /// One compiled guarded command.
 class CompiledAction {
 public:
@@ -108,12 +150,15 @@ public:
     /// Appends the successors of s. Precondition: enabled(s). Structured
     /// effects run on CompiledSpace stride arithmetic; kGeneric effects
     /// call the original statement. The successor sequence is identical
-    /// to Action::successors at every enabled state.
+    /// to Action::successors at every enabled state. With `marks`, a
+    /// kCorruptAny effect leaves out each victim whose line through s is
+    /// already covered (LineMarks::covered) and marks the others.
     ///
     /// Defined inline: this is the per-edge hot path of every exploration
     /// (millions of calls per build) and must not pay a cross-TU call. The
     /// effect form is cached by value at construction for the same reason.
-    void successors(StateIndex s, std::vector<StateIndex>& out) const {
+    void successors(StateIndex s, std::vector<StateIndex>& out,
+                    LineMarks* marks = nullptr) const {
         using EK = Action::EffectForm::Kind;
         const CompiledSpace& cs = *cs_;
         switch (form_.kind) {
@@ -139,6 +184,7 @@ public:
             }
             case EK::kCorruptAny: {
                 for (const VarId v : form_.vars) {
+                    if (marks != nullptr && marks->covered(s, v)) continue;
                     const Value cur = cs.get(s, v);
                     const Value dom = cs.domain(v);
                     for (Value c = 0; c < dom; ++c)

@@ -237,8 +237,8 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
 }
 
 std::uint32_t BatchKernel::emit_at(const Spec& k, std::uint32_t a,
-                                   StateIndex s,
-                                   std::vector<Rec>& recs) const {
+                                   StateIndex s, std::vector<Rec>& recs,
+                                   LineMarks* marks) const {
     using EK = Action::EffectForm::Kind;
     // Digits come from magic-multiply decodes (no odometer available off
     // the contiguous run).
@@ -280,7 +280,9 @@ std::uint32_t BatchKernel::emit_at(const Spec& k, std::uint32_t a,
             return static_cast<std::uint32_t>(k.choices.size());
         }
         case EK::kCorruptAny: {
+            std::uint32_t n = 0;
             for (const Spec::CorruptVar& cv : k.corrupt) {
+                if (marks != nullptr && marks->covered(s, cv.v)) continue;
                 const Value c0 = cs_.get(s, cv.v);
                 StateIndex t = s + static_cast<StateIndex>(
                                        -static_cast<std::int64_t>(c0) *
@@ -288,8 +290,9 @@ std::uint32_t BatchKernel::emit_at(const Spec& k, std::uint32_t a,
                 for (Value c = 0; c < cv.dom;
                      ++c, t += static_cast<StateIndex>(cv.stride))
                     if (c != c0) recs.emplace_back(a, t);
+                n += static_cast<std::uint32_t>(cv.dom - 1);
             }
-            return k.max_succ;
+            return n;
         }
         default:
             return 0;
@@ -308,7 +311,7 @@ std::uint64_t BatchKernel::mask_at(const std::vector<Spec>& specs,
 
 std::pair<std::uint64_t, std::uint64_t> BatchKernel::expand_frontier(
     const StateIndex* states, std::size_t n, std::vector<Rec>& recs,
-    std::vector<Counts>& counts) const {
+    std::vector<Counts>& counts, LineMarks* marks) const {
     DCFT_EXPECTS(batchable_, "BatchKernel::expand_frontier: not batchable");
     std::uint64_t prog_total = 0, fault_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -320,7 +323,7 @@ std::pair<std::uint64_t, std::uint64_t> BatchKernel::expand_frontier(
         }
         for (std::uint64_t m = mask_at(fault_, s); m != 0; m &= m - 1) {
             const unsigned a = static_cast<unsigned>(std::countr_zero(m));
-            n_fault += emit_at(fault_[a], a, s, recs);
+            n_fault += emit_at(fault_[a], a, s, recs, marks);
         }
         counts.emplace_back(n_prog, n_fault);
         prog_total += n_prog;

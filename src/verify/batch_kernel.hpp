@@ -110,11 +110,13 @@ public:
     /// Scalar-free expansion of an arbitrary frontier slice: appends the
     /// (action, target) records and per-state (n_prog, n_fault) counts in
     /// exactly the ChunkBuf layout (program records of a state first,
-    /// then fault records). Returns (program, fault) record totals.
+    /// then fault records). Returns (program, fault) record totals. With
+    /// `marks`, corrupt-any fault successors are handled line by line: a
+    /// covered line is counted in `marks` and stages no record.
     /// Requires batchable().
     std::pair<std::uint64_t, std::uint64_t> expand_frontier(
         const StateIndex* states, std::size_t n, std::vector<Rec>& recs,
-        std::vector<Counts>& counts) const;
+        std::vector<Counts>& counts, LineMarks* marks = nullptr) const;
 
     /// Appends the fault records of one state — the fault half of
     /// expand_frontier, without the program guards. Requires batchable().
@@ -154,9 +156,11 @@ private:
                       const BitVec* gbits, Spec& out);
 
     /// Appends the successors of action k (index a) at a scattered state
-    /// s; returns how many.
+    /// s, leaving out the kCorruptAny lines `marks` covers; returns how
+    /// many it appended.
     std::uint32_t emit_at(const Spec& k, std::uint32_t a, StateIndex s,
-                          std::vector<Rec>& recs) const;
+                          std::vector<Rec>& recs,
+                          LineMarks* marks = nullptr) const;
     /// Guard mask of `specs` at state s (bit a = action a enabled).
     static std::uint64_t mask_at(const std::vector<Spec>& specs,
                                  StateIndex s);

@@ -515,9 +515,10 @@ void TransitionSystem::explore(const FaultClass* faults,
     // Expands one state: tests each guard (bitset probe or bytecode) and
     // appends each enabled action's successors via on_prog/on_fault(action
     // index, target) — actions in declaration order, each action's
-    // successors in its statement order.
+    // successors in its statement order. With `marks`, fault successors on
+    // an already covered corrupt-any line are left out (LineMarks).
     auto expand = [&](StateIndex s, std::vector<StateIndex>& scratch,
-                      auto&& on_prog, auto&& on_fault) {
+                      LineMarks* marks, auto&& on_prog, auto&& on_fault) {
         const auto pacts = compiled->program_actions().actions();
         for (std::uint32_t a = 0; a < pacts.size(); ++a) {
             const CompiledAction& ka = pacts[a];
@@ -534,7 +535,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                 const BitVec* gb = fault_gbits[a];
                 if (gb != nullptr ? !gb->test(s) : !ka.enabled(s)) continue;
                 scratch.clear();
-                ka.successors(s, scratch);
+                ka.successors(s, scratch, marks);
                 for (StateIndex t : scratch) on_fault(a, t);
             }
         }
@@ -578,6 +579,16 @@ void TransitionSystem::explore(const FaultClass* faults,
     // same number of times for every thread count (pinned by trace_test).
     obs::instant("verify/interner/tier",
                  identity_nodes_ ? 0 : direct_mapped_ ? 1 : 2);
+    // The corrupt-any line rule (LineMarks): serial levels on the
+    // direct-mapped tier skip fault successors whose line is already fully
+    // interned. Its n/dom(v) bits per corrupted variable stay far below
+    // the direct map's 4 bytes per state.
+    std::unique_ptr<LineMarks> marks;
+    if (direct_mapped_ && !identity_nodes_ && compiled->has_faults()) {
+        marks = std::make_unique<LineMarks>(
+            cspace, compiled->fault_actions().actions());
+        if (!marks->any()) marks.reset();
+    }
     if (progress_on) obs::progress_explore_begin(n_states);
 
     // Reserve node/edge storage. Identity explorations have a known exact
@@ -882,6 +893,10 @@ void TransitionSystem::explore(const FaultClass* faults,
             // Fused serial path: one worker would process the whole level,
             // so skip the staging buffers and intern/append inline. This is
             // exactly the sequential FIFO BFS, hence trivially canonical.
+            // Line marks only leave out interning calls that would hit, so
+            // every decision that still runs happens in the same order.
+            const std::uint64_t skipped0 =
+                marks != nullptr ? marks->skipped() : 0;
             if (batch != nullptr) {
                 // Block-batched expansion: guard masks + specialized
                 // successor emission into flat records (no per-state
@@ -894,7 +909,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                     brecs.clear();
                     bcounts.clear();
                     batch->expand_frontier(states_.data() + i, bn, brecs,
-                                           bcounts);
+                                           bcounts, marks.get());
                     std::size_t r = 0;
                     for (std::size_t j = 0; j < bn; ++j) {
                         const NodeId node = static_cast<NodeId>(i + j);
@@ -914,7 +929,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                     const StateIndex s = states_[i];
                     const NodeId node = static_cast<NodeId>(i);
                     expand(
-                        s, succ,
+                        s, succ, marks.get(),
                         [&](std::uint32_t a, StateIndex t) {
                             prog_edges_.push_back(Edge{a, intern(t, node)});
                         },
@@ -925,6 +940,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                     prog_offsets_.push_back(prog_edges_.size());
                 }
             }
+            if (marks != nullptr) fault_count += marks->skipped() - skipped0;
             if (spill) {
                 states_.release_prefix(level_end);
                 parent_.release_prefix(level_end);
@@ -947,7 +963,9 @@ void TransitionSystem::explore(const FaultClass* faults,
             base_prog.resize(chunks);
         }
 
-        // Phase A: parallel expand + claim.
+        // Phase A: parallel expand + claim. No line marks here: a line
+        // marked by one chunk would hide its targets from a smaller chunk
+        // of the same level and break min-chunk-wins.
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
             const obs::Span pspan("verify/explore/expand_claim");
@@ -1027,7 +1045,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                             static_cast<NodeId>(level_begin + i);
                         std::uint32_t n_prog = 0, n_fault = 0;
                         expand(
-                            s, succ,
+                            s, succ, /*marks=*/nullptr,
                             [&](std::uint32_t a, StateIndex t) {
                                 buf.recs.emplace_back(a, t);
                                 ++n_prog;
@@ -1208,7 +1226,9 @@ void TransitionSystem::explore(const FaultClass* faults,
         reg.counter("verify/explore/program_edges").add(prog_edges_.size());
         reg.counter("verify/explore/fault_edges").add(fault_count);
         // Every node is discovered by exactly one interning decision;
-        // every decision is an initial seed or a transition target.
+        // every decision is an initial seed or a transition target. Hits
+        // are the targets already interned: looked up, or known to be by
+        // a line mark.
         const std::uint64_t intern_calls =
             initial_.size() + prog_edges_.size() + fault_count;
         reg.counter("verify/explore/interner_misses").add(states_.size());
@@ -1238,6 +1258,10 @@ void TransitionSystem::explore(const FaultClass* faults,
             reg.counter("verify/interner/resizes").add(sparse_->resizes());
         }
         reg.counter("verify/mem/interner_bytes").record_max(interner_bytes);
+        // Line marks are made on serial levels only, so this depends on
+        // the serial/parallel choice of each level.
+        reg.counter("verify/interner/fault_successors_skipped")
+            .add(marks != nullptr ? marks->skipped() : 0);
         reg.counter("verify/mem/nodes_bytes")
             .record_max(states_.capacity() * sizeof(StateIndex) +
                         parent_.capacity() * sizeof(NodeId));

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 
+#include "verify/action_kernel.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
@@ -87,6 +88,40 @@ TEST(SpanningTreeTest, NotMaskingUnderCorruption) {
 TEST(SpanningTreeTest, DisconnectedGraphRejected) {
     apps::Graph g(3);  // no edges at all
     EXPECT_THROW(make_spanning_tree(g), ContractError);
+}
+
+TEST(SpanningTreeTest, CorruptFaultMatchesTheOpaqueLambda) {
+    // The catalog's spanning-tree 4 (a path). The fault is a structured
+    // corrupt_any; the oracle is the opaque Action::nondet lambda it
+    // replaced, copied here verbatim.
+    auto sys = make_spanning_tree(path_graph(4));
+    const int n = 4;
+    const std::vector<VarId> dist = sys.dist;
+    const Action oracle = Action::nondet(
+        "corrupt", Predicate::top(),
+        [dist, n](const StateSpace& sp, StateIndex s,
+                  std::vector<StateIndex>& out) {
+            for (VarId v : dist) {
+                const Value cur = sp.get(s, v);
+                for (Value c = 0; c <= n; ++c)
+                    if (c != cur) out.push_back(sp.set(s, v, c));
+            }
+        });
+    ASSERT_EQ(sys.corrupt_any.actions().size(), 1u);
+    const Action& fault = sys.corrupt_any.actions()[0];
+    EXPECT_EQ(fault.effect_form().kind, Action::EffectForm::Kind::kCorruptAny);
+    const CompiledAction compiled(compile_space(sys.space), fault);
+    std::vector<StateIndex> want, got, got_compiled;
+    for (StateIndex s = 0; s < sys.space->num_states(); ++s) {
+        want.clear();
+        got.clear();
+        got_compiled.clear();
+        oracle.successors(*sys.space, s, want);
+        fault.successors(*sys.space, s, got);
+        compiled.successors(s, got_compiled);
+        ASSERT_EQ(got, want) << "state " << s;
+        ASSERT_EQ(got_compiled, want) << "state " << s;
+    }
 }
 
 }  // namespace

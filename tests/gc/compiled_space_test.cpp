@@ -32,12 +32,20 @@ void check_state(const StateSpace& sp, const CompiledSpace& cs,
         const Value expect = sp.get(s, v);
         ASSERT_EQ(cs.get(s, v), expect) << "get s=" << s << " v=" << v;
         ASSERT_EQ(digits[v], expect) << "unpack s=" << s << " v=" << v;
+        // The v-line index is s with digit v cut out.
+        const StateIndex stride = cs.stride(v);
+        const StateIndex dom = static_cast<StateIndex>(cs.domain(v));
+        const StateIndex line = s / (stride * dom) * stride + s % stride;
+        ASSERT_EQ(cs.line_index(s, v), line) << "line s=" << s << " v=" << v;
+        ASSERT_LT(line, cs.num_states() / dom);
         for (Value c = 0; c < cs.domain(v); ++c) {
             const StateIndex expect_set = sp.set(s, v, c);
             ASSERT_EQ(cs.set(s, v, c), expect_set)
                 << "set s=" << s << " v=" << v << " c=" << c;
             ASSERT_EQ(cs.set_digit(s, v, expect, c), expect_set)
                 << "set_digit s=" << s << " v=" << v << " c=" << c;
+            ASSERT_EQ(cs.line_index(expect_set, v), line)
+                << "line of set s=" << s << " v=" << v << " c=" << c;
         }
     }
 }

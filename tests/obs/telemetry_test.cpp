@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/byzantine.hpp"
 #include "apps/token_ring.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
@@ -111,6 +112,35 @@ TEST(TelemetryTest, ExplorationCounterMatchesExploreSpanCalls) {
     EXPECT_EQ(explore_calls, 2u);
     // One increment per exploration, not one per recording site.
     EXPECT_EQ(counter_value("verify/explorations"), explore_calls);
+}
+
+TEST(TelemetryTest, LineMarksSkipFaultSuccessorsOfCoveredLines) {
+    TelemetryGuard guard;
+    // Token ring n=6, k=6: the fault span is all 6^6 states, each with
+    // 6*5 corrupt successors. Only the first expansion of each of the
+    // 6*6^5 lines (one per variable and other-digit tuple) interns its 5
+    // successors; every other corrupt successor is counted, not interned.
+    auto ring = apps::make_token_ring(6, 6);
+    const TransitionSystem ts(ring.ring, &ring.corrupt_any, ring.legitimate,
+                              /*n_threads=*/1);
+    EXPECT_EQ(ts.num_fault_edges(), 1'399'680u);
+    EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"),
+              1'399'680u - 6u * 7'776u * 5u);
+    // interner_hits keeps its arithmetic definition: every target that
+    // was already interned, looked up or known to be by a line mark.
+    EXPECT_EQ(counter_value("verify/explore/interner_hits"),
+              counter_value("verify/explore/initial_states") +
+                  counter_value("verify/explore/program_edges") +
+                  counter_value("verify/explore/fault_edges") -
+                  counter_value("verify/explore/nodes"));
+
+    // Byzantine faults are not corrupt-any: nothing to skip.
+    obs::Registry::global().reset();
+    auto byz = apps::make_byzantine(4, 1);
+    const TransitionSystem b(byz.masking, &byz.byzantine_fault,
+                             byz.no_byzantine, /*n_threads=*/1);
+    EXPECT_GT(b.num_fault_edges(), 0u);
+    EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"), 0u);
 }
 
 /// Exploration counters under one DCFT_VERIFIER_THREADS setting.

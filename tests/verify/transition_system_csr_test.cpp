@@ -19,6 +19,7 @@
 #include "apps/catalog.hpp"
 #include "apps/token_ring.hpp"
 #include "common/rng.hpp"
+#include "obs/telemetry.hpp"
 #include "verify/fairness.hpp"
 #include "verify/reachability.hpp"
 #include "verify/reference.hpp"
@@ -422,6 +423,166 @@ TEST(FaultRowsOnDemandTest, FaultScansAgreeAcrossThreadCounts) {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The corrupt-any line rule: serial levels on the direct-mapped tier skip
+// the fault successors of a line that an earlier expansion already
+// interned. Node numbering, parents, the program CSR, the fault-edge
+// count and every witness trace must stay exactly the reference's, on the
+// batch and the scalar kernel, serially (marks on) and on the forced
+// parallel merge (marks off).
+
+/// A structured program over p, q (domain 4) and r, w (domain 3) that the
+/// batch kernel lowers, with the fault class a test supplies. The idle
+/// variable z (domain 256) widens the BFS levels past the parallel grain.
+struct LineRuleSystem {
+    std::shared_ptr<const StateSpace> space = make_space(
+        {Variable{"p", 4, {}}, Variable{"q", 4, {}}, Variable{"r", 3, {}},
+         Variable{"w", 3, {}}, Variable{"z", 256, {}}});
+    VarId p = 0, q = 1, r = 2, w = 3;
+    Program program{space, "line-rule"};
+    FaultClass faults{space, "F"};
+
+    LineRuleSystem() {
+        program.add_action(Action::assign_add_mod(
+            *space, "inc", Predicate::var_ne(*space, r, 2), r, r, 1, 3));
+        program.add_action(Action::assign_var(
+            *space, "copy", Predicate::vars_ne(*space, w, r), w, r));
+        program.add_action(Action::assign_const(
+            *space, "reset", Predicate::var_eq(*space, p, 3), "p", 0));
+    }
+    Predicate init() const {
+        return Predicate::var_eq(*space, p, 0) &&
+               Predicate::var_eq(*space, w, 0);
+    }
+};
+
+/// Asserts `ts` is the reference exploration, or on an early exit its
+/// prefix: same nodes, roots and parents, the same program rows for every
+/// expanded node (empty for the unexpanded last level), and as many fault
+/// edges as the reference rows of the expanded nodes hold.
+void expect_reference_prefix(const TransitionSystem& ts,
+                             const reference::RefTransitionSystem& ref) {
+    ASSERT_LE(ts.num_nodes(), ref.num_nodes());
+    if (ts.complete()) {
+        ASSERT_EQ(ts.num_nodes(), ref.num_nodes());
+    }
+    ASSERT_EQ(ts.initial_nodes(), ref.initial_nodes());
+    std::size_t last_depth = 0;
+    for (NodeId n = 0; n < ts.num_nodes(); ++n)
+        last_depth = std::max(last_depth, ts.witness_path(n).size());
+    std::uint64_t fault_edges = 0;
+    for (NodeId n = 0; n < ts.num_nodes(); ++n) {
+        ASSERT_EQ(ts.state_of(n), ref.state_of(n)) << "node " << n;
+        ASSERT_EQ(ts.raw_parent()[n], ref.parents()[n]) << "node " << n;
+        ASSERT_EQ(ts.witness_path(n), ref.witness_path(n)) << "node " << n;
+        const auto prog = ts.program_edges(n);
+        if (!ts.complete() && ts.witness_path(n).size() == last_depth) {
+            EXPECT_TRUE(prog.empty()) << "unexpanded node " << n;
+            continue;
+        }
+        const auto& rprog = ref.program_edges(n);
+        ASSERT_EQ(prog.size(), rprog.size()) << "node " << n;
+        for (std::size_t i = 0; i < prog.size(); ++i) {
+            EXPECT_EQ(prog[i].action, rprog[i].action) << "node " << n;
+            EXPECT_EQ(prog[i].to, rprog[i].to) << "node " << n;
+        }
+        fault_edges += ref.fault_edges(n).size();
+    }
+    EXPECT_EQ(ts.num_fault_edges(), fault_edges);
+}
+
+/// Explores `sys` from its init (stopping at `stop` when given) on the
+/// batch and scalar kernels, serially and on the forced parallel merge;
+/// every run must be the reference exploration (prefix) with identical
+/// witness traces. Both kernels make the same marks; the parallel merge
+/// makes none on its parallel levels, so it skips less.
+void check_line_rule(const LineRuleSystem& sys,
+                     const Predicate* stop = nullptr) {
+    const Predicate init = sys.init();
+    const reference::RefTransitionSystem ref(sys.program, &sys.faults, init);
+    obs::set_enabled(true);
+    std::optional<std::vector<std::vector<WitnessStep>>> first_traces;
+    std::vector<std::uint64_t> serial_skips, parallel_skips;
+    for (const char* no_batch : {static_cast<const char*>(nullptr), "1"}) {
+        const ScopedEnv batch_env("DCFT_NO_BATCH", no_batch);
+        for (const bool parallel : {false, true}) {
+            SCOPED_TRACE(std::string("DCFT_NO_BATCH=") +
+                         (no_batch ? no_batch : "unset") +
+                         (parallel ? " parallel" : " serial"));
+            const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
+                                 parallel ? "1" : nullptr);
+            obs::Registry::global().reset();
+            ExploreOptions opts;
+            opts.n_threads = parallel ? 4 : 1;
+            opts.stop_on = stop;
+            const TransitionSystem ts(sys.program, &sys.faults, init, opts);
+            EXPECT_EQ(ts.complete(), stop == nullptr);
+            expect_reference_prefix(ts, ref);
+            std::vector<std::vector<WitnessStep>> traces;
+            for (NodeId n = 0; n < ts.num_nodes(); ++n)
+                traces.push_back(ts.witness_trace(n));
+            if (!first_traces)
+                first_traces = std::move(traces);
+            else
+                EXPECT_EQ(traces, *first_traces);
+
+            std::uint64_t skipped = 0, batched = 0;
+            for (const auto& c : obs::Registry::global().counters()) {
+                if (c.path == "verify/interner/fault_successors_skipped")
+                    skipped = c.value;
+                if (c.path == "verify/explore/batched") batched = c.value;
+            }
+            EXPECT_EQ(batched, no_batch == nullptr ? 1u : 0u);
+            (parallel ? parallel_skips : serial_skips).push_back(skipped);
+        }
+    }
+    obs::set_enabled(false);
+    ASSERT_EQ(serial_skips.size(), 2u);
+    EXPECT_GT(serial_skips[0], 0u);
+    EXPECT_EQ(serial_skips[0], serial_skips[1]);
+    for (const std::uint64_t skipped : parallel_skips)
+        EXPECT_LT(skipped, serial_skips[0]);
+}
+
+TEST(LineRuleTest, GuardFalseOnPartOfEveryLine) {
+    // p != q is false at exactly one state of every p-line and q-line, so
+    // a line may be reached at a disabled state first; only an enabled
+    // expansion may mark it.
+    LineRuleSystem sys;
+    sys.faults.add_action(Action::corrupt_any(
+        *sys.space, "corrupt", Predicate::vars_ne(*sys.space, sys.p, sys.q),
+        {sys.p, sys.q}));
+    check_line_rule(sys);
+}
+
+TEST(LineRuleTest, OverlappingCorruptAnyFaultsAndAChoiceFault) {
+    // Two corrupt-any faults share q, so one may cover the other's line;
+    // the assign_choice fault is never skipped.
+    LineRuleSystem sys;
+    sys.faults.add_action(Action::corrupt_any(
+        *sys.space, "corrupt-pq", Predicate::var_eq(*sys.space, sys.r, 0),
+        {sys.p, sys.q}));
+    sys.faults.add_action(Action::corrupt_any(
+        *sys.space, "corrupt-qw", Predicate::var_ne(*sys.space, sys.r, 0),
+        {sys.q, sys.w}));
+    sys.faults.add_action(Action::assign_choice(
+        *sys.space, "choose-r", Predicate::top(), sys.r, {0, 2}));
+    check_line_rule(sys);
+}
+
+TEST(LineRuleTest, EarlyExitFragment) {
+    // Stops a few levels in, after lines have been marked: the fragment is
+    // still the reference's prefix.
+    LineRuleSystem sys;
+    sys.faults.add_action(Action::corrupt_any(
+        *sys.space, "corrupt", Predicate::vars_ne(*sys.space, sys.p, sys.q),
+        {sys.p, sys.q}));
+    const Predicate stop = Predicate::var_eq(*sys.space, sys.p, 3) &&
+                           Predicate::var_eq(*sys.space, sys.q, 2) &&
+                           Predicate::var_eq(*sys.space, sys.w, 2);
+    check_line_rule(sys, &stop);
 }
 
 }  // namespace
