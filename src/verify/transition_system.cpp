@@ -1,8 +1,11 @@
 #include "verify/transition_system.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <new>
 #include <utility>
 
 #include "common/check.hpp"
@@ -90,6 +93,16 @@ struct ChunkBuf {
     std::uint64_t begin = 0;        ///< slice start within the level
 };
 
+/// The rent-or-buy rule for whole-space guard bitsets. Filling one costs
+/// |space| / 64 word operations; evaluating the guard bytecode costs one
+/// evaluation per reached state. Once the reached states times 64 reach
+/// the space size, a bitset costs no more than the bytecode already spent,
+/// so it is bought — with no tunable constant. Explorations check this at
+/// each level boundary on the nodes discovered so far.
+bool guard_bits_pay(std::uint64_t nodes, StateIndex space_states) {
+    return nodes * BitVec::kWordBits >= space_states;
+}
+
 /// Guard-bitset pointers of `set` (nullptr = guard with kCall fallbacks,
 /// evaluated per state by bytecode). Builds the bitsets it returns.
 std::vector<const BitVec*> guard_bit_ptrs(const CompiledActionSet& set) {
@@ -113,19 +126,22 @@ std::vector<const BitVec*> guard_bit_ptrs(const CompiledActionSet& set) {
 }  // namespace
 
 /// The compiled fault actions, kept after exploration so fault rows can be
-/// regenerated: guard-bitset probes (bytecode for kCall guards) and, when
-/// every fault action lowers, a fault-only block kernel.
+/// regenerated: guard bytecode, or — when the system's node count pays for
+/// them (guard_bits_pay) — guard-bitset probes and, when every fault
+/// action lowers, a fault-only block kernel.
 struct TransitionSystem::FaultKernel {
     std::shared_ptr<const CompiledActionSet> set;
     std::vector<const BitVec*> gbits;
     std::unique_ptr<BatchKernel> batch;
     std::uint64_t bytes = 0;  ///< whole-space guard bitsets kept alive
 
-    explicit FaultKernel(std::shared_ptr<const CompiledActionSet> s)
-        : set(std::move(s)), gbits(guard_bit_ptrs(*set)) {
+    FaultKernel(std::shared_ptr<const CompiledActionSet> s, bool guard_bits)
+        : set(std::move(s)),
+          gbits(guard_bits ? guard_bit_ptrs(*set)
+                           : std::vector<const BitVec*>(set->size())) {
         for (const BitVec* b : gbits)
             if (b != nullptr) bytes += b->num_words() * sizeof(std::uint64_t);
-        if (batch_disabled()) return;
+        if (!guard_bits || batch_disabled()) return;
         auto bk = std::make_unique<BatchKernel>(
             set->cspace(), std::span<const CompiledAction>{},
             std::span<const BitVec* const>{}, set->actions(), gbits);
@@ -333,6 +349,64 @@ private:
     std::array<Shard, kNumShards> shards_;
 };
 
+// ---------------------------------------------------------------------------
+// DirectMap: the interner tier up to DCFT_DIRECT_MAP_MAX states.
+
+/// Page granularity of the direct map's commit accounting.
+constexpr std::size_t kMapPage = 4096;
+constexpr std::size_t kSlotsPerPage = kMapPage / sizeof(NodeId);
+
+TransitionSystem::DirectMap::~DirectMap() {
+    if (slots_ != nullptr) ::munmap(slots_, size_ * sizeof(NodeId));
+}
+
+void TransitionSystem::DirectMap::allocate(std::size_t n) {
+    DCFT_ASSERT(slots_ == nullptr, "DirectMap: allocated twice");
+    if (n == 0) return;
+    // mmap, not calloc: glibc serves a calloc this large from the heap
+    // once its dynamic mmap threshold has risen, and then memsets (and so
+    // commits) every page. Huge pages would commit 2 MiB around each
+    // touched slot, so they are declined.
+    void* p = ::mmap(nullptr, n * sizeof(NodeId), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+    (void)::madvise(p, n * sizeof(NodeId), MADV_NOHUGEPAGE);
+#endif
+    slots_ = static_cast<NodeId*>(p);
+    size_ = n;
+    pages_ = BitVec((n + kSlotsPerPage - 1) / kSlotsPerPage);
+}
+
+bool TransitionSystem::DirectMap::claim(StateIndex s, NodeId mark) {
+    std::atomic_ref<NodeId> slot(slots_[static_cast<std::size_t>(s)]);
+    NodeId raw = slot.load(std::memory_order_relaxed);
+    for (;;) {
+        // Real id, or a smaller/equal chunk's marker: nothing to do.
+        // (Absent decodes to kNoNode, above every marker.)
+        const NodeId cur = ~raw;
+        if (cur < kClaimBase || cur <= mark) return false;
+        if (slot.compare_exchange_weak(raw, ~mark, std::memory_order_relaxed))
+            return true;
+    }
+}
+
+void TransitionSystem::DirectMap::note_pages(const StateIndex* states,
+                                             std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+        pages_.set(static_cast<std::size_t>(states[i]) / kSlotsPerPage);
+}
+
+std::uint64_t TransitionSystem::DirectMap::touched_bytes() const {
+    const std::size_t n_pages = pages_.size_bits();
+    if (n_pages == 0) return 0;
+    // Only the map's own bytes count: the last page may extend past it.
+    std::uint64_t touched = pages_.popcount() * kMapPage;
+    if (pages_.test(n_pages - 1))
+        touched -= n_pages * kMapPage - size_ * sizeof(NodeId);
+    return touched;
+}
+
 TransitionSystem::TransitionSystem(const Program& program,
                                    const FaultClass* faults,
                                    const Predicate& init, unsigned n_threads)
@@ -386,7 +460,8 @@ const TransitionSystem::FaultKernel& TransitionSystem::fault_kernel() const {
         const obs::Span span("verify/compile/faults");
         fault_kernel_ = std::make_unique<FaultKernel>(
             std::make_shared<const CompiledActionSet>(compile_space(space_),
-                                                      faults_->actions()));
+                                                      faults_->actions()),
+            guard_bits_pay(states_.size(), space_->num_states()));
         fault_kernel_bytes_.store(fault_kernel_->bytes);
     });
     return *fault_kernel_;
@@ -408,10 +483,9 @@ void TransitionSystem::fault_edges(NodeId n, std::vector<Edge>& out) const {
     // expanded node was interned by the exploration.
     if (interner_lazy_) ensure_interner();
     for (const auto& [a, t] : steps) {
-        const NodeId to = identity_nodes_ ? static_cast<NodeId>(t)
-                          : direct_mapped_
-                              ? node_map_[static_cast<std::size_t>(t)]
-                              : sparse_->find(t);
+        const NodeId to = identity_nodes_  ? static_cast<NodeId>(t)
+                          : direct_mapped_ ? node_map_.get(t)
+                                           : sparse_->find(t);
         DCFT_ASSERT(to != kNoNode, "fault_edges: target not interned");
         out.push_back(Edge{a, to});
     }
@@ -422,15 +496,16 @@ void TransitionSystem::ensure_interner() const {
         const obs::Span span("verify/graph_store/interner_rebuild");
         const std::size_t n = states_.size();
         if (direct_mapped_) {
-            node_map_.assign(
-                static_cast<std::size_t>(space_->num_states()), kNoNode);
+            node_map_.allocate(static_cast<std::size_t>(space_->num_states()));
             for (std::size_t i = 0; i < n; ++i)
-                node_map_[static_cast<std::size_t>(states_[i])] =
-                    static_cast<NodeId>(i);
+                node_map_.set(states_[i], static_cast<NodeId>(i));
+            node_map_.note_pages(states_.data(), n);
+            interner_bytes_.store(node_map_.touched_bytes());
         } else {
             auto table = std::make_unique<SparseNodeTable>(n);
             for (std::size_t i = 0; i < n; ++i)
                 table->find_or_insert(states_[i], static_cast<NodeId>(i));
+            interner_bytes_.store(table->bytes());
             sparse_ = std::move(table);
         }
     });
@@ -442,8 +517,7 @@ std::uint64_t TransitionSystem::resident_bytes() const {
                       prog_offsets_.size() * sizeof(std::uint64_t) +
                       prog_edges_.size() * sizeof(Edge) +
                       initial_.capacity() * sizeof(NodeId);
-    b += node_map_.capacity() * sizeof(NodeId);
-    if (sparse_ != nullptr) b += sparse_->bytes();
+    b += interner_bytes_.load();
     b += fault_kernel_bytes_.load();
     return b;
 }
@@ -477,30 +551,44 @@ void TransitionSystem::explore(const FaultClass* faults,
     }
 
     // Compile the guarded commands once per exploration (guard bytecode,
-    // divmod-free effects, whole-space enabled bitsets for fully compiled
-    // guards). Opaque guard subtrees run through kCall ops.
+    // divmod-free effects). Opaque guard subtrees run through kCall ops.
+    // Guards start on per-state bytecode (null bitset pointers); the
+    // whole-space bitsets are bought at a level boundary (buy_guard_bits).
     std::unique_ptr<CompiledProgram> compiled;
-    std::vector<const BitVec*> prog_gbits;
-    std::vector<const BitVec*> fault_gbits;
     {
         const obs::Span cspan("verify/compile");
         compiled = std::make_unique<CompiledProgram>(program_, faults);
-        prog_gbits = guard_bit_ptrs(compiled->program_actions());
-        if (compiled->has_faults())
-            fault_gbits = guard_bit_ptrs(compiled->fault_actions());
     }
     const CompiledSpace& cspace = compiled->cspace();
+    std::vector<const BitVec*> prog_gbits(compiled->program_actions().size());
+    std::vector<const BitVec*> fault_gbits(
+        compiled->has_faults() ? compiled->fault_actions().size() : 0);
 
     // Batch layer on top of the compiled program: fused guard+successor
     // kernels over blocks of states (see batch_kernel.hpp). Only engaged
-    // when every action is batchable; DCFT_NO_BATCH=1 pins the scalar
-    // path — the differential oracle for this layer.
+    // once the guard bitsets are bought and when every action is
+    // batchable; DCFT_NO_BATCH=1 pins the scalar path — the differential
+    // oracle for this layer.
     std::unique_ptr<BatchKernel> batch;
-    if (!batch_disabled()) {
-        auto bk =
-            std::make_unique<BatchKernel>(*compiled, prog_gbits, fault_gbits);
-        if (bk->batchable()) batch = std::move(bk);
-    }
+    bool guard_bits_bought = false;
+    std::uint64_t levels_before_guard_bits = 0;
+    // Buys the guard bitsets of every fully compiled guard (program and
+    // fault actions) and builds the batch kernel over them. Guard
+    // evaluation never changes a successor or its order, so the graph is
+    // the same whenever this happens; only the cost moves.
+    auto buy_guard_bits = [&](std::uint64_t level_index) {
+        const obs::Span cspan("verify/compile");
+        guard_bits_bought = true;
+        prog_gbits = guard_bit_ptrs(compiled->program_actions());
+        if (compiled->has_faults())
+            fault_gbits = guard_bit_ptrs(compiled->fault_actions());
+        if (!batch_disabled()) {
+            auto bk = std::make_unique<BatchKernel>(*compiled, prog_gbits,
+                                                    fault_gbits);
+            if (bk->batchable()) batch = std::move(bk);
+        }
+        obs::instant("verify/compile/guard_bits", level_index);
+    };
 
     // The early-exit stop predicate, compiled to guard bytecode.
     std::unique_ptr<GuardCode> stop_code;
@@ -564,7 +652,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     if (!identity_nodes_) {
         direct_mapped_ = n_states <= direct_map_max();
         if (direct_mapped_) {
-            node_map_.assign(static_cast<std::size_t>(n_states), kNoNode);
+            node_map_.allocate(static_cast<std::size_t>(n_states));
         } else {
             constexpr std::uint64_t kGrowthEstimate = 8;
             const std::uint64_t expected = std::min<std::uint64_t>(
@@ -618,13 +706,13 @@ void TransitionSystem::explore(const FaultClass* faults,
     auto intern = [&](StateIndex t, NodeId from) -> NodeId {
         if (identity_nodes_) return static_cast<NodeId>(t);
         if (direct_mapped_) {
-            NodeId& slot = node_map_[static_cast<std::size_t>(t)];
-            if (slot == kNoNode) {
-                slot = static_cast<NodeId>(states_.size());
-                states_.push_back(t);
-                parent_.push_back(from);
-            }
-            return slot;
+            const NodeId got = node_map_.get(t);
+            if (got != kNoNode) return got;
+            const NodeId fresh = static_cast<NodeId>(states_.size());
+            node_map_.set(t, fresh);
+            states_.push_back(t);
+            parent_.push_back(from);
+            return fresh;
         }
         const NodeId fresh = static_cast<NodeId>(states_.size());
         const NodeId got = sparse_->find_or_insert(t, fresh);
@@ -639,7 +727,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     // consumers within this function). Lock-free on every tier.
     auto lookup = [&](StateIndex t) -> NodeId {
         if (identity_nodes_) return static_cast<NodeId>(t);
-        if (direct_mapped_) return node_map_[static_cast<std::size_t>(t)];
+        if (direct_mapped_) return node_map_.get(t);
         return sparse_->find(t);
     };
 
@@ -669,6 +757,8 @@ void TransitionSystem::explore(const FaultClass* faults,
             parent_[id] = id;  // roots are their own parent
             initial_.push_back(id);
         });
+        if (direct_mapped_)
+            node_map_.note_pages(states_.data(), states_.size());
     }
 
     prog_offsets_.push_back(0);
@@ -725,6 +815,8 @@ void TransitionSystem::explore(const FaultClass* faults,
                             bool parallel_merge,
                             const std::array<std::uint64_t, 4>& phase_ns) {
         const std::uint64_t new_nodes = states_.size() - lvl_end;
+        if (direct_mapped_)
+            node_map_.note_pages(states_.data() + lvl_end, new_nodes);
         if (timeline) {
             obs::LevelStat ls;
             ls.level = level_index;
@@ -784,6 +876,12 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::size_t level_begin = 0;
     while (!stopped && level_begin < states_.size()) {
         const std::uint64_t level_index = n_levels;
+        if (!guard_bits_bought) {
+            if (guard_bits_pay(states_.size(), n_states))
+                buy_guard_bits(level_index);
+            else
+                ++levels_before_guard_bits;
+        }
         const obs::Span level_span("verify/explore/level", level_index);
         const std::size_t level_end = states_.size();
         const std::uint64_t level_size = level_end - level_begin;
@@ -984,24 +1082,8 @@ void TransitionSystem::explore(const FaultClass* faults,
                     const NodeId mark = kClaimBase + c;
                     auto try_claim = [&](StateIndex t, NodeId from) {
                         if (identity_nodes_) return;  // everything interned
-                        if (direct_mapped_) {
-                            std::atomic_ref<NodeId> slot(
-                                node_map_[static_cast<std::size_t>(t)]);
-                            NodeId cur =
-                                slot.load(std::memory_order_relaxed);
-                            for (;;) {
-                                // Real id, or a smaller/equal chunk's
-                                // marker: nothing to do.
-                                if (cur < kClaimBase || cur <= mark) return;
-                                if (slot.compare_exchange_weak(
-                                        cur, mark,
-                                        std::memory_order_relaxed)) {
-                                    buf.claims.emplace_back(t, from);
-                                    return;
-                                }
-                            }
-                        }
-                        if (sparse_->claim(t, mark))
+                        if (direct_mapped_ ? node_map_.claim(t, mark)
+                                           : sparse_->claim(t, mark))
                             buf.claims.emplace_back(t, from);
                     };
                     if (batch != nullptr) {
@@ -1122,7 +1204,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                             const NodeId id =
                                 static_cast<NodeId>(base_new[c] + j);
                             if (direct_mapped_)
-                                node_map_[static_cast<std::size_t>(t)] = id;
+                                node_map_.set(t, id);
                             else
                                 sparse_->publish(t, id);
                             states_[id] = t;
@@ -1183,10 +1265,16 @@ void TransitionSystem::explore(const FaultClass* faults,
     // included) for fault-row regeneration.
     if (compiled->has_faults())
         std::call_once(fault_kernel_once_, [&] {
-            fault_kernel_ =
-                std::make_unique<FaultKernel>(compiled->fault_actions_ptr());
+            fault_kernel_ = std::make_unique<FaultKernel>(
+                compiled->fault_actions_ptr(),
+                guard_bits_pay(states_.size(), n_states));
             fault_kernel_bytes_.store(fault_kernel_->bytes);
         });
+    // The interner is complete: its resident share is fixed from here on.
+    if (direct_mapped_)
+        interner_bytes_.store(node_map_.touched_bytes());
+    else if (sparse_ != nullptr)
+        interner_bytes_.store(sparse_->bytes());
 
     if (timeline) {
         obs::ExplorationTimeline tl;
@@ -1212,6 +1300,10 @@ void TransitionSystem::explore(const FaultClass* faults,
         reg.counter("verify/explore/levels_below_threshold")
             .add(levels_below_threshold);
         reg.counter("verify/explore/batched").add(batch != nullptr ? 1 : 0);
+        // Levels run on guard bytecode before the bitsets paid for
+        // themselves: a function of the canonical level sizes only.
+        reg.counter("verify/explore/levels_before_guard_bits")
+            .add(levels_before_guard_bits);
         reg.counter("verify/explore/sweep_states").add(sweep_states);
         // kCall fallback ops across the compiled guards: how much of the
         // program escaped full guard compilation (and with it the batch
@@ -1250,14 +1342,12 @@ void TransitionSystem::explore(const FaultClass* faults,
                         : direct_mapped_ ? "verify/interner/direct"
                                          : "verify/interner/sparse")
             .add(1);
-        std::uint64_t interner_bytes =
-            node_map_.capacity() * sizeof(NodeId);
         if (sparse_ != nullptr) {
-            interner_bytes += sparse_->bytes();
             reg.counter("verify/interner/probes").add(sparse_->probes());
             reg.counter("verify/interner/resizes").add(sparse_->resizes());
         }
-        reg.counter("verify/mem/interner_bytes").record_max(interner_bytes);
+        reg.counter("verify/mem/interner_bytes")
+            .record_max(interner_bytes_.load());
         // Line marks are made on serial levels only, so this depends on
         // the serial/parallel choice of each level.
         reg.counter("verify/interner/fault_successors_skipped")
@@ -1368,8 +1458,7 @@ bool TransitionSystem::has_state(StateIndex s) const {
     if (identity_nodes_) return s < space_->num_states();
     if (interner_lazy_) ensure_interner();
     if (direct_mapped_)
-        return s < node_map_.size() &&
-               node_map_[static_cast<std::size_t>(s)] != kNoNode;
+        return s < node_map_.size() && node_map_.get(s) != kNoNode;
     return sparse_->find(s) != kNoNode;
 }
 
@@ -1381,10 +1470,9 @@ NodeId TransitionSystem::node_of(StateIndex s) const {
     }
     if (interner_lazy_) ensure_interner();
     if (direct_mapped_) {
-        DCFT_EXPECTS(s < node_map_.size() &&
-                         node_map_[static_cast<std::size_t>(s)] != kNoNode,
+        DCFT_EXPECTS(s < node_map_.size() && node_map_.get(s) != kNoNode,
                      "TransitionSystem::node_of: state not reachable");
-        return node_map_[static_cast<std::size_t>(s)];
+        return node_map_.get(s);
     }
     const NodeId id = sparse_->find(s);
     DCFT_EXPECTS(id != kNoNode,

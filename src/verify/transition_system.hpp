@@ -19,9 +19,15 @@
 //  * The interner is three-tiered: when the initial set covers the whole
 //    space, node id == state index and no reverse map is allocated at all;
 //    spaces up to DCFT_DIRECT_MAP_MAX states (default 2^25) use a
-//    direct-mapped NodeId array (O(1) array probe per successor); larger
-//    spaces use a sharded open-addressing fingerprint table
-//    (SparseNodeTable) sized from the initial-set cardinality.
+//    direct-mapped NodeId array (O(1) array probe per successor) in a
+//    lazily committed anonymous mapping, so only the pages of reached
+//    states cost memory; larger spaces use a sharded open-addressing
+//    fingerprint table (SparseNodeTable) sized from the initial-set
+//    cardinality.
+//  * Whole-space guard bitsets are bought at a level boundary: levels run
+//    on per-state guard bytecode until the discovered node count times 64
+//    reaches the space size, the point where filling a bitset (|space|/64
+//    word operations) costs no more than the bytecode already spent.
 //  * Safety-style obligations may register a stop predicate
 //    (ExploreOptions::stop_on): the exploration then terminates at the
 //    first — canonically least node id, hence deterministic — discovered
@@ -247,7 +253,8 @@ public:
     bool identity_interner() const { return identity_nodes_; }
 
     /// Approximate bytes of RAM/page-cache this system keeps resident:
-    /// node + program CSR arrays, the interner tier, the initial list, and
+    /// node + program CSR arrays, the interner tier (for the direct map,
+    /// only its pages that hold an interned state), the initial list, and
     /// the fault kernel's guard bitsets once the kernel exists.
     /// The unit of the exploration cache's byte-budget accounting.
     std::uint64_t resident_bytes() const;
@@ -303,6 +310,47 @@ public:
     std::string format_witness(NodeId n) const;
 
 private:
+    /// The direct-mapped interner tier: one slot per state of the whole
+    /// space in a private anonymous mapping (no huge pages), so the kernel
+    /// commits a page only when a slot on it is first written. A slot
+    /// holds ~id, making an absent slot 0 — untouched pages read as
+    /// kNoNode without ever being filled.
+    class DirectMap {
+    public:
+        DirectMap() = default;
+        DirectMap(const DirectMap&) = delete;
+        DirectMap& operator=(const DirectMap&) = delete;
+        ~DirectMap();
+
+        /// Maps `n` zero slots (once; the map starts empty).
+        void allocate(std::size_t n);
+        std::size_t size() const { return size_; }
+
+        NodeId get(StateIndex s) const {
+            return ~slots_[static_cast<std::size_t>(s)];
+        }
+        void set(StateIndex s, NodeId id) {
+            slots_[static_cast<std::size_t>(s)] = ~id;
+        }
+        /// The parallel merge's claim: installs `mark` iff the slot is
+        /// absent or holds a larger claim marker (min-chunk-wins on the
+        /// decoded value). Thread-safe against concurrent claims.
+        bool claim(StateIndex s, NodeId mark);
+
+        /// Records the pages of `n` interned states in a page bitmap (one
+        /// bit per map page) — called on each batch of new nodes while it
+        /// is still resident, so spilled node arrays are never re-read.
+        void note_pages(const StateIndex* states, std::size_t n);
+        /// Bytes of the map on noted pages: what the kernel committed
+        /// for the interned states.
+        std::uint64_t touched_bytes() const;
+
+    private:
+        NodeId* slots_ = nullptr;
+        std::size_t size_ = 0;
+        BitVec pages_;
+    };
+
     /// Adoption constructor (see adopt()); interner left for lazy rebuild.
     TransitionSystem(const Program& program, const FaultClass* faults,
                      AdoptedArrays&& arrays);
@@ -356,7 +404,7 @@ private:
     // Interner / reverse lookup — one of three tiers (see file comment):
     // identity (init covered the space: node id == state index, nothing
     // allocated), direct-mapped (node_map_ has space_->num_states()
-    // entries, kNoNode = absent), or the sharded sparse table.
+    // slots), or the sharded sparse table.
     bool identity_nodes_ = false;
     bool direct_mapped_ = false;
     /// Adopted systems defer the reverse map to the first has_state()/
@@ -364,8 +412,11 @@ private:
     /// const accessors thread-safe, exactly like the predecessor CSRs.
     bool interner_lazy_ = false;
     mutable std::once_flag interner_once_;
-    mutable std::vector<NodeId> node_map_;
+    mutable DirectMap node_map_;
     mutable std::unique_ptr<SparseNodeTable> sparse_;
+    /// Resident bytes of the interner tier, set once it is complete (end
+    /// of exploration, or the lazy rebuild) and read by resident_bytes().
+    mutable std::atomic<std::uint64_t> interner_bytes_{0};
 
     // Early-exit state (see complete() / bad_node()).
     bool complete_ = true;

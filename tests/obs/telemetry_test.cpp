@@ -11,10 +11,12 @@
 #include <vector>
 
 #include "apps/byzantine.hpp"
+#include "apps/catalog.hpp"
 #include "apps/token_ring.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
+#include "verify/exploration_cache.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
 
@@ -183,6 +185,37 @@ TEST(TelemetryTest, ExplorationCountersDeterministicAcrossThreadCounts) {
     // Every intern call is a hit or a miss; misses == discovered nodes.
     EXPECT_EQ(value("verify/explore/interner_misses"),
               value("verify/explore/nodes"));
+    // An identity seed buys the guard bitsets before level 0.
+    EXPECT_EQ(value("verify/explore/levels_before_guard_bits"), 0u);
+}
+
+TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
+    TelemetryGuard guard;
+    ExplorationCache::global().clear();
+    // Byzantine n=6 reaches 15,353 of 7,558,272 states over the catalog
+    // queries: no exploration gets near |space| / 64 nodes, so every level
+    // runs on guard bytecode and no whole-space bitset is built.
+    const apps::SystemInstance byz = apps::load_system("byzantine", 6);
+    for (const auto& [variant, program] : byz.variants) {
+        check_failsafe(program, *byz.faults, byz.spec, byz.invariant);
+        check_nonmasking(program, *byz.faults, byz.spec, byz.invariant);
+        check_masking(program, *byz.faults, byz.spec, byz.invariant);
+    }
+    EXPECT_EQ(counter_value("verify/compile/guard_bits_built"), 0u);
+    EXPECT_EQ(counter_value("verify/explore/levels"), 49u);
+    EXPECT_EQ(counter_value("verify/explore/levels_before_guard_bits"),
+              counter_value("verify/explore/levels"));
+    ExplorationCache::global().clear();
+
+    // Token ring n=7, p [] F from the legitimate states: levels 0 and 1 run
+    // on bytecode, then the fault successors have reached enough of the
+    // 823,543 states that the bitsets are bought.
+    obs::Registry::global().reset();
+    auto ring = apps::make_token_ring(7, 7);
+    const TransitionSystem ts(ring.ring, &ring.corrupt_any, ring.legitimate);
+    EXPECT_EQ(counter_value("verify/explore/levels_before_guard_bits"), 2u);
+    EXPECT_GT(counter_value("verify/explore/levels"), 2u);
+    EXPECT_EQ(counter_value("verify/explore/batched"), 1u);
 }
 
 TEST(JsonTest, WriterEscapingRoundTrips) {

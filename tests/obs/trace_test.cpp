@@ -78,6 +78,8 @@ TEST(TraceTest, InstantCountsIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(t1.count("verify/explore/level_done"));
     EXPECT_GT(t1.at("verify/explore/level_done"), 1u);
     EXPECT_EQ(t1.at("verify/interner/tier"), 1u);
+    // One purchase of the guard bitsets, at a level boundary.
+    EXPECT_EQ(t1.at("verify/compile/guard_bits"), 1u);
 }
 
 TEST(TraceTest, OverflowDropsCountedWithoutCorruptingExport) {

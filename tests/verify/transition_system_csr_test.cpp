@@ -585,5 +585,130 @@ TEST(LineRuleTest, EarlyExitFragment) {
     check_line_rule(sys, &stop);
 }
 
+// ---------------------------------------------------------------------------
+// Guard bitsets bought at a level boundary, over a lazily committed direct
+// map. Explorations start on guard bytecode and buy the whole-space
+// bitsets (and the batch kernel) at the first level where the discovered
+// nodes times 64 reach the space size. The purchase must not show in the
+// graph: numbering, parents, program rows, fault rows and witness traces
+// equal the reference on both kernels, serially and on the forced parallel
+// merge (the direct map's ~id claim CAS), and on the sparse tier.
+
+struct PurchaseCounters {
+    std::uint64_t levels = 0;
+    std::uint64_t levels_before_guard_bits = 0;
+    std::uint64_t guard_bits_built = 0;
+    friend bool operator==(const PurchaseCounters&,
+                           const PurchaseCounters&) = default;
+};
+
+/// Explores (program, faults) from `init` (stopping at `stop` when given)
+/// in every configuration below, checks each run against the reference
+/// (its prefix on an early exit), and returns the purchase counters, which
+/// every configuration must share.
+PurchaseCounters check_purchase(const Program& program,
+                                const FaultClass& faults,
+                                const Predicate& init,
+                                const Predicate* stop = nullptr) {
+    struct Config {
+        const char* no_batch;
+        const char* map_max;
+        unsigned threads;
+    };
+    const Config configs[] = {
+        {nullptr, nullptr, 1},  // batch kernel once bought, serial
+        {"1", nullptr, 1},      // DCFT_NO_BATCH=1: bitsets, scalar kernel
+        {nullptr, nullptr, 4},  // parallel merge: the direct map's claim
+        {"1", nullptr, 4},
+        {nullptr, "1", 1},  // DCFT_DIRECT_MAP_MAX=1: the sparse tier
+        {nullptr, "1", 4},
+    };
+    const reference::RefTransitionSystem ref(program, &faults, init);
+    obs::set_enabled(true);
+    std::optional<PurchaseCounters> first_counters;
+    std::optional<std::vector<std::vector<WitnessStep>>> first_traces;
+    for (const Config& c : configs) {
+        SCOPED_TRACE(std::string("DCFT_NO_BATCH=") +
+                     (c.no_batch ? c.no_batch : "unset") +
+                     " DCFT_DIRECT_MAP_MAX=" +
+                     (c.map_max ? c.map_max : "unset") +
+                     " threads=" + std::to_string(c.threads));
+        const ScopedEnv batch_env("DCFT_NO_BATCH", c.no_batch);
+        const ScopedEnv map_env("DCFT_DIRECT_MAP_MAX", c.map_max);
+        const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
+                             c.threads > 1 ? "1" : nullptr);
+        obs::Registry::global().reset();
+        ExploreOptions opts;
+        opts.n_threads = c.threads;
+        opts.stop_on = stop;
+        const TransitionSystem ts(program, &faults, init, opts);
+        EXPECT_EQ(ts.complete(), stop == nullptr);
+        expect_reference_prefix(ts, ref);
+        expect_fault_rows_match(ts, ref);
+        std::vector<std::vector<WitnessStep>> traces;
+        for (NodeId n = 0; n < ts.num_nodes(); ++n)
+            traces.push_back(ts.witness_trace(n));
+        if (!first_traces)
+            first_traces = std::move(traces);
+        else
+            EXPECT_EQ(traces, *first_traces);
+
+        PurchaseCounters got;
+        for (const auto& k : obs::Registry::global().counters()) {
+            if (k.path == "verify/explore/levels") got.levels = k.value;
+            if (k.path == "verify/explore/levels_before_guard_bits")
+                got.levels_before_guard_bits = k.value;
+            if (k.path == "verify/compile/guard_bits_built")
+                got.guard_bits_built = k.value;
+        }
+        if (!first_counters)
+            first_counters = got;
+        else
+            EXPECT_EQ(got, *first_counters);
+    }
+    obs::set_enabled(false);
+    return *first_counters;
+}
+
+TEST(GuardBitsPurchaseTest, NeverBoughtByzantine) {
+    // The masking variant from the catalog invariant: a few thousand of
+    // 419,904 states reached, so the bytecode never costs as much as a
+    // bitset would and none is built — not even for the fault kernel kept
+    // for fault-row regeneration. (From no_byzantine the 13,122 roots
+    // alone would pay for the bitsets before level 0.)
+    const apps::SystemInstance sys = apps::load_system("byzantine", 5);
+    const PurchaseCounters c = check_purchase(
+        sys.variants.at("masking"), *sys.faults, sys.invariant);
+    EXPECT_GT(c.levels, 1u);
+    EXPECT_EQ(c.levels_before_guard_bits, c.levels);
+    EXPECT_EQ(c.guard_bits_built, 0u);
+}
+
+TEST(GuardBitsPurchaseTest, BoughtMidRunTokenRing) {
+    // Level 0 runs on bytecode from the legitimate states; its fault
+    // successors reach enough of the 46,656 states that the bitsets are
+    // bought before level 1.
+    auto sys = apps::make_token_ring(6, 6);
+    const PurchaseCounters c =
+        check_purchase(sys.ring, sys.corrupt_any, sys.legitimate);
+    EXPECT_EQ(c.levels_before_guard_bits, 1u);
+    EXPECT_GT(c.levels, c.levels_before_guard_bits);
+    EXPECT_EQ(c.guard_bits_built, sys.ring.num_actions() + 1);
+}
+
+TEST(GuardBitsPurchaseTest, EarlyExitBeforeThePurchase) {
+    // The first fault step leaves the legitimate states, so the stop
+    // predicate fires on level 0's successors, before the purchase. The
+    // fragment's node count still pays for the kept fault kernel's one
+    // bitset.
+    auto sys = apps::make_token_ring(6, 6);
+    const Predicate stop = !sys.legitimate;
+    const PurchaseCounters c =
+        check_purchase(sys.ring, sys.corrupt_any, sys.legitimate, &stop);
+    EXPECT_EQ(c.levels, 1u);
+    EXPECT_EQ(c.levels_before_guard_bits, 1u);
+    EXPECT_EQ(c.guard_bits_built, 1u);
+}
+
 }  // namespace
 }  // namespace dcft
