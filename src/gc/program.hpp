@@ -82,6 +82,7 @@ public:
 
     const std::string& name() const { return name_; }
     const StateSpace& space() const { return *space_; }
+    std::shared_ptr<const StateSpace> space_ptr() const { return space_; }
     std::span<const Action> actions() const { return actions_; }
     bool empty() const { return actions_.empty(); }
 

@@ -11,14 +11,23 @@ namespace dcft {
 namespace {
 
 /// Runs the slice [begin, end) of the experiment's runs into a local
-/// accumulator. No shared mutable state beyond the progress counter: the
-/// caller merges the returned slices in slice-index order so pooled sample
-/// order never depends on thread completion order.
+/// accumulator. One Simulator and one FaultInjector serve the whole slice,
+/// so their step tables carry over from run to run; each run reseeds the
+/// simulator (base_seed + i) and attaches fresh monitors. No shared mutable
+/// state beyond the progress counter: the caller merges the returned slices
+/// in slice-index order so pooled sample order never depends on thread
+/// completion order.
 BatchResult run_slice(const Experiment& ex, std::size_t begin,
                       std::size_t end, std::atomic<std::size_t>& done) {
     std::unique_ptr<Scheduler> scheduler =
         ex.make_scheduler ? ex.make_scheduler()
                           : std::make_unique<RandomScheduler>();
+    Simulator sim(*ex.program, *scheduler);
+    std::optional<FaultInjector> injector;
+    if (ex.faults != nullptr) {
+        injector.emplace(*ex.faults, ex.fault_probability, ex.max_faults);
+        sim.set_fault_injector(&*injector);
+    }
     const bool progress_on = obs::progress_enabled();
     BatchResult local;
     for (std::size_t i = begin; i < end; ++i) {
@@ -26,13 +35,8 @@ BatchResult run_slice(const Experiment& ex, std::size_t begin,
             obs::progress_items(
                 "experiment",
                 done.fetch_add(1, std::memory_order_relaxed) + 1, ex.runs);
-        Simulator sim(*ex.program, *scheduler, ex.base_seed + i);
-        std::optional<FaultInjector> injector;
-        if (ex.faults != nullptr) {
-            injector.emplace(*ex.faults, ex.fault_probability,
-                             ex.max_faults);
-            sim.set_fault_injector(&*injector);
-        }
+        sim.rng() = Rng(ex.base_seed + i);
+        sim.clear_monitors();
         std::optional<SafetyMonitor> safety;
         if (ex.safety) {
             safety.emplace(*ex.safety);

@@ -6,8 +6,12 @@
 namespace dcft {
 
 FaultInjector::FaultInjector(const FaultClass& faults, double per_step_p,
-                             std::size_t max_faults)
-    : faults_(&faults), per_step_p_(per_step_p), max_faults_(max_faults) {}
+                             std::size_t max_faults,
+                             std::size_t step_table_budget)
+    : faults_(&faults),
+      table_(faults.space_ptr(), faults.actions(), step_table_budget),
+      per_step_p_(per_step_p),
+      max_faults_(max_faults) {}
 
 void FaultInjector::schedule(std::size_t step, std::size_t fault_action) {
     DCFT_EXPECTS(fault_action < faults_->actions().size(),
@@ -21,11 +25,11 @@ std::optional<StateIndex> FaultInjector::maybe_inject(const StateSpace& space,
                                                       Rng& rng) {
     if (injected_ >= max_faults_) return std::nullopt;
 
-    std::vector<StateIndex> succ;
     for (const auto& [at, action] : scripted_) {
         if (at != step) continue;
         const Action& fac = faults_->actions()[action];
         if (!fac.enabled(space, s)) continue;
+        std::vector<StateIndex> succ;
         fac.successors(space, s, succ);
         ++injected_;
         obs::count("sim/faults_injected");
@@ -37,12 +41,9 @@ std::optional<StateIndex> FaultInjector::maybe_inject(const StateSpace& space,
 
     // Pick uniformly among enabled fault actions, then among that action's
     // successors (demonic nondeterminism resolved randomly).
-    std::vector<std::size_t> enabled;
-    for (std::size_t a = 0; a < faults_->actions().size(); ++a)
-        if (faults_->actions()[a].enabled(space, s)) enabled.push_back(a);
-    if (enabled.empty()) return std::nullopt;
-    const auto& fac = faults_->actions()[enabled[rng.below(enabled.size())]];
-    fac.successors(space, s, succ);
+    const StepTable::Row row = table_.row(s);
+    if (row.enabled.empty()) return std::nullopt;
+    const auto succ = row.successors(rng.below(row.enabled.size()));
     ++injected_;
     obs::count("sim/faults_injected");
     obs::count("sim/faults_injected/random");

@@ -30,15 +30,19 @@ AdversarialScheduler::AdversarialScheduler(std::vector<std::size_t> starved)
 std::size_t AdversarialScheduler::pick(std::span<const std::size_t> enabled,
                                        Rng& rng) {
     DCFT_EXPECTS(!enabled.empty(), "pick on empty enabled set");
-    std::vector<std::size_t> preferred;
-    preferred.reserve(enabled.size());
+    // Draw among the non-starved enabled actions, else among all of them,
+    // without materializing either pool.
+    const auto starved = [this](std::size_t a) {
+        return std::binary_search(starved_.begin(), starved_.end(), a);
+    };
+    const auto preferred = static_cast<std::size_t>(
+        std::count_if(enabled.begin(), enabled.end(),
+                      [&](std::size_t a) { return !starved(a); }));
+    if (preferred == 0) return enabled[rng.below(enabled.size())];
+    std::size_t k = rng.below(preferred);
     for (std::size_t a : enabled)
-        if (!std::binary_search(starved_.begin(), starved_.end(), a))
-            preferred.push_back(a);
-    const auto& pool = preferred.empty() ? std::vector<std::size_t>(
-                                               enabled.begin(), enabled.end())
-                                         : preferred;
-    return pool[rng.below(pool.size())];
+        if (!starved(a) && k-- == 0) return a;
+    return enabled.back();  // unreachable: k < preferred
 }
 
 WeightedScheduler::WeightedScheduler(std::vector<double> weights)

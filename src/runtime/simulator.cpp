@@ -1,14 +1,18 @@
 #include "runtime/simulator.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "obs/telemetry.hpp"
-#include "verify/action_kernel.hpp"
 
 namespace dcft {
 
 Simulator::Simulator(const Program& program, Scheduler& scheduler,
-                     std::uint64_t seed)
-    : program_(&program), scheduler_(&scheduler), rng_(seed) {}
+                     std::uint64_t seed, std::size_t step_table_budget)
+    : program_(&program),
+      table_(program.space_ptr(), program.actions(), step_table_budget),
+      scheduler_(&scheduler),
+      rng_(seed) {}
 
 void Simulator::add_monitor(Monitor* monitor) {
     DCFT_EXPECTS(monitor != nullptr, "add_monitor(nullptr)");
@@ -47,20 +51,23 @@ RunResult Simulator::run(StateIndex initial, const RunOptions& options) {
     scheduler_->reset();
     if (injector_ != nullptr) injector_->reset();
 
-    // Compile the program's guards and effects once per run. The per-step
-    // enabled scan probes bytecode guards instead of virtual
-    // Predicate::eval; enabled indices come in action order and successors
-    // in statement order, as Action::successors gives them.
-    const CompiledActionSet compiled(program_->space_ptr(),
-                                     program_->actions());
+    // Step-table activity of this run, flushed with the sim/* counters.
+    const auto table_totals = [&] {
+        std::pair<std::uint64_t, std::uint64_t> t{table_.rows_built(),
+                                                  table_.clears()};
+        if (injector_ != nullptr) {
+            t.first += injector_->step_table().rows_built();
+            t.second += injector_->step_table().clears();
+        }
+        return t;
+    };
+    const auto [rows_before, clears_before] = table_totals();
 
     RunResult result;
     result.initial = initial;
     StateIndex s = initial;
     for (Monitor* m : monitors_) m->on_start(space, s);
 
-    std::vector<std::size_t> enabled;
-    std::vector<StateIndex> succ;
     while (result.steps < options.max_steps) {
         if (options.stop_when && options.stop_when->eval(space, s)) {
             result.stopped_early = true;
@@ -83,16 +90,20 @@ RunResult Simulator::run(StateIndex initial, const RunOptions& options) {
             }
         }
 
-        enabled.clear();
-        for (std::size_t a = 0; a < compiled.size(); ++a)
-            if (compiled[a].enabled(s)) enabled.push_back(a);
-        if (enabled.empty()) {
+        // The row holds what a guard scan and effect run at s would give:
+        // enabled indices in action order, successors in statement order.
+        const StepTable::Row row = table_.row(s);
+        if (row.enabled.empty()) {
             result.deadlocked = true;
             break;
         }
-        const std::size_t a = scheduler_->pick(enabled, rng_);
-        succ.clear();
-        compiled[a].successors(s, succ);
+        const std::size_t a = scheduler_->pick(row.enabled, rng_);
+        const auto k = static_cast<std::size_t>(
+            std::lower_bound(row.enabled.begin(), row.enabled.end(), a) -
+            row.enabled.begin());
+        DCFT_ASSERT(k < row.enabled.size() && row.enabled[k] == a,
+                    "scheduler picked a disabled action");
+        const auto succ = row.successors(k);
         const StateIndex t = succ[rng_.below(succ.size())];
         notify_step(s, t, /*fault=*/false, result.steps);
         if (options.record_trace) result.trace.push_back(TraceStep{t, a});
@@ -114,6 +125,12 @@ RunResult Simulator::run(StateIndex initial, const RunOptions& options) {
         if (result.stopped_early) reg.counter("sim/stopped_early").add(1);
         if (monitor_calls > 0)
             reg.timer("sim/run/monitor_hooks").add(monitor_ns, monitor_calls);
+        const auto [rows_after, clears_after] = table_totals();
+        if (rows_after > rows_before)
+            reg.counter("sim/step_table/rows").add(rows_after - rows_before);
+        if (clears_after > clears_before)
+            reg.counter("sim/step_table/clears")
+                .add(clears_after - clears_before);
     }
     return result;
 }

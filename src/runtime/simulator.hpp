@@ -1,6 +1,11 @@
 // The discrete-step execution engine (the paper's SIEFAST sketch, Section
 // 7): runs a guarded-command program under a scheduler, optionally
 // injecting faults, notifying monitors, and recording traces.
+//
+// The program's actions are compiled once per Simulator, and each visited
+// state's enabled actions and successors are read from a step table
+// (runtime/step_table.hpp) that outlives runs: a Simulator reused across
+// the seeds of an estimate (reseed through rng()) computes each row once.
 #pragma once
 
 #include <optional>
@@ -10,6 +15,7 @@
 #include "runtime/fault_injector.hpp"
 #include "runtime/monitor.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/step_table.hpp"
 
 namespace dcft {
 
@@ -45,11 +51,16 @@ struct RunResult {
 /// and must keep them alive during run()).
 class Simulator {
 public:
+    /// `step_table_budget` exists for tests that force step-table clears.
     Simulator(const Program& program, Scheduler& scheduler,
-              std::uint64_t seed = 1);
+              std::uint64_t seed = 1,
+              std::size_t step_table_budget = StepTable::kBudgetBytes);
 
     /// Registers an observer (borrowed).
     void add_monitor(Monitor* monitor);
+
+    /// Detaches every monitor.
+    void clear_monitors() { monitors_.clear(); }
 
     /// Attaches a fault injector (borrowed); nullptr detaches.
     void set_fault_injector(FaultInjector* injector);
@@ -59,8 +70,11 @@ public:
 
     Rng& rng() { return rng_; }
 
+    const StepTable& step_table() const { return table_; }
+
 private:
     const Program* program_;
+    StepTable table_;
     Scheduler* scheduler_;
     Rng rng_;
     std::vector<Monitor*> monitors_;

@@ -118,5 +118,30 @@ TEST(FaultInjectorTest, NondeterministicFaultPicksSomeBranch) {
     EXPECT_TRUE(saw2);
 }
 
+TEST(FaultInjectorTest, EnabledFaultWithoutSuccessorIsNamed) {
+    // stick-y is enabled everywhere but has no successor at y == 0. Random
+    // and scripted injection both raise the same named ContractError.
+    auto sp = make_space({Variable{"y", 2, {}}});
+    FaultClass f(sp, "F");
+    f.add_action(Action::set_any(*sp, "stick-y", Predicate::top(), {0}, 0));
+    const auto expect_named = [&](FaultInjector& inj) {
+        Rng rng(1);
+        try {
+            inj.maybe_inject(*sp, 0, 0, rng);
+            FAIL() << "expected a ContractError";
+        } catch (const ContractError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "enabled action 'stick-y' produced no successor"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    FaultInjector random(f, 1.0, 10);
+    expect_named(random);
+    FaultInjector scripted(f, 0.0, 10);
+    scripted.schedule(0, 0);
+    expect_named(scripted);
+}
+
 }  // namespace
 }  // namespace dcft

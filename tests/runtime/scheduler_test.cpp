@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/check.hpp"
@@ -106,6 +107,44 @@ TEST(WeightedSchedulerTest, MissingWeightsDefaultToOne) {
     std::map<std::size_t, int> counts;
     for (int i = 0; i < 600; ++i) ++counts[sched.pick(kEnabled, rng)];
     EXPECT_EQ(counts.size(), 3u);
+}
+
+TEST(AdversarialSchedulerTest, DrawsMatchPoolBuildingImplementation) {
+    // The implementation that copied the non-starved (else all) enabled
+    // actions into a pool and drew uniformly from it. The pick must consume
+    // the same RNG values and return the same actions.
+    const auto pool_pick = [](const std::vector<std::size_t>& starved,
+                              std::span<const std::size_t> enabled,
+                              Rng& rng) {
+        std::vector<std::size_t> preferred;
+        for (std::size_t a : enabled)
+            if (!std::binary_search(starved.begin(), starved.end(), a))
+                preferred.push_back(a);
+        const std::vector<std::size_t> pool =
+            preferred.empty()
+                ? std::vector<std::size_t>(enabled.begin(), enabled.end())
+                : preferred;
+        return pool[rng.below(pool.size())];
+    };
+    const std::vector<std::vector<std::size_t>> starved_sets = {
+        {}, {0}, {1, 3}, {0, 1, 2, 3, 4, 5, 6, 7}, {2, 5, 7}};
+    for (const auto& starved : starved_sets) {
+        AdversarialScheduler sched(starved);
+        for (std::uint64_t seed = 0; seed < 200; ++seed) {
+            Rng rng(seed), ref_rng(seed), masks(seed ^ 0xA5A5u);
+            for (int pick = 0; pick < 50; ++pick) {
+                // A random nonempty enabled subset of actions 0..7.
+                std::vector<std::size_t> enabled;
+                while (enabled.empty())
+                    for (std::size_t a = 0; a < 8; ++a)
+                        if (masks.chance(0.5)) enabled.push_back(a);
+                ASSERT_EQ(sched.pick(enabled, rng),
+                          pool_pick(starved, enabled, ref_rng))
+                    << "seed " << seed << " pick " << pick;
+            }
+            EXPECT_EQ(rng(), ref_rng());  // same number of draws
+        }
+    }
 }
 
 }  // namespace

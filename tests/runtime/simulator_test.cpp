@@ -169,5 +169,24 @@ TEST(SimulatorTest, NondeterministicEffectsResolvedRandomly) {
     EXPECT_TRUE(saw2);
 }
 
+TEST(SimulatorTest, EnabledActionWithoutSuccessorIsNamed) {
+    // stick-x is enabled everywhere but has no successor at x == 0: the run
+    // must fail on a ContractError naming the action, not on Rng::below.
+    auto sp = make_space({Variable{"x", 2, {}}});
+    Program p(sp, "stick");
+    p.add_action(Action::set_any(*sp, "stick-x", Predicate::top(), {0}, 0));
+    RandomScheduler sched;
+    Simulator sim(p, sched);
+    try {
+        sim.run(0);
+        FAIL() << "expected a ContractError";
+    } catch (const ContractError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "enabled action 'stick-x' produced no successor"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 }  // namespace
 }  // namespace dcft

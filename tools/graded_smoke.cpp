@@ -20,8 +20,19 @@
 //     over parallel node chunks, so its distance, reason, witness and
 //     layer counts must be identical at 1 and 4 verifier threads, with
 //     the parallel work threshold forced down so these graphs split.
+//
+//  4. Golden Monte Carlo blocks: the catalog-standard graded blocks of the
+//     five graded-grid systems (gridbench GRADED sizes, base seed 1) must
+//     equal GOLDEN_FILE byte for byte: per variant, a `# system size
+//     variant` line, then the query JSON. A mismatch writes the actual
+//     text to OUT_FILE, so `diff -u GOLDEN_FILE
+//     OUT_FILE` shows the change.
+//
+//   graded_smoke [GOLDEN_FILE OUT_FILE]   (phase 4 runs only with both)
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <map>
 #include <string>
 #include <utility>
@@ -188,12 +199,45 @@ void check_game_threads() {
     ::unsetenv("DCFT_PARALLEL_WORK_MIN");
 }
 
+/// Phase 4: the graded blocks of the graded-grid systems against a golden
+/// file.
+void check_golden_blocks(const std::string& golden_path,
+                         const std::string& out_path) {
+    const std::vector<std::pair<std::string, int>> systems = {
+        {"byzantine", 5}, {"barrier", 8}, {"reset", 8}, {"abp", 6},
+        {"token-ring", 6}};
+    std::string got;
+    for (const auto& [name, size] : systems) {
+        const dcft::apps::SystemInstance sys =
+            dcft::apps::load_system(name, size);
+        for (const auto& [variant, program] : sys.variants)
+            got += "# " + name + " " + std::to_string(size) + " " +
+                   variant + "\n" + graded_bytes(sys, program, {}) + "\n";
+    }
+    std::ifstream in(golden_path, std::ios::binary);
+    std::ostringstream want;
+    want << in.rdbuf();
+    if (in && got == want.str()) {
+        std::printf("graded_smoke: graded-grid blocks equal %s\n",
+                    golden_path.c_str());
+        return;
+    }
+    std::ofstream(out_path, std::ios::binary) << got;
+    expect(false, "graded-grid blocks differ from " + golden_path +
+                      " (actual text in " + out_path + ")");
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc != 1 && argc != 3) {
+        std::fprintf(stderr, "usage: graded_smoke [GOLDEN_FILE OUT_FILE]\n");
+        return 2;
+    }
     check_consistency();
     check_determinism();
     check_game_threads();
+    if (argc == 3) check_golden_blocks(argv[1], argv[2]);
     dcft::ExplorationCache::global().clear();
     if (failures != 0) {
         std::fprintf(stderr, "graded_smoke: %d failure(s)\n", failures);
