@@ -299,6 +299,13 @@ void progress_phase(const char* what) {
     ensure_sampler();
 }
 
+ProgressItems progress_items_snapshot() {
+    const auto& s = state();
+    return ProgressItems{s.items_what.load(std::memory_order_relaxed),
+                         s.items_done.load(std::memory_order_relaxed),
+                         s.items_total.load(std::memory_order_relaxed)};
+}
+
 void progress_stop() {
     auto& s = state();
     std::thread to_join;

@@ -60,6 +60,15 @@ void progress_items(const char* what, std::uint64_t done,
 /// `what` must have static lifetime.
 void progress_phase(const char* what);
 
+/// The item position last published by progress_items/progress_phase,
+/// read without waiting for the sampler's stderr line.
+struct ProgressItems {
+    const char* what = nullptr;
+    std::uint64_t done = 0;
+    std::uint64_t total = 0;
+};
+ProgressItems progress_items_snapshot();
+
 /// Stops and joins the sampler thread. Registered with atexit when the
 /// thread starts, so normal process exit is clean; CLIs may call it
 /// earlier to stop printing before final output.

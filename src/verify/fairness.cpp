@@ -5,6 +5,8 @@
 #include <memory>
 #include <span>
 
+#include "common/check.hpp"
+#include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/action_kernel.hpp"
 
@@ -100,16 +102,101 @@ std::vector<char> eval_on_nodes(const TransitionSystem& ts,
     return out;
 }
 
+std::vector<char> program_attractor(const TransitionSystem& ts,
+                                    const std::vector<char>& target) {
+    DCFT_EXPECTS(ts.complete(),
+                 "program_attractor requires a complete exploration");
+    const obs::Span span("verify/liveness/attractor");
+    const std::size_t n = ts.num_nodes();
+    enum : char { kOpen, kOnStack, kTarget, kAttractor, kResidue };
+    std::vector<char> status(n);
+    std::uint64_t open = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        status[i] = target[i] ? kTarget : kOpen;
+        open += target[i] ? 0 : 1;
+    }
+
+    // Iterative DFS over the forward program CSR, settling each node in
+    // post-order: it joins the attractor when it is non-terminal and every
+    // successor is in target or already in the attractor. A terminal node,
+    // or one with a successor on the stack (a cycle inside !target) or in
+    // the residue, is not in the attractor — and then neither is any node
+    // below it on the stack, since each has the next one as a successor,
+    // so the whole stack settles in the residue at once. Every status is
+    // final when set, so one pass is exact. The successors a collapsed
+    // stack never scanned are reached from later roots.
+    struct Frame {
+        NodeId node;
+        std::uint32_t edge;
+    };
+    std::vector<Frame> stack;
+    std::uint64_t settled = 0, attracted = 0;
+    const auto settle = [&](NodeId v, char s) {
+        status[v] = s;
+        if ((++settled & 0xFFFF) == 0 && obs::progress_enabled())
+            obs::progress_items("liveness", settled, open);
+    };
+    for (NodeId root = 0; root < n; ++root) {
+        if (status[root] != kOpen) continue;
+        status[root] = kOnStack;
+        stack.push_back(Frame{root, 0});
+        while (!stack.empty()) {
+            Frame& f = stack.back();
+            const auto edges = ts.program_edges(f.node);
+            bool residue = edges.empty();
+            bool descended = false;
+            while (!residue && f.edge < edges.size()) {
+                const NodeId w = edges[f.edge++].to;
+                const char s = status[w];
+                if (s == kOpen) {
+                    status[w] = kOnStack;
+                    stack.push_back(Frame{w, 0});
+                    descended = true;
+                    break;
+                }
+                residue = s == kOnStack || s == kResidue;
+            }
+            if (descended) continue;
+            if (residue) {
+                for (const Frame& g : stack) settle(g.node, kResidue);
+                stack.clear();
+            } else {
+                settle(f.node, kAttractor);
+                ++attracted;
+                stack.pop_back();
+            }
+        }
+    }
+    obs::count("verify/liveness/attractor_nodes", attracted);
+    obs::count("verify/liveness/residue_nodes", open - attracted);
+
+    for (char& s : status) s = s == kAttractor ? 1 : 0;
+    return status;
+}
+
 std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
                                      const std::vector<char>& target) {
+    DCFT_EXPECTS(ts.complete(),
+                 "fair_avoidance_set requires a complete exploration");
     const std::size_t n = ts.num_nodes();
-    std::vector<char> in_h(n);
-    for (std::size_t i = 0; i < n; ++i) in_h[i] = target[i] ? 0 : 1;
+
+    // Attractor nodes reach target on every program-only run, so only the
+    // residue H = !target \ attractor can avoid it. No attractor node lies
+    // on a cycle of !target or reaches H, so the SCCs that host avoiding
+    // runs and the backward closure below stay inside H.
+    std::vector<char> in_h = program_attractor(ts, target);
+    bool any_residue = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        in_h[i] = target[i] || in_h[i] ? 0 : 1;
+        any_residue |= in_h[i] != 0;
+    }
+    if (!any_residue) return in_h;  // all zero: nothing avoids target
+    obs::progress_phase("liveness/fair_scc");
 
     std::vector<char> avoid(n, 0);
     std::deque<NodeId> frontier;
 
-    // Finite maximal computations: terminal !target nodes.
+    // Finite maximal computations: terminal nodes (all of them are in H).
     for (NodeId v = 0; v < n; ++v) {
         if (in_h[v] && ts.terminal(v)) {
             avoid[v] = 1;
@@ -117,7 +204,7 @@ std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
         }
     }
 
-    // Infinite fair computations confined to !target: feasible SCCs.
+    // Infinite fair computations confined to H: feasible SCCs.
     const SccResult scc = tarjan_scc(ts, in_h);
     if (scc.num_comps > 0) {
         // Bucket the members of every component into one CSR array by
@@ -184,11 +271,11 @@ std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
         }
     }
 
-    // Backward closure within !target over program edges: a node that can
-    // reach an avoidance node without touching target also avoids. Only
-    // touch the (lazily built) predecessor cache when there is anything to
-    // close over — in passing checks the avoidance seed is empty and the
-    // cache is never materialized.
+    // Backward closure within H over program edges: a node that can reach
+    // an avoidance node without touching target also avoids. Only touch
+    // the (lazily built) predecessor cache when there is anything to close
+    // over — in passing checks the avoidance seed is empty and the cache
+    // is never materialized.
     if (!frontier.empty()) {
         const auto& preds = ts.predecessors(/*include_faults=*/false);
         while (!frontier.empty()) {
@@ -209,6 +296,8 @@ CheckResult check_leads_to(const TransitionSystem& ts, const Predicate& p,
                            const Predicate& q, bool include_fault_edges) {
     const obs::Span span("verify/liveness");
     obs::count("verify/obligations/liveness");
+    DCFT_EXPECTS(ts.complete(),
+                 "check_leads_to requires a complete exploration");
     const std::vector<char> target = eval_on_nodes(ts, q);
     std::vector<char> bad = fair_avoidance_set(ts, target);
 

@@ -18,6 +18,12 @@
 //   rules the run out; the condition is also sufficient, by constructing a
 //   run that tours C and fires each such action infinitely often.)
 //   Finite maximal runs are the terminal !Q states.
+//
+// Most of !Q never needs that analysis: the program attractor of Q (the
+// nodes from which every maximal program-only run reaches Q, fair or not)
+// is decided first by one forward post-order DFS, and the SCC analysis
+// runs only on the residue !Q \ attractor. Passing convergence queries
+// usually leave no residue at all.
 #pragma once
 
 #include "verify/check_result.hpp"
@@ -25,9 +31,18 @@
 
 namespace dcft {
 
+/// The program attractor of `target`: for each node of ts, true iff the
+/// node is outside `target`, non-terminal, and each of its program
+/// successors is in `target` or in the attractor (least fixpoint). Every
+/// maximal program-only computation from an attractor node reaches
+/// `target` within finitely many steps, whatever the scheduler does.
+/// `target` is indexed by NodeId; ts must be complete().
+std::vector<char> program_attractor(const TransitionSystem& ts,
+                                    const std::vector<char>& target);
+
 /// For each node of ts: true iff some fair maximal *program-only*
 /// computation starting there never visits a node satisfying `target`.
-/// `target` is indexed by NodeId.
+/// `target` is indexed by NodeId; ts must be complete().
 std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
                                      const std::vector<char>& target);
 
@@ -37,7 +52,8 @@ std::vector<char> eval_on_nodes(const TransitionSystem& ts,
 
 /// Checks P ~~> Q over all computations captured by ts (fault edges are
 /// taken finitely often when `include_fault_edges`; they are always exempt
-/// from fairness). Considers every node of ts as potentially visited.
+/// from fairness). Considers every node of ts as potentially visited;
+/// ts must be complete().
 CheckResult check_leads_to(const TransitionSystem& ts, const Predicate& p,
                            const Predicate& q, bool include_fault_edges);
 

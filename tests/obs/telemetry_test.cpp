@@ -1,6 +1,6 @@
 // Telemetry subsystem tests: registry semantics, disabled no-ops,
-// exploration-counter determinism across thread counts, JSON writer/parser
-// round-trips, and the run-report schema.
+// exploration- and liveness-counter determinism across thread counts, JSON
+// writer/parser round-trips, and the run-report schema.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -216,6 +216,40 @@ TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
     EXPECT_EQ(counter_value("verify/explore/levels_before_guard_bits"), 2u);
     EXPECT_GT(counter_value("verify/explore/levels"), 2u);
     EXPECT_EQ(counter_value("verify/explore/batched"), 1u);
+}
+
+/// Liveness counters of the token-ring n=6 catalog grid (every variant,
+/// three grades) under one DCFT_VERIFIER_THREADS setting.
+std::vector<std::uint64_t> ring_grid_liveness_counters(unsigned threads) {
+    setenv("DCFT_VERIFIER_THREADS", std::to_string(threads).c_str(), 1);
+    ExplorationCache::global().clear();
+    obs::Registry::global().reset();
+    const apps::SystemInstance ring = apps::load_system("token-ring", 6);
+    for (const auto& [variant, program] : ring.variants) {
+        check_failsafe(program, *ring.faults, ring.spec, ring.invariant);
+        EXPECT_TRUE(check_nonmasking(program, *ring.faults, ring.spec,
+                                     ring.invariant)
+                        .ok());
+        check_masking(program, *ring.faults, ring.spec, ring.invariant);
+    }
+    unsetenv("DCFT_VERIFIER_THREADS");
+    ExplorationCache::global().clear();
+    return {counter_value("verify/obligations/liveness"),
+            counter_value("verify/liveness/attractor_nodes"),
+            counter_value("verify/liveness/residue_nodes"),
+            counter_value("verify/preds_csr/builds")};
+}
+
+TEST(TelemetryTest, LivenessCountersPinnedAcrossThreadCounts) {
+    TelemetryGuard guard;
+    const auto t1 = ring_grid_liveness_counters(1);
+    const auto t4 = ring_grid_liveness_counters(4);
+    EXPECT_EQ(t1, t4);
+    // 19 leads-to calls; every non-target node of each settles in the
+    // program attractor, so the fair-SCC pass never runs and the passing
+    // convergence query builds no predecessor CSR.
+    const std::vector<std::uint64_t> pinned = {19, 48'840, 0, 0};
+    EXPECT_EQ(t1, pinned);
 }
 
 TEST(JsonTest, WriterEscapingRoundTrips) {
