@@ -32,13 +32,11 @@ BarrierSystem make_barrier(int n) {
     builder->freeze();
     std::shared_ptr<const StateSpace> space = builder;
 
-    // child-value: witness bit for internal children, arrived bit for
-    // leaf children.
-    auto child_value = [n, arrived, w](const StateSpace& sp, StateIndex s,
-                                       int node) -> Value {
-        if (node >= n)
-            return sp.get(s, arrived[static_cast<std::size_t>(node - n)]);
-        return sp.get(s, w[static_cast<std::size_t>(node)]);
+    // child-var: witness bit for internal children, arrived bit for leaf
+    // children.
+    auto child_var = [n, arrived, w](int node) -> VarId {
+        if (node >= n) return arrived[static_cast<std::size_t>(node - n)];
+        return w[static_cast<std::size_t>(node)];
     };
 
     Program workers(space, "workers");
@@ -53,46 +51,40 @@ BarrierSystem make_barrier(int n) {
     Program detectors(space, "witness-tree");
     for (int k = 1; k < n; ++k) {
         const std::string ks = std::to_string(k);
-        const Predicate children_true(
-            "children-true." + ks,
-            [child_value, k](const StateSpace& sp, StateIndex s) {
-                return child_value(sp, s, 2 * k) == 1 &&
-                       child_value(sp, s, 2 * k + 1) == 1;
-            });
+        const Predicate children_true =
+            (Predicate::var_eq(*space, child_var(2 * k), 1) &&
+             Predicate::var_eq(*space, child_var(2 * k + 1), 1))
+                .renamed("children-true." + ks);
         detectors.add_action(Action::assign_const(
             *space, "watch." + ks,
             children_true && Predicate::var_eq(*space, "w." + ks, 0),
             "w." + ks, 1));
     }
 
-    Predicate all_arrived("all-arrived",
-                          [arrived](const StateSpace& sp, StateIndex s) {
-                              for (VarId a : arrived)
-                                  if (sp.get(s, a) == 0) return false;
-                              return true;
-                          });
+    Predicate all_arrived = Predicate::var_eq(*space, arrived[0], 1);
+    for (std::size_t i = 1; i < arrived.size(); ++i)
+        all_arrived = all_arrived && Predicate::var_eq(*space, arrived[i], 1);
+    all_arrived = all_arrived.renamed("all-arrived");
     const Predicate root_witness =
         Predicate::var_eq(*space, "w.1", 1).renamed("w.root");
 
     // Release: flip the round and clear every flag and witness, in one
     // atomic statement (releasing a barrier is a synchronization point).
-    auto release_effect = [arrived, w, round, n](const StateSpace& sp,
-                                                 StateIndex s) {
-        StateIndex t = sp.set(s, round, 1 - sp.get(s, round));
-        for (VarId a : arrived) t = sp.set(t, a, 0);
-        for (int k = 1; k < n; ++k)
-            t = sp.set(t, w[static_cast<std::size_t>(k)], 0);
-        return t;
-    };
+    std::vector<Action::EffectForm::Assignment> release_effect{
+        {round, Term::var(*space, round).plus(1, 2)}};
+    for (VarId a : arrived) release_effect.push_back({a, Term::constant(0)});
+    for (int k = 1; k < n; ++k)
+        release_effect.push_back(
+            {w[static_cast<std::size_t>(k)], Term::constant(0)});
 
     Program trusting = parallel(workers, detectors).renamed("trusting");
-    trusting.add_action(Action("release", root_witness, release_effect));
+    trusting.add_action(Action::assign_parallel(*space, "release",
+                                                root_witness, release_effect));
 
     Program rechecking =
         parallel(workers, detectors).renamed("rechecking");
-    rechecking.add_action(Action("release",
-                                 root_witness && all_arrived,
-                                 release_effect));
+    rechecking.add_action(Action::assign_parallel(
+        *space, "release", root_witness && all_arrived, release_effect));
 
     // Fault: some clear witness flips to 1 (structured, so the kernel
     // compiles its guard to a bitset and its effect to stride arithmetic).
@@ -126,11 +118,11 @@ BarrierSystem make_barrier(int n) {
 
     Predicate truthful(
         "witnesses-truthful",
-        [child_value, w, n](const StateSpace& sp, StateIndex s) {
+        [child_var, w, n](const StateSpace& sp, StateIndex s) {
             for (int k = n - 1; k >= 1; --k) {
                 if (sp.get(s, w[static_cast<std::size_t>(k)]) == 1 &&
-                    (child_value(sp, s, 2 * k) == 0 ||
-                     child_value(sp, s, 2 * k + 1) == 0))
+                    (sp.get(s, child_var(2 * k)) == 0 ||
+                     sp.get(s, child_var(2 * k + 1)) == 0))
                     return false;
             }
             return true;

@@ -32,21 +32,37 @@ Value majority_or_default(const StateSpace& sp, StateIndex s,
     return maj == kBot ? 0 : maj;
 }
 
-Predicate witness_pred(const std::vector<VarId>& dvars, VarId dj, int j) {
-    return Predicate("W." + std::to_string(j),
-                     [dvars, dj](const StateSpace& sp, StateIndex s) {
-                         for (VarId v : dvars)
-                             if (sp.get(s, v) == kBot) return false;
-                         return sp.get(s, dj) ==
-                                majority_or_default(sp, s, dvars);
-                     });
+/// majority_or_default as a term, for states with no bot among `d`:
+/// 1 iff #{d = 1} > floor(|d| / 2), i.e. min(1, max(0, #{d = 1} - floor)).
+Term majority_term(const StateSpace& sp, const std::vector<VarId>& d) {
+    const Value threshold = static_cast<Value>(d.size()) / 2;
+    return Term::min(
+        {Term::constant(1),
+         Term::max({Term::constant(0),
+                    Term::count(sp, d, 1).plus(-threshold)})});
+}
+
+/// No d value is bot: #{d = bot} = 0.
+Predicate none_bot(const StateSpace& sp, const std::vector<VarId>& d) {
+    return Predicate::compare(Term::count(sp, d, kBot),
+                              Predicate::NodeKind::kTermEq,
+                              Term::constant(0));
+}
+
+Predicate witness_pred(const StateSpace& sp, const std::vector<VarId>& dvars,
+                       VarId dj, int j) {
+    return (none_bot(sp, dvars) &&
+            Predicate::compare(Term::var(sp, dj),
+                               Predicate::NodeKind::kTermEq,
+                               majority_term(sp, dvars)))
+        .renamed("W." + std::to_string(j));
 }
 
 }  // namespace
 
 Predicate ByzantineSystem::witness(int j) const {
     DCFT_EXPECTS(j >= 1 && j < num_processes, "witness: bad process index");
-    return witness_pred(d, d[static_cast<std::size_t>(j - 1)], j);
+    return witness_pred(*space, d, d[static_cast<std::size_t>(j - 1)], j);
 }
 
 Predicate ByzantineSystem::detection(int j) const {
@@ -146,7 +162,7 @@ ByzantineSystem make_byzantine(int n, int f) {
         const VarId bj = b[static_cast<std::size_t>(j - 1)];
         const std::string js = std::to_string(j);
         Predicate hon = honest(bj, js);
-        Predicate w = witness_pred(d, dj, j);
+        Predicate w = witness_pred(*space, d, dj, j);
 
         // IB1.j is part of DB.j's implementation (it establishes
         // d.k != bot at the neighbours); it stays as-is.
@@ -159,19 +175,14 @@ ByzantineSystem make_byzantine(int n, int f) {
         masking_core.add_action(gated);
 
         // CB1.j :: all d non-bot /\ d.j != majority --> d.j := majority.
-        const auto dvars = d;
-        Predicate cb_guard(
-            "cb-guard." + js,
-            [dvars, dj](const StateSpace& sp, StateIndex s) {
-                for (VarId v : dvars)
-                    if (sp.get(s, v) == kBot) return false;
-                return sp.get(s, dj) != majority_or_default(sp, s, dvars);
-            });
-        masking_core.add_action(Action::assign(
-            *space, "CB1." + js, hon && cb_guard, "d." + js,
-            [dvars](const StateSpace& sp, StateIndex s) {
-                return majority_or_default(sp, s, dvars);
-            }));
+        const Term majority = majority_term(*space, d);
+        const Predicate cb_guard =
+            (none_bot(*space, d) &&
+             Predicate::compare(Term::var(*space, dj),
+                                Predicate::NodeKind::kTermNe, majority))
+                .renamed("cb-guard." + js);
+        masking_core.add_action(Action::assign_parallel(
+            *space, "CB1." + js, hon && cb_guard, {{dj, majority}}));
     }
 
     Program intolerant = parallel(ib, byz).renamed("IB||BYZ");
@@ -181,13 +192,10 @@ ByzantineSystem make_byzantine(int n, int f) {
     // --- Fault: flip some b flag, at most f flips in total. ---
     std::vector<VarId> all_b = b;
     all_b.push_back(b_g);
-    Predicate under_budget(
-        "byz-count<" + std::to_string(f),
-        [all_b, f](const StateSpace& sp, StateIndex s) {
-            int count = 0;
-            for (VarId v : all_b) count += static_cast<int>(sp.get(s, v));
-            return count < f;
-        });
+    const Predicate under_budget =
+        Predicate::compare(Term::count(*space, all_b, 1),
+                           Predicate::NodeKind::kTermLt, Term::constant(f))
+            .renamed("byz-count<" + std::to_string(f));
     FaultClass fault(space, "byzantine-fault(f=" + std::to_string(f) + ")");
     fault.add_action(Action::assign_const(
         *space, "BYZ-flip.g", under_budget && honest(b_g, "g"), "b.g", 1));

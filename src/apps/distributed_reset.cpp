@@ -28,13 +28,12 @@ DistributedResetSystem make_distributed_reset(std::vector<int> parent) {
     builder->freeze();
     std::shared_ptr<const StateSpace> space = builder;
 
-    Predicate all_equal("all-sessions-equal",
-                        [sn](const StateSpace& sp, StateIndex s) {
-                            const Value root = sp.get(s, sn[0]);
-                            for (VarId v : sn)
-                                if (sp.get(s, v) != root) return false;
-                            return true;
-                        });
+    Predicate all_equal = Predicate::vars_eq(*space, sn[1], sn[0]);
+    for (int i = 2; i < n; ++i)
+        all_equal = all_equal &&
+                    Predicate::vars_eq(*space, sn[static_cast<std::size_t>(i)],
+                                       sn[0]);
+    all_equal = all_equal.renamed("all-sessions-equal");
     const Predicate wc_set =
         Predicate::var_eq(*space, "wc", 1).renamed("wc");
     const Predicate req_set =
@@ -43,27 +42,20 @@ DistributedResetSystem make_distributed_reset(std::vector<int> parent) {
     Program system(space, "distributed-reset(n=" + std::to_string(n) + ")");
     system.add_action(
         Action::assign_const(*space, "request", !req_set, "req", 1));
-    system.add_action(Action(
-        "start.0", req_set && wc_set,
-        [sn, wc, req](const StateSpace& sp, StateIndex s) {
-            StateIndex t = sp.set(s, sn[0], (sp.get(s, sn[0]) + 1) % 3);
-            t = sp.set(t, wc, 0);
-            return sp.set(t, req, 0);
-        }));
+    system.add_action(Action::assign_parallel(
+        *space, "start.0", req_set && wc_set,
+        {{sn[0], Term::var(*space, sn[0]).plus(1, 3)},
+         {wc, Term::constant(0)},
+         {req, Term::constant(0)}}));
     for (int i = 1; i < n; ++i) {
         const VarId si = sn[static_cast<std::size_t>(i)];
         const VarId sp_var =
             sn[static_cast<std::size_t>(parent[static_cast<std::size_t>(i)])];
-        system.add_action(Action::assign(
+        system.add_action(Action::assign_var(
             *space, "adopt." + std::to_string(i),
-            Predicate("stale." + std::to_string(i),
-                      [si, sp_var](const StateSpace& sp, StateIndex s) {
-                          return sp.get(s, si) != sp.get(s, sp_var);
-                      }),
-            "sn." + std::to_string(i),
-            [sp_var](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, sp_var);
-            }));
+            Predicate::vars_ne(*space, si, sp_var)
+                .renamed("stale." + std::to_string(i)),
+            si, sp_var));
     }
     system.add_action(Action::assign_const(
         *space, "complete.0", all_equal && !wc_set, "wc", 1));

@@ -16,14 +16,13 @@ std::vector<std::vector<int>> children_of(const std::vector<int>& parent) {
     return children;
 }
 
-/// The value node i's aggregation rule assigns right now.
-Value agg_target(const StateSpace& sp, StateIndex s,
-                 const std::vector<VarId>& agg,
-                 const std::vector<int>& children, Value own_id) {
-    Value best = own_id;
+/// The value node i's aggregation rule assigns: max(own, children).
+Term agg_target(const StateSpace& sp, const std::vector<VarId>& agg,
+                const std::vector<int>& children, Value own_id) {
+    std::vector<Term> terms{Term::constant(own_id)};
     for (int c : children)
-        best = std::max(best, sp.get(s, agg[static_cast<std::size_t>(c)]));
-    return best;
+        terms.push_back(Term::var(sp, agg[static_cast<std::size_t>(c)]));
+    return Term::max(std::move(terms));
 }
 
 /// True subtree maxima. Because parent[i] < i, a single reverse sweep
@@ -79,50 +78,30 @@ LeaderElectionSystem make_leader_election(std::vector<int> parent,
 
     Program program(space, "leader-election(n=" + std::to_string(n) + ")");
     for (int i = 0; i < n; ++i) {
-        const auto kids = children[static_cast<std::size_t>(i)];
         const VarId ai = agg[static_cast<std::size_t>(i)];
-        const Value own = id[static_cast<std::size_t>(i)];
-        const auto aggv = agg;
-        program.add_action(Action::assign(
+        const Term target =
+            agg_target(*space, agg, children[static_cast<std::size_t>(i)],
+                       id[static_cast<std::size_t>(i)]);
+        program.add_action(Action::assign_parallel(
             *space, "agg." + std::to_string(i),
-            Predicate("agg-stale." + std::to_string(i),
-                      [aggv, kids, ai, own](const StateSpace& sp,
-                                            StateIndex s) {
-                          return sp.get(s, ai) !=
-                                 agg_target(sp, s, aggv, kids, own);
-                      }),
-            "agg." + std::to_string(i),
-            [aggv, kids, own](const StateSpace& sp, StateIndex s) {
-                return agg_target(sp, s, aggv, kids, own);
-            }));
+            Predicate::compare(Term::var(*space, ai),
+                               Predicate::NodeKind::kTermNe, target)
+                .renamed("agg-stale." + std::to_string(i)),
+            {{ai, target}}));
     }
-    {
-        const VarId l0 = ldr[0], a0 = agg[0];
-        program.add_action(Action::assign(
-            *space, "ldr.0",
-            Predicate("ldr-stale.0",
-                      [l0, a0](const StateSpace& sp, StateIndex s) {
-                          return sp.get(s, l0) != sp.get(s, a0);
-                      }),
-            "ldr.0",
-            [a0](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, a0);
-            }));
-    }
+    program.add_action(Action::assign_var(
+        *space, "ldr.0",
+        Predicate::vars_ne(*space, ldr[0], agg[0]).renamed("ldr-stale.0"),
+        ldr[0], agg[0]));
     for (int i = 1; i < n; ++i) {
         const VarId li = ldr[static_cast<std::size_t>(i)];
         const VarId lp = ldr[static_cast<std::size_t>(
             parent[static_cast<std::size_t>(i)])];
-        program.add_action(Action::assign(
+        program.add_action(Action::assign_var(
             *space, "ldr." + std::to_string(i),
-            Predicate("ldr-stale." + std::to_string(i),
-                      [li, lp](const StateSpace& sp, StateIndex s) {
-                          return sp.get(s, li) != sp.get(s, lp);
-                      }),
-            "ldr." + std::to_string(i),
-            [lp](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, lp);
-            }));
+            Predicate::vars_ne(*space, li, lp)
+                .renamed("ldr-stale." + std::to_string(i)),
+            li, lp));
     }
 
     // Transient faults: any agg.i or ldr.i is corrupted to any value.

@@ -26,14 +26,15 @@ std::vector<Value> bfs_distances(const Graph& g) {
     return dist;
 }
 
-/// The value node i's rule assigns: min over neighbours + 1, capped.
-Value local_target(const StateSpace& sp, StateIndex s,
-                   const std::vector<VarId>& dist,
-                   const std::vector<int>& neighbours, Value cap) {
-    Value best = cap;
+/// The value node i's rule assigns: min over neighbours + 1, capped —
+/// min(cap, 1 + min(neighbours)).
+Term local_target(const StateSpace& sp, const std::vector<VarId>& dist,
+                  const std::vector<int>& neighbours, Value cap) {
+    std::vector<Term> near;
     for (int j : neighbours)
-        best = std::min(best, sp.get(s, dist[static_cast<std::size_t>(j)]));
-    return std::min<Value>(best + 1, cap);
+        near.push_back(Term::var(sp, dist[static_cast<std::size_t>(j)]));
+    if (near.empty()) return Term::constant(cap);
+    return Term::min({Term::constant(cap), Term::min(std::move(near)).plus(1)});
 }
 
 }  // namespace
@@ -68,23 +69,15 @@ Graph star_graph(int n) {
 Predicate SpanningTreeSystem::locally_consistent(int i) const {
     DCFT_EXPECTS(i >= 0 && i < static_cast<int>(graph.size()),
                  "locally_consistent: bad node");
-    const auto distv = dist;
     const Value cap = static_cast<Value>(graph.size());
-    if (i == 0) {
-        const VarId d0 = dist[0];
-        return Predicate("consistent.0",
-                         [d0](const StateSpace& sp, StateIndex s) {
-                             return sp.get(s, d0) == 0;
-                         });
-    }
-    const auto neighbours = graph[static_cast<std::size_t>(i)];
+    if (i == 0)
+        return Predicate::var_eq(*space, dist[0], 0).renamed("consistent.0");
     const VarId di = dist[static_cast<std::size_t>(i)];
-    return Predicate(
-        "consistent." + std::to_string(i),
-        [distv, neighbours, di, cap](const StateSpace& sp, StateIndex s) {
-            return sp.get(s, di) ==
-                   local_target(sp, s, distv, neighbours, cap);
-        });
+    return Predicate::compare(
+               Term::var(*space, di), Predicate::NodeKind::kTermEq,
+               local_target(*space, dist, graph[static_cast<std::size_t>(i)],
+                            cap))
+        .renamed("consistent." + std::to_string(i));
 }
 
 StateIndex SpanningTreeSystem::legitimate_state() const {
@@ -111,32 +104,20 @@ SpanningTreeSystem make_spanning_tree(Graph graph) {
     const Value cap = static_cast<Value>(n);
 
     Program program(space, "bfs-tree(n=" + std::to_string(n) + ")");
-    {
-        const VarId d0 = dist[0];
-        program.add_action(Action::assign_const(
-            *space, "fix.0",
-            Predicate("dist.0!=0",
-                      [d0](const StateSpace& sp, StateIndex s) {
-                          return sp.get(s, d0) != 0;
-                      }),
-            "dist.0", 0));
-    }
+    program.add_action(Action::assign_const(
+        *space, "fix.0",
+        Predicate::var_ne(*space, dist[0], 0).renamed("dist.0!=0"), "dist.0",
+        0));
     for (int i = 1; i < n; ++i) {
-        const auto neighbours = graph[static_cast<std::size_t>(i)];
         const VarId di = dist[static_cast<std::size_t>(i)];
-        const auto distv = dist;
-        program.add_action(Action::assign(
+        const Term target = local_target(
+            *space, dist, graph[static_cast<std::size_t>(i)], cap);
+        program.add_action(Action::assign_parallel(
             *space, "fix." + std::to_string(i),
-            Predicate("inconsistent." + std::to_string(i),
-                      [distv, neighbours, di, cap](const StateSpace& sp,
-                                                   StateIndex s) {
-                          return sp.get(s, di) !=
-                                 local_target(sp, s, distv, neighbours, cap);
-                      }),
-            "dist." + std::to_string(i),
-            [distv, neighbours, cap](const StateSpace& sp, StateIndex s) {
-                return local_target(sp, s, distv, neighbours, cap);
-            }));
+            Predicate::compare(Term::var(*space, di),
+                               Predicate::NodeKind::kTermNe, target)
+                .renamed("inconsistent." + std::to_string(i)),
+            {{di, target}}));
     }
 
     // Transient faults: any dist.i is corrupted to any value.

@@ -52,31 +52,20 @@ TerminationDetectionSystem make_termination_detection(int n) {
         const VarId ai = active[static_cast<std::size_t>(i)];
         const VarId ci = colour[static_cast<std::size_t>(i)];
         const std::string is = std::to_string(i);
-        const Predicate is_active(
-            "active." + is, [ai](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, ai) == 1;
-            });
+        const Predicate is_active =
+            Predicate::var_eq(*space, ai, 1).renamed("active." + is);
         system.add_action(
             Action::assign_const(*space, "passify." + is, is_active,
                                  "active." + is, 0));
         // Activate any other process; the sender turns black.
-        const auto others = [n, i] {
-            std::vector<int> out;
-            for (int j = 0; j < n; ++j)
-                if (j != i) out.push_back(j);
-            return out;
-        }();
-        const auto activev = active;
-        system.add_action(Action::nondet(
-            "activate." + is, is_active,
-            [activev, ci, others](const StateSpace& sp, StateIndex s,
-                                  std::vector<StateIndex>& out) {
-                for (int j : others) {
-                    StateIndex t = sp.set(
-                        s, activev[static_cast<std::size_t>(j)], 1);
-                    out.push_back(sp.set(t, ci, kBlack));
-                }
-            }));
+        std::vector<std::vector<Action::EffectForm::Assignment>> activations;
+        for (int j = 0; j < n; ++j)
+            if (j != i)
+                activations.push_back(
+                    {{active[static_cast<std::size_t>(j)], Term::constant(1)},
+                     {ci, Term::constant(kBlack)}});
+        system.add_action(Action::choose_parallel(
+            *space, "activate." + is, is_active, std::move(activations)));
     }
 
     // --- The DFG probe. ---
@@ -84,63 +73,50 @@ TerminationDetectionSystem make_termination_detection(int n) {
         const VarId ai = active[static_cast<std::size_t>(i)];
         const VarId ci = colour[static_cast<std::size_t>(i)];
         const std::string is = std::to_string(i);
-        const Predicate holds_token_passive(
-            "token@" + is + "&&passive",
-            [token, ai, i](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, token) == i && sp.get(s, ai) == 0;
-            });
-        system.add_action(Action(
-            "pass." + is, holds_token_passive,
-            [token, tcolour, ci, i](const StateSpace& sp, StateIndex s) {
-                StateIndex t = sp.set(s, token, i - 1);
-                if (sp.get(s, ci) == kBlack) t = sp.set(t, tcolour, kBlack);
-                return sp.set(t, ci, kWhite);
-            }));
+        const Predicate holds_token_passive =
+            (Predicate::var_eq(*space, token, i) &&
+             Predicate::var_eq(*space, ai, 0))
+                .renamed("token@" + is + "&&passive");
+        // The token moves on; a black process blackens it
+        // (tcolour := max(tcolour, colour.i)) and turns white.
+        system.add_action(Action::assign_parallel(
+            *space, "pass." + is, holds_token_passive,
+            {{token, Term::constant(i - 1)},
+             {tcolour, Term::max({Term::var(*space, tcolour),
+                                  Term::var(*space, ci)})},
+             {ci, Term::constant(kWhite)}}));
     }
     {
         const VarId a0 = active[0];
         const VarId c0 = colour[0];
-        const Predicate at_initiator(
-            "token@0&&passive",
-            [token, a0](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, token) == 0 && sp.get(s, a0) == 0;
-            });
-        const Predicate probe_white(
-            "probe-white", [tcolour, c0](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, tcolour) == kWhite &&
-                       sp.get(s, c0) == kWhite;
-            });
-        const Predicate not_done(
-            "!done", [done](const StateSpace& sp, StateIndex s) {
-                return sp.get(s, done) == 0;
-            });
+        const Predicate at_initiator =
+            (Predicate::var_eq(*space, token, 0) &&
+             Predicate::var_eq(*space, a0, 0))
+                .renamed("token@0&&passive");
+        const Predicate probe_white =
+            (Predicate::var_eq(*space, tcolour, kWhite) &&
+             Predicate::var_eq(*space, c0, kWhite))
+                .renamed("probe-white");
+        const Predicate not_done =
+            Predicate::var_eq(*space, done, 0).renamed("!done");
         system.add_action(Action::assign_const(
             *space, "judge.0", at_initiator && probe_white && not_done,
             "done", 1));
-        system.add_action(Action(
-            "retry.0", at_initiator && !probe_white,
-            [token, tcolour, c0, n](const StateSpace& sp, StateIndex s) {
-                StateIndex t = sp.set(s, token, n - 1);
-                t = sp.set(t, tcolour, kWhite);
-                return sp.set(t, c0, kWhite);
-            }));
+        system.add_action(Action::assign_parallel(
+            *space, "retry.0", at_initiator && !probe_white,
+            {{token, Term::constant(n - 1)},
+             {tcolour, Term::constant(kWhite)},
+             {c0, Term::constant(kWhite)}}));
     }
 
     // --- Fault: the environment re-activates a passive process. ---
     FaultClass fault(space, "spurious-activation");
-    const Predicate some_passive(
-        "some-passive", [active](const StateSpace& sp, StateIndex s) {
-            for (VarId a : active)
-                if (sp.get(s, a) == 0) return true;
-            return false;
-        });
-    fault.add_action(Action::nondet(
-        "spuriously-activate", some_passive,
-        [active](const StateSpace& sp, StateIndex s,
-                 std::vector<StateIndex>& out) {
-            for (VarId a : active)
-                if (sp.get(s, a) == 0) out.push_back(sp.set(s, a, 1));
-        }));
+    Predicate some_passive = Predicate::var_eq(*space, active[0], 0);
+    for (std::size_t i = 1; i < active.size(); ++i)
+        some_passive = some_passive || Predicate::var_eq(*space, active[i], 0);
+    fault.add_action(Action::set_any(*space, "spuriously-activate",
+                                     some_passive.renamed("some-passive"),
+                                     active, 1));
 
     Predicate all_passive("all-passive",
                           [active](const StateSpace& sp, StateIndex s) {

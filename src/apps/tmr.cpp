@@ -40,10 +40,7 @@ TmrSystem make_tmr(Value domain) {
     const Value bottom = domain;
 
     auto var_equal = [space](VarId a, VarId b, std::string name) {
-        return Predicate(std::move(name),
-                         [a, b](const StateSpace& sp, StateIndex s) {
-                             return sp.get(s, a) == sp.get(s, b);
-                         });
+        return Predicate::vars_eq(*space, a, b).renamed(std::move(name));
     };
 
     const Predicate out_bot =
@@ -70,9 +67,7 @@ TmrSystem make_tmr(Value domain) {
 
     // IR :: out = bot --> out := x
     Program ir(space, "IR");
-    ir.add_action(Action::assign(
-        *space, "IR1", out_bot, "out",
-        [x](const StateSpace& sp, StateIndex s) { return sp.get(s, x); }));
+    ir.add_action(Action::assign_var(*space, "IR1", out_bot, out, x));
 
     // DR has no state-changing actions of its own — it "merely evaluates"
     // its witness predicate; DR ; IR gates IR on that witness.
@@ -81,32 +76,22 @@ TmrSystem make_tmr(Value domain) {
 
     // CR: the corrector's actions (witness/correction predicate out==uncor).
     Program cr(space, "CR");
-    cr.add_action(Action::assign(
+    cr.add_action(Action::assign_var(
         *space, "CR1",
-        out_bot && (var_equal(y, z, "y==z") || var_equal(y, x, "y==x")),
-        "out",
-        [y](const StateSpace& sp, StateIndex s) { return sp.get(s, y); }));
-    cr.add_action(Action::assign(
+        out_bot && (var_equal(y, z, "y==z") || var_equal(y, x, "y==x")), out,
+        y));
+    cr.add_action(Action::assign_var(
         *space, "CR2",
-        out_bot && (var_equal(z, x, "z==x") || var_equal(z, y, "z==y")),
-        "out",
-        [z](const StateSpace& sp, StateIndex s) { return sp.get(s, z); }));
+        out_bot && (var_equal(z, x, "z==x") || var_equal(z, y, "z==y")), out,
+        z));
 
     Program masking = parallel(failsafe, cr).renamed("DR;IR||CR");
 
     // Fault: corrupts any one input to any different value; guarded on
     // "all inputs agree" so at most one input is corrupted at a time.
     FaultClass fault(space, "one-input-corruption");
-    fault.add_action(Action::nondet(
-        "corrupt-input", all_agree,
-        [x, y, z, domain](const StateSpace& sp, StateIndex s,
-                          std::vector<StateIndex>& outv) {
-            for (VarId input : {x, y, z}) {
-                const Value cur = sp.get(s, input);
-                for (Value c = 0; c < domain; ++c)
-                    if (c != cur) outv.push_back(sp.set(s, input, c));
-            }
-        }));
+    fault.add_action(
+        Action::corrupt_any(*space, "corrupt-input", all_agree, {x, y, z}));
 
     // SPEC_io: out is only ever set to the majority (uncorrupted) value,
     // and is eventually set to it.

@@ -323,8 +323,15 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     if (auto d = first_graph_difference(ref, ts1))
         out.push_back({"graph/ref-vs-csr", *d});
 
-    const TransitionSystem tsN(sys.program, faults, sys.init,
-                               std::max(options.threads, 2u));
+    // Fuzz programs stay far below the production work threshold, so the
+    // N-thread build lowers it to 1: every level then runs the parallel
+    // merge (chunked expansion, min-chunk-wins claims, publish, edge
+    // write), checked against the serial BFS.
+    const TransitionSystem tsN = [&] {
+        const EnvGuard merge_all("DCFT_PARALLEL_WORK_MIN", "1");
+        return TransitionSystem(sys.program, faults, sys.init,
+                                std::max(options.threads, 2u));
+    }();
     if (auto d = first_ts_difference(ts1, tsN))
         out.push_back({"graph/threads-1-vs-N", *d});
 

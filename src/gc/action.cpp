@@ -180,6 +180,54 @@ Action Action::set_any(const StateSpace& space, std::string name,
         nullptr, std::move(form)}));
 }
 
+Action Action::assign_parallel(const StateSpace& space, std::string name,
+                               Predicate guard,
+                               std::vector<EffectForm::Assignment> assigns) {
+    std::vector<std::vector<EffectForm::Assignment>> branches;
+    branches.push_back(std::move(assigns));
+    return choose_parallel(space, std::move(name), std::move(guard),
+                           std::move(branches));
+}
+
+Action Action::choose_parallel(
+    const StateSpace& space, std::string name, Predicate guard,
+    std::vector<std::vector<EffectForm::Assignment>> branches) {
+    DCFT_EXPECTS(!branches.empty(),
+                 "choose_parallel: requires at least one branch");
+    for (const auto& branch : branches) {
+        DCFT_EXPECTS(!branch.empty(),
+                     "assign_parallel: requires at least one assignment");
+        for (std::size_t i = 0; i < branch.size(); ++i) {
+            const VarId v = branch[i].var;
+            DCFT_EXPECTS(v < space.num_vars(),
+                         "assign_parallel: variable out of range");
+            DCFT_EXPECTS(branch[i].value.lo() >= 0 &&
+                             branch[i].value.hi() <
+                                 space.variable(v).domain_size,
+                         "assign_parallel: term may leave the domain of " +
+                             space.variable(v).name);
+            for (std::size_t j = 0; j < i; ++j)
+                DCFT_EXPECTS(branch[j].var != v,
+                             "assign_parallel: variable assigned twice");
+        }
+    }
+    EffectForm form;
+    form.kind = EffectForm::Kind::kParallel;
+    form.branches = branches;
+    return Action(std::make_shared<Impl>(Impl{
+        std::move(name), std::move(guard),
+        [branches = std::move(branches)](const StateSpace& sp, StateIndex s,
+                                         std::vector<StateIndex>& out) {
+            for (const auto& branch : branches) {
+                StateIndex t = s;
+                for (const EffectForm::Assignment& a : branch)
+                    t = sp.set(t, a.var, a.value.eval(sp, s));
+                out.push_back(t);
+            }
+        },
+        nullptr, std::move(form)}));
+}
+
 Action Action::skip(std::string name, Predicate guard) {
     EffectForm form;
     form.kind = EffectForm::Kind::kSkip;

@@ -62,6 +62,14 @@ public:
             kAssignChoice,  ///< var := c for each c in choices (nondet)
             kCorruptAny,    ///< each v in vars := each c != cur (nondet)
             kSetAny,        ///< each v in vars with v != value := value
+            kParallel,      ///< for each branch, in order: its assignments
+                            ///< at once, every right-hand side read in the
+                            ///< pre-state (one branch = deterministic)
+        };
+        /// `var := value` inside a kParallel branch.
+        struct Assignment {
+            VarId var = 0;
+            Term value;
         };
         Kind kind = Kind::kGeneric;
         VarId var = 0;             ///< assigned variable (kAssign*)
@@ -70,6 +78,8 @@ public:
         Value modulus = 0;         ///< modulus of kAssignAddMod
         std::vector<Value> choices;  ///< kAssignChoice targets, in order
         std::vector<VarId> vars;     ///< kCorruptAny/kSetAny victims, in order
+        /// kParallel alternatives, in order; each assigns distinct variables.
+        std::vector<std::vector<Assignment>> branches;
     };
 
     /// Deterministic action.
@@ -120,6 +130,20 @@ public:
     static Action set_any(const StateSpace& space, std::string name,
                           Predicate guard, std::vector<VarId> vars,
                           Value value);
+
+    /// `name :: guard --> v1, ..., vk := t1, ..., tk`: the paper's
+    /// parallel assignment. Every t_i is evaluated in the state before the
+    /// statement; the variables must be distinct, and each term's bounds
+    /// (Term::lo/hi) must lie in its variable's domain.
+    static Action assign_parallel(const StateSpace& space, std::string name,
+                                  Predicate guard,
+                                  std::vector<EffectForm::Assignment> assigns);
+
+    /// Nondeterministic choice over parallel assignments: one successor
+    /// per branch, in the given order (each branch as assign_parallel).
+    static Action choose_parallel(
+        const StateSpace& space, std::string name, Predicate guard,
+        std::vector<std::vector<EffectForm::Assignment>> branches);
 
     /// Skip action (self-loop); useful for stutter modelling in tests.
     static Action skip(std::string name, Predicate guard);

@@ -21,6 +21,7 @@ Channel::Channel(StateSpace& builder, std::string name, int capacity,
     const StateIndex domain =
         offset_[static_cast<std::size_t>(capacity) + 1];
     var_ = builder.add_variable(name_, static_cast<Value>(domain));
+    var_term_ = Term::var(builder, var_);
 }
 
 StateIndex Channel::encode_raw(const std::vector<Value>& queue) const {
@@ -88,19 +89,18 @@ StateIndex Channel::pop(const StateSpace& space, StateIndex s) const {
 }
 
 Predicate Channel::is_empty() const {
-    const VarId v = var_;
-    return Predicate(name_ + ".empty",
-                     [v](const StateSpace& sp, StateIndex s) {
-                         return sp.get(s, v) == 0;
-                     });
+    return Predicate::compare(var_term_, Predicate::NodeKind::kTermEq,
+                              Term::constant(0))
+        .renamed(name_ + ".empty");
 }
 
 Predicate Channel::is_full() const {
-    Channel self = *this;
-    return Predicate(name_ + ".full",
-                     [self](const StateSpace& sp, StateIndex s) {
-                         return self.full(sp, s);
-                     });
+    // The full queues are the raw values [offset(capacity), domain).
+    return Predicate::compare(
+               Term::constant(static_cast<Value>(
+                   offset_[static_cast<std::size_t>(capacity_)])),
+               Predicate::NodeKind::kTermLe, var_term_)
+        .renamed(name_ + ".full");
 }
 
 Predicate Channel::nonempty() const {
@@ -143,10 +143,8 @@ Action Channel::lose(std::string name) const {
 
 Action Channel::duplicate(std::string name) const {
     Channel self = *this;
-    Predicate can(name_ + ".nonempty&&!full",
-                  [self](const StateSpace& sp, StateIndex s) {
-                      return !self.empty(sp, s) && !self.full(sp, s);
-                  });
+    Predicate can = (!is_empty() && !is_full())
+                        .renamed(name_ + ".nonempty&&!full");
     return Action(std::move(name), std::move(can),
                   [self](const StateSpace& sp, StateIndex s) {
                       return self.push(sp, s, self.front(sp, s));

@@ -83,6 +83,7 @@ private:
     int capacity_;
     Value value_domain_;
     std::vector<StateIndex> offset_;  ///< offset_[L], L = 0..capacity
+    Term var_term_;  ///< the backing variable, for the structured guards
 
     StateIndex encode_raw(const std::vector<Value>& queue) const;
     std::vector<Value> decode_raw(StateIndex raw) const;

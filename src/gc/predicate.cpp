@@ -36,6 +36,7 @@ struct Predicate::Impl {
     VarId var2 = 0;
     Value value = 0;
     std::vector<Predicate> kids;
+    std::vector<Term> terms{};
     /// Filled by eval_bits for non-backed predicates.
     mutable ScanMemo memo{};
 };
@@ -159,6 +160,35 @@ Predicate Predicate::vars_ne(const StateSpace& space, VarId a, VarId b) {
     return out;
 }
 
+Predicate Predicate::compare(const Term& a, NodeKind op, const Term& b) {
+    const char* sym = nullptr;
+    switch (op) {
+        case NodeKind::kTermEq: sym = "=="; break;
+        case NodeKind::kTermNe: sym = "!="; break;
+        case NodeKind::kTermLt: sym = "<"; break;
+        case NodeKind::kTermLe: sym = "<="; break;
+        default:
+            throw ContractError("Predicate::compare: not a comparison kind");
+    }
+    Predicate out(a.text() + sym + b.text(),
+                  [a, op, b](const StateSpace& sp, StateIndex s) {
+                      return compares(op, a.eval(sp, s), b.eval(sp, s));
+                  });
+    Impl* impl = const_cast<Impl*>(out.impl_.get());
+    impl->kind = op;
+    impl->terms = {a, b};
+    return out;
+}
+
+bool Predicate::compares(NodeKind op, Value x, Value y) {
+    switch (op) {
+        case NodeKind::kTermEq: return x == y;
+        case NodeKind::kTermNe: return x != y;
+        case NodeKind::kTermLt: return x < y;
+        default: return x <= y;
+    }
+}
+
 bool Predicate::eval(const StateSpace& space, StateIndex s) const {
     return impl_->fn(space, s);
 }
@@ -173,7 +203,8 @@ Predicate Predicate::renamed(std::string name) const {
     Predicate out = *this;
     out.impl_ = std::make_shared<Impl>(
         Impl{std::move(name), impl_->fn, impl_->bits, impl_->kind,
-             impl_->var, impl_->var2, impl_->value, impl_->kids});
+             impl_->var, impl_->var2, impl_->value, impl_->kids,
+             impl_->terms});
     return out;
 }
 
@@ -193,6 +224,7 @@ Value Predicate::node_value() const { return impl_->value; }
 std::span<const Predicate> Predicate::node_operands() const {
     return impl_->kids;
 }
+std::span<const Term> Predicate::node_terms() const { return impl_->terms; }
 
 Predicate operator&&(const Predicate& a, const Predicate& b) {
     std::string name = "(" + a.name() + " && " + b.name() + ")";

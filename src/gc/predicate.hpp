@@ -15,6 +15,7 @@
 
 #include "common/bitvec.hpp"
 #include "gc/state_space.hpp"
+#include "gc/term.hpp"
 
 namespace dcft {
 
@@ -48,6 +49,10 @@ public:
         kVarNeConst,  ///< var(node_var) != node_value
         kVarEqVar,    ///< var(node_var) == var(node_var2)
         kVarNeVar,    ///< var(node_var) != var(node_var2)
+        kTermEq,      ///< node_terms()[0] == node_terms()[1]
+        kTermNe,      ///< node_terms()[0] != node_terms()[1]
+        kTermLt,      ///< node_terms()[0] <  node_terms()[1]
+        kTermLe,      ///< node_terms()[0] <= node_terms()[1]
         kAnd,         ///< conjunction of node_operands()
         kOr,          ///< disjunction of node_operands()
         kNot,         ///< negation of node_operands()[0]
@@ -84,6 +89,13 @@ public:
     /// neighbour-comparing protocols (token rings, spanning trees).
     static Predicate vars_eq(const StateSpace& space, VarId a, VarId b);
     static Predicate vars_ne(const StateSpace& space, VarId a, VarId b);
+    /// The comparison atom `a op b` over terms, op one of kTermEq,
+    /// kTermNe, kTermLt, kTermLe — the guard shape of threshold tests
+    /// (`#{d = 1} > k`), fault budgets and aggregation rules
+    /// (`agg.i != max(...)`). Named after the terms, e.g. `x<(y+1)`.
+    static Predicate compare(const Term& a, NodeKind op, const Term& b);
+    /// `x op y` for a comparison kind op (kTermEq/Ne/Lt/Le).
+    static bool compares(NodeKind op, Value x, Value y);
 
     bool eval(const StateSpace& space, StateIndex s) const;
     bool operator()(const StateSpace& space, StateIndex s) const {
@@ -106,6 +118,8 @@ public:
     Value node_value() const;
     /// Operand predicates of kAnd / kOr / kNot nodes (empty otherwise).
     std::span<const Predicate> node_operands() const;
+    /// The two terms of a kTerm* comparison atom (empty otherwise).
+    std::span<const Term> node_terms() const;
 
     /// Returns a copy carrying a different display name.
     Predicate renamed(std::string name) const;

@@ -169,13 +169,20 @@ std::uint32_t detail::intern_event_name(std::string_view path) {
     return id;
 }
 
+// Begin and instant events lease the caller's lane before reading the
+// clock: a pooled lane handed over by a worker that just exited then never
+// receives a timestamp older than that worker's last event.
+
 void detail::emit_instant(std::string_view path, std::uint64_t arg) {
-    record(TracePhase::kInstant, intern_event_name(path), arg, now_ns());
+    const std::uint32_t name = intern_event_name(path);
+    t_lease.acquire();
+    record(TracePhase::kInstant, name, arg, now_ns());
 }
 
 void Span::open(unsigned gates, std::string_view path, std::uint64_t arg) {
     timer_ = &Registry::global().timer(path);
     gates_ = gates;
+    if ((gates & detail::kTraceGate) != 0) t_lease.acquire();
     start_ns_ = now_ns();
     if ((gates & detail::kTraceGate) != 0)
         record(TracePhase::kBegin, timer_->trace_id(), arg, start_ns_);

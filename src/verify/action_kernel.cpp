@@ -15,8 +15,119 @@ namespace dcft {
 namespace {
 
 using NK = Predicate::NodeKind;
+using TK = Term::Kind;
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// TermCode: compile + eval
+// ---------------------------------------------------------------------------
+
+TermCode::TermCode(const Term& t) {
+    int depth = 0;
+    int max_depth = 0;
+    auto push_op = [&](Op op, int pops) {
+        depth += 1 - pops;
+        max_depth = std::max(max_depth, depth);
+        ops_.push_back(op);
+    };
+    auto emit = [&](auto&& self, const Term& u) -> void {
+        Op op{};
+        switch (u.kind()) {
+            case TK::kConst:
+                op.k = Op::K::kConst;
+                op.value = u.value();
+                push_op(op, 0);
+                return;
+            case TK::kVar:
+                op.k = Op::K::kVar;
+                op.var = u.var();
+                push_op(op, 0);
+                return;
+            case TK::kAdd:
+                self(self, u.operands()[0]);
+                op.k = Op::K::kAdd;
+                op.value = u.value();
+                push_op(op, 1);
+                if (u.modulus() > 0) {
+                    Op mod{};
+                    mod.k = Op::K::kMod;
+                    mod.value = u.modulus();
+                    push_op(mod, 1);
+                }
+                return;
+            case TK::kMin:
+            case TK::kMax: {
+                const auto kids = u.operands();
+                self(self, kids[0]);
+                op.k = u.kind() == TK::kMin ? Op::K::kMin : Op::K::kMax;
+                for (std::size_t i = 1; i < kids.size(); ++i) {
+                    self(self, kids[i]);
+                    push_op(op, 2);
+                }
+                return;
+            }
+            case TK::kCount:
+                op.k = Op::K::kCount;
+                op.value = u.value();
+                op.begin = static_cast<std::uint32_t>(count_vars_.size());
+                count_vars_.insert(count_vars_.end(), u.vars().begin(),
+                                   u.vars().end());
+                op.end = static_cast<std::uint32_t>(count_vars_.size());
+                push_op(op, 0);
+                return;
+        }
+    };
+    emit(emit, t);
+    DCFT_EXPECTS(max_depth <= kMaxStack,
+                 "TermCode: term nests too deeply: " + t.text());
+}
+
+Value TermCode::eval_stack(const CompiledSpace& cs, StateIndex s) const {
+    Value stack[kMaxStack];
+    int top = -1;
+    for (const Op& op : ops_) {
+        switch (op.k) {
+            case Op::K::kConst:
+                stack[++top] = op.value;
+                break;
+            case Op::K::kVar:
+                stack[++top] = cs.get(s, op.var);
+                break;
+            case Op::K::kAdd:
+                stack[top] += op.value;
+                break;
+            case Op::K::kMod:
+                stack[top] = ((stack[top] % op.value) + op.value) % op.value;
+                break;
+            case Op::K::kMin:
+                stack[top - 1] = std::min(stack[top - 1], stack[top]);
+                --top;
+                break;
+            case Op::K::kMax:
+                stack[top - 1] = std::max(stack[top - 1], stack[top]);
+                --top;
+                break;
+            case Op::K::kCount: {
+                Value n = 0;
+                for (std::uint32_t i = op.begin; i < op.end; ++i)
+                    n += cs.get(s, count_vars_[i]) == op.value ? 1 : 0;
+                stack[++top] = n;
+                break;
+            }
+        }
+    }
+    DCFT_ASSERT(top == 0, "TermCode: unbalanced program");
+    return stack[0];
+}
+
+bool GuardCode::Compare::eval(const CompiledSpace& cs, StateIndex s) const {
+    return Predicate::compares(op, a.eval(cs, s), b.eval(cs, s));
+}
+
+// ---------------------------------------------------------------------------
+// GuardCode: compile + eval
+// ---------------------------------------------------------------------------
 
 GuardCode::GuardCode(const CompiledSpace& cs, const Predicate& p) {
     (void)cs;
@@ -56,6 +167,18 @@ GuardCode::GuardCode(const CompiledSpace& cs, const Predicate& p) {
                 op.var2 = q.node_var2();
                 push_op(op, 0);
                 return;
+            case NK::kTermEq:
+            case NK::kTermNe:
+            case NK::kTermLt:
+            case NK::kTermLe: {
+                const auto terms = q.node_terms();
+                op.k = Op::K::kCompare;
+                op.idx = static_cast<std::uint32_t>(compares_.size());
+                compares_.push_back(Compare{q.node_kind(), TermCode(terms[0]),
+                                            TermCode(terms[1])});
+                push_op(op, 0);
+                return;
+            }
             case NK::kBacked:
                 op.k = Op::K::kTestBits;
                 op.idx = static_cast<std::uint32_t>(bits_.size());
@@ -98,6 +221,7 @@ GuardCode::GuardCode(const CompiledSpace& cs, const Predicate& p) {
     if (max_depth > kMaxStack) {
         // Pathological nesting: fall back to one opaque call on the root.
         ops_.clear();
+        compares_.clear();
         bits_.clear();
         opaque_.clear();
         opaque_.push_back(p);
@@ -127,6 +251,8 @@ bool GuardCode::eval(const CompiledSpace& cs, StateIndex s) const {
                 return cs.get(s, op.var) == cs.get(s, op.var2);
             case Op::K::kVarNeVar:
                 return cs.get(s, op.var) != cs.get(s, op.var2);
+            case Op::K::kCompare:
+                return compares_[op.idx].eval(cs, s);
             case Op::K::kTestBits:
                 return bits_[op.idx]->test(s);
             case Op::K::kCall:
@@ -156,6 +282,9 @@ bool GuardCode::eval(const CompiledSpace& cs, StateIndex s) const {
                 break;
             case Op::K::kVarNeVar:
                 stack[++top] = cs.get(s, op.var) != cs.get(s, op.var2);
+                break;
+            case Op::K::kCompare:
+                stack[++top] = compares_[op.idx].eval(cs, s);
                 break;
             case Op::K::kTestBits:
                 stack[++top] = bits_[op.idx]->test(s);
@@ -246,13 +375,167 @@ void or_var_eq(const CompiledSpace& cs, VarId v, Value c, BitVec& out) {
             wt[k] & (~BitVec::Word{0} >> (64 - (n & 63)));
 }
 
-/// Per-state fallback scan of an unstructured subtree (out not cleared).
+/// Per-state fallback scan of a subtree, on its guard bytecode (out not
+/// cleared).
 void or_scan(const CompiledSpace& cs, const Predicate& p, BitVec& out) {
     obs::count("verify/compile/guard_bits_scans");
-    const StateSpace& sp = cs.space();
+    const GuardCode code(cs, p);
     const std::uint64_t n = cs.num_states();
     for (StateIndex s = 0; s < n; ++s)
-        if (p.eval(sp, s)) out.set(s);
+        if (code.eval(cs, s)) out.set(s);
+}
+
+/// Largest value range of a term that fill_guard_bits decomposes into
+/// per-value sets; wider terms are scanned per state.
+constexpr Value kMaxTermValues = 64;
+
+/// The whole-space level sets of a term: eq[i] = {s : t(s) = lo + i}.
+struct ValueSets {
+    Value lo = 0;
+    std::vector<BitVec> eq;
+
+    Value hi() const { return lo + static_cast<Value>(eq.size()) - 1; }
+};
+
+/// Builds the level sets of t with word algebra only. False when t or one
+/// of its subterms ranges over more than kMaxTermValues values.
+bool value_sets(const CompiledSpace& cs, const Term& t, ValueSets& out) {
+    const std::uint64_t n = cs.num_states();
+    if (t.hi() - t.lo() + 1 > kMaxTermValues) return false;
+    if (t.kind() == TK::kAdd && t.modulus() == 0) {
+        // A shift: the operand's sets, relabelled.
+        if (!value_sets(cs, t.operands()[0], out)) return false;
+        out.lo += t.value();
+        return true;
+    }
+    out.lo = t.lo();
+    out.eq.assign(static_cast<std::size_t>(t.hi() - t.lo() + 1), BitVec(n));
+    switch (t.kind()) {
+        case TK::kConst:
+            out.eq[0].set_all();
+            return true;
+        case TK::kVar:
+            for (Value x = 0; x < cs.domain(t.var()); ++x)
+                or_var_eq(cs, t.var(), x, out.eq[static_cast<std::size_t>(x)]);
+            return true;
+        case TK::kAdd: {
+            ValueSets sub;
+            if (!value_sets(cs, t.operands()[0], sub)) return false;
+            const Value m = t.modulus();
+            for (Value x = sub.lo; x <= sub.hi(); ++x) {
+                const Value y = (((x + t.value()) % m) + m) % m;
+                out.eq[static_cast<std::size_t>(y)] |=
+                    sub.eq[static_cast<std::size_t>(x - sub.lo)];
+            }
+            return true;
+        }
+        case TK::kMin:
+        case TK::kMax: {
+            // Sweep x downwards keeping ge[i] = {s : t_i(s) >= x}; the
+            // extremum is >= x on the intersection (min) or union (max),
+            // and equals x where that holds at x but not at x + 1.
+            const auto kids = t.operands();
+            std::vector<ValueSets> sub(kids.size());
+            Value top = t.lo();
+            for (std::size_t i = 0; i < kids.size(); ++i) {
+                if (!value_sets(cs, kids[i], sub[i])) return false;
+                top = std::max(top, sub[i].hi());
+            }
+            std::vector<BitVec> ge(kids.size(), BitVec(n));
+            BitVec prev(n), cur(n);
+            for (Value x = top; x >= t.lo(); --x) {
+                for (std::size_t i = 0; i < kids.size(); ++i)
+                    if (x >= sub[i].lo && x <= sub[i].hi())
+                        ge[i] |= sub[i].eq[static_cast<std::size_t>(
+                            x - sub[i].lo)];
+                cur = ge[0];
+                for (std::size_t i = 1; i < kids.size(); ++i) {
+                    if (t.kind() == TK::kMin)
+                        cur &= ge[i];
+                    else
+                        cur |= ge[i];
+                }
+                if (x <= t.hi()) {
+                    BitVec& eq = out.eq[static_cast<std::size_t>(x - t.lo())];
+                    eq = cur;
+                    eq.subtract(prev);
+                }
+                std::swap(prev, cur);
+            }
+            return true;
+        }
+        case TK::kCount: {
+            // After folding in each variable, eq[j] holds the states where
+            // exactly j of the variables so far equal the value.
+            out.eq[0].set_all();
+            BitVec hit(n), moved(n);
+            std::size_t seen = 0;
+            for (const VarId v : t.vars()) {
+                ++seen;
+                if (t.value() < 0 || t.value() >= cs.domain(v)) continue;
+                hit.clear_all();
+                or_var_eq(cs, v, t.value(), hit);
+                for (std::size_t j = seen; j >= 1; --j) {
+                    moved = out.eq[j - 1];
+                    moved &= hit;
+                    out.eq[j].subtract(hit);
+                    out.eq[j] |= moved;
+                }
+                out.eq[0].subtract(hit);
+            }
+            return true;
+        }
+    }
+    return false;
+}
+
+/// Fills the comparison atom p (out overwritten): per-value set algebra
+/// over both terms' level sets, a direct union of digit patterns for a
+/// variable against a constant, a bytecode scan otherwise.
+void fill_compare(const CompiledSpace& cs, const Predicate& p, BitVec& out) {
+    const NK op = p.node_kind();
+    const Term& a = p.node_terms()[0];
+    const Term& b = p.node_terms()[1];
+    out.clear_all();
+    if ((a.kind() == TK::kVar && b.kind() == TK::kConst) ||
+        (a.kind() == TK::kConst && b.kind() == TK::kVar)) {
+        const bool var_left = a.kind() == TK::kVar;
+        const VarId v = var_left ? a.var() : b.var();
+        const Value c = var_left ? b.value() : a.value();
+        for (Value x = 0; x < cs.domain(v); ++x)
+            if (var_left ? Predicate::compares(op, x, c)
+                         : Predicate::compares(op, c, x))
+                or_var_eq(cs, v, x, out);
+        return;
+    }
+    ValueSets sa, sb;
+    if (!value_sets(cs, a, sa) || !value_sets(cs, b, sb)) {
+        or_scan(cs, p, out);
+        return;
+    }
+    BitVec tmp(cs.num_states());
+    if (op == NK::kTermEq || op == NK::kTermNe) {
+        for (Value x = std::max(sa.lo, sb.lo); x <= std::min(sa.hi(), sb.hi());
+             ++x) {
+            tmp = sa.eq[static_cast<std::size_t>(x - sa.lo)];
+            tmp &= sb.eq[static_cast<std::size_t>(x - sb.lo)];
+            out |= tmp;
+        }
+        if (op == NK::kTermNe) out.complement();
+        return;
+    }
+    // a < y (or a <= y) on a growing prefix union of a's level sets,
+    // intersected with b = y for each y.
+    BitVec below(cs.num_states());
+    Value next = sa.lo;  // a's next level not yet in `below`
+    for (Value y = sb.lo; y <= sb.hi(); ++y) {
+        const Value bound = op == NK::kTermLt ? y - 1 : y;
+        for (; next <= std::min(bound, sa.hi()); ++next)
+            below |= sa.eq[static_cast<std::size_t>(next - sa.lo)];
+        tmp = sb.eq[static_cast<std::size_t>(y - sb.lo)];
+        tmp &= below;
+        out |= tmp;
+    }
 }
 
 void fill_rec(const CompiledSpace& cs, const Predicate& p, BitVec& out) {
@@ -301,6 +584,12 @@ void fill_rec(const CompiledSpace& cs, const Predicate& p, BitVec& out) {
             if (p.node_kind() == NK::kVarNeVar) out.complement();
             return;
         }
+        case NK::kTermEq:
+        case NK::kTermNe:
+        case NK::kTermLt:
+        case NK::kTermLe:
+            fill_compare(cs, p, out);
+            return;
         case NK::kAnd:
         case NK::kOr: {
             const auto kids = p.node_operands();
@@ -370,6 +659,11 @@ CompiledAction::CompiledAction(std::shared_ptr<const CompiledSpace> cs,
       action_(std::move(action)),
       form_(action_.effect_form()),
       guard_(*cs_, action_.guard()) {
+    for (const auto& branch : form_.branches) {
+        branches_.emplace_back();
+        for (const Action::EffectForm::Assignment& a : branch)
+            branches_.back().push_back(CompiledAssign{a.var, TermCode(a.value)});
+    }
     obs::count("verify/compile/actions");
     if (!guard_fully_compiled())
         obs::count("verify/compile/opaque_guard_fallbacks");

@@ -8,8 +8,10 @@
 //
 //   * guards with structural metadata (Predicate::NodeKind) lower to a
 //     small postfix bytecode over CompiledSpace digit reads — no
-//     std::function dispatch; opaque subtrees fall back to a kCall op
-//     that invokes Predicate::eval for just that subtree;
+//     std::function dispatch; the terms of comparison atoms and of
+//     parallel assignments lower to TermCode, a value bytecode; opaque
+//     subtrees fall back to a kCall op that invokes Predicate::eval for
+//     just that subtree;
 //   * the whole-space *guard bitset* fills word-level enabled masks per
 //     action (periodic range fills for var==const leaves, word algebra
 //     for and/or/not, word copies for set-backed operands), so the BFS
@@ -39,6 +41,50 @@
 
 namespace dcft {
 
+/// Postfix bytecode for one Term: digit reads and integer arithmetic on a
+/// small value stack, no std::function dispatch.
+class TermCode {
+public:
+    /// Compiles t. Throws ContractError when the term nests deeper than
+    /// the value stack (kMaxStack).
+    explicit TermCode(const Term& t);
+
+    /// The value of the term at state s.
+    Value eval(const CompiledSpace& cs, StateIndex s) const {
+        // Single-op terms (a variable or a constant) skip the stack.
+        if (ops_.size() == 1) {
+            if (ops_[0].k == Op::K::kVar) return cs.get(s, ops_[0].var);
+            if (ops_[0].k == Op::K::kConst) return ops_[0].value;
+        }
+        return eval_stack(cs, s);
+    }
+
+private:
+    struct Op {
+        enum class K : std::uint8_t {
+            kConst,  ///< push value
+            kVar,    ///< push the digit of var
+            kAdd,    ///< top += value
+            kMod,    ///< top = non-negative residue of top mod value
+            kMin,    ///< pop two, push the lesser
+            kMax,    ///< pop two, push the greater
+            kCount,  ///< push #{v in count_vars_[begin, end) : v == value}
+        };
+        K k;
+        VarId var = 0;
+        Value value = 0;
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
+    };
+
+    static constexpr int kMaxStack = 64;
+
+    Value eval_stack(const CompiledSpace& cs, StateIndex s) const;
+
+    std::vector<Op> ops_;
+    std::vector<VarId> count_vars_;
+};
+
 /// Postfix bytecode for one guard predicate. Compiled from the structural
 /// metadata of a Predicate; opaque subtrees become kCall ops.
 class GuardCode {
@@ -67,6 +113,7 @@ private:
             kVarNeConst,
             kVarEqVar,
             kVarNeVar,
+            kCompare,   ///< comparison atom: compares_[idx]
             kTestBits,  ///< set-backed leaf: bits[idx].test(s)
             kCall,      ///< opaque leaf: opaque[idx].eval(space, s)
             kAnd,
@@ -80,18 +127,29 @@ private:
         std::uint32_t idx = 0;
     };
 
+    /// A lowered comparison atom `a op b` (op: a Predicate::kTerm* kind).
+    struct Compare {
+        Predicate::NodeKind op;
+        TermCode a;
+        TermCode b;
+        bool eval(const CompiledSpace& cs, StateIndex s) const;
+    };
+
     static constexpr int kMaxStack = 64;
 
     std::vector<Op> ops_;
+    std::vector<Compare> compares_;
     std::vector<std::shared_ptr<const BitVec>> bits_;
     std::vector<Predicate> opaque_;
 };
 
 /// Fills `out` (sized to the space) with the states satisfying p, using
 /// word-level algebra wherever p's structure allows: periodic range fills
-/// for var-vs-const leaves, word copies for set-backed leaves, word
-/// and/or/not for connectives. Unstructured subtrees fall back to a
-/// per-state scan of just that subtree. `out` is overwritten.
+/// for var-vs-const leaves, word copies for set-backed leaves, per-value
+/// set algebra for comparison atoms whose terms take at most
+/// kMaxTermValues values, word and/or/not for connectives. Other subtrees
+/// fall back to a per-state bytecode scan of just that subtree. `out` is
+/// overwritten.
 void fill_guard_bits(const CompiledSpace& cs, const Predicate& p,
                      BitVec& out);
 
@@ -201,6 +259,19 @@ public:
                 }
                 return;
             }
+            case EK::kParallel: {
+                // Every right-hand side reads s (the pre-state); the
+                // variables of a branch are distinct, so each digit of t
+                // still equals its digit in s.
+                for (const auto& branch : branches_) {
+                    StateIndex t = s;
+                    for (const CompiledAssign& a : branch)
+                        t = cs.set_digit(t, a.var, cs.get(s, a.var),
+                                         a.value.eval(cs, s));
+                    out.push_back(t);
+                }
+                return;
+            }
             case EK::kGeneric:
             default:
                 action_.apply_effect(cs.space(), s, out);
@@ -229,9 +300,16 @@ public:
     const Action::EffectForm& effect_form() const { return form_; }
 
 private:
+    struct CompiledAssign {
+        VarId var;
+        TermCode value;
+    };
+
     std::shared_ptr<const CompiledSpace> cs_;
     Action action_;
     Action::EffectForm form_;  ///< cached copy — no accessor call per edge
+    /// kParallel branches with their right-hand sides lowered.
+    std::vector<std::vector<CompiledAssign>> branches_;
     GuardCode guard_;
     mutable std::unique_ptr<BitVec> guard_bits_;  // lazy, built once
 };

@@ -10,24 +10,37 @@ namespace dcft {
 
 bool batch_disabled() { return env_flag_enabled("DCFT_NO_BATCH"); }
 
+namespace {
+
+/// Whether BatchKernel::lower has a flat form for statements of `kind`.
+bool lowers(Action::EffectForm::Kind kind) {
+    using EK = Action::EffectForm::Kind;
+    return kind != EK::kGeneric && kind != EK::kSetAny &&
+           kind != EK::kParallel;
+}
+
+}  // namespace
+
 BatchCoverage batch_coverage(const CompiledProgram& cp) {
+    using EK = Action::EffectForm::Kind;
     BatchCoverage cov;
+    std::size_t lowered = 0;  // actions BatchKernel::lower accepts
     auto scan = [&](const CompiledActionSet& set) {
         for (const CompiledAction& a : set.actions()) {
             ++cov.actions;
             const bool guard_ok = a.guard_fully_compiled();
-            const bool effect_ok =
-                a.effect_form().kind != Action::EffectForm::Kind::kGeneric;
+            const EK kind = a.effect_form().kind;
+            const bool effect_ok = kind != EK::kGeneric;
             cov.kcall_ops += a.guard_opaque_ops();
             if (guard_ok) ++cov.fully_compiled;
             if (effect_ok) ++cov.structured_effects;
             if (guard_ok && effect_ok) ++cov.batchable_actions;
+            if (guard_ok && lowers(kind)) ++lowered;
         }
     };
     scan(cp.program_actions());
     if (cp.has_faults()) scan(cp.fault_actions());
-    cov.batchable = cp.cspace().fast() &&
-                    cov.batchable_actions == cov.actions &&
+    cov.batchable = cp.cspace().fast() && lowered == cov.actions &&
                     cp.program_actions().size() <= 64 &&
                     (!cp.has_faults() || cp.fault_actions().size() <= 64);
     return cov;
@@ -37,7 +50,7 @@ bool BatchKernel::lower(const CompiledAction& ka, const CompiledSpace& cs,
                         const BitVec* gbits, Spec& out) {
     using EK = Action::EffectForm::Kind;
     const Action::EffectForm& f = ka.effect_form();
-    if (f.kind == EK::kGeneric || gbits == nullptr) return false;
+    if (!lowers(f.kind) || gbits == nullptr) return false;
     out.kind = f.kind;
     out.var = f.var;
     out.var2 = f.var2;

@@ -24,8 +24,9 @@
 //     popcounts and the sweep writes with bump pointers, no reallocation.
 //
 // A program is batchable when every action (program and fault) has a
-// fully compiled guard (whole-space bitset available), a structured
-// effect form (anything but kGeneric), the space is on the CompiledSpace
+// fully compiled guard (whole-space bitset available), an effect form the
+// kernel lowers (anything but kGeneric, kSetAny and kParallel), the space
+// is on the CompiledSpace
 // fast path, and each action set fits a 64-bit mask. Everything else
 // falls back to the scalar per-state path, which remains bit-for-bit
 // identical. DCFT_NO_BATCH=1 forces the scalar path — the differential

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "common/bitvec.hpp"
+#include "obs/progress.hpp"
 #include "verify/action_kernel.hpp"
 
 namespace dcft {
@@ -11,6 +12,7 @@ namespace {
 CheckResult check_preserved_by(const StateSpace& space,
                                std::span<const Action> actions,
                                const Predicate& s, const char* what) {
+    if (obs::progress_enabled()) obs::progress_phase("closure");
     // Evaluate the predicate exactly once per state, then test membership
     // of every successor with bit probes instead of repeated evaluation.
     // Guards and effects run compiled (bytecode + stride arithmetic).

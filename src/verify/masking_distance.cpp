@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/state_set.hpp"
@@ -80,6 +81,7 @@ GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
         tree.parent[r] = r;
     }
     std::uint32_t layer = 0;
+    std::uint64_t settled = 0;  // nodes placed in the game tree so far
     std::vector<NodeId> queue;
     std::vector<TransitionSystem::Edge> edges;
     std::vector<TransitionSystem::FaultStep> steps;
@@ -90,6 +92,9 @@ GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
         std::size_t head = 0;
         while (head < queue.size()) {
             const NodeId u = queue[head++];
+            // Heartbeat: one relaxed load per 64 Ki settled nodes when off.
+            if ((++settled & 0xFFFF) == 0 && obs::progress_enabled())
+                obs::progress_items("game", settled, n_nodes);
             for (const auto& e : ts.program_edges(u)) {
                 if (tree.dist[e.to] != kUnvisited) continue;
                 tree.dist[e.to] = layer;

@@ -1,6 +1,7 @@
 #include "verify/refinement.hpp"
 
 #include "common/bitvec.hpp"
+#include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/action_kernel.hpp"
 #include "verify/exploration_cache.hpp"
@@ -35,6 +36,7 @@ CheckResult check_closure_on(const TransitionSystem& ts,
                              const FaultClass* faults) {
     const obs::Span span("verify/closure");
     obs::count("verify/obligations/closure");
+    if (obs::progress_enabled()) obs::progress_phase("closure");
     const StateSpace& space = ts.space();
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const StateIndex s = ts.state_of(n);

@@ -897,10 +897,14 @@ void TransitionSystem::explore(const FaultClass* faults,
         const bool small_level =
             level_size * actions_per_state < work_min;
         if (small_level) ++levels_below_threshold;
+        // A level over the threshold is split into one chunk per worker,
+        // however few states it has: the threshold alone decides, so a
+        // lowered DCFT_PARALLEL_WORK_MIN sends even tiny levels through
+        // the parallel merge.
         const unsigned chunks =
             small_level ? 1
-                        : parallel_chunk_count(level_size, n_threads,
-                                               /*align=*/1);
+                        : static_cast<unsigned>(std::min<std::uint64_t>(
+                              n_threads, level_size));
 
         // Identity fast path: the one level of an identity exploration is
         // the whole space in ascending contiguous order, so the batch
@@ -1067,11 +1071,16 @@ void TransitionSystem::explore(const FaultClass* faults,
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
             const obs::Span pspan("verify/explore/expand_claim");
-            parallel_chunks(
-                level_size, n_threads, /*align=*/1,
-                [&](unsigned c, std::uint64_t begin, std::uint64_t end) {
+            const std::uint64_t chunk_len = (level_size + chunks - 1) / chunks;
+            parallel_each(
+                chunks,
+                [&](unsigned c) {
                     const obs::Span cspan(
                         "verify/explore/expand_claim/chunk", c);
+                    const std::uint64_t begin = std::min<std::uint64_t>(
+                        c * chunk_len, level_size);
+                    const std::uint64_t end = std::min<std::uint64_t>(
+                        begin + chunk_len, level_size);
                     ChunkBuf& buf = bufs[c];
                     buf.recs.clear();
                     buf.counts.clear();
@@ -1151,21 +1160,15 @@ void TransitionSystem::explore(const FaultClass* faults,
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
             const obs::Span pspan("verify/explore/claim_filter");
-            parallel_chunks(
-                chunks, n_threads, /*align=*/1,
-                [&](unsigned w, std::uint64_t cb, std::uint64_t ce) {
-                    const obs::Span cspan(
-                        "verify/explore/claim_filter/chunk", w);
-                    for (std::uint64_t c = cb; c < ce; ++c) {
-                        auto& cl = bufs[c].claims;
-                        const NodeId mark =
-                            kClaimBase + static_cast<NodeId>(c);
-                        std::size_t kept = 0;
-                        for (const auto& [t, from] : cl)
-                            if (lookup(t) == mark) cl[kept++] = {t, from};
-                        cl.resize(kept);
-                    }
-                });
+            parallel_each(chunks, [&](unsigned c) {
+                const obs::Span cspan("verify/explore/claim_filter/chunk", c);
+                auto& cl = bufs[c].claims;
+                const NodeId mark = kClaimBase + static_cast<NodeId>(c);
+                std::size_t kept = 0;
+                for (const auto& [t, from] : cl)
+                    if (lookup(t) == mark) cl[kept++] = {t, from};
+                cl.resize(kept);
+            });
             if (timeline) phase_ns[1] = obs::now_ns() - pt0;
         }
 
@@ -1192,26 +1195,20 @@ void TransitionSystem::explore(const FaultClass* faults,
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
             const obs::Span pspan("verify/explore/publish");
-            parallel_chunks(
-                chunks, n_threads, /*align=*/1,
-                [&](unsigned w, std::uint64_t cb, std::uint64_t ce) {
-                    const obs::Span cspan(
-                        "verify/explore/publish/chunk", w);
-                    for (std::uint64_t c = cb; c < ce; ++c) {
-                        const auto& cl = bufs[c].claims;
-                        for (std::size_t j = 0; j < cl.size(); ++j) {
-                            const auto& [t, from] = cl[j];
-                            const NodeId id =
-                                static_cast<NodeId>(base_new[c] + j);
-                            if (direct_mapped_)
-                                node_map_.set(t, id);
-                            else
-                                sparse_->publish(t, id);
-                            states_[id] = t;
-                            parent_[id] = from;
-                        }
-                    }
-                });
+            parallel_each(chunks, [&](unsigned c) {
+                const obs::Span cspan("verify/explore/publish/chunk", c);
+                const auto& cl = bufs[c].claims;
+                for (std::size_t j = 0; j < cl.size(); ++j) {
+                    const auto& [t, from] = cl[j];
+                    const NodeId id = static_cast<NodeId>(base_new[c] + j);
+                    if (direct_mapped_)
+                        node_map_.set(t, id);
+                    else
+                        sparse_->publish(t, id);
+                    states_[id] = t;
+                    parent_[id] = from;
+                }
+            });
             if (timeline) phase_ns[2] = obs::now_ns() - pt0;
         }
 
@@ -1221,29 +1218,22 @@ void TransitionSystem::explore(const FaultClass* faults,
         {
             const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
             const obs::Span pspan("verify/explore/edge_write");
-            parallel_chunks(
-                chunks, n_threads, /*align=*/1,
-                [&](unsigned w, std::uint64_t cb, std::uint64_t ce) {
-                    const obs::Span cspan(
-                        "verify/explore/edge_write/chunk", w);
-                    for (std::uint64_t c = cb; c < ce; ++c) {
-                        const ChunkBuf& buf = bufs[c];
-                        std::uint64_t pc = base_prog[c];
-                        std::size_t r = 0;
-                        NodeId node =
-                            static_cast<NodeId>(level_begin + buf.begin);
-                        for (const auto& [n_prog, n_fault] : buf.counts) {
-                            for (std::uint32_t k = 0; k < n_prog;
-                                 ++k, ++r) {
-                                const auto& [a, t] = buf.recs[r];
-                                prog_edges_[pc++] = Edge{a, lookup(t)};
-                            }
-                            prog_offsets_[node + 1] = pc;
-                            r += n_fault;
-                            ++node;
-                        }
+            parallel_each(chunks, [&](unsigned c) {
+                const obs::Span cspan("verify/explore/edge_write/chunk", c);
+                const ChunkBuf& buf = bufs[c];
+                std::uint64_t pc = base_prog[c];
+                std::size_t r = 0;
+                NodeId node = static_cast<NodeId>(level_begin + buf.begin);
+                for (const auto& [n_prog, n_fault] : buf.counts) {
+                    for (std::uint32_t k = 0; k < n_prog; ++k, ++r) {
+                        const auto& [a, t] = buf.recs[r];
+                        prog_edges_[pc++] = Edge{a, lookup(t)};
                     }
-                });
+                    prog_offsets_[node + 1] = pc;
+                    r += n_fault;
+                    ++node;
+                }
+            });
             if (timeline) phase_ns[3] = obs::now_ns() - pt0;
         }
 

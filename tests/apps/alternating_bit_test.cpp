@@ -10,6 +10,7 @@
 #include "verify/invariant.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -120,6 +121,38 @@ TEST(AlternatingBitTest, ParameterSweep) {
 TEST(AlternatingBitTest, BadParametersRejected) {
     EXPECT_THROW(make_alternating_bit(0, 4), ContractError);
     EXPECT_THROW(make_alternating_bit(2, 1), ContractError);
+}
+
+
+TEST(AlternatingBitTest, ChannelGuardsMatchTheOpaqueLambdas) {
+    // The channel statements stay opaque (queue shifts); their guards are
+    // structured. The oracles are the lambdas they replaced.
+    auto sys = make_alternating_bit(2, 3);
+    const auto space = sys.space;
+    for (const Channel& ch : {sys.data, sys.acks}) {
+        const VarId v = ch.var();
+        const Predicate empty(ch.name() + ".empty",
+                              [v](const StateSpace& sp, StateIndex s) {
+                                  return sp.get(s, v) == 0;
+                              });
+        const Predicate full(ch.name() + ".full",
+                             [ch](const StateSpace& sp, StateIndex s) {
+                                 return ch.full(sp, s);
+                             });
+        test::expect_same_guard(space, ch.is_empty(), empty);
+        test::expect_same_guard(space, ch.is_full(), full);
+        test::expect_same_guard(space, ch.nonempty(), !empty);
+        test::expect_same_guard(
+            space, ch.duplicate("dup").guard(),
+            Predicate(ch.name() + ".nonempty&&!full",
+                      [ch](const StateSpace& sp, StateIndex s) {
+                          return !ch.empty(sp, s) && !ch.full(sp, s);
+                      }));
+    }
+    for (const Action& a : sys.protocol.actions())
+        EXPECT_EQ(GuardCode(*compile_space(space), a.guard()).num_opaque_ops(),
+                  0u)
+            << a.name();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "verify/invariant.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -114,6 +115,58 @@ TEST(BarrierTest, EightWorkers) {
     const Predicate inv =
         reachable_invariant(sys.rechecking, start_state(sys));
     EXPECT_TRUE(refines_spec(sys.rechecking, sys.spec, inv).ok);
+}
+
+
+TEST(BarrierTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // The lambdas the structured forms replaced, copied here as oracles.
+    auto sys = make_barrier(4);
+    const auto space = sys.space;
+    const int n = 4;
+    const std::vector<VarId> arrived = sys.arrived, w = sys.w;
+    const VarId round = sys.round_var;
+    auto child_value = [n, arrived, w](const StateSpace& sp, StateIndex s,
+                                       int node) -> Value {
+        if (node >= n)
+            return sp.get(s, arrived[static_cast<std::size_t>(node - n)]);
+        return sp.get(s, w[static_cast<std::size_t>(node)]);
+    };
+    for (int k = 1; k < n; ++k) {
+        const std::string ks = std::to_string(k);
+        const Predicate children_true(
+            "children-true." + ks,
+            [child_value, k](const StateSpace& sp, StateIndex s) {
+                return child_value(sp, s, 2 * k) == 1 &&
+                       child_value(sp, s, 2 * k + 1) == 1;
+            });
+        test::expect_same_action(
+            space, sys.trusting.action_named("watch." + ks),
+            Action::assign_const(
+                *space, "watch." + ks,
+                children_true && Predicate::var_eq(*space, "w." + ks, 0),
+                "w." + ks, 1));
+    }
+    const Predicate all_arrived(
+        "all-arrived", [arrived](const StateSpace& sp, StateIndex s) {
+            for (VarId a : arrived)
+                if (sp.get(s, a) == 0) return false;
+            return true;
+        });
+    test::expect_same_guard(space, sys.all_arrived, all_arrived);
+    auto release_effect = [arrived, w, round, n](const StateSpace& sp,
+                                                 StateIndex s) {
+        StateIndex t = sp.set(s, round, 1 - sp.get(s, round));
+        for (VarId a : arrived) t = sp.set(t, a, 0);
+        for (int k = 1; k < n; ++k)
+            t = sp.set(t, w[static_cast<std::size_t>(k)], 0);
+        return t;
+    };
+    test::expect_same_action(space, sys.trusting.action_named("release"),
+                             Action("release", sys.root_witness,
+                                    release_effect));
+    test::expect_same_action(
+        space, sys.rechecking.action_named("release"),
+        Action("release", sys.root_witness && all_arrived, release_effect));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "verify/reachability.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -140,6 +141,97 @@ TEST_F(ByzantineTest, WitnessRequiresAllDecisionsPresent) {
     s = sys.space->set(s, sys.d[0], 0);  // minority now
     EXPECT_FALSE(sys.witness(1).eval(*sys.space, s));
     EXPECT_TRUE(sys.witness(2).eval(*sys.space, s));
+}
+
+
+/// The majority rule the structured Byzantine forms replaced, copied here
+/// as the oracle: strict majority among the d values (bot abstains),
+/// defaulting to 0 on a tie or when no value has a majority.
+Value oracle_majority(const StateSpace& sp, StateIndex s,
+                      const std::vector<VarId>& d) {
+    int votes[2] = {0, 0};
+    for (VarId v : d) {
+        const Value val = sp.get(s, v);
+        if (val == 0 || val == 1) ++votes[val];
+    }
+    const int threshold = static_cast<int>(d.size()) / 2;
+    if (votes[0] > threshold) return 0;
+    if (votes[1] > threshold) return 1;
+    return 0;
+}
+
+TEST(ByzantineMigrationTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // n = 3 has two voters (ties default to 0), n = 4 three; f = 2 moves
+    // the fault budget.
+    for (const auto& [n, f] : {std::pair{3, 1}, std::pair{4, 2}}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " f=" + std::to_string(f));
+        auto sys = make_byzantine(n, f);
+        const auto space = sys.space;
+        const std::vector<VarId> dvars = sys.d;
+        for (int j = 1; j < n; ++j) {
+            const VarId dj = dvars[static_cast<std::size_t>(j - 1)];
+            const VarId oj = sys.out[static_cast<std::size_t>(j - 1)];
+            const VarId bj = sys.b[static_cast<std::size_t>(j - 1)];
+            const std::string js = std::to_string(j);
+            const Predicate w(
+                "W." + js, [dvars, dj](const StateSpace& sp, StateIndex s) {
+                    for (VarId v : dvars)
+                        if (sp.get(s, v) == 2) return false;
+                    return sp.get(s, dj) == oracle_majority(sp, s, dvars);
+                });
+            test::expect_same_guard(space, sys.witness(j), w);
+            const Predicate hon =
+                Predicate::var_eq(*space, bj, 0).renamed("!b." + js);
+            const Action ib2 = Action::assign_var(
+                *space, "IB2." + js,
+                hon && Predicate::var_ne(*space, dj, 2) &&
+                    Predicate::var_eq(*space, oj, 2),
+                oj, dj);
+            test::expect_same_action(
+                space, sys.failsafe.action_named("(W." + js + " /\\ IB2." + js + ")"),
+                ib2.restricted(w));
+            const Predicate cb_guard(
+                "cb-guard." + js,
+                [dvars, dj](const StateSpace& sp, StateIndex s) {
+                    for (VarId v : dvars)
+                        if (sp.get(s, v) == 2) return false;
+                    return sp.get(s, dj) != oracle_majority(sp, s, dvars);
+                });
+            test::expect_same_action(
+                space, sys.masking.action_named("CB1." + js),
+                Action::assign(*space, "CB1." + js, hon && cb_guard,
+                               "d." + js,
+                               [dvars](const StateSpace& sp, StateIndex s) {
+                                   return oracle_majority(sp, s, dvars);
+                               }));
+        }
+        std::vector<VarId> all_b = sys.b;
+        all_b.push_back(sys.b_g);
+        const Predicate under_budget(
+            "byz-count<" + std::to_string(f),
+            [all_b, f](const StateSpace& sp, StateIndex s) {
+                int count = 0;
+                for (VarId v : all_b) count += static_cast<int>(sp.get(s, v));
+                return count < f;
+            });
+        const auto faults = sys.byzantine_fault.actions();
+        ASSERT_EQ(faults.size(), static_cast<std::size_t>(n));
+        test::expect_same_action(
+            space, faults[0],
+            Action::assign_const(
+                *space, "BYZ-flip.g",
+                under_budget && Predicate::var_eq(*space, sys.b_g, 0), "b.g",
+                1));
+        for (int j = 1; j < n; ++j)
+            test::expect_same_action(
+                space, faults[static_cast<std::size_t>(j)],
+                Action::assign_const(
+                    *space, "BYZ-flip." + std::to_string(j),
+                    under_budget &&
+                        Predicate::var_eq(
+                            *space, sys.b[static_cast<std::size_t>(j - 1)], 0),
+                    "b." + std::to_string(j), 1));
+    }
 }
 
 }  // namespace

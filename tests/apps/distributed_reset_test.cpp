@@ -11,6 +11,7 @@
 #include "verify/invariant.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -113,6 +114,55 @@ TEST(DistributedResetTest, DeeperTreeStillWorks) {
 TEST(DistributedResetTest, RejectsMalformedTrees) {
     EXPECT_THROW(make_distributed_reset({0, 2, 1}), ContractError);
     EXPECT_THROW(make_distributed_reset({1, 0}), ContractError);
+}
+
+
+TEST(DistributedResetTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // The lambdas the structured forms replaced, copied here as oracles.
+    auto sys = make_distributed_reset({0, 0, 1, 1});
+    const auto space = sys.space;
+    const std::vector<VarId> sn = sys.sn;
+    const VarId wc = sys.wc_var, req = sys.req_var;
+    const Predicate all_equal("all-sessions-equal",
+                              [sn](const StateSpace& sp, StateIndex s) {
+                                  const Value root = sp.get(s, sn[0]);
+                                  for (VarId v : sn)
+                                      if (sp.get(s, v) != root) return false;
+                                  return true;
+                              });
+    test::expect_same_guard(space, sys.all_equal, all_equal);
+    const Predicate wc_set = Predicate::var_eq(*space, wc, 1);
+    const Predicate req_set = Predicate::var_eq(*space, req, 1);
+    test::expect_same_action(
+        space, sys.system.action_named("start.0"),
+        Action("start.0", req_set && wc_set,
+               [sn, wc, req](const StateSpace& sp, StateIndex s) {
+                   StateIndex t = sp.set(s, sn[0], (sp.get(s, sn[0]) + 1) % 3);
+                   t = sp.set(t, wc, 0);
+                   return sp.set(t, req, 0);
+               }));
+    for (std::size_t i = 1; i < sn.size(); ++i) {
+        const VarId si = sn[i];
+        const VarId sp_var = sn[static_cast<std::size_t>(sys.parent[i])];
+        const std::string is = std::to_string(i);
+        test::expect_same_action(
+            space, sys.system.action_named("adopt." + is),
+            Action::assign(*space, "adopt." + is,
+                           Predicate("stale." + is,
+                                     [si, sp_var](const StateSpace& sp,
+                                                  StateIndex s) {
+                                         return sp.get(s, si) !=
+                                                sp.get(s, sp_var);
+                                     }),
+                           "sn." + is,
+                           [sp_var](const StateSpace& sp, StateIndex s) {
+                               return sp.get(s, sp_var);
+                           }));
+    }
+    test::expect_same_action(
+        space, sys.system.action_named("complete.0"),
+        Action::assign_const(*space, "complete.0", all_equal && !wc_set, "wc",
+                             1));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "verify/component_checker.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -110,6 +111,58 @@ TEST(LeaderElectionTest, CorruptFaultMatchesTheOpaqueLambda) {
         compiled.successors(s, got_compiled);
         ASSERT_EQ(got, want) << "state " << s;
         ASSERT_EQ(got_compiled, want) << "state " << s;
+    }
+}
+
+
+TEST(LeaderElectionTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // The lambdas the structured forms replaced, copied here as oracles.
+    // Ids are permuted so the own-id constant is not the node index.
+    const std::vector<int> parent{0, 0, 1, 1};
+    auto sys = make_leader_election(parent, {2, 0, 3, 1});
+    const auto space = sys.space;
+    const std::vector<VarId> agg = sys.agg, ldr = sys.ldr;
+    for (std::size_t i = 0; i < parent.size(); ++i) {
+        std::vector<int> kids;
+        for (std::size_t c = 1; c < parent.size(); ++c)
+            if (static_cast<std::size_t>(parent[c]) == i)
+                kids.push_back(static_cast<int>(c));
+        const VarId ai = agg[i];
+        const Value own = sys.id[i];
+        auto target = [agg, kids, own](const StateSpace& sp, StateIndex s) {
+            Value best = own;
+            for (int c : kids)
+                best = std::max(best,
+                                sp.get(s, agg[static_cast<std::size_t>(c)]));
+            return best;
+        };
+        const std::string is = std::to_string(i);
+        test::expect_same_action(
+            space, sys.program.action_named("agg." + is),
+            Action::assign(*space, "agg." + is,
+                           Predicate("agg-stale." + is,
+                                     [ai, target](const StateSpace& sp,
+                                                  StateIndex s) {
+                                         return sp.get(s, ai) !=
+                                                target(sp, s);
+                                     }),
+                           "agg." + is, target));
+        const VarId li = ldr[i];
+        const VarId src = i == 0 ? agg[0]
+                                 : ldr[static_cast<std::size_t>(parent[i])];
+        test::expect_same_action(
+            space, sys.program.action_named("ldr." + is),
+            Action::assign(*space, "ldr." + is,
+                           Predicate("ldr-stale." + is,
+                                     [li, src](const StateSpace& sp,
+                                               StateIndex s) {
+                                         return sp.get(s, li) !=
+                                                sp.get(s, src);
+                                     }),
+                           "ldr." + is,
+                           [src](const StateSpace& sp, StateIndex s) {
+                               return sp.get(s, src);
+                           }));
     }
 }
 

@@ -10,6 +10,7 @@
 #include "verify/component_checker.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -121,6 +122,64 @@ TEST(SpanningTreeTest, CorruptFaultMatchesTheOpaqueLambda) {
         compiled.successors(s, got_compiled);
         ASSERT_EQ(got, want) << "state " << s;
         ASSERT_EQ(got_compiled, want) << "state " << s;
+    }
+}
+
+
+TEST(SpanningTreeTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // The lambdas the structured forms replaced, copied here as oracles:
+    // target = min(cap, 1 + min(neighbours)).
+    for (const apps::Graph& graph :
+         {path_graph(4), cycle_graph(4), star_graph(4)}) {
+        auto sys = make_spanning_tree(graph);
+        const auto space = sys.space;
+        const std::vector<VarId> dist = sys.dist;
+        const Value cap = static_cast<Value>(graph.size());
+        const VarId d0 = dist[0];
+        test::expect_same_action(
+            space, sys.program.action_named("fix.0"),
+            Action::assign_const(
+                *space, "fix.0",
+                Predicate("dist.0!=0",
+                          [d0](const StateSpace& sp, StateIndex s) {
+                              return sp.get(s, d0) != 0;
+                          }),
+                "dist.0", 0));
+        test::expect_same_guard(
+            space, sys.locally_consistent(0),
+            Predicate("consistent.0", [d0](const StateSpace& sp,
+                                           StateIndex s) {
+                return sp.get(s, d0) == 0;
+            }));
+        for (std::size_t i = 1; i < graph.size(); ++i) {
+            const auto neighbours = graph[i];
+            const VarId di = dist[i];
+            auto target = [dist, neighbours, cap](const StateSpace& sp,
+                                                  StateIndex s) {
+                Value best = cap;
+                for (int j : neighbours)
+                    best = std::min(
+                        best, sp.get(s, dist[static_cast<std::size_t>(j)]));
+                return std::min<Value>(best + 1, cap);
+            };
+            const std::string is = std::to_string(i);
+            test::expect_same_action(
+                space, sys.program.action_named("fix." + is),
+                Action::assign(*space, "fix." + is,
+                               Predicate("inconsistent." + is,
+                                         [di, target](const StateSpace& sp,
+                                                      StateIndex s) {
+                                             return sp.get(s, di) !=
+                                                    target(sp, s);
+                                         }),
+                               "dist." + is, target));
+            test::expect_same_guard(
+                space, sys.locally_consistent(static_cast<int>(i)),
+                Predicate("consistent." + is,
+                          [di, target](const StateSpace& sp, StateIndex s) {
+                              return sp.get(s, di) == target(sp, s);
+                          }));
+        }
     }
 }
 

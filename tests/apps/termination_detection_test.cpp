@@ -12,6 +12,7 @@
 #include "verify/fairness.hpp"
 #include "verify/invariant.hpp"
 #include "verify/refinement.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -116,6 +117,105 @@ TEST(TerminationDetectionTest, InitialStateShape) {
     EXPECT_EQ(sys.space->get(s, sys.done_var), 0);
     EXPECT_TRUE(sys.initial.eval(*sys.space, s));
     EXPECT_THROW(sys.initial_state({true}), ContractError);
+}
+
+
+TEST(TerminationDetectionTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // The lambdas the structured forms replaced, copied here as oracles.
+    const int n = 3;
+    auto sys = make_termination_detection(n);
+    const auto space = sys.space;
+    const std::vector<VarId> active = sys.active_var, colour = sys.colour_var;
+    const VarId token = sys.token_var, tcolour = sys.tcolour_var;
+    const VarId done = sys.done_var;
+    constexpr Value kWhite = 0, kBlack = 1;
+    for (int i = 0; i < n; ++i) {
+        const VarId ai = active[static_cast<std::size_t>(i)];
+        const VarId ci = colour[static_cast<std::size_t>(i)];
+        const std::string is = std::to_string(i);
+        const Predicate is_active(
+            "active." + is, [ai](const StateSpace& sp, StateIndex s) {
+                return sp.get(s, ai) == 1;
+            });
+        test::expect_same_action(
+            space, sys.system.action_named("passify." + is),
+            Action::assign_const(*space, "passify." + is, is_active,
+                                 "active." + is, 0));
+        std::vector<int> others;
+        for (int j = 0; j < n; ++j)
+            if (j != i) others.push_back(j);
+        test::expect_same_action(
+            space, sys.system.action_named("activate." + is),
+            Action::nondet(
+                "activate." + is, is_active,
+                [active, ci, others](const StateSpace& sp, StateIndex s,
+                                     std::vector<StateIndex>& out) {
+                    for (int j : others) {
+                        StateIndex t = sp.set(
+                            s, active[static_cast<std::size_t>(j)], 1);
+                        out.push_back(sp.set(t, ci, kBlack));
+                    }
+                }));
+        if (i == 0) continue;
+        test::expect_same_action(
+            space, sys.system.action_named("pass." + is),
+            Action("pass." + is,
+                   Predicate("token@" + is + "&&passive",
+                             [token, ai, i](const StateSpace& sp,
+                                            StateIndex s) {
+                                 return sp.get(s, token) == i &&
+                                        sp.get(s, ai) == 0;
+                             }),
+                   [token, tcolour, ci, i](const StateSpace& sp,
+                                           StateIndex s) {
+                       StateIndex t = sp.set(s, token, i - 1);
+                       if (sp.get(s, ci) == kBlack)
+                           t = sp.set(t, tcolour, kBlack);
+                       return sp.set(t, ci, kWhite);
+                   }));
+    }
+    const VarId a0 = active[0], c0 = colour[0];
+    const Predicate at_initiator(
+        "token@0&&passive", [token, a0](const StateSpace& sp, StateIndex s) {
+            return sp.get(s, token) == 0 && sp.get(s, a0) == 0;
+        });
+    const Predicate probe_white(
+        "probe-white", [tcolour, c0](const StateSpace& sp, StateIndex s) {
+            return sp.get(s, tcolour) == kWhite && sp.get(s, c0) == kWhite;
+        });
+    const Predicate not_done("!done",
+                             [done](const StateSpace& sp, StateIndex s) {
+                                 return sp.get(s, done) == 0;
+                             });
+    test::expect_same_action(
+        space, sys.system.action_named("judge.0"),
+        Action::assign_const(*space, "judge.0",
+                             at_initiator && probe_white && not_done, "done",
+                             1));
+    test::expect_same_action(
+        space, sys.system.action_named("retry.0"),
+        Action("retry.0", at_initiator && !probe_white,
+               [token, tcolour, c0, n](const StateSpace& sp, StateIndex s) {
+                   StateIndex t = sp.set(s, token, n - 1);
+                   t = sp.set(t, tcolour, kWhite);
+                   return sp.set(t, c0, kWhite);
+               }));
+    ASSERT_EQ(sys.spurious_activation.actions().size(), 1u);
+    test::expect_same_action(
+        space, sys.spurious_activation.actions()[0],
+        Action::nondet(
+            "spuriously-activate",
+            Predicate("some-passive",
+                      [active](const StateSpace& sp, StateIndex s) {
+                          for (VarId a : active)
+                              if (sp.get(s, a) == 0) return true;
+                          return false;
+                      }),
+            [active](const StateSpace& sp, StateIndex s,
+                     std::vector<StateIndex>& out) {
+                for (VarId a : active)
+                    if (sp.get(s, a) == 0) out.push_back(sp.set(s, a, 1));
+            }));
 }
 
 }  // namespace

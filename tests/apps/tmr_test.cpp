@@ -7,6 +7,7 @@
 #include "verify/encapsulation.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -137,6 +138,59 @@ TEST_F(TmrTest, SpanIsAtMostOneCorruption) {
         const Value z = sys.space->get(s, sys.z_var);
         EXPECT_TRUE(x == y || y == z || x == z) << sys.space->format(s);
     }
+}
+
+
+TEST(TmrMigrationTest, StructuredActionsMatchTheOpaqueLambdas) {
+    // The lambdas the structured forms replaced, copied here as oracles.
+    const Value domain = 3;
+    auto sys = make_tmr(domain);
+    const auto space = sys.space;
+    const VarId x = sys.x_var, y = sys.y_var, z = sys.z_var;
+    auto var_equal = [](VarId a, VarId b, std::string name) {
+        return Predicate(std::move(name),
+                         [a, b](const StateSpace& sp, StateIndex s) {
+                             return sp.get(s, a) == sp.get(s, b);
+                         });
+    };
+    const Predicate out_bot = sys.output_unassigned;
+    test::expect_same_guard(
+        space, sys.dr_witness,
+        var_equal(x, y, "x==y") || var_equal(x, z, "x==z"));
+    const Predicate all_agree =
+        var_equal(x, y, "x==y") && var_equal(y, z, "y==z");
+    test::expect_same_guard(space, sys.all_inputs_agree, all_agree);
+    auto copy_of = [](VarId v) {
+        return [v](const StateSpace& sp, StateIndex s) { return sp.get(s, v); };
+    };
+    test::expect_same_action(
+        space, sys.intolerant.action_named("IR1"),
+        Action::assign(*space, "IR1", out_bot, "out", copy_of(x)));
+    test::expect_same_action(
+        space, sys.corrector.action_named("CR1"),
+        Action::assign(
+            *space, "CR1",
+            out_bot && (var_equal(y, z, "y==z") || var_equal(y, x, "y==x")),
+            "out", copy_of(y)));
+    test::expect_same_action(
+        space, sys.corrector.action_named("CR2"),
+        Action::assign(
+            *space, "CR2",
+            out_bot && (var_equal(z, x, "z==x") || var_equal(z, y, "z==y")),
+            "out", copy_of(z)));
+    ASSERT_EQ(sys.corrupt_one_input.actions().size(), 1u);
+    test::expect_same_action(
+        space, sys.corrupt_one_input.actions()[0],
+        Action::nondet("corrupt-input", all_agree,
+                       [x, y, z, domain](const StateSpace& sp, StateIndex s,
+                                         std::vector<StateIndex>& outv) {
+                           for (VarId input : {x, y, z}) {
+                               const Value cur = sp.get(s, input);
+                               for (Value c = 0; c < domain; ++c)
+                                   if (c != cur)
+                                       outv.push_back(sp.set(s, input, c));
+                           }
+                       }));
 }
 
 }  // namespace

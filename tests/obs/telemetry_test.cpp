@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -216,6 +217,45 @@ TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
     EXPECT_EQ(counter_value("verify/explore/levels_before_guard_bits"), 2u);
     EXPECT_GT(counter_value("verify/explore/levels"), 2u);
     EXPECT_EQ(counter_value("verify/explore/batched"), 1u);
+}
+
+/// Calls of the timer at `path` (0 when never recorded).
+std::uint64_t span_calls(const std::string& path) {
+    for (const auto& t : obs::Registry::global().timers())
+        if (t.path == path) return t.calls;
+    return 0;
+}
+
+TEST(TelemetryTest, ParallelMergePhasesRunOneWorkerPerChunk) {
+    TelemetryGuard guard;
+    // Token ring n=6 p [] F from the legitimate states: with the work
+    // threshold at 1 every level takes the parallel merge, and the wide
+    // levels split into 4 chunks. Each later phase must run one worker per
+    // chunk of phase A, and the graph must equal the serial one.
+    auto ring = apps::make_token_ring(6, 6);
+    setenv("DCFT_PARALLEL_WORK_MIN", "1", 1);
+    const TransitionSystem par(ring.ring, &ring.corrupt_any, ring.legitimate,
+                               /*n_threads=*/4);
+    unsetenv("DCFT_PARALLEL_WORK_MIN");
+    const std::uint64_t chunks =
+        span_calls("verify/explore/expand_claim/chunk");
+    EXPECT_GT(chunks, counter_value("verify/explore/levels"));
+    EXPECT_EQ(span_calls("verify/explore/claim_filter/chunk"), chunks);
+    EXPECT_EQ(span_calls("verify/explore/publish/chunk"), chunks);
+    EXPECT_EQ(span_calls("verify/explore/edge_write/chunk"), chunks);
+
+    const TransitionSystem serial(ring.ring, &ring.corrupt_any,
+                                  ring.legitimate, /*n_threads=*/1);
+    ASSERT_EQ(par.num_nodes(), serial.num_nodes());
+    EXPECT_EQ(par.num_fault_edges(), serial.num_fault_edges());
+    EXPECT_TRUE(std::ranges::equal(par.raw_parent(), serial.raw_parent()));
+    for (NodeId n = 0; n < serial.num_nodes(); ++n) {
+        ASSERT_EQ(par.state_of(n), serial.state_of(n)) << "node " << n;
+        const auto pe = par.program_edges(n);
+        const auto se = serial.program_edges(n);
+        ASSERT_TRUE(std::equal(pe.begin(), pe.end(), se.begin(), se.end()))
+            << "node " << n;
+    }
 }
 
 /// Liveness counters of the token-ring n=6 catalog grid (every variant,

@@ -6,9 +6,11 @@
 // schedules both depend on successor order.
 //
 // Systems covered: token ring (structured guards/effects), Byzantine
-// agreement (mix of structured and opaque), and randomized guarded-command
-// programs over >= 10k-state spaces that deliberately blend compilable
-// forms with opaque lambdas (kCall / kGeneric fallbacks).
+// agreement (term comparisons, counts and parallel assignments), random
+// term atoms and parallel statements on small spaces, and randomized
+// guarded-command programs over >= 10k-state spaces that deliberately
+// blend compilable forms with opaque lambdas (kCall / kGeneric
+// fallbacks).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +19,7 @@
 #include "apps/barrier.hpp"
 #include "apps/byzantine.hpp"
 #include "apps/token_ring.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "gc/compiled.hpp"
 #include "gc/state_space.hpp"
@@ -93,9 +96,9 @@ TEST(ActionKernelTest, TokenRingFaultDifferential) {
 }
 
 TEST(ActionKernelTest, ByzantineDifferential) {
-    // n=4: 4 * 18^3 = 23328 states (>= 10k); witnesses/correctors are
-    // opaque lambdas, b-flag guards are structured — exercises both the
-    // bytecode fast ops and the kCall/kGeneric fallbacks in one system.
+    // n=4: 4 * 18^3 = 23328 states (>= 10k); witnesses and correctors are
+    // count/min/max term comparisons and parallel assignments, b-flag
+    // guards are var==const leaves.
     auto sys = apps::make_byzantine(4, 1);
     expect_differential(sys.masking);
     expect_differential(sys.intolerant);
@@ -131,6 +134,60 @@ TEST(ActionKernelTest, SetAnyDifferential) {
                                              sys.space->set(s, w3, 1)}));
 }
 
+/// A random term of nesting depth <= `depth`: every Term kind, with
+/// negative addends and constants so bounds and residues are exercised.
+Term random_term(Rng& rng, const StateSpace& sp, int depth) {
+    const VarId v = rng.below(sp.num_vars());
+    switch (depth <= 0 ? rng.below(2) : rng.below(6)) {
+        case 0:
+            return Term::constant(static_cast<Value>(rng.below(7)) - 1);
+        case 1:
+            return Term::var(sp, v);
+        case 2: {
+            const Value m =
+                rng.chance(0.5) ? 0 : static_cast<Value>(2 + rng.below(4));
+            return random_term(rng, sp, depth - 1)
+                .plus(static_cast<Value>(rng.below(7)) - 3, m);
+        }
+        case 3:
+        case 4: {
+            std::vector<Term> ts;
+            const std::size_t k = 1 + rng.below(3);
+            for (std::size_t i = 0; i < k; ++i)
+                ts.push_back(random_term(rng, sp, depth - 1));
+            return rng.chance(0.5) ? Term::min(std::move(ts))
+                                   : Term::max(std::move(ts));
+        }
+        default: {
+            std::vector<VarId> vars;
+            const std::size_t k = 1 + rng.below(sp.num_vars());
+            for (std::size_t i = 0; i < k; ++i)
+                vars.push_back(rng.below(sp.num_vars()));
+            return Term::count(sp, std::move(vars),
+                               static_cast<Value>(rng.below(4)));
+        }
+    }
+}
+
+/// A random parallel assignment to 1-3 distinct variables; a term whose
+/// bounds leave the variable's domain is reduced mod the domain.
+std::vector<Action::EffectForm::Assignment> random_assignments(
+    Rng& rng, const StateSpace& sp) {
+    std::vector<Action::EffectForm::Assignment> out;
+    const std::size_t k = 1 + rng.below(3);
+    for (std::size_t i = 0; i < k; ++i) {
+        const VarId v = rng.below(sp.num_vars());
+        bool dup = false;
+        for (const auto& a : out) dup = dup || a.var == v;
+        if (dup) continue;
+        const Value dom = sp.variable(v).domain_size;
+        Term t = random_term(rng, sp, 2);
+        if (t.lo() < 0 || t.hi() >= dom) t = t.plus(0, dom);
+        out.push_back({v, std::move(t)});
+    }
+    return out;
+}
+
 /// Random guarded-command program over a >= 10k-state space. Mixes every
 /// structured effect form with opaque guards and generic effects so the
 /// differential covers fallback seams, not just the fast paths.
@@ -158,7 +215,7 @@ Program random_program(std::uint64_t seed) {
         const VarId a = rng.below(4), b = rng.below(4);
         const Value ca = static_cast<Value>(
             rng.below(static_cast<std::uint64_t>(domains[a])));
-        switch (rng.below(7)) {
+        switch (rng.below(8)) {
             case 0: return Predicate::top();
             case 1: return Predicate::var_eq(*space, a, ca);
             case 2: return Predicate::var_ne(*space, a, ca);
@@ -167,6 +224,10 @@ Program random_program(std::uint64_t seed) {
             case 5:
                 return Predicate::var_eq(*space, a, ca) ||
                        Predicate::vars_ne(*space, a, b);
+            case 6:
+                return Predicate::compare(
+                    Term::count(*space, {a, b}, ca), Predicate::NodeKind::kTermLt,
+                    Term::max({Term::var(*space, b), Term::constant(1)}));
             default:
                 // Opaque: structurally invisible, forces kCall fallback.
                 return Predicate(
@@ -188,7 +249,7 @@ Program random_program(std::uint64_t seed) {
         const Value dom = domains[tv];
         const Value tc =
             static_cast<Value>(rng.below(static_cast<std::uint64_t>(dom)));
-        switch (rng.below(7)) {
+        switch (rng.below(9)) {
             case 0:
                 p.add_action(Action::assign_const(
                     *space, name, std::move(g), "v" + std::to_string(tv),
@@ -215,6 +276,18 @@ Program random_program(std::uint64_t seed) {
             case 5:
                 p.add_action(Action::skip(name, std::move(g)));
                 break;
+            case 6:
+            case 7: {
+                // Parallel assignment (one branch) or a choice of them.
+                const std::size_t n_branches = tv == 0 ? 1 : 1 + rng.below(3);
+                std::vector<std::vector<Action::EffectForm::Assignment>> bs;
+                for (std::size_t k = 0; k < n_branches; ++k)
+                    bs.push_back(random_assignments(rng, *space));
+                p.add_action(Action::choose_parallel(*space, name,
+                                                     std::move(g),
+                                                     std::move(bs)));
+                break;
+            }
             default:
                 // Generic effect: opaque value computation (kGeneric).
                 p.add_action(Action::assign(
@@ -270,6 +343,143 @@ TEST(ActionKernelTest, GuardBitsMatchPerStateEval) {
             ASSERT_EQ(bits.test(s), g.eval(*space, s))
                 << g.name() << " at s=" << s;
     }
+}
+
+/// Small space for the term tests: three short domains plus one wider
+/// than the per-value set budget of fill_guard_bits (64 values), so
+/// comparisons hit the per-value algebra, the var-vs-const union and the
+/// bytecode-scan fallback.
+std::shared_ptr<const StateSpace> term_space() {
+    auto builder = std::make_shared<StateSpace>();
+    builder->add_variable("a", 3);
+    builder->add_variable("b", 4);
+    builder->add_variable("c", 5);
+    builder->add_variable("big", 70);
+    builder->freeze();
+    return builder;
+}
+
+/// GuardCode::eval == Predicate::eval and fill_guard_bits == eval_bits at
+/// every state of the space.
+void expect_guard_agrees(const std::shared_ptr<const StateSpace>& space,
+                         const Predicate& g) {
+    const auto cs = compile_space(space);
+    const GuardCode code(*cs, g);
+    ASSERT_EQ(code.num_opaque_ops(), 0u) << g.name();
+    BitVec bits(space->num_states());
+    fill_guard_bits(*cs, g, bits);
+    EXPECT_EQ(bits, eval_bits(*space, g)) << g.name();
+    for (StateIndex s = 0; s < space->num_states(); ++s)
+        ASSERT_EQ(code.eval(*cs, s), g.eval(*space, s))
+            << g.name() << " at s=" << s;
+}
+
+TEST(ActionKernelTest, TermAtomsMatchPredicateEval) {
+    const auto space = term_space();
+    const StateSpace& sp = *space;
+    using NK = Predicate::NodeKind;
+    const NK ops[] = {NK::kTermEq, NK::kTermNe, NK::kTermLt, NK::kTermLe};
+    const Term a = Term::var(sp, 0), b = Term::var(sp, 1);
+    const Term c = Term::var(sp, 2), big = Term::var(sp, 3);
+    // Every term kind, each fill path: per-value sets (small terms), the
+    // direct union (big vs a constant, either side), the scan (big vs a
+    // variable, a wide shifted term).
+    const std::vector<std::pair<Term, Term>> fixed = {
+        {a, Term::constant(1)},
+        {Term::constant(2), c},
+        {big, Term::constant(40)},
+        {Term::constant(65), big},
+        {big, c},
+        {big.plus(3), Term::constant(10)},
+        {b.plus(2), c},
+        {b.plus(3, 4), a.plus(-1, 3)},
+        {Term::min({Term::constant(3), Term::min({a, b}).plus(1)}), c},
+        {Term::max({Term::constant(2), b, c}), c},
+        {Term::count(sp, {0, 1, 2}, 1), Term::constant(1)},
+        {Term::count(sp, {0, 1, 2}, 2), Term::count(sp, {1, 2}, 0)},
+        {Term::min({Term::constant(1),
+                    Term::max({Term::constant(0),
+                               Term::count(sp, {0, 1, 2}, 1).plus(-1)})}),
+         a},
+    };
+    for (const auto& [x, y] : fixed)
+        for (const NK op : ops)
+            expect_guard_agrees(space, Predicate::compare(x, op, y));
+    // Random atoms, also under connectives with the classic leaves.
+    Rng rng(0x7E45ULL);
+    for (int i = 0; i < 60; ++i) {
+        const NK op = ops[rng.below(4)];
+        Predicate g = Predicate::compare(random_term(rng, sp, 2), op,
+                                         random_term(rng, sp, 2));
+        if (rng.chance(0.3)) g = g && Predicate::var_ne(sp, VarId{1}, 2);
+        if (rng.chance(0.3)) g = !g || Predicate::vars_eq(sp, 0, 1);
+        expect_guard_agrees(space, g);
+    }
+}
+
+TEST(ActionKernelTest, ParallelAssignmentsMatchInterpretedEffects) {
+    const auto space = term_space();
+    const StateSpace& sp = *space;
+    const auto cs = compile_space(space);
+    Rng rng(0xA551ULL);
+    std::vector<StateIndex> got, want;
+    for (int i = 0; i < 40; ++i) {
+        std::vector<std::vector<Action::EffectForm::Assignment>> branches;
+        const std::size_t k = 1 + rng.below(3);
+        for (std::size_t j = 0; j < k; ++j)
+            branches.push_back(random_assignments(rng, sp));
+        const Predicate guard = Predicate::compare(
+            random_term(rng, sp, 1), Predicate::NodeKind::kTermLe,
+            random_term(rng, sp, 1));
+        const Action act = k == 1 && rng.chance(0.5)
+                               ? Action::assign_parallel(sp, "p", guard,
+                                                         branches[0])
+                               : Action::choose_parallel(sp, "p", guard,
+                                                         branches);
+        ASSERT_EQ(act.effect_form().kind, Action::EffectForm::Kind::kParallel);
+        const CompiledAction compiled(cs, act);
+        for (StateIndex s = 0; s < sp.num_states(); ++s) {
+            ASSERT_EQ(compiled.enabled(s), act.enabled(sp, s));
+            if (!act.enabled(sp, s)) continue;
+            got.clear();
+            want.clear();
+            compiled.successors(s, got);
+            act.successors(sp, s, want);
+            ASSERT_EQ(got, want) << "action " << i << " at s=" << s;
+        }
+    }
+}
+
+TEST(ActionKernelTest, ParallelAssignmentReadsThePreState) {
+    // a, b := b, a and c := c + a: every right-hand side sees the state
+    // before the statement, in both the interpreted and compiled paths.
+    const auto space = term_space();
+    const StateSpace& sp = *space;
+    const Action swap = Action::choose_parallel(
+        sp, "swap", Predicate::top(),
+        {{{0, Term::var(sp, 1).plus(0, 3)}, {1, Term::var(sp, 0)}},
+         {{2, Term::var(sp, 2).plus(0, 5)}, {0, Term::constant(2)},
+          {3, Term::var(sp, 0).plus(Term::var(sp, 2).hi())}}});
+    StateIndex s = 0;
+    s = sp.set(s, 0, 1);
+    s = sp.set(s, 1, 2);
+    s = sp.set(s, 2, 3);
+    StateIndex swapped = sp.set(sp.set(s, 0, 2), 1, 1);
+    StateIndex second = sp.set(sp.set(s, 0, 2), 3, 1 + 4);
+    std::vector<StateIndex> got;
+    swap.successors(sp, s, got);
+    EXPECT_EQ(got, (std::vector<StateIndex>{swapped, second}));
+    got.clear();
+    CompiledAction(compile_space(space), swap).successors(s, got);
+    EXPECT_EQ(got, (std::vector<StateIndex>{swapped, second}));
+    // A term that may leave the target's domain is refused.
+    EXPECT_THROW(Action::assign_parallel(sp, "bad", Predicate::top(),
+                                         {{0, Term::var(sp, 1)}}),
+                 ContractError);
+    EXPECT_THROW(Action::assign_parallel(
+                     sp, "twice", Predicate::top(),
+                     {{0, Term::constant(1)}, {0, Term::constant(2)}}),
+                 ContractError);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "apps/memory_access.hpp"
+#include "obs/progress.hpp"
+#include "verify/closure.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/tolerance_checker.hpp"
 
@@ -243,6 +245,40 @@ TEST(MaskingDistanceTest, BitIdenticalAcrossExplorationThreads) {
         }
     }
     ExplorationCache::global().clear();
+}
+
+TEST(MaskingDistanceTest, HeartbeatPublishesSettledGameNodes) {
+    // A 2^17 + 5 node chain: the program walks v up from 0, the fault only
+    // resets it, so every node is settled by the verifier's half-moves.
+    // The game publishes every 64 Ki settled nodes; the closure checks
+    // name their phase. A long interval enables publishing without a
+    // sampler line.
+    obs::set_progress_interval(3600.0);
+    constexpr Value kLength = (Value{1} << 17) + 5;
+    auto sp = make_space({Variable{"v", kLength, {}}});
+    Program p(sp, "walk");
+    p.add_action(Action::assign_add_mod(*sp, "step",
+                                        Predicate::var_ne(*sp, 0, kLength - 1),
+                                        0, 0, 1, kLength));
+    FaultClass f(sp, "reset");
+    f.add_action(Action::assign_const(
+        *sp, "reset", Predicate::var_eq(*sp, 0, kLength - 1), "v", 0));
+    const Predicate inv = Predicate::var_eq(*sp, 0, 0);
+    const MaskingDistanceResult r = masking_distance(
+        p, f, ProblemSpec("any", SafetySpec::never(Predicate::bottom()),
+                          LivenessSpec()),
+        inv);
+    EXPECT_TRUE(r.masking);
+    EXPECT_EQ(r.game_nodes, static_cast<std::uint64_t>(kLength));
+    obs::ProgressItems at = obs::progress_items_snapshot();
+    ASSERT_NE(at.what, nullptr);
+    EXPECT_STREQ(at.what, "game");
+    EXPECT_EQ(at.done, 2u * 65536u);
+    EXPECT_EQ(at.total, static_cast<std::uint64_t>(kLength));
+
+    EXPECT_TRUE(check_closed(p, Predicate::top()).ok);
+    EXPECT_STREQ(obs::progress_items_snapshot().what, "closure");
+    obs::set_progress_interval(0.0);
 }
 
 }  // namespace
