@@ -1,7 +1,7 @@
 // Shared parsing of DCFT_* environment variables.
 //
 // Every boolean toggle the library reads from the environment
-// (DCFT_TELEMETRY, DCFT_NO_BATCH, DCFT_NO_EXPLORE_CACHE, ...) goes
+// (DCFT_TELEMETRY, DCFT_SPILL, DCFT_NO_EXPLORE_CACHE, ...) goes
 // through env_flag_enabled so they all agree on what "off" means. The
 // historical per-site parsers disagreed: one treated "00" as enabled,
 // another treated "false" as enabled — a user exporting a DCFT_NO_*

@@ -335,40 +335,30 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     if (auto d = first_ts_difference(ts1, tsN))
         out.push_back({"graph/threads-1-vs-N", *d});
 
-    // -- batch-kernel oracles ----------------------------------------------
+    // Early exit on the forced parallel merge: check_unreachable's
+    // stop-predicate exploration at N threads, with the exploration cache
+    // cleared on both sides so it cannot serve the full graph, must find
+    // the full serial graph's first bad node and its witness trace.
     {
-        // The batch layer (fused guard+successor sweeps, block-batched
-        // frontier expansion) sits above the compiled kernels; DCFT_NO_BATCH
-        // pins the scalar per-state path. Graphs, node numbering, edge
-        // order, and witness paths must be bit-identical, serial and
-        // chunked alike.
-        const EnvGuard no_batch("DCFT_NO_BATCH", "1");
-        const TransitionSystem scalar1(sys.program, faults, sys.init, 1);
-        if (auto d = first_ts_difference(ts1, scalar1))
-            out.push_back({"batch/batched-vs-scalar", *d});
-        const TransitionSystem scalarN(sys.program, faults, sys.init,
-                                       std::max(options.threads, 2u));
-        if (auto d = first_ts_difference(tsN, scalarN))
-            out.push_back({"batch/batched-vs-scalar", "(threads=N) " + *d});
-        // Verdict + witness level: the early-exit exploration expands its
-        // frontier through the batch kernel too (the cache is cleared so
-        // the scalar run cannot reuse a batched graph).
         if (!exploration_cache_disabled()) ExplorationCache::global().clear();
-        const CheckResult scalar_unreach =
-            check_unreachable(sys.program, faults, sys.init, sys.bad, 1);
+        const CheckResult early = [&] {
+            const EnvGuard merge_all("DCFT_PARALLEL_WORK_MIN", "1");
+            return check_unreachable(sys.program, faults, sys.init, sys.bad,
+                                     std::max(options.threads, 2u));
+        }();
         if (!exploration_cache_disabled()) ExplorationCache::global().clear();
         const NodeId bn = ts1.first_bad_node(sys.bad);
         const bool reachable = bn != TransitionSystem::kNoNode;
-        if (scalar_unreach.ok == reachable)
-            out.push_back({"batch/batched-vs-scalar",
-                           std::string("scalar early-exit ok=") +
-                               (scalar_unreach.ok ? "true" : "false") +
-                               " but batched full graph says reachable=" +
+        if (early.ok == reachable)
+            out.push_back({"graph/early-exit-vs-full",
+                           std::string("early-exit ok=") +
+                               (early.ok ? "true" : "false") +
+                               " but the full graph says reachable=" +
                                (reachable ? "true" : "false")});
-        else if (reachable && scalar_unreach.witness != ts1.witness_trace(bn))
-            out.push_back({"batch/batched-vs-scalar",
-                           "scalar early-exit witness differs from batched "
-                           "full-graph trace to node " + std::to_string(bn)});
+        else if (reachable && early.witness != ts1.witness_trace(bn))
+            out.push_back({"graph/early-exit-vs-full",
+                           "early-exit witness differs from the full-graph "
+                           "trace to node " + std::to_string(bn)});
     }
 
     // -- cache oracle ------------------------------------------------------

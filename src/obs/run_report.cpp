@@ -132,6 +132,7 @@ void write_timeline(JsonWriter& w) {
             w.kv("spill_bytes", ls.spill_bytes);
             w.kv("spill_released_bytes", ls.spill_released_bytes);
             w.kv("parallel", ls.parallel);
+            w.kv("chunks", ls.chunks);
             w.end_object();
         }
         w.end_array();

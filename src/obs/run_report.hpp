@@ -18,7 +18,7 @@
 //                       "fault_edges", "level_ns", "expand_claim_ns",
 //                       "claim_filter_ns", "publish_ns", "edge_write_ns",
 //                       "rss_bytes", "spill_bytes", "spill_released_bytes",
-//                       "parallel" }, ... ] }, ... ],
+//                       "parallel", "chunks" }, ... ] }, ... ],
 //     "telemetry": {
 //       "enabled": true,
 //       "counters": { "<path>": <u64>, ... },          // sorted by path

@@ -127,6 +127,7 @@ struct LevelStat {
     std::uint64_t spill_bytes = 0;     ///< Cumulative bytes in spill files.
     std::uint64_t spill_released_bytes = 0;  ///< Cumulative bytes returned to the OS.
     bool parallel = false;             ///< Took the two-pass parallel merge.
+    std::uint64_t chunks = 1;          ///< Worker chunks (1 on serial levels).
 };
 
 struct ExplorationTimeline {

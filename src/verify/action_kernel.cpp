@@ -699,10 +699,30 @@ CompiledActionSet::CompiledActionSet(std::shared_ptr<const CompiledSpace> cs,
     for (const Action& a : actions) actions_.emplace_back(cs_, a);
 }
 
+template <class Out>
+void CompiledActionSet::append(StateIndex s,
+                               std::span<const BitVec* const> gbits, Out& out,
+                               LineMarks* marks) const {
+    for (std::uint32_t a = 0; a < actions_.size(); ++a) {
+        const CompiledAction& ka = actions_[a];
+        const BitVec* gb = gbits.empty() ? nullptr : gbits[a];
+        if (gb != nullptr ? !gb->test(s) : !ka.enabled(s)) continue;
+        ka.append(s, a, out, marks);
+    }
+}
+
+std::uint32_t CompiledActionSet::expand(StateIndex s,
+                                        std::span<const BitVec* const> gbits,
+                                        std::vector<Rec>& recs,
+                                        LineMarks* marks) const {
+    const std::size_t before = recs.size();
+    append(s, gbits, recs, marks);
+    return static_cast<std::uint32_t>(recs.size() - before);
+}
+
 void CompiledActionSet::successors(StateIndex s,
                                    std::vector<StateIndex>& out) const {
-    for (const CompiledAction& a : actions_)
-        if (a.enabled(s)) a.successors(s, out);
+    append(s, {}, out, nullptr);
 }
 
 void CompiledActionSet::ensure_guard_bits() const {

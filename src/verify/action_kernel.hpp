@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -205,78 +207,16 @@ public:
     /// Guard via bytecode (no std::function dispatch on structured nodes).
     bool enabled(StateIndex s) const { return guard_.eval(*cs_, s); }
 
+    /// One successor record: (action index within its set, target state).
+    using Rec = std::pair<std::uint32_t, StateIndex>;
+
     /// Appends the successors of s. Precondition: enabled(s). Structured
     /// effects run on CompiledSpace stride arithmetic; kGeneric effects
     /// call the original statement. The successor sequence is identical
-    /// to Action::successors at every enabled state. With `marks`, a
-    /// kCorruptAny effect leaves out each victim whose line through s is
-    /// already covered (LineMarks::covered) and marks the others.
-    ///
-    /// Defined inline: this is the per-edge hot path of every exploration
-    /// (millions of calls per build) and must not pay a cross-TU call. The
-    /// effect form is cached by value at construction for the same reason.
-    void successors(StateIndex s, std::vector<StateIndex>& out,
-                    LineMarks* marks = nullptr) const {
-        using EK = Action::EffectForm::Kind;
-        const CompiledSpace& cs = *cs_;
-        switch (form_.kind) {
-            case EK::kSkip:
-                out.push_back(s);
-                return;
-            case EK::kAssignConst:
-                out.push_back(cs.set(s, form_.var, form_.value));
-                return;
-            case EK::kAssignVar:
-                out.push_back(cs.set(s, form_.var, cs.get(s, form_.var2)));
-                return;
-            case EK::kAssignAddMod:
-                out.push_back(cs.set(
-                    s, form_.var,
-                    (cs.get(s, form_.var2) + form_.value) % form_.modulus));
-                return;
-            case EK::kAssignChoice: {
-                const Value cur = cs.get(s, form_.var);
-                for (const Value c : form_.choices)
-                    out.push_back(cs.set_digit(s, form_.var, cur, c));
-                return;
-            }
-            case EK::kCorruptAny: {
-                for (const VarId v : form_.vars) {
-                    if (marks != nullptr && marks->covered(s, v)) continue;
-                    const Value cur = cs.get(s, v);
-                    const Value dom = cs.domain(v);
-                    for (Value c = 0; c < dom; ++c)
-                        if (c != cur)
-                            out.push_back(cs.set_digit(s, v, cur, c));
-                }
-                return;
-            }
-            case EK::kSetAny: {
-                for (const VarId v : form_.vars) {
-                    const Value cur = cs.get(s, v);
-                    if (cur != form_.value)
-                        out.push_back(cs.set_digit(s, v, cur, form_.value));
-                }
-                return;
-            }
-            case EK::kParallel: {
-                // Every right-hand side reads s (the pre-state); the
-                // variables of a branch are distinct, so each digit of t
-                // still equals its digit in s.
-                for (const auto& branch : branches_) {
-                    StateIndex t = s;
-                    for (const CompiledAssign& a : branch)
-                        t = cs.set_digit(t, a.var, cs.get(s, a.var),
-                                         a.value.eval(cs, s));
-                    out.push_back(t);
-                }
-                return;
-            }
-            case EK::kGeneric:
-            default:
-                action_.apply_effect(cs.space(), s, out);
-                return;
-        }
+    /// to Action::successors at every enabled state. Explorations reach
+    /// the same arithmetic as records through CompiledActionSet::expand.
+    void successors(StateIndex s, std::vector<StateIndex>& out) const {
+        append(s, 0, out, nullptr);
     }
 
     /// Whole-space enabled bitset; built on first call (single-threaded),
@@ -296,10 +236,102 @@ public:
     std::size_t guard_opaque_ops() const { return guard_.num_opaque_ops(); }
 
     /// The cached structural effect form (kGeneric = opaque effect). The
-    /// batch kernel lowers non-generic forms to flat stride arithmetic.
+    /// identity sweep (BatchKernel) lowers most non-generic forms to flat
+    /// stride arithmetic.
     const Action::EffectForm& effect_form() const { return form_; }
 
 private:
+    friend class CompiledActionSet;
+
+    static void put(std::vector<StateIndex>& out, std::uint32_t,
+                    StateIndex t) {
+        out.push_back(t);
+    }
+    static void put(std::vector<Rec>& out, std::uint32_t a, StateIndex t) {
+        out.emplace_back(a, t);
+    }
+
+    /// The successor arithmetic of every statement form, written once for
+    /// both output shapes (put). With `marks`, a kCorruptAny effect leaves
+    /// out each victim whose line through s is already covered
+    /// (LineMarks::covered) and marks the others. Defined inline: this is
+    /// the per-edge hot path of every exploration (millions of calls per
+    /// build) and must not pay a cross-TU call. The effect form is cached
+    /// by value at construction for the same reason.
+    template <class Out>
+    void append(StateIndex s, std::uint32_t a, Out& out,
+                LineMarks* marks) const {
+        using EK = Action::EffectForm::Kind;
+        const CompiledSpace& cs = *cs_;
+        switch (form_.kind) {
+            case EK::kSkip:
+                put(out, a, s);
+                return;
+            case EK::kAssignConst:
+                put(out, a, cs.set(s, form_.var, form_.value));
+                return;
+            case EK::kAssignVar:
+                put(out, a, cs.set(s, form_.var, cs.get(s, form_.var2)));
+                return;
+            case EK::kAssignAddMod:
+                put(out, a,
+                    cs.set(s, form_.var,
+                           (cs.get(s, form_.var2) + form_.value) %
+                               form_.modulus));
+                return;
+            case EK::kAssignChoice: {
+                const Value cur = cs.get(s, form_.var);
+                for (const Value c : form_.choices)
+                    put(out, a, cs.set_digit(s, form_.var, cur, c));
+                return;
+            }
+            case EK::kCorruptAny: {
+                for (const VarId v : form_.vars) {
+                    if (marks != nullptr && marks->covered(s, v)) continue;
+                    const Value cur = cs.get(s, v);
+                    const Value dom = cs.domain(v);
+                    for (Value c = 0; c < dom; ++c)
+                        if (c != cur)
+                            put(out, a, cs.set_digit(s, v, cur, c));
+                }
+                return;
+            }
+            case EK::kSetAny: {
+                for (const VarId v : form_.vars) {
+                    const Value cur = cs.get(s, v);
+                    if (cur != form_.value)
+                        put(out, a, cs.set_digit(s, v, cur, form_.value));
+                }
+                return;
+            }
+            case EK::kParallel: {
+                // Every right-hand side reads s (the pre-state); the
+                // variables of a branch are distinct, so each digit of t
+                // still equals its digit in s.
+                for (const auto& branch : branches_) {
+                    StateIndex t = s;
+                    for (const CompiledAssign& asg : branch)
+                        t = cs.set_digit(t, asg.var, cs.get(s, asg.var),
+                                         asg.value.eval(cs, s));
+                    put(out, a, t);
+                }
+                return;
+            }
+            case EK::kGeneric:
+            default:
+                if constexpr (std::is_same_v<Out, std::vector<StateIndex>>) {
+                    action_.apply_effect(cs.space(), s, out);
+                } else {
+                    // The opaque statement writes plain targets.
+                    thread_local std::vector<StateIndex> opaque;
+                    opaque.clear();
+                    action_.apply_effect(cs.space(), s, opaque);
+                    for (const StateIndex t : opaque) put(out, a, t);
+                }
+                return;
+        }
+    }
+
     struct CompiledAssign {
         VarId var;
         TermCode value;
@@ -338,6 +370,26 @@ public:
         return actions_[i];
     }
 
+    using Rec = CompiledAction::Rec;
+
+    /// The per-state expander every exploration runs on. Tests each
+    /// action's guard — a probe of gbits[a] where that bitset is set, the
+    /// guard bytecode otherwise (an empty `gbits`: bytecode throughout) —
+    /// and appends each enabled action's successors to `recs` as
+    /// (action, target) records: actions in declaration order, each
+    /// action's successors in statement order. With `marks`, kCorruptAny
+    /// effects apply the line rule (LineMarks). Returns the number of
+    /// records appended.
+    ///
+    /// Defined out of line, like successors(): one call per state, and in
+    /// its own unit the compiler inlines the per-edge appends. At -O3 it
+    /// declined to inside the explorer's unit, and fault-row regeneration
+    /// on ring n=7 took 1.7x as long with this inline (at -O2 the two
+    /// placements measure alike).
+    std::uint32_t expand(StateIndex s, std::span<const BitVec* const> gbits,
+                         std::vector<Rec>& recs,
+                         LineMarks* marks = nullptr) const;
+
     /// Guard-checked successors of s under every action, in order —
     /// matches Program::successors / FaultClass::successors exactly.
     void successors(StateIndex s, std::vector<StateIndex>& out) const;
@@ -347,6 +399,11 @@ public:
     void ensure_guard_bits() const;
 
 private:
+    /// The loop behind expand() and successors().
+    template <class Out>
+    void append(StateIndex s, std::span<const BitVec* const> gbits, Out& out,
+                LineMarks* marks) const;
+
     std::shared_ptr<const CompiledSpace> cs_;
     std::vector<CompiledAction> actions_;
 };

@@ -4,11 +4,8 @@
 #include <bit>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 
 namespace dcft {
-
-bool batch_disabled() { return env_flag_enabled("DCFT_NO_BATCH"); }
 
 namespace {
 
@@ -53,9 +50,6 @@ bool BatchKernel::lower(const CompiledAction& ka, const CompiledSpace& cs,
     if (!lowers(f.kind) || gbits == nullptr) return false;
     out.kind = f.kind;
     out.var = f.var;
-    out.var2 = f.var2;
-    out.value = f.value;
-    out.modulus = f.modulus;
     out.gw = gbits->data();
     // Unified table form for the single-successor kinds (see Spec): the
     // table is indexed by the current digit of `src`, so it has dom(src)
@@ -86,7 +80,7 @@ bool BatchKernel::lower(const CompiledAction& ka, const CompiledSpace& cs,
         case EK::kAssignAddMod:
             out.stride = static_cast<std::int64_t>(cs.stride(f.var));
             // Precomputed with C++ truncated-division semantics — the
-            // per-edge result is bit-identical to the scalar path's
+            // per-edge result is bit-identical to CompiledAction's
             // (d[var2] + value) % modulus.
             fill_tab(f.var2,
                      [&](Value x) { return (x + f.value) % f.modulus; });
@@ -118,17 +112,10 @@ bool BatchKernel::lower(const CompiledAction& ka, const CompiledSpace& cs,
 BatchKernel::BatchKernel(const CompiledProgram& cp,
                          std::span<const BitVec* const> prog_gbits,
                          std::span<const BitVec* const> fault_gbits)
-    : BatchKernel(cp.cspace(), cp.program_actions().actions(), prog_gbits,
-                  cp.has_faults() ? cp.fault_actions().actions()
-                                  : std::span<const CompiledAction>{},
-                  fault_gbits) {}
-
-BatchKernel::BatchKernel(const CompiledSpace& cs,
-                         std::span<const CompiledAction> pacts,
-                         std::span<const BitVec* const> prog_gbits,
-                         std::span<const CompiledAction> facts,
-                         std::span<const BitVec* const> fault_gbits)
-    : cs_(cs) {
+    : cs_(cp.cspace()) {
+    const auto pacts = cp.program_actions().actions();
+    const auto facts = cp.has_faults() ? cp.fault_actions().actions()
+                                       : std::span<const CompiledAction>{};
     if (!cs_.fast() || pacts.size() > 64 || facts.size() > 64) return;
     prog_.resize(pacts.size());
     for (std::size_t a = 0; a < pacts.size(); ++a)
@@ -183,7 +170,7 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
 
     // Emits the successors of action k (index a) at state s. Edge order
     // per state is actions in declaration order, each action's successors
-    // in statement order — identical to the scalar path.
+    // in statement order — identical to CompiledActionSet::expand.
     auto emit = [&](const Spec& k, std::uint32_t a, StateIndex s, Edge* edges,
                     std::uint64_t& cur) {
         switch (k.kind) {
@@ -246,110 +233,6 @@ void BatchKernel::sweep(StateIndex begin, StateIndex end,
                 d[v] = 0;
             }
         }
-    }
-}
-
-std::uint32_t BatchKernel::emit_at(const Spec& k, std::uint32_t a,
-                                   StateIndex s, std::vector<Rec>& recs,
-                                   LineMarks* marks) const {
-    using EK = Action::EffectForm::Kind;
-    // Digits come from magic-multiply decodes (no odometer available off
-    // the contiguous run).
-    switch (k.kind) {
-        case EK::kSkip:
-            recs.emplace_back(a, s);
-            return 1;
-        case EK::kAssignConst: {
-            const Value cur = cs_.get(s, k.var);
-            recs.emplace_back(
-                a, s + static_cast<StateIndex>(
-                           static_cast<std::int64_t>(k.value - cur) *
-                           k.stride));
-            return 1;
-        }
-        case EK::kAssignVar: {
-            const Value cur = cs_.get(s, k.var);
-            const Value src = cs_.get(s, k.var2);
-            recs.emplace_back(
-                a, s + static_cast<StateIndex>(
-                           static_cast<std::int64_t>(src - cur) * k.stride));
-            return 1;
-        }
-        case EK::kAssignAddMod: {
-            const Value cur = cs_.get(s, k.var);
-            const Value nv = (cs_.get(s, k.var2) + k.value) % k.modulus;
-            recs.emplace_back(
-                a, s + static_cast<StateIndex>(
-                           static_cast<std::int64_t>(nv - cur) * k.stride));
-            return 1;
-        }
-        case EK::kAssignChoice: {
-            const Value cur = cs_.get(s, k.var);
-            for (const Value c : k.choices)
-                recs.emplace_back(
-                    a, s + static_cast<StateIndex>(
-                               static_cast<std::int64_t>(c - cur) *
-                               k.stride));
-            return static_cast<std::uint32_t>(k.choices.size());
-        }
-        case EK::kCorruptAny: {
-            std::uint32_t n = 0;
-            for (const Spec::CorruptVar& cv : k.corrupt) {
-                if (marks != nullptr && marks->covered(s, cv.v)) continue;
-                const Value c0 = cs_.get(s, cv.v);
-                StateIndex t = s + static_cast<StateIndex>(
-                                       -static_cast<std::int64_t>(c0) *
-                                       cv.stride);
-                for (Value c = 0; c < cv.dom;
-                     ++c, t += static_cast<StateIndex>(cv.stride))
-                    if (c != c0) recs.emplace_back(a, t);
-                n += static_cast<std::uint32_t>(cv.dom - 1);
-            }
-            return n;
-        }
-        default:
-            return 0;
-    }
-}
-
-std::uint64_t BatchKernel::mask_at(const std::vector<Spec>& specs,
-                                   StateIndex s) {
-    const std::uint64_t word = s >> 6;
-    const unsigned bit = static_cast<unsigned>(s & 63);
-    std::uint64_t m = 0;
-    for (std::size_t a = 0; a < specs.size(); ++a)
-        m |= ((specs[a].gw[word] >> bit) & 1u) << a;
-    return m;
-}
-
-std::pair<std::uint64_t, std::uint64_t> BatchKernel::expand_frontier(
-    const StateIndex* states, std::size_t n, std::vector<Rec>& recs,
-    std::vector<Counts>& counts, LineMarks* marks) const {
-    DCFT_EXPECTS(batchable_, "BatchKernel::expand_frontier: not batchable");
-    std::uint64_t prog_total = 0, fault_total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const StateIndex s = states[i];
-        std::uint32_t n_prog = 0, n_fault = 0;
-        for (std::uint64_t m = mask_at(prog_, s); m != 0; m &= m - 1) {
-            const unsigned a = static_cast<unsigned>(std::countr_zero(m));
-            n_prog += emit_at(prog_[a], a, s, recs);
-        }
-        for (std::uint64_t m = mask_at(fault_, s); m != 0; m &= m - 1) {
-            const unsigned a = static_cast<unsigned>(std::countr_zero(m));
-            n_fault += emit_at(fault_[a], a, s, recs, marks);
-        }
-        counts.emplace_back(n_prog, n_fault);
-        prog_total += n_prog;
-        fault_total += n_fault;
-    }
-    return {prog_total, fault_total};
-}
-
-void BatchKernel::expand_faults(StateIndex s, std::vector<Rec>& recs) const {
-    DCFT_EXPECTS(batchable_, "BatchKernel::expand_faults: not batchable");
-    for (std::uint64_t m = mask_at(fault_, s); m != 0; m &= m - 1) {
-        const unsigned a = static_cast<unsigned>(std::countr_zero(m));
-        emit_at(fault_[a], a, s, recs);
     }
 }
 

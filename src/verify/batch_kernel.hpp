@@ -1,37 +1,31 @@
-// Block-compiled batch exploration kernels.
+// The identity sweep: a block-compiled kernel for explorations whose
+// initial set covers the whole space.
 //
-// The per-state interpret loop of PR 3 pays, for every (state, action):
-// a guard-bitset probe, a virtual-free but branchy successors() switch, a
-// scratch std::vector round-trip, and one magic-multiply decode per digit
-// read. BatchKernel specializes a CompiledProgram once per exploration
-// into flat per-action records and then amortizes all of that over
-// *blocks* of states:
+// There node id == state index and the one BFS level is every state in
+// ascending order, so nothing needs interning and every output position
+// is known in advance. BatchKernel specializes a CompiledProgram once per
+// such exploration into flat per-action records and amortizes the
+// per-state costs over 64-state blocks:
 //
 //   * guard words are loaded once per 64-state block (one L1 load per
 //     action per 64 states instead of one bit probe per state) and folded
 //     into a per-state action mask walked with ctz — emission order stays
 //     actions-in-declaration-order per state, the CSR contract;
-//   * over contiguous ascending state runs (the identity-interner tier:
-//     init covers the space, node id == state index) an *odometer* keeps
-//     every variable digit incrementally — amortized O(1) per state, no
-//     divides, no magic multiplies — and successors become pure
-//     stride-delta adds (sweep());
-//   * successor records are written straight into the caller's buffers —
-//     the parallel merge's ChunkBuf records or the pre-sized CSR slices —
-//     never through a per-state std::vector<StateIndex>;
-//   * per-action successor counts are exact for every structured effect
+//   * an *odometer* keeps every variable digit incrementally — amortized
+//     O(1) per state, no divides, no magic multiplies — and successors
+//     become pure stride-delta adds (sweep());
+//   * per-action successor counts are exact for every lowered effect
 //     kind, so count_edges() sizes CSR slices precisely from guard-bitset
-//     popcounts and the sweep writes with bump pointers, no reallocation.
+//     popcounts (fault edges are only counted: every target is already a
+//     node) and the sweep writes with bump pointers, no reallocation.
 //
 // A program is batchable when every action (program and fault) has a
 // fully compiled guard (whole-space bitset available), an effect form the
 // kernel lowers (anything but kGeneric, kSetAny and kParallel), the space
-// is on the CompiledSpace
-// fast path, and each action set fits a 64-bit mask. Everything else
-// falls back to the scalar per-state path, which remains bit-for-bit
-// identical. DCFT_NO_BATCH=1 forces the scalar path — the differential
-// oracle for this layer (verify/reference remains the ground truth below
-// both).
+// is on the CompiledSpace fast path, and each action set fits a 64-bit
+// mask. Every other exploration (a partial initial set, or a program the
+// sweep does not lower) expands state by state through
+// CompiledActionSet::expand; verify/reference is the oracle of both.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +38,6 @@
 #include "verify/transition_system.hpp"
 
 namespace dcft {
-
-/// True iff DCFT_NO_BATCH is set truthy: explorations must stay on the
-/// scalar per-state path. Re-read per call so tests can flip it per scope.
-bool batch_disabled();
 
 /// Static batch-compilation coverage of one compiled program — what the
 /// report surfaces per program so kernel coverage is observable.
@@ -67,8 +57,6 @@ BatchCoverage batch_coverage(const CompiledProgram& cp);
 class BatchKernel {
 public:
     using Edge = TransitionSystem::Edge;
-    using Rec = std::pair<std::uint32_t, StateIndex>;
-    using Counts = std::pair<std::uint32_t, std::uint32_t>;
 
     /// Specializes `cp` against the guard bitsets the exploration already
     /// collected (nullptr entries = guard not fully compiled). The spans
@@ -77,14 +65,7 @@ public:
                 std::span<const BitVec* const> prog_gbits,
                 std::span<const BitVec* const> fault_gbits);
 
-    /// As above over explicit action sets. An empty `prog` gives the
-    /// fault-only kernel of fault-row regeneration (expand_faults).
-    BatchKernel(const CompiledSpace& cs, std::span<const CompiledAction> prog,
-                std::span<const BitVec* const> prog_gbits,
-                std::span<const CompiledAction> faults,
-                std::span<const BitVec* const> fault_gbits);
-
-    /// Whether sweep()/count_edges()/expand_frontier() may be used.
+    /// Whether sweep()/count_edges() may be used.
     bool batchable() const { return batchable_; }
 
     /// Exact (program, fault) edge counts emitted by states [begin, end).
@@ -108,21 +89,6 @@ public:
     /// run concurrently.
     void sweep(StateIndex begin, StateIndex end, SweepSlice slice) const;
 
-    /// Scalar-free expansion of an arbitrary frontier slice: appends the
-    /// (action, target) records and per-state (n_prog, n_fault) counts in
-    /// exactly the ChunkBuf layout (program records of a state first,
-    /// then fault records). Returns (program, fault) record totals. With
-    /// `marks`, corrupt-any fault successors are handled line by line: a
-    /// covered line is counted in `marks` and stages no record.
-    /// Requires batchable().
-    std::pair<std::uint64_t, std::uint64_t> expand_frontier(
-        const StateIndex* states, std::size_t n, std::vector<Rec>& recs,
-        std::vector<Counts>& counts, LineMarks* marks = nullptr) const;
-
-    /// Appends the fault records of one state — the fault half of
-    /// expand_frontier, without the program guards. Requires batchable().
-    void expand_faults(StateIndex s, std::vector<Rec>& recs) const;
-
 private:
     /// One action lowered to flat batch form. Strides are signed so the
     /// delta arithmetic matches CompiledSpace::set_digit bit-for-bit.
@@ -136,10 +102,7 @@ private:
     struct Spec {
         Action::EffectForm::Kind kind;
         VarId var = 0;
-        VarId var2 = 0;
         std::int64_t stride = 0;   ///< stride(var)
-        Value value = 0;           ///< const / addend
-        Value modulus = 0;         ///< kAssignAddMod
         VarId src = 0;             ///< tab index variable (det kinds)
         std::vector<Value> tab;    ///< new-value table over dom(src)
         std::vector<Value> choices;
@@ -155,16 +118,6 @@ private:
 
     static bool lower(const CompiledAction& ka, const CompiledSpace& cs,
                       const BitVec* gbits, Spec& out);
-
-    /// Appends the successors of action k (index a) at a scattered state
-    /// s, leaving out the kCorruptAny lines `marks` covers; returns how
-    /// many it appended.
-    std::uint32_t emit_at(const Spec& k, std::uint32_t a, StateIndex s,
-                          std::vector<Rec>& recs,
-                          LineMarks* marks = nullptr) const;
-    /// Guard mask of `specs` at state s (bit a = action a enabled).
-    static std::uint64_t mask_at(const std::vector<Spec>& specs,
-                                 StateIndex s);
 
     const CompiledSpace& cs_;
     std::vector<Spec> prog_;

@@ -61,8 +61,9 @@ std::uint64_t parallel_work_min() {
 /// RSS, bounding the resident window to ~one segment's output.
 constexpr StateIndex kSweepSegment = StateIndex{1} << 22;
 
-/// Serial-path block size fed to BatchKernel::expand_frontier (one guard
-/// word's worth of states).
+/// Serial-path block size: the fused serial level expands this many
+/// states into staged records before interning them (one guard word's
+/// worth of states).
 constexpr std::size_t kExpandBlock = 64;
 
 /// Cap on speculative reserve() sizing (states) so pathological spaces do
@@ -85,7 +86,7 @@ constexpr NodeId kClaimBase = 0xFFFF0000u;
 /// order — after the filter pass this is exactly the canonical new-node
 /// subsequence the chunk contributes.
 struct ChunkBuf {
-    std::vector<std::pair<std::uint32_t, StateIndex>> recs;
+    std::vector<CompiledActionSet::Rec> recs;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> counts;
     std::vector<std::pair<StateIndex, NodeId>> claims;
     std::uint64_t prog_total = 0;   ///< program records in recs
@@ -126,13 +127,12 @@ std::vector<const BitVec*> guard_bit_ptrs(const CompiledActionSet& set) {
 }  // namespace
 
 /// The compiled fault actions, kept after exploration so fault rows can be
-/// regenerated: guard bytecode, or — when the system's node count pays for
-/// them (guard_bits_pay) — guard-bitset probes and, when every fault
-/// action lowers, a fault-only block kernel.
+/// regenerated through the exploration's own expander: guard bytecode, or
+/// — when the system's node count pays for them (guard_bits_pay) —
+/// guard-bitset probes.
 struct TransitionSystem::FaultKernel {
     std::shared_ptr<const CompiledActionSet> set;
     std::vector<const BitVec*> gbits;
-    std::unique_ptr<BatchKernel> batch;
     std::uint64_t bytes = 0;  ///< whole-space guard bitsets kept alive
 
     FaultKernel(std::shared_ptr<const CompiledActionSet> s, bool guard_bits)
@@ -141,29 +141,11 @@ struct TransitionSystem::FaultKernel {
                            : std::vector<const BitVec*>(set->size())) {
         for (const BitVec* b : gbits)
             if (b != nullptr) bytes += b->num_words() * sizeof(std::uint64_t);
-        if (!guard_bits || batch_disabled()) return;
-        auto bk = std::make_unique<BatchKernel>(
-            set->cspace(), std::span<const CompiledAction>{},
-            std::span<const BitVec* const>{}, set->actions(), gbits);
-        if (bk->batchable()) batch = std::move(bk);
     }
 
     /// Appends the fault records of state s, in exploration order.
     void steps(StateIndex s, std::vector<FaultStep>& out) const {
-        if (batch != nullptr) {
-            batch->expand_faults(s, out);
-            return;
-        }
-        thread_local std::vector<StateIndex> scratch;
-        const auto acts = set->actions();
-        for (std::uint32_t a = 0; a < acts.size(); ++a) {
-            const CompiledAction& ka = acts[a];
-            if (gbits[a] != nullptr ? !gbits[a]->test(s) : !ka.enabled(s))
-                continue;
-            scratch.clear();
-            ka.successors(s, scratch);
-            for (const StateIndex t : scratch) out.emplace_back(a, t);
-        }
+        set->expand(s, gbits, out);
     }
 };
 
@@ -564,28 +546,26 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::vector<const BitVec*> fault_gbits(
         compiled->has_faults() ? compiled->fault_actions().size() : 0);
 
-    // Batch layer on top of the compiled program: fused guard+successor
-    // kernels over blocks of states (see batch_kernel.hpp). Only engaged
-    // once the guard bitsets are bought and when every action is
-    // batchable; DCFT_NO_BATCH=1 pins the scalar path — the differential
-    // oracle for this layer.
-    std::unique_ptr<BatchKernel> batch;
+    // The identity sweep (see batch_kernel.hpp): built, over the guard
+    // bitsets, only for explorations whose initial set is the whole space
+    // and only when every action lowers.
+    std::unique_ptr<BatchKernel> sweep_kernel;
     bool guard_bits_bought = false;
     std::uint64_t levels_before_guard_bits = 0;
     // Buys the guard bitsets of every fully compiled guard (program and
-    // fault actions) and builds the batch kernel over them. Guard
-    // evaluation never changes a successor or its order, so the graph is
-    // the same whenever this happens; only the cost moves.
+    // fault actions). Guard evaluation never changes a successor or its
+    // order, so the graph is the same whenever this happens; only the
+    // cost moves.
     auto buy_guard_bits = [&](std::uint64_t level_index) {
         const obs::Span cspan("verify/compile");
         guard_bits_bought = true;
         prog_gbits = guard_bit_ptrs(compiled->program_actions());
         if (compiled->has_faults())
             fault_gbits = guard_bit_ptrs(compiled->fault_actions());
-        if (!batch_disabled()) {
+        if (identity_nodes_) {
             auto bk = std::make_unique<BatchKernel>(*compiled, prog_gbits,
                                                     fault_gbits);
-            if (bk->batchable()) batch = std::move(bk);
+            if (bk->batchable()) sweep_kernel = std::move(bk);
         }
         obs::instant("verify/compile/guard_bits", level_index);
     };
@@ -600,33 +580,20 @@ void TransitionSystem::explore(const FaultClass* faults,
         return stop_code->eval(cspace, s);
     };
 
-    // Expands one state: tests each guard (bitset probe or bytecode) and
-    // appends each enabled action's successors via on_prog/on_fault(action
-    // index, target) — actions in declaration order, each action's
-    // successors in its statement order. With `marks`, fault successors on
-    // an already covered corrupt-any line are left out (LineMarks).
-    auto expand = [&](StateIndex s, std::vector<StateIndex>& scratch,
-                      LineMarks* marks, auto&& on_prog, auto&& on_fault) {
-        const auto pacts = compiled->program_actions().actions();
-        for (std::uint32_t a = 0; a < pacts.size(); ++a) {
-            const CompiledAction& ka = pacts[a];
-            const BitVec* gb = prog_gbits[a];
-            if (gb != nullptr ? !gb->test(s) : !ka.enabled(s)) continue;
-            scratch.clear();
-            ka.successors(s, scratch);
-            for (StateIndex t : scratch) on_prog(a, t);
-        }
-        if (compiled->has_faults()) {
-            const auto facts = compiled->fault_actions().actions();
-            for (std::uint32_t a = 0; a < facts.size(); ++a) {
-                const CompiledAction& ka = facts[a];
-                const BitVec* gb = fault_gbits[a];
-                if (gb != nullptr ? !gb->test(s) : !ka.enabled(s)) continue;
-                scratch.clear();
-                ka.successors(s, scratch, marks);
-                for (StateIndex t : scratch) on_fault(a, t);
-            }
-        }
+    // Expands one state into `recs` (CompiledActionSet::expand): its
+    // program records, then its fault records. With `marks`, fault
+    // successors on an already covered corrupt-any line are left out
+    // (LineMarks). Returns the (program, fault) record counts.
+    using Counts = std::pair<std::uint32_t, std::uint32_t>;
+    auto expand = [&](StateIndex s, std::vector<CompiledActionSet::Rec>& recs,
+                      LineMarks* marks) -> Counts {
+        const std::uint32_t n_prog =
+            compiled->program_actions().expand(s, prog_gbits, recs);
+        const std::uint32_t n_fault =
+            compiled->has_faults()
+                ? compiled->fault_actions().expand(s, fault_gbits, recs, marks)
+                : 0;
+        return {n_prog, n_fault};
     };
 
     // Seed: bulk-evaluate init over the space (each state exactly once).
@@ -812,7 +779,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::uint64_t tl_prev_prog = 0, tl_prev_fault = 0;
     auto finish_level = [&](std::uint64_t level_index, std::size_t lvl_begin,
                             std::size_t lvl_end, std::uint64_t lvl_t0,
-                            bool parallel_merge,
+                            bool parallel_merge, unsigned n_chunks,
                             const std::array<std::uint64_t, 4>& phase_ns) {
         const std::uint64_t new_nodes = states_.size() - lvl_end;
         if (direct_mapped_)
@@ -833,6 +800,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             ls.spill_bytes = spill ? spill_bytes() : 0;
             ls.spill_released_bytes = spill ? spill_released_bytes() : 0;
             ls.parallel = parallel_merge;
+            ls.chunks = n_chunks;
             tl_levels.push_back(ls);
             tl_prev_prog = prog_edges_.size();
             tl_prev_fault = fault_count;
@@ -869,9 +837,8 @@ void TransitionSystem::explore(const FaultClass* faults,
     // thread count.
     std::vector<ChunkBuf> bufs;
     std::vector<std::uint64_t> base_new, base_prog;
-    std::vector<StateIndex> succ;  // scratch for the fused serial path
-    std::vector<BatchKernel::Rec> brecs;      // batch serial-path staging
-    std::vector<BatchKernel::Counts> bcounts;
+    std::vector<CompiledActionSet::Rec> brecs;  // serial-path staging
+    std::vector<Counts> bcounts;
     std::uint64_t sweep_states = 0;  // telemetry: states via identity sweep
     std::size_t level_begin = 0;
     while (!stopped && level_begin < states_.size()) {
@@ -907,19 +874,19 @@ void TransitionSystem::explore(const FaultClass* faults,
                               n_threads, level_size));
 
         // Identity fast path: the one level of an identity exploration is
-        // the whole space in ascending contiguous order, so the batch
-        // kernel sweeps it with odometer digits and exact pre-counted CSR
+        // the whole space in ascending contiguous order, so the sweep
+        // kernel covers it with odometer digits and exact pre-counted CSR
         // slices — no interning, no staging, no per-state scratch. Output
         // positions are pure prefix sums of guard-bitset popcounts, hence
         // bit-identical for every thread count.
-        if (batch != nullptr && identity_nodes_ && level_begin == 0 &&
-            level_end == n_states) {
+        if (sweep_kernel != nullptr) {
+            const BatchKernel& batch = *sweep_kernel;
             const obs::Span sweep_span("verify/explore/sweep");
             sweep_states = n_states;
             // Every state is already interned, so fault successors need
             // no enumeration at all: their count is a guard popcount.
             const auto [prog_total, fault_total] =
-                batch->count_edges(0, n_states);
+                batch.count_edges(0, n_states);
             fault_count += fault_total;
             // resize_overwrite: the sweep writes every edge slot and every
             // offsets entry past index 0 ([0] was pushed as 0 above) —
@@ -934,6 +901,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             const StateIndex seg_step = spill ? kSweepSegment : n_states;
             std::uint64_t pcur = 0;
             std::vector<std::uint64_t> ccnt, cbase;
+            unsigned sweep_chunks = 1;
             for (StateIndex seg = 0; seg < n_states; seg += seg_step) {
                 const StateIndex seg_end =
                     std::min<StateIndex>(n_states, seg + seg_step);
@@ -943,11 +911,12 @@ void TransitionSystem::explore(const FaultClass* faults,
                         ? 1
                         : parallel_chunk_count(seg_words, n_threads,
                                                /*align=*/1);
+                sweep_chunks = std::max(sweep_chunks, seg_chunks);
                 if (seg_chunks <= 1) {
-                    batch->sweep(seg, seg_end,
-                                 {prog_edges_.data(), prog_offsets_.data(),
-                                  pcur});
-                    pcur += batch->count_edges(seg, seg_end).first;
+                    batch.sweep(seg, seg_end,
+                                {prog_edges_.data(), prog_offsets_.data(),
+                                 pcur});
+                    pcur += batch.count_edges(seg, seg_end).first;
                 } else {
                     // Two deterministic passes over identical chunk
                     // bounds: count, prefix, sweep into disjoint slices.
@@ -958,7 +927,7 @@ void TransitionSystem::explore(const FaultClass* faults,
                             const StateIndex b = seg + (wb << 6);
                             const StateIndex e = std::min<StateIndex>(
                                 seg_end, seg + (we << 6));
-                            ccnt[c] = batch->count_edges(b, e).first;
+                            ccnt[c] = batch.count_edges(b, e).first;
                         });
                     cbase.assign(seg_chunks, 0);
                     for (unsigned c = 0; c < seg_chunks; ++c) {
@@ -973,9 +942,9 @@ void TransitionSystem::explore(const FaultClass* faults,
                             const StateIndex b = seg + (wb << 6);
                             const StateIndex e = std::min<StateIndex>(
                                 seg_end, seg + (we << 6));
-                            batch->sweep(b, e,
-                                         {prog_edges_.data(),
-                                          prog_offsets_.data(), cbase[c]});
+                            batch.sweep(b, e,
+                                        {prog_edges_.data(),
+                                         prog_offsets_.data(), cbase[c]});
                         });
                 }
                 if (spill) {
@@ -986,7 +955,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             expanded_end_ = level_end;
             stopped = scan_new_nodes(level_end);
             finish_level(level_index, level_begin, level_end, lvl_t0,
-                         chunks > 1, phase_ns);
+                         chunks > 1, sweep_chunks, phase_ns);
             level_begin = level_end;
             continue;
         }
@@ -999,47 +968,28 @@ void TransitionSystem::explore(const FaultClass* faults,
             // every decision that still runs happens in the same order.
             const std::uint64_t skipped0 =
                 marks != nullptr ? marks->skipped() : 0;
-            if (batch != nullptr) {
-                // Block-batched expansion: guard masks + specialized
-                // successor emission into flat records (no per-state
-                // scratch vector), then intern in record order — the same
-                // FIFO sequence the per-state loop produces.
-                for (std::size_t i = level_begin; i < level_end;
-                     i += kExpandBlock) {
-                    const std::size_t bn =
-                        std::min(kExpandBlock, level_end - i);
-                    brecs.clear();
-                    bcounts.clear();
-                    batch->expand_frontier(states_.data() + i, bn, brecs,
-                                           bcounts, marks.get());
-                    std::size_t r = 0;
-                    for (std::size_t j = 0; j < bn; ++j) {
-                        const NodeId node = static_cast<NodeId>(i + j);
-                        const auto [n_prog, n_fault] = bcounts[j];
-                        for (std::uint32_t k = 0; k < n_prog; ++k, ++r) {
-                            const auto [a, t] = brecs[r];
-                            prog_edges_.push_back(Edge{a, intern(t, node)});
-                        }
-                        prog_offsets_.push_back(prog_edges_.size());
-                        for (std::uint32_t k = 0; k < n_fault; ++k, ++r)
-                            intern(brecs[r].second, node);
-                        fault_count += n_fault;
+            // Each block of states is expanded into flat records first,
+            // then interned in record order — the FIFO sequence.
+            for (std::size_t i = level_begin; i < level_end;
+                 i += kExpandBlock) {
+                const std::size_t bn = std::min(kExpandBlock, level_end - i);
+                brecs.clear();
+                bcounts.clear();
+                for (std::size_t j = 0; j < bn; ++j)
+                    bcounts.push_back(expand(states_[i + j], brecs,
+                                             marks.get()));
+                std::size_t r = 0;
+                for (std::size_t j = 0; j < bn; ++j) {
+                    const NodeId node = static_cast<NodeId>(i + j);
+                    const auto [n_prog, n_fault] = bcounts[j];
+                    for (std::uint32_t k = 0; k < n_prog; ++k, ++r) {
+                        const auto [a, t] = brecs[r];
+                        prog_edges_.push_back(Edge{a, intern(t, node)});
                     }
-                }
-            } else {
-                for (std::size_t i = level_begin; i < level_end; ++i) {
-                    const StateIndex s = states_[i];
-                    const NodeId node = static_cast<NodeId>(i);
-                    expand(
-                        s, succ, marks.get(),
-                        [&](std::uint32_t a, StateIndex t) {
-                            prog_edges_.push_back(Edge{a, intern(t, node)});
-                        },
-                        [&](std::uint32_t, StateIndex t) {
-                            intern(t, node);
-                            ++fault_count;
-                        });
                     prog_offsets_.push_back(prog_edges_.size());
+                    for (std::uint32_t k = 0; k < n_fault; ++k, ++r)
+                        intern(brecs[r].second, node);
+                    fault_count += n_fault;
                 }
             }
             if (marks != nullptr) fault_count += marks->skipped() - skipped0;
@@ -1052,7 +1002,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             expanded_end_ = level_end;
             stopped = scan_new_nodes(level_end);
             finish_level(level_index, level_begin, level_end, lvl_t0,
-                         /*parallel_merge=*/false, phase_ns);
+                         /*parallel_merge=*/false, /*n_chunks=*/1, phase_ns);
             level_begin = level_end;
             continue;
         }
@@ -1095,61 +1045,19 @@ void TransitionSystem::explore(const FaultClass* faults,
                                            : sparse_->claim(t, mark))
                             buf.claims.emplace_back(t, from);
                     };
-                    if (batch != nullptr) {
-                        // Block-batched expansion straight into the claim
-                        // buffers: records land in buf.recs in canonical
-                        // order, then the claim pass walks them with the
-                        // correct parent — the same first-local-occurrence
-                        // claim sequence the per-state loop produces.
-                        for (std::uint64_t i = begin; i < end;
-                             i += kExpandBlock) {
-                            const std::uint64_t bn =
-                                std::min<std::uint64_t>(kExpandBlock,
-                                                        end - i);
-                            const std::size_t rec_base = buf.recs.size();
-                            const std::size_t cnt_base = buf.counts.size();
-                            const auto [pt, ft] = batch->expand_frontier(
-                                states_.data() + level_begin + i,
-                                static_cast<std::size_t>(bn), buf.recs,
-                                buf.counts);
-                            buf.prog_total += pt;
-                            buf.fault_total += ft;
-                            std::size_t r = rec_base;
-                            for (std::uint64_t j = 0; j < bn; ++j) {
-                                const NodeId node = static_cast<NodeId>(
-                                    level_begin + i + j);
-                                const auto [n_prog, n_fault] =
-                                    buf.counts[cnt_base + j];
-                                const std::uint32_t total =
-                                    n_prog + n_fault;
-                                for (std::uint32_t k = 0; k < total;
-                                     ++k, ++r)
-                                    try_claim(buf.recs[r].second, node);
-                            }
-                        }
-                        return;
-                    }
-                    std::vector<StateIndex> succ;
+                    // Records land in buf.recs in canonical order; each
+                    // state's are claimed right after its expansion.
                     for (std::uint64_t i = begin; i < end; ++i) {
-                        const StateIndex s = states_[level_begin + i];
                         const NodeId node =
                             static_cast<NodeId>(level_begin + i);
-                        std::uint32_t n_prog = 0, n_fault = 0;
-                        expand(
-                            s, succ, /*marks=*/nullptr,
-                            [&](std::uint32_t a, StateIndex t) {
-                                buf.recs.emplace_back(a, t);
-                                ++n_prog;
-                                try_claim(t, node);
-                            },
-                            [&](std::uint32_t a, StateIndex t) {
-                                buf.recs.emplace_back(a, t);
-                                ++n_fault;
-                                try_claim(t, node);
-                            });
-                        buf.counts.emplace_back(n_prog, n_fault);
-                        buf.prog_total += n_prog;
-                        buf.fault_total += n_fault;
+                        const std::size_t r0 = buf.recs.size();
+                        const Counts n =
+                            expand(states_[node], buf.recs, nullptr);
+                        buf.counts.push_back(n);
+                        buf.prog_total += n.first;
+                        buf.fault_total += n.second;
+                        for (std::size_t r = r0; r < buf.recs.size(); ++r)
+                            try_claim(buf.recs[r].second, node);
                     }
                 });
             if (timeline) phase_ns[0] = obs::now_ns() - pt0;
@@ -1246,7 +1154,7 @@ void TransitionSystem::explore(const FaultClass* faults,
         expanded_end_ = level_end;
         stopped = scan_new_nodes(level_end);
         finish_level(level_index, level_begin, level_end, lvl_t0,
-                     /*parallel_merge=*/true, phase_ns);
+                     /*parallel_merge=*/true, chunks, phase_ns);
         level_begin = level_end;
     }
     if (stopped) pad_offsets();
@@ -1289,15 +1197,14 @@ void TransitionSystem::explore(const FaultClass* faults,
         reg.counter("verify/explore/parallel_threshold").set(work_min);
         reg.counter("verify/explore/levels_below_threshold")
             .add(levels_below_threshold);
-        reg.counter("verify/explore/batched").add(batch != nullptr ? 1 : 0);
         // Levels run on guard bytecode before the bitsets paid for
         // themselves: a function of the canonical level sizes only.
         reg.counter("verify/explore/levels_before_guard_bits")
             .add(levels_before_guard_bits);
         reg.counter("verify/explore/sweep_states").add(sweep_states);
         // kCall fallback ops across the compiled guards: how much of the
-        // program escaped full guard compilation (and with it the batch
-        // layer). A pure function of the program, so it stays
+        // program escaped full guard compilation (and with it the guard
+        // bitsets). A pure function of the program, so it stays
         // thread-count-invariant.
         reg.counter("verify/kernel/kcall_fallbacks")
             .add(batch_coverage(*compiled).kcall_ops);

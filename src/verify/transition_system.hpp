@@ -107,7 +107,7 @@ public:
     };
 
     /// One regenerated fault transition: (fault action index, target
-    /// state). The layout of BatchKernel::Rec.
+    /// state). The layout of CompiledActionSet::Rec.
     using FaultStep = std::pair<std::uint32_t, StateIndex>;
 
     /// Read-only CSR adjacency: rows are nodes, lists[n] is a contiguous

@@ -1,6 +1,6 @@
 // The shared DCFT_* environment parsing rule (common/env.hpp): one
 // truthiness table for every boolean flag, one positive-integer parser for
-// every numeric knob — and the consumers (telemetry, batch gate,
+// every numeric knob — and the consumers (telemetry, spill gate,
 // exploration cache, progress heartbeat) all observe the shared rule,
 // including the historical bugs it fixes ("00" and "false" used to count
 // as enabled, "NO" and "OFF" used to turn the heartbeat on).
@@ -11,8 +11,8 @@
 #include "common/env.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
-#include "verify/batch_kernel.hpp"
 #include "verify/exploration_cache.hpp"
+#include "verify/spill.hpp"
 
 namespace dcft {
 namespace {
@@ -79,15 +79,15 @@ TEST(EnvTest, PositiveU64) {
 
 // -- consumers observe the shared rule (the historical divergences) --------
 
-TEST(EnvTest, BatchGateTreatsFalseAndDoubleZeroAsDisabled) {
-    setenv("DCFT_NO_BATCH", "false", 1);
-    EXPECT_FALSE(batch_disabled());
-    setenv("DCFT_NO_BATCH", "00", 1);
-    EXPECT_FALSE(batch_disabled());
-    setenv("DCFT_NO_BATCH", "1", 1);
-    EXPECT_TRUE(batch_disabled());
-    unsetenv("DCFT_NO_BATCH");
-    EXPECT_FALSE(batch_disabled());
+TEST(EnvTest, SpillGateTreatsFalseAndDoubleZeroAsDisabled) {
+    setenv("DCFT_SPILL", "false", 1);
+    EXPECT_FALSE(spill_enabled());
+    setenv("DCFT_SPILL", "00", 1);
+    EXPECT_FALSE(spill_enabled());
+    setenv("DCFT_SPILL", "1", 1);
+    EXPECT_TRUE(spill_enabled());
+    unsetenv("DCFT_SPILL");
+    EXPECT_FALSE(spill_enabled());
 }
 
 TEST(EnvTest, ExplorationCacheGateTreatsFalseAndDoubleZeroAsDisabled) {

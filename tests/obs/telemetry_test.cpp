@@ -216,7 +216,10 @@ TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
     const TransitionSystem ts(ring.ring, &ring.corrupt_any, ring.legitimate);
     EXPECT_EQ(counter_value("verify/explore/levels_before_guard_bits"), 2u);
     EXPECT_GT(counter_value("verify/explore/levels"), 2u);
-    EXPECT_EQ(counter_value("verify/explore/batched"), 1u);
+    EXPECT_EQ(counter_value("verify/compile/guard_bits_built"),
+              ring.ring.num_actions() + 1);
+    // Not an identity exploration, so the sweep kernel never ran.
+    EXPECT_EQ(counter_value("verify/explore/sweep_states"), 0u);
 }
 
 /// Calls of the timer at `path` (0 when never recorded).

@@ -1,14 +1,14 @@
-// Differential tests for the batch exploration layer (verify/batch_kernel)
-// and the out-of-core spill mode.
+// Differential tests for the identity sweep (verify/batch_kernel), the
+// per-state frontier expander, and the out-of-core spill mode.
 //
-// The batch kernel promises the same contract the CSR explorer does: the
-// graph it produces — node numbering, edge order, witness paths — is
-// bit-for-bit identical to the scalar per-state loop (DCFT_NO_BATCH=1),
-// and an out-of-core build (ExploreOptions::spill) is bit-for-bit
-// identical to an in-core one, for every thread count. These tests pin
-// that contract on workloads chosen to hit the awkward block geometry:
-// frontiers that are not a multiple of the 64-state guard word (tail
-// blocks), frontiers that are an exact multiple (no tail), multi-level
+// The sweep and the expander promise the contract the CSR explorer does:
+// the graph they produce — node numbering, edge order, fault rows,
+// witness paths — is bit-for-bit the reference exploration
+// (verify/reference), and an out-of-core build (ExploreOptions::spill) is
+// bit-for-bit identical to an in-core one, for every thread count. These
+// tests pin that contract on workloads chosen to hit the awkward block
+// geometry: spaces that are not a multiple of the 64-state guard word
+// (tail blocks), spaces that are an exact multiple (no tail), multi-level
 // BFS where every level ends in a partial block, and rings large enough
 // that the spill path seals and releases multiple CSR segments.
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include <string>
 
 #include "apps/token_ring.hpp"
+#include "obs/telemetry.hpp"
+#include "verify/reference.hpp"
 #include "verify/transition_system.hpp"
 
 namespace dcft {
@@ -87,50 +89,111 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b,
     }
 }
 
+/// Asserts `ts` is the reference exploration: numbering, roots, parents,
+/// program edges (order included), regenerated fault rows, witness paths
+/// and predecessor rows.
+void expect_reference(const TransitionSystem& ts,
+                      const reference::RefTransitionSystem& ref) {
+    ASSERT_EQ(ts.num_nodes(), ref.num_nodes());
+    ASSERT_EQ(ts.initial_nodes(), ref.initial_nodes());
+    ASSERT_EQ(ts.num_program_edges(), ref.num_program_edges());
+    const auto& preds = ts.predecessors(/*include_faults=*/true);
+    const auto& rpreds = ref.predecessors(/*include_faults=*/true);
+    const auto same = [](const TransitionSystem::Edge& x,
+                         const reference::RefEdge& y) {
+        return x.action == y.action && x.to == y.to;
+    };
+    std::vector<TransitionSystem::Edge> fault;
+    std::uint64_t fault_edges = 0;
+    for (NodeId n = 0; n < ts.num_nodes(); ++n) {
+        ASSERT_EQ(ts.state_of(n), ref.state_of(n)) << "node " << n;
+        ASSERT_EQ(ts.raw_parent()[n], ref.parents()[n]) << "node " << n;
+        const auto prog = ts.program_edges(n);
+        const auto& rprog = ref.program_edges(n);
+        ASSERT_TRUE(std::equal(prog.begin(), prog.end(), rprog.begin(),
+                               rprog.end(), same))
+            << "program edges of node " << n;
+        ts.fault_edges(n, fault);
+        const auto& rfault = ref.fault_edges(n);
+        ASSERT_TRUE(std::equal(fault.begin(), fault.end(), rfault.begin(),
+                               rfault.end(), same))
+            << "fault edges of node " << n;
+        fault_edges += rfault.size();
+        ASSERT_EQ(ts.witness_path(n), ref.witness_path(n)) << "node " << n;
+        const auto row = preds[n];
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), rpreds[n].begin(),
+                               rpreds[n].end()))
+            << "predecessors of node " << n;
+    }
+    EXPECT_EQ(ts.num_fault_edges(), fault_edges);
+}
+
+/// States the identity sweep covered in the last exploration.
+std::uint64_t swept_states() {
+    for (const auto& c : obs::Registry::global().counters())
+        if (c.path == "verify/explore/sweep_states") return c.value;
+    return 0;
+}
+
+/// Explores `program` (with `faults` when non-null) from `init` at 1 and
+/// 4 threads, the parallel merge forced on, and checks each build against
+/// the reference. Returns the states the identity sweep covered, which
+/// must not depend on the thread count.
+std::uint64_t check_reference(const Program& program,
+                              const FaultClass* faults,
+                              const Predicate& init) {
+    const reference::RefTransitionSystem ref(program, faults, init);
+    EnvGuard force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
+    obs::set_enabled(true);
+    std::vector<std::uint64_t> swept;
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        obs::Registry::global().reset();
+        const TransitionSystem ts(program, faults, init, threads);
+        swept.push_back(swept_states());
+        expect_reference(ts, ref);
+    }
+    obs::set_enabled(false);
+    EXPECT_EQ(swept[0], swept[1]);
+    return swept[0];
+}
+
 // ---------------------------------------------------------------------------
-// Batched vs scalar (DCFT_NO_BATCH=1) differentials
+// Identity sweep and frontier expansion vs the reference
 // ---------------------------------------------------------------------------
 
 // 3^5 = 243 states: 243 % 64 = 51, so the identity sweep ends in a
-// partial guard word, and 243 % 16 = 3 leaves a sub-SIMD tail. The batch
-// and scalar builds must agree bit-for-bit, with and without faults.
-TEST(BatchVsScalarTest, TailBlockIdentitySweep) {
+// partial guard word, and 243 % 16 = 3 leaves a sub-SIMD tail. The sweep
+// must reproduce the reference, with and without faults.
+TEST(IdentitySweepTest, TailBlockMatchesReference) {
     auto sys = apps::make_token_ring(5, 3);
     for (const bool with_faults : {false, true}) {
-        FaultClass* faults = with_faults ? &sys.corrupt_any : nullptr;
-        const TransitionSystem batched(sys.ring, faults, Predicate::top(),
-                                       /*n_threads=*/1);
-        EnvGuard no_batch("DCFT_NO_BATCH", "1");
-        const TransitionSystem scalar(sys.ring, faults, Predicate::top(), 1);
-        expect_identical(batched, scalar);
+        SCOPED_TRACE(with_faults ? "with faults" : "program only");
+        EXPECT_EQ(check_reference(sys.ring,
+                                  with_faults ? &sys.corrupt_any : nullptr,
+                                  Predicate::top()),
+                  243u);
     }
 }
 
 // 4^4 = 256 states = exactly four 64-state guard words: no tail block at
 // all, so the full-word popcount/prefix path carries every state.
-TEST(BatchVsScalarTest, ExactBlockMultipleIdentitySweep) {
+TEST(IdentitySweepTest, ExactBlockMultipleMatchesReference) {
     auto sys = apps::make_token_ring(4, 4);
-    const TransitionSystem batched(sys.ring, &sys.corrupt_any,
-                                   Predicate::top(), 1);
-    EnvGuard no_batch("DCFT_NO_BATCH", "1");
-    const TransitionSystem scalar(sys.ring, &sys.corrupt_any,
-                                  Predicate::top(), 1);
-    expect_identical(batched, scalar);
+    EXPECT_EQ(check_reference(sys.ring, &sys.corrupt_any, Predicate::top()),
+              256u);
 }
 
 // Multi-level BFS from a single root: every level has a different size
-// (almost all % 64 != 0), exercising the batched expand_frontier path and
-// its per-level tail blocks rather than the one-level identity sweep.
-TEST(BatchVsScalarTest, FrontierExpansionFromSingleRoot) {
+// (almost all % 64 != 0), so the serial levels' 64-state staging blocks
+// end in a partial block, and no sweep runs.
+TEST(FrontierExpansionTest, SingleRootMatchesReference) {
     auto sys = apps::make_token_ring(5, 3);
     const StateIndex root = sys.initial_state();
     const Predicate init("root", [root](const StateSpace&, StateIndex s) {
         return s == root;
     });
-    const TransitionSystem batched(sys.ring, &sys.corrupt_any, init, 1);
-    EnvGuard no_batch("DCFT_NO_BATCH", "1");
-    const TransitionSystem scalar(sys.ring, &sys.corrupt_any, init, 1);
-    expect_identical(batched, scalar);
+    EXPECT_EQ(check_reference(sys.ring, &sys.corrupt_any, init), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -232,9 +232,9 @@ TEST(CsrParallelPathTest, ByzantineWithFaultsMatchesReference) {
 
 // ---------------------------------------------------------------------------
 // Fault edges on demand: the system stores no fault CSR, so every fault row
-// is regenerated from the compiled fault kernel (the fault-only batch
-// kernel when the fault set lowers, guard-bitset/bytecode probes
-// otherwise). The rows must be exactly the ones the reference records.
+// is regenerated from the compiled fault kernel through the exploration's
+// expander (guard-bitset probes once bought, bytecode otherwise). The rows
+// must be exactly the ones the reference records.
 
 /// Sets (or, with nullptr, clears) an environment variable for one scope.
 class ScopedEnv {
@@ -290,31 +290,26 @@ void expect_fault_rows_match(const TransitionSystem& ts,
 }
 
 /// Complete graph + early-exit fragment of (program, faults) from `init`,
-/// at 1 and 4 threads, on the default kernel and with DCFT_NO_BATCH=1.
+/// at 1 and 4 threads.
 void check_regenerated_rows(const Program& program, const FaultClass& faults,
                             const Predicate& init, const Predicate& stop) {
     const reference::RefTransitionSystem ref(program, &faults, init);
-    for (const char* no_batch : {static_cast<const char*>(nullptr), "1"}) {
-        const ScopedEnv env("DCFT_NO_BATCH", no_batch);
-        for (const unsigned threads : {1u, 4u}) {
-            SCOPED_TRACE(std::string("DCFT_NO_BATCH=") +
-                         (no_batch ? no_batch : "unset") +
-                         " threads=" + std::to_string(threads));
-            const TransitionSystem full(program, &faults, init, threads);
-            ASSERT_TRUE(full.complete());
-            expect_fault_rows_match(full, ref);
-            ExploreOptions opts;
-            opts.n_threads = threads;
-            opts.stop_on = &stop;
-            const TransitionSystem frag(program, &faults, init, opts);
-            ASSERT_FALSE(frag.complete());
-            expect_fault_rows_match(frag, ref);
-        }
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const TransitionSystem full(program, &faults, init, threads);
+        ASSERT_TRUE(full.complete());
+        expect_fault_rows_match(full, ref);
+        ExploreOptions opts;
+        opts.n_threads = threads;
+        opts.stop_on = &stop;
+        const TransitionSystem frag(program, &faults, init, opts);
+        ASSERT_FALSE(frag.complete());
+        expect_fault_rows_match(frag, ref);
     }
 }
 
 TEST(FaultRowsOnDemandTest, BatchableFaultsMatchReference) {
-    // corrupt-any lowers to the fault-only batch kernel.
+    // corrupt-any: fault rows regenerated from guard-bitset probes.
     auto sys = apps::make_token_ring(4, 4);
     check_regenerated_rows(sys.ring, sys.corrupt_any, sys.legitimate,
                            !sys.legitimate);
@@ -429,12 +424,11 @@ TEST(FaultRowsOnDemandTest, FaultScansAgreeAcrossThreadCounts) {
 // The corrupt-any line rule: serial levels on the direct-mapped tier skip
 // the fault successors of a line that an earlier expansion already
 // interned. Node numbering, parents, the program CSR, the fault-edge
-// count and every witness trace must stay exactly the reference's, on the
-// batch and the scalar kernel, serially (marks on) and on the forced
-// parallel merge (marks off).
+// count and every witness trace must stay exactly the reference's,
+// serially (marks on) and on the forced parallel merge (marks off).
 
-/// A structured program over p, q (domain 4) and r, w (domain 3) that the
-/// batch kernel lowers, with the fault class a test supplies. The idle
+/// A structured program over p, q (domain 4) and r, w (domain 3), with the
+/// fault class a test supplies. The idle
 /// variable z (domain 256) widens the BFS levels past the parallel grain.
 struct LineRuleSystem {
     std::shared_ptr<const StateSpace> space = make_space(
@@ -493,57 +487,43 @@ void expect_reference_prefix(const TransitionSystem& ts,
     EXPECT_EQ(ts.num_fault_edges(), fault_edges);
 }
 
-/// Explores `sys` from its init (stopping at `stop` when given) on the
-/// batch and scalar kernels, serially and on the forced parallel merge;
-/// every run must be the reference exploration (prefix) with identical
-/// witness traces. Both kernels make the same marks; the parallel merge
-/// makes none on its parallel levels, so it skips less.
+/// Explores `sys` from its init (stopping at `stop` when given) serially
+/// and on the forced parallel merge; both runs must be the reference
+/// exploration (prefix) with identical witness traces. The parallel merge
+/// makes no marks on its parallel levels, so it skips less.
 void check_line_rule(const LineRuleSystem& sys,
                      const Predicate* stop = nullptr) {
     const Predicate init = sys.init();
     const reference::RefTransitionSystem ref(sys.program, &sys.faults, init);
     obs::set_enabled(true);
     std::optional<std::vector<std::vector<WitnessStep>>> first_traces;
-    std::vector<std::uint64_t> serial_skips, parallel_skips;
-    for (const char* no_batch : {static_cast<const char*>(nullptr), "1"}) {
-        const ScopedEnv batch_env("DCFT_NO_BATCH", no_batch);
-        for (const bool parallel : {false, true}) {
-            SCOPED_TRACE(std::string("DCFT_NO_BATCH=") +
-                         (no_batch ? no_batch : "unset") +
-                         (parallel ? " parallel" : " serial"));
-            const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
-                                 parallel ? "1" : nullptr);
-            obs::Registry::global().reset();
-            ExploreOptions opts;
-            opts.n_threads = parallel ? 4 : 1;
-            opts.stop_on = stop;
-            const TransitionSystem ts(sys.program, &sys.faults, init, opts);
-            EXPECT_EQ(ts.complete(), stop == nullptr);
-            expect_reference_prefix(ts, ref);
-            std::vector<std::vector<WitnessStep>> traces;
-            for (NodeId n = 0; n < ts.num_nodes(); ++n)
-                traces.push_back(ts.witness_trace(n));
-            if (!first_traces)
-                first_traces = std::move(traces);
-            else
-                EXPECT_EQ(traces, *first_traces);
+    std::uint64_t serial_skips = 0, parallel_skips = 0;
+    for (const bool parallel : {false, true}) {
+        SCOPED_TRACE(parallel ? "parallel" : "serial");
+        const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
+                             parallel ? "1" : nullptr);
+        obs::Registry::global().reset();
+        ExploreOptions opts;
+        opts.n_threads = parallel ? 4 : 1;
+        opts.stop_on = stop;
+        const TransitionSystem ts(sys.program, &sys.faults, init, opts);
+        EXPECT_EQ(ts.complete(), stop == nullptr);
+        expect_reference_prefix(ts, ref);
+        std::vector<std::vector<WitnessStep>> traces;
+        for (NodeId n = 0; n < ts.num_nodes(); ++n)
+            traces.push_back(ts.witness_trace(n));
+        if (!first_traces)
+            first_traces = std::move(traces);
+        else
+            EXPECT_EQ(traces, *first_traces);
 
-            std::uint64_t skipped = 0, batched = 0;
-            for (const auto& c : obs::Registry::global().counters()) {
-                if (c.path == "verify/interner/fault_successors_skipped")
-                    skipped = c.value;
-                if (c.path == "verify/explore/batched") batched = c.value;
-            }
-            EXPECT_EQ(batched, no_batch == nullptr ? 1u : 0u);
-            (parallel ? parallel_skips : serial_skips).push_back(skipped);
-        }
+        for (const auto& c : obs::Registry::global().counters())
+            if (c.path == "verify/interner/fault_successors_skipped")
+                (parallel ? parallel_skips : serial_skips) = c.value;
     }
     obs::set_enabled(false);
-    ASSERT_EQ(serial_skips.size(), 2u);
-    EXPECT_GT(serial_skips[0], 0u);
-    EXPECT_EQ(serial_skips[0], serial_skips[1]);
-    for (const std::uint64_t skipped : parallel_skips)
-        EXPECT_LT(skipped, serial_skips[0]);
+    EXPECT_GT(serial_skips, 0u);
+    EXPECT_LT(parallel_skips, serial_skips);
 }
 
 TEST(LineRuleTest, GuardFalseOnPartOfEveryLine) {
@@ -588,11 +568,11 @@ TEST(LineRuleTest, EarlyExitFragment) {
 // ---------------------------------------------------------------------------
 // Guard bitsets bought at a level boundary, over a lazily committed direct
 // map. Explorations start on guard bytecode and buy the whole-space
-// bitsets (and the batch kernel) at the first level where the discovered
-// nodes times 64 reach the space size. The purchase must not show in the
-// graph: numbering, parents, program rows, fault rows and witness traces
-// equal the reference on both kernels, serially and on the forced parallel
-// merge (the direct map's ~id claim CAS), and on the sparse tier.
+// bitsets at the first level where the discovered nodes times 64 reach
+// the space size. The purchase must not show in the graph: numbering,
+// parents, program rows, fault rows and witness traces equal the
+// reference, serially and on the forced parallel merge (the direct map's
+// ~id claim CAS), and on the sparse tier.
 
 struct PurchaseCounters {
     std::uint64_t levels = 0;
@@ -611,29 +591,23 @@ PurchaseCounters check_purchase(const Program& program,
                                 const Predicate& init,
                                 const Predicate* stop = nullptr) {
     struct Config {
-        const char* no_batch;
         const char* map_max;
         unsigned threads;
     };
     const Config configs[] = {
-        {nullptr, nullptr, 1},  // batch kernel once bought, serial
-        {"1", nullptr, 1},      // DCFT_NO_BATCH=1: bitsets, scalar kernel
-        {nullptr, nullptr, 4},  // parallel merge: the direct map's claim
-        {"1", nullptr, 4},
-        {nullptr, "1", 1},  // DCFT_DIRECT_MAP_MAX=1: the sparse tier
-        {nullptr, "1", 4},
+        {nullptr, 1},  // guard bitsets once bought, serial
+        {nullptr, 4},  // parallel merge: the direct map's claim
+        {"1", 1},      // DCFT_DIRECT_MAP_MAX=1: the sparse tier
+        {"1", 4},
     };
     const reference::RefTransitionSystem ref(program, &faults, init);
     obs::set_enabled(true);
     std::optional<PurchaseCounters> first_counters;
     std::optional<std::vector<std::vector<WitnessStep>>> first_traces;
     for (const Config& c : configs) {
-        SCOPED_TRACE(std::string("DCFT_NO_BATCH=") +
-                     (c.no_batch ? c.no_batch : "unset") +
-                     " DCFT_DIRECT_MAP_MAX=" +
+        SCOPED_TRACE(std::string("DCFT_DIRECT_MAP_MAX=") +
                      (c.map_max ? c.map_max : "unset") +
                      " threads=" + std::to_string(c.threads));
-        const ScopedEnv batch_env("DCFT_NO_BATCH", c.no_batch);
         const ScopedEnv map_env("DCFT_DIRECT_MAP_MAX", c.map_max);
         const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
                              c.threads > 1 ? "1" : nullptr);
@@ -708,6 +682,184 @@ TEST(GuardBitsPurchaseTest, EarlyExitBeforeThePurchase) {
     EXPECT_EQ(c.levels, 1u);
     EXPECT_EQ(c.levels_before_guard_bits, 1u);
     EXPECT_EQ(c.guard_bits_built, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Every statement form through the one per-state expander. Each IR effect
+// form — the ones the identity sweep lowers and the ones it does not —
+// and a kTerm* comparison guard run through CompiledActionSet::expand on
+// serial levels, on the forced parallel merge and on the sparse tier, and
+// through the fault kernel's regenerated rows. Every run must be the
+// reference exploration, witness traces included.
+
+/// The witness trace the reference graph implies for node n: its BFS-tree
+/// path, each step named by the first program edge, else the first fault
+/// edge, from the parent — the provenance rule of witness_trace.
+std::vector<WitnessStep> reference_trace(
+    const reference::RefTransitionSystem& ref, const FaultClass& faults,
+    NodeId n) {
+    std::vector<NodeId> chain{n};
+    while (ref.parents()[chain.back()] != chain.back())
+        chain.push_back(ref.parents()[chain.back()]);
+    std::reverse(chain.begin(), chain.end());
+    std::vector<WitnessStep> out;
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+        WitnessStep step;
+        step.state = ref.state_of(chain[i]);
+        step.state_repr = ref.space().format(step.state);
+        if (i > 0) {
+            const NodeId u = chain[i - 1];
+            bool found = false;
+            for (const auto& e : ref.program_edges(u))
+                if (!found && e.to == chain[i]) {
+                    step.action = ref.program().action(e.action).name();
+                    found = true;
+                }
+            for (const auto& e : ref.fault_edges(u))
+                if (!found && e.to == chain[i]) {
+                    step.action = faults.actions()[e.action].name();
+                    step.fault = true;
+                    found = true;
+                }
+        }
+        out.push_back(std::move(step));
+    }
+    return out;
+}
+
+/// Explores (program, faults) from `init` serially, on the forced
+/// parallel merge (4 threads) and on the sparse tier (serial and
+/// parallel); each must equal the reference — nodes, parents, program
+/// and fault rows, witness paths and witness traces.
+void check_against_reference(const Program& program, const FaultClass& faults,
+                             const Predicate& init) {
+    const reference::RefTransitionSystem ref(program, &faults, init);
+    struct Config {
+        const char* name;
+        const char* map_max;
+        unsigned threads;
+    };
+    for (const Config& c : {Config{"serial", nullptr, 1},
+                            Config{"parallel merge", nullptr, 4},
+                            Config{"sparse tier", "1", 1},
+                            Config{"sparse tier, parallel", "1", 4}}) {
+        SCOPED_TRACE(c.name);
+        const ScopedEnv map_env("DCFT_DIRECT_MAP_MAX", c.map_max);
+        const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
+                             c.threads > 1 ? "1" : nullptr);
+        const TransitionSystem ts(program, &faults, init, c.threads);
+        expect_same_system(ts, ref);
+        expect_fault_rows_match(ts, ref);
+        for (NodeId n = 0; n < ts.num_nodes(); ++n)
+            ASSERT_EQ(ts.witness_trace(n), reference_trace(ref, faults, n))
+                << "node " << n;
+    }
+}
+
+TEST(ExpanderFormsTest, EveryStatementFormMatchesReference) {
+    using NK = Predicate::NodeKind;
+    using EK = Action::EffectForm::Kind;
+    const auto space = make_space({Variable{"a", 3, {}}, Variable{"b", 3, {}},
+                                   Variable{"c", 4, {}}, Variable{"d", 2, {}},
+                                   Variable{"e", 2, {}}});
+    const StateSpace& sp = *space;
+    const VarId a = 0, b = 1, c = 2, d = 3, e = 4;
+    const Term ta = Term::var(sp, a), tb = Term::var(sp, b),
+               tc = Term::var(sp, c), td = Term::var(sp, d);
+    // An opaque guard: a kCall op, so its bitset is never bought.
+    const Predicate opaque("a+c odd", [](const StateSpace& x, StateIndex s) {
+        return (x.get(s, 0) + x.get(s, 2)) % 2 == 1;
+    });
+
+    Program program(space, "every-form");
+    program.add_action(Action::skip(
+        "stutter", Predicate::var_eq(sp, d, 1) && Predicate::var_eq(sp, e, 1)));
+    program.add_action(
+        Action::assign_const(sp, "zero-a", Predicate::var_eq(sp, a, 2), "a", 0));
+    program.add_action(
+        Action::assign_var(sp, "copy", Predicate::vars_ne(sp, b, a), b, a));
+    program.add_action(Action::assign_add_mod(
+        sp, "inc", Predicate::var_ne(sp, c, 3), c, c, 1, 4));
+    program.add_action(Action::assign_choice(
+        sp, "choose-a", Predicate::var_eq(sp, d, 0), a, {2, 0, 1}));
+    program.add_action(Action::corrupt_any(
+        sp, "scramble", Predicate::var_eq(sp, c, 3), {a, e}));
+    program.add_action(Action::set_any(
+        sp, "raise",
+        Predicate::var_eq(sp, c, 2) &&
+            (Predicate::var_eq(sp, d, 0) || Predicate::var_eq(sp, e, 0)),
+        {d, e}, 1));
+    program.add_action(Action::assign_parallel(
+        sp, "swap", Predicate::compare(ta, NK::kTermLt, tc),
+        {{a, tb}, {b, ta}}));
+    program.add_action(Action::choose_parallel(
+        sp, "pick",
+        Predicate::compare(Term::count(sp, {d, e}, 1), NK::kTermLe,
+                           Term::constant(1)),
+        {{{d, Term::constant(1)}}, {{e, td}, {c, ta}}}));
+    program.add_action(Action::nondet(
+        "opaque", opaque,
+        [](const StateSpace& x, StateIndex s, std::vector<StateIndex>& out) {
+            out.push_back(x.set(s, 2, 0));
+            out.push_back(x.set(s, 4, 1 - x.get(s, 4)));
+        }));
+
+    FaultClass faults(space, "F");
+    faults.add_action(Action::corrupt_any(
+        sp, "corrupt", Predicate::vars_ne(sp, a, b), {a, b}));
+    faults.add_action(
+        Action::set_any(sp, "set", Predicate::var_eq(sp, d, 0), {d, e}, 1));
+    faults.add_action(Action::nondet(
+        "kick", opaque,
+        [](const StateSpace& x, StateIndex s, std::vector<StateIndex>& out) {
+            out.push_back(x.set(s, 3, 1 - x.get(s, 3)));
+        }));
+
+    // Every form is present (kParallel with one and with two branches).
+    std::vector<EK> kinds;
+    for (const Action& act : program.actions())
+        kinds.push_back(act.effect_form().kind);
+    for (const EK k : {EK::kSkip, EK::kAssignConst, EK::kAssignVar,
+                       EK::kAssignAddMod, EK::kAssignChoice, EK::kCorruptAny,
+                       EK::kSetAny, EK::kParallel, EK::kGeneric})
+        EXPECT_NE(std::find(kinds.begin(), kinds.end(), k), kinds.end());
+    EXPECT_EQ(program.action(7).effect_form().branches.size(), 1u);
+    EXPECT_EQ(program.action(8).effect_form().branches.size(), 2u);
+
+    // From one root (multi-level, guard bitsets bought mid-run), and from
+    // every state (the identity interner; these forms do not lower to the
+    // sweep, so its one level runs on the expander too).
+    const Predicate root = Predicate::var_eq(sp, a, 0) &&
+                           Predicate::var_eq(sp, b, 0) &&
+                           Predicate::var_eq(sp, c, 0) &&
+                           Predicate::var_eq(sp, d, 0) &&
+                           Predicate::var_eq(sp, e, 0);
+    check_against_reference(program, faults, root);
+    check_against_reference(program, faults, Predicate::top());
+}
+
+TEST(ExpanderFormsTest, SixtyFiveProgramActionsMatchReference) {
+    // More program actions than one 64-bit action mask holds: action k
+    // moves x from k to k+1, so the BFS from x = 0 is a 66-level chain
+    // widened by a corrupt-any fault on y.
+    constexpr int kActions = 65;
+    const auto space =
+        make_space({Variable{"x", kActions + 1, {}}, Variable{"y", 3, {}}});
+    const StateSpace& sp = *space;
+    const VarId x = 0, y = 1;
+    Program program(space, "wide");
+    for (int k = 0; k < kActions; ++k)
+        program.add_action(Action::assign_const(
+            sp, "step" + std::to_string(k), Predicate::var_eq(sp, x, k), "x",
+            k + 1));
+    ASSERT_EQ(program.num_actions(), 65u);
+    FaultClass faults(space, "F");
+    faults.add_action(Action::corrupt_any(
+        sp, "corrupt-y", Predicate::var_ne(sp, x, kActions), {y}));
+    const Predicate root =
+        Predicate::var_eq(sp, x, 0) && Predicate::var_eq(sp, y, 0);
+    check_against_reference(program, faults, root);
+    check_against_reference(program, faults, Predicate::top());
 }
 
 }  // namespace

@@ -396,11 +396,10 @@ int main(int argc, char** argv) {
 
     // The regression gate compares against a baseline recorded in the
     // *default* configuration. Oracle/diagnostic env modes deliberately
-    // trade speed for checking (scalar path, out-of-core storage, no
-    // cache), so comparing under them would only ever report the mode's
-    // own overhead.
-    for (const char* flag :
-         {"DCFT_NO_BATCH", "DCFT_SPILL", "DCFT_NO_EXPLORE_CACHE"}) {
+    // trade speed for checking (out-of-core storage, no cache), so
+    // comparing under them would only ever report the mode's own
+    // overhead.
+    for (const char* flag : {"DCFT_SPILL", "DCFT_NO_EXPLORE_CACHE"}) {
         const char* v = std::getenv(flag);
         if (v != nullptr && *v != '\0' && std::string(v) != "0") {
             std::printf(

@@ -305,8 +305,8 @@ int cmd_verify(const std::string& name, int size, const FlagMap& flags) {
             std::printf("      masking fails because: %s\n",
                         mk.reason().c_str());
         // Kernel-compilation coverage: which exploration tier this variant
-        // actually runs on (batch sweep / compiled scalar / kCall
-        // fallbacks). Guard bitsets are not built for this — it is a
+        // can run on (identity sweep / per-state expander, printed as
+        // "scalar path" / kCall fallbacks). Guard bitsets are not built for this — it is a
         // static scan of the compiled actions.
         const CompiledProgram cp(program, sys.faults.get());
         const BatchCoverage cov = batch_coverage(cp);

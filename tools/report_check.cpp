@@ -233,7 +233,13 @@ std::size_t check_timeline(const JsonValue& doc, double* fault_edges) {
                   "publish_ns", "edge_write_ns", "rss_bytes", "spill_bytes",
                   "spill_released_bytes"})
                 check_nonneg_number(row, key);
-            member(row, "parallel", JsonValue::Kind::Bool);
+            const bool parallel =
+                member(row, "parallel", JsonValue::Kind::Bool).as_bool();
+            const double chunks =
+                member(row, "chunks", JsonValue::Kind::Number).as_number();
+            require(parallel ? chunks >= 1.0 : chunks == 1.0,
+                    "timeline chunks not 1 on a serial level or below 1 on "
+                    "a parallel one");
             require(member(row, "level", JsonValue::Kind::Number)
                             .as_number() == static_cast<double>(i),
                     "timeline levels not consecutive from 0");
