@@ -89,15 +89,16 @@ AlternatingBitSystem make_alternating_bit(int channel_capacity,
     }
     ProblemSpec spec("SPEC_abp", std::move(safety), std::move(live));
 
-    Predicate in_sync(
-        "abp-phase-invariant",
-        [sbit, rbit, sent, delivered, m](const StateSpace& sp,
-                                         StateIndex s) {
-            const bool same = sp.get(s, sbit) == sp.get(s, rbit);
-            const Value d = sp.get(s, delivered);
-            const Value n = sp.get(s, sent);
-            return same ? d == n : d == (n + 1) % m;
-        });
+    // Bits equal: every sent message was delivered; bits differ: the
+    // receiver is one message ahead (mod m).
+    Predicate in_sync =
+        ((Predicate::vars_eq(*space, sbit, rbit) &&
+          Predicate::vars_eq(*space, delivered, sent)) ||
+         (Predicate::vars_ne(*space, sbit, rbit) &&
+          Predicate::compare(Term::var(*space, delivered),
+                             Predicate::NodeKind::kTermEq,
+                             Term::var(*space, sent).plus(1, m))))
+            .renamed("abp-phase-invariant");
 
     return AlternatingBitSystem{space,
                                 window_mod,

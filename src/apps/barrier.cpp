@@ -116,17 +116,15 @@ BarrierSystem make_barrier(int n) {
                      Predicate::var_eq(*space, "round", 0)});
     ProblemSpec spec("SPEC_barrier", std::move(safety), std::move(live));
 
-    Predicate truthful(
-        "witnesses-truthful",
-        [child_var, w, n](const StateSpace& sp, StateIndex s) {
-            for (int k = n - 1; k >= 1; --k) {
-                if (sp.get(s, w[static_cast<std::size_t>(k)]) == 1 &&
-                    (sp.get(s, child_var(2 * k)) == 0 ||
-                     sp.get(s, child_var(2 * k + 1)) == 0))
-                    return false;
-            }
-            return true;
-        });
+    // A raised witness has both children raised.
+    std::vector<Predicate> backed_up;
+    for (int k = n - 1; k >= 1; --k)
+        backed_up.push_back(
+            Predicate::var_ne(*space, w[static_cast<std::size_t>(k)], 1) ||
+            (Predicate::var_ne(*space, child_var(2 * k), 0) &&
+             Predicate::var_ne(*space, child_var(2 * k + 1), 0)));
+    Predicate truthful =
+        Predicate::all_of(std::move(backed_up)).renamed("witnesses-truthful");
 
     return BarrierSystem{space,
                          n,

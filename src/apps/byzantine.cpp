@@ -7,33 +7,11 @@ namespace {
 
 constexpr Value kBot = 2;  // d/out domain: {0, 1, bot}
 
-/// Strict majority among the non-general d values (bot counts as an
-/// abstention); returns bot if no value has > (n-1)/2 votes.
-Value majority_of(const StateSpace& sp, StateIndex s,
-                  const std::vector<VarId>& d) {
-    int votes[2] = {0, 0};
-    for (VarId v : d) {
-        const Value val = sp.get(s, v);
-        if (val == 0 || val == 1) ++votes[val];
-    }
-    const int threshold = static_cast<int>(d.size()) / 2;  // need > threshold
-    if (votes[0] > threshold) return 0;
-    if (votes[1] > threshold) return 1;
-    return kBot;
-}
-
-/// Majority with the classic OM-style deterministic default: when the
-/// non-general votes tie (possible only for an even number of voters, with
-/// a Byzantine general and f = 1 — in which case every voter is stable and
-/// every process sees the same tie), all processes fall back to 0.
-Value majority_or_default(const StateSpace& sp, StateIndex s,
-                          const std::vector<VarId>& d) {
-    const Value maj = majority_of(sp, s, d);
-    return maj == kBot ? 0 : maj;
-}
-
-/// majority_or_default as a term, for states with no bot among `d`:
-/// 1 iff #{d = 1} > floor(|d| / 2), i.e. min(1, max(0, #{d = 1} - floor)).
+/// The majority decision among the non-general d values as a term: 1 iff
+/// #{d = 1} > floor(|d| / 2), i.e. min(1, max(0, #{d = 1} - floor)). Bot
+/// abstains; a 0 majority, a tie and no majority all decide 0 (the classic
+/// OM-style deterministic default: a tie needs an even number of voters, a
+/// Byzantine general and f = 1, and then every process sees the same tie).
 Term majority_term(const StateSpace& sp, const std::vector<VarId>& d) {
     const Value threshold = static_cast<Value>(d.size()) / 2;
     return Term::min(
@@ -67,18 +45,16 @@ Predicate ByzantineSystem::witness(int j) const {
 
 Predicate ByzantineSystem::detection(int j) const {
     DCFT_EXPECTS(j >= 1 && j < num_processes, "detection: bad process index");
-    const auto dvars = d;
+    const StateSpace& sp = *space;
     const VarId dj = d[static_cast<std::size_t>(j - 1)];
-    const VarId dg = d_g, bg = b_g;
-    // corrdecn = d.g if !b.g, else (majority k != g : d.k).
-    return Predicate("X." + std::to_string(j) + "(d.j==corrdecn)",
-                     [dvars, dj, dg, bg](const StateSpace& sp, StateIndex s) {
-                         const Value corr =
-                             (sp.get(s, bg) == 0)
-                                 ? sp.get(s, dg)
-                                 : majority_or_default(sp, s, dvars);
-                         return sp.get(s, dj) == corr;
-                     });
+    // corrdecn = d.g if !b.g, else the majority decision of the d.k.
+    return Predicate::any_of(
+               {Predicate::var_eq(sp, b_g, 0) && Predicate::vars_eq(sp, dj, d_g),
+                Predicate::var_ne(sp, b_g, 0) &&
+                    Predicate::compare(Term::var(sp, dj),
+                                       Predicate::NodeKind::kTermEq,
+                                       majority_term(sp, d))})
+        .renamed("X." + std::to_string(j) + "(d.j==corrdecn)");
 }
 
 StateIndex ByzantineSystem::initial_state(Value general_decision) const {
@@ -208,22 +184,18 @@ ByzantineSystem make_byzantine(int n, int f) {
     }
 
     // --- SPEC_byz. ---
-    Predicate no_byzantine(
-        "no-byzantine", [all_b](const StateSpace& sp, StateIndex s) {
-            for (VarId v : all_b)
-                if (sp.get(s, v) != 0) return false;
-            return true;
-        });
+    std::vector<Predicate> honest_flags, honest_output;
+    for (const VarId v : all_b)
+        honest_flags.push_back(Predicate::var_eq(*space, v, 0));
+    for (std::size_t i = 0; i < out.size(); ++i)
+        honest_output.push_back(Predicate::var_ne(*space, b[i], 0) ||
+                                Predicate::var_ne(*space, out[i], kBot));
+    Predicate no_byzantine =
+        Predicate::all_of(std::move(honest_flags)).renamed("no-byzantine");
+    Predicate all_honest_output = Predicate::all_of(std::move(honest_output))
+                                      .renamed("all-honest-output");
     const auto outv = out;
     const auto bv = b;
-    Predicate all_honest_output(
-        "all-honest-output", [outv, bv](const StateSpace& sp, StateIndex s) {
-            for (std::size_t i = 0; i < outv.size(); ++i)
-                if (sp.get(s, bv[i]) == 0 && sp.get(s, outv[i]) == kBot)
-                    return false;
-            return true;
-        });
-
     SafetySpec safety(
         "byz-safety(validity&&agreement&&finality)", Predicate::bottom(),
         [outv, bv, d_g, b_g](const StateSpace& sp, StateIndex from,

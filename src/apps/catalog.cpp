@@ -15,6 +15,13 @@
 
 namespace dcft::apps {
 
+Predicate init_seed(const StateSpace& space, StateIndex init) {
+    std::vector<Predicate> digits;
+    for (VarId v = 0; v < space.num_vars(); ++v)
+        digits.push_back(Predicate::var_eq(space, v, space.get(init, v)));
+    return Predicate::all_of(std::move(digits)).renamed("init");
+}
+
 SystemInstance load_system(const std::string& name, int size) {
     SystemInstance out;
     if (name == "memory") {
@@ -49,10 +56,7 @@ SystemInstance load_system(const std::string& name, int size) {
         out.initial = sys.initial_state(1);
         out.invariant = reachable_invariant(
             out.variants.at("masking"),
-            Predicate("init",
-                      [init = out.initial](const StateSpace&, StateIndex s) {
-                          return s == init;
-                      }));
+            init_seed(*out.space, out.initial));
     } else if (name == "token-ring") {
         const int n = size > 0 ? size : 4;
         auto sys = make_token_ring(n, n);
@@ -108,10 +112,7 @@ SystemInstance load_system(const std::string& name, int size) {
         out.initial = sys.initial_state();
         out.invariant = reachable_invariant(
             out.variants.at("rechecking"),
-            Predicate("init",
-                      [init = out.initial](const StateSpace&, StateIndex s) {
-                          return s == init;
-                      }));
+            init_seed(*out.space, out.initial));
     } else if (name == "abp") {
         auto sys = make_alternating_bit(size > 0 ? size : 2, 4);
         out.space = sys.space;
@@ -121,10 +122,7 @@ SystemInstance load_system(const std::string& name, int size) {
         out.initial = sys.initial_state();
         out.invariant = reachable_invariant(
             out.variants.at("protocol"),
-            Predicate("init",
-                      [init = out.initial](const StateSpace&, StateIndex s) {
-                          return s == init;
-                      }));
+            init_seed(*out.space, out.initial));
     } else if (name == "reset") {
         const int n = size > 0 ? size : 4;
         std::vector<int> parent(static_cast<std::size_t>(n), 0);
@@ -138,10 +136,7 @@ SystemInstance load_system(const std::string& name, int size) {
         out.initial = sys.initial_state();
         out.invariant = reachable_invariant(
             out.variants.at("reset"),
-            Predicate("init",
-                      [init = out.initial](const StateSpace&, StateIndex s) {
-                          return s == init;
-                      }));
+            init_seed(*out.space, out.initial));
     } else {
         throw ContractError("unknown system: " + name);
     }
@@ -168,6 +163,9 @@ obs::ReportQuery tolerance_query(const std::string& system,
     q.reason = report.reason();
     q.invariant_size = report.invariant_size;
     q.span_size = report.span_size;
+    for (const MaterializeRecord& m : report.materialized)
+        q.materialize.push_back({m.predicate, m.path, m.kcall_ops,
+                                 m.states_scanned, m.memo_hit});
     if (!report.ok() && !report.counterexample().empty()) {
         q.witness_kind = "counterexample";
         q.witness = report.counterexample();

@@ -35,6 +35,11 @@ struct SystemInstance {
 /// Throws ContractError for a name outside catalog_names().
 SystemInstance load_system(const std::string& name, int size);
 
+/// The seed {init} of a reachable invariant as a state predicate: one
+/// var == digit atom per variable, conjoined, so eval_bits fills it by
+/// word algebra instead of testing every state. Named "init".
+Predicate init_seed(const StateSpace& space, StateIndex init);
+
 /// The catalog entries, in presentation order.
 const std::vector<std::string>& catalog_names();
 

@@ -113,19 +113,15 @@ LeaderElectionSystem make_leader_election(std::vector<int> parent,
                                              Predicate::top(), all));
     }
 
-    Predicate aggregation_correct(
-        "aggregation-correct",
-        [agg, maxima](const StateSpace& sp, StateIndex s) {
-            for (std::size_t i = 0; i < agg.size(); ++i)
-                if (sp.get(s, agg[i]) != maxima[i]) return false;
-            return true;
-        });
-    Predicate leader_agreed(
-        "leader-agreed", [ldr, leader](const StateSpace& sp, StateIndex s) {
-            for (VarId v : ldr)
-                if (sp.get(s, v) != leader) return false;
-            return true;
-        });
+    std::vector<Predicate> agg_ok, ldr_ok;
+    for (std::size_t i = 0; i < agg.size(); ++i)
+        agg_ok.push_back(Predicate::var_eq(*space, agg[i], maxima[i]));
+    for (const VarId v : ldr)
+        ldr_ok.push_back(Predicate::var_eq(*space, v, leader));
+    Predicate aggregation_correct =
+        Predicate::all_of(std::move(agg_ok)).renamed("aggregation-correct");
+    Predicate leader_agreed =
+        Predicate::all_of(std::move(ldr_ok)).renamed("leader-agreed");
     Predicate legitimate =
         (aggregation_correct && leader_agreed).renamed("election-legitimate");
 

@@ -125,13 +125,11 @@ SpanningTreeSystem make_spanning_tree(Graph graph) {
     fault.add_action(
         Action::corrupt_any(*space, "corrupt", Predicate::top(), dist));
 
-    Predicate legitimate(
-        "distances-correct",
-        [dist, truth](const StateSpace& sp, StateIndex s) {
-            for (std::size_t i = 0; i < dist.size(); ++i)
-                if (sp.get(s, dist[i]) != truth[i]) return false;
-            return true;
-        });
+    std::vector<Predicate> correct;
+    for (std::size_t i = 0; i < dist.size(); ++i)
+        correct.push_back(Predicate::var_eq(*space, dist[i], truth[i]));
+    Predicate legitimate =
+        Predicate::all_of(std::move(correct)).renamed("distances-correct");
 
     // SPEC: once legitimate, stay legitimate; from anywhere, converge.
     SafetySpec safety = SafetySpec::closure(legitimate);

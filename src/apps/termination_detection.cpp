@@ -118,25 +118,21 @@ TerminationDetectionSystem make_termination_detection(int n) {
                                      some_passive.renamed("some-passive"),
                                      active, 1));
 
-    Predicate all_passive("all-passive",
-                          [active](const StateSpace& sp, StateIndex s) {
-                              for (VarId a : active)
-                                  if (sp.get(s, a) == 1) return false;
-                              return true;
-                          });
+    std::vector<Predicate> passive;
+    for (const VarId a : active)
+        passive.push_back(Predicate::var_eq(*space, a, 0));
+    Predicate all_passive =
+        Predicate::all_of(std::move(passive)).renamed("all-passive");
     Predicate done_pred =
         Predicate::var_eq(*space, "done", 1).renamed("done");
 
-    Predicate initial(
-        "initial", [token, tcolour, done, colour](const StateSpace& sp,
-                                                  StateIndex s) {
-            if (sp.get(s, token) != 0) return false;
-            if (sp.get(s, tcolour) != kBlack) return false;
-            if (sp.get(s, done) != 0) return false;
-            for (VarId c : colour)
-                if (sp.get(s, c) != kBlack) return false;
-            return true;  // any activity pattern
-        });
+    // Any activity pattern.
+    std::vector<Predicate> start{Predicate::var_eq(*space, token, 0),
+                                 Predicate::var_eq(*space, tcolour, kBlack),
+                                 Predicate::var_eq(*space, done, 0)};
+    for (const VarId c : colour)
+        start.push_back(Predicate::var_eq(*space, c, kBlack));
+    Predicate initial = Predicate::all_of(std::move(start)).renamed("initial");
 
     return TerminationDetectionSystem{space,
                                       n,

@@ -51,16 +51,15 @@ TmrSystem make_tmr(Value domain) {
     const Predicate all_agree =
         (var_equal(x, y, "x==y") && var_equal(y, z, "y==z"))
             .renamed("x==y==z");
-    const Predicate x_uncor(
-        "X_DR(x==uncor)", [x, y, z](const StateSpace& sp, StateIndex s) {
-            const auto maj = majority(sp, s, x, y, z);
-            return maj.has_value() && sp.get(s, x) == *maj;
-        });
-    const Predicate out_correct(
-        "out==uncor", [x, y, z, out](const StateSpace& sp, StateIndex s) {
-            const auto maj = majority(sp, s, x, y, z);
-            return maj.has_value() && sp.get(s, out) == *maj;
-        });
+    // The majority ("uncorrupted") value is x when x agrees with y or z,
+    // else y when y == z; with no two inputs equal there is none.
+    const Predicate x_uncor =
+        (var_equal(x, y, "x==y") || var_equal(x, z, "x==z"))
+            .renamed("X_DR(x==uncor)");
+    const Predicate out_correct =
+        ((x_uncor && var_equal(out, x, "out==x")) ||
+         (var_equal(y, z, "y==z") && var_equal(out, y, "out==y")))
+            .renamed("out==uncor");
     const Predicate invariant =
         (all_agree && (out_bot || var_equal(out, x, "out==x")))
             .renamed("S_tmr");

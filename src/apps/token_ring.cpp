@@ -5,33 +5,31 @@
 namespace dcft::apps {
 namespace {
 
-/// Whether process i's action is enabled at s.
-bool privileged(const StateSpace& sp, StateIndex s,
-                const std::vector<VarId>& x, int i) {
-    const int n = static_cast<int>(x.size());
-    if (i == 0)
-        return sp.get(s, x[0]) == sp.get(s, x[static_cast<std::size_t>(n - 1)]);
-    return sp.get(s, x[static_cast<std::size_t>(i)]) !=
-           sp.get(s, x[static_cast<std::size_t>(i - 1)]);
+/// Process i's guard as a state predicate: x.0 == x.(n-1) for the bottom
+/// process, x.i != x.(i-1) for the others.
+Predicate privilege_pred(const StateSpace& sp, const std::vector<VarId>& x,
+                         int i) {
+    const std::size_t n = x.size();
+    const std::size_t u = static_cast<std::size_t>(i);
+    Predicate p = i == 0 ? Predicate::vars_eq(sp, x[0], x[n - 1])
+                         : Predicate::vars_ne(sp, x[u], x[u - 1]);
+    return p.renamed("privilege." + std::to_string(i));
 }
 
-int count_privileges(const StateSpace& sp, StateIndex s,
-                     const std::vector<VarId>& x) {
-    int count = 0;
+/// `#{i : privilege.i} op 1`.
+Predicate privileges(const StateSpace& sp, const std::vector<VarId>& x,
+                     Predicate::NodeKind op) {
+    std::vector<Predicate> ps;
     for (int i = 0; i < static_cast<int>(x.size()); ++i)
-        if (privileged(sp, s, x, i)) ++count;
-    return count;
+        ps.push_back(privilege_pred(sp, x, i));
+    return Predicate::count(std::move(ps), op, 1);
 }
 
 }  // namespace
 
 Predicate TokenRingSystem::privilege(int i) const {
     DCFT_EXPECTS(i >= 0 && i < n, "privilege: bad process index");
-    const auto xv = x;
-    return Predicate("privilege." + std::to_string(i),
-                     [xv, i](const StateSpace& sp, StateIndex s) {
-                         return privileged(sp, s, xv, i);
-                     });
+    return privilege_pred(*space, x, i);
 }
 
 StateIndex TokenRingSystem::initial_state() const {
@@ -78,26 +76,16 @@ TokenRingSystem make_token_ring(int n, Value k) {
     fault.add_action(
         Action::corrupt_any(*space, "corrupt", Predicate::top(), x));
 
-    Predicate legitimate("one-privilege",
-                         [x](const StateSpace& sp, StateIndex s) {
-                             return count_privileges(sp, s, x) == 1;
-                         });
-
+    // Exactly one privilege, as a counting atom over the guards.
+    Predicate legitimate =
+        privileges(*space, x, Predicate::NodeKind::kTermEq)
+            .renamed("one-privilege");
     SafetySpec safety = SafetySpec::never(
-        Predicate("not-one-privilege",
-                  [x](const StateSpace& sp, StateIndex s) {
-                      return count_privileges(sp, s, x) != 1;
-                  }));
+        privileges(*space, x, Predicate::NodeKind::kTermNe)
+            .renamed("not-one-privilege"));
     LivenessSpec live;
-    for (int i = 0; i < n; ++i) {
-        const auto xv = x;
-        live.add(LeadsTo{Predicate::top(),
-                         Predicate("privilege." + std::to_string(i),
-                                   [xv, i](const StateSpace& sp,
-                                           StateIndex s) {
-                                       return privileged(sp, s, xv, i);
-                                   })});
-    }
+    for (int i = 0; i < n; ++i)
+        live.add(LeadsTo{Predicate::top(), privilege_pred(*space, x, i)});
     ProblemSpec spec("SPEC_token(mutual-exclusion)", std::move(safety),
                      std::move(live));
 

@@ -10,14 +10,86 @@ namespace dcft::fuzz {
 
 namespace {
 
+/// Random term of the given maximum depth: constants, variables,
+/// `t + k` (mod m or not), min/max and counts, all over small ranges.
+TermNode gen_term(Rng& rng, const ProgramSpec& spec, int depth) {
+    using K = TermNode::Kind;
+    TermNode t;
+    const std::size_t nv = spec.vars.size();
+    const std::uint64_t roll = rng.below(depth <= 0 ? 3 : 6);
+    if (roll == 0) {
+        t.kind = K::kConst;
+        t.value = static_cast<Value>(rng.below(6)) - 1;
+    } else if (roll == 1) {
+        t.kind = K::kVar;
+        t.var = rng.below(nv);
+    } else if (roll == 2) {
+        t.kind = K::kCount;
+        const std::uint64_t k = 1 + rng.below(std::min<std::size_t>(nv, 4));
+        for (std::uint64_t i = 0; i < k; ++i) t.vars.push_back(rng.below(nv));
+        t.value = static_cast<Value>(rng.below(3));
+    } else if (roll == 3) {
+        t.kind = K::kAdd;
+        t.value = static_cast<Value>(rng.below(4)) - 1;
+        t.modulus = rng.chance(0.5) ? 0 : static_cast<Value>(1 + rng.below(4));
+        t.kids.push_back(gen_term(rng, spec, depth - 1));
+    } else {
+        t.kind = roll == 4 ? K::kMin : K::kMax;
+        const std::uint64_t k = 1 + rng.below(3);
+        for (std::uint64_t i = 0; i < k; ++i)
+            t.kids.push_back(gen_term(rng, spec, depth - 1));
+    }
+    return t;
+}
+
+/// A random term whose values all lie in [0, dom): wrapped mod dom when
+/// its bounds leave that range.
+TermNode gen_term_within(Rng& rng, const ProgramSpec& spec, Value dom) {
+    TermNode t = gen_term(rng, spec, 2);
+    const auto [lo, hi] = term_bounds(spec, t);
+    if (lo >= 0 && hi < dom) return t;
+    TermNode wrap;
+    wrap.kind = TermNode::Kind::kAdd;
+    wrap.modulus = dom;
+    wrap.kids.push_back(std::move(t));
+    return wrap;
+}
+
+/// Random parallel statement: one branch (assign_parallel) or, with
+/// `choice`, two or three (choose_parallel); each branch assigns 1-3
+/// distinct variables.
+EffectNode gen_parallel(Rng& rng, const ProgramSpec& spec, bool choice) {
+    EffectNode e;
+    e.kind = EffectNode::Kind::kParallel;
+    const std::size_t nv = spec.vars.size();
+    const std::uint64_t branches = choice ? 2 + rng.below(2) : 1;
+    for (std::uint64_t b = 0; b < branches; ++b) {
+        std::vector<AssignNode> branch;
+        const std::uint64_t k = 1 + rng.below(std::min<std::size_t>(nv, 3));
+        const std::size_t first = rng.below(nv);
+        for (std::uint64_t i = 0; i < k; ++i) {
+            const std::size_t v = (first + i) % nv;
+            branch.push_back(
+                AssignNode{v, gen_term_within(rng, spec, spec.vars[v].domain)});
+        }
+        e.branches.push_back(std::move(branch));
+    }
+    return e;
+}
+
 /// Random predicate leaf over the plain variables.
 PredNode gen_leaf(Rng& rng, const ProgramSpec& spec) {
     PredNode n;
     const std::size_t nv = spec.vars.size();
     // Weighted choice: var comparisons dominate; constants are rare (they
     // collapse the predicate and mostly test degenerate paths).
-    const std::uint64_t roll = rng.below(10);
-    if (roll == 0) {
+    const std::uint64_t roll = rng.below(12);
+    if (roll >= 10) {
+        n.kind = PredNode::Kind::kCompare;
+        n.cmp = static_cast<int>(rng.below(kNumCompareOps));
+        n.terms.push_back(gen_term(rng, spec, 2));
+        n.terms.push_back(gen_term(rng, spec, 1));
+    } else if (roll == 0) {
         n.kind = PredNode::Kind::kTrue;
     } else if (roll == 1) {
         n.kind = PredNode::Kind::kFalse;
@@ -41,8 +113,16 @@ PredNode gen_leaf(Rng& rng, const ProgramSpec& spec) {
 PredNode gen_pred(Rng& rng, const ProgramSpec& spec, int depth) {
     if (depth <= 0 || !rng.chance(0.45)) return gen_leaf(rng, spec);
     PredNode n;
-    const std::uint64_t roll = rng.below(3);
-    if (roll == 2) {
+    const std::uint64_t roll = rng.below(4);
+    if (roll == 3) {
+        // Counting atom, with k from -1 to |operands| + 1.
+        n.kind = PredNode::Kind::kCount;
+        n.cmp = static_cast<int>(rng.below(kNumCompareOps));
+        const std::uint64_t k = 1 + rng.below(4);
+        for (std::uint64_t i = 0; i < k; ++i)
+            n.kids.push_back(gen_pred(rng, spec, depth - 1));
+        n.value = static_cast<Value>(rng.below(k + 3)) - 1;
+    } else if (roll == 2) {
         n.kind = PredNode::Kind::kNot;
         n.kids.push_back(gen_pred(rng, spec, depth - 1));
     } else {
@@ -59,8 +139,10 @@ EffectNode gen_program_effect(Rng& rng, const ProgramSpec& spec) {
     EffectNode e;
     const std::size_t nv = spec.vars.size();
     const bool chans = !spec.channels.empty();
-    const std::uint64_t roll = rng.below(chans ? 12 : 9);
-    if (roll == 0) {
+    const std::uint64_t roll = rng.below(chans ? 13 : 10);
+    if (roll == (chans ? 12u : 9u)) {
+        e = gen_parallel(rng, spec, rng.chance(0.3));
+    } else if (roll == 0) {
         e.kind = EffectNode::Kind::kSkip;
     } else if (roll <= 3) {
         e.kind = EffectNode::Kind::kAssignConst;
@@ -110,8 +192,10 @@ EffectNode gen_fault_effect(Rng& rng, const ProgramSpec& spec) {
     EffectNode e;
     const std::size_t nv = spec.vars.size();
     const bool chans = !spec.channels.empty();
-    const std::uint64_t roll = rng.below(chans ? 6 : 4);
-    if (roll <= 2) {
+    const std::uint64_t roll = rng.below(chans ? 7 : 5);
+    if (roll == (chans ? 6u : 4u)) {
+        e = gen_parallel(rng, spec, /*choice=*/true);
+    } else if (roll <= 2) {
         // Random nonempty victim subset (all generated domains are >= 2):
         // transient corruption, or a flag-raising set_any to 0 or 1.
         e.kind = rng.chance(0.25) ? EffectNode::Kind::kSetAny

@@ -361,6 +361,48 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                            "trace to node " + std::to_string(bn)});
     }
 
+    // -- predicate oracle --------------------------------------------------
+    {
+        // eval_bits fills structured predicates by word algebra and scans
+        // only opaque subtrees; every guard and spec predicate must come
+        // out as the per-state loop over Predicate::interpret, padding
+        // words included, at 1 and N threads, and so must Predicate::eval,
+        // which runs bytecode. Renamed copies start with an empty memo and
+        // no bytecode, so each call really fills and compiles.
+        const StateSpace& space = *sys.space;
+        std::vector<Predicate> preds{sys.init, sys.invariant, sys.bad};
+        for (const Action& a : sys.program.actions())
+            preds.push_back(a.guard());
+        if (faults != nullptr)
+            for (const Action& a : faults->actions())
+                preds.push_back(a.guard());
+        for (const LeadsTo& lt : sys.problem.liveness().obligations()) {
+            preds.push_back(lt.from);
+            preds.push_back(lt.to);
+        }
+        for (const Predicate& p : preds) {
+            BitVec want(space.num_states());
+            for (StateIndex s = 0; s < space.num_states(); ++s)
+                if (p.interpret(space, s)) want.set(s);
+            const Predicate compiled = p.renamed(p.name());
+            for (StateIndex s = 0; s < space.num_states(); ++s) {
+                if (compiled.eval(space, s) == want.test(s)) continue;
+                out.push_back({"predicate/bytecode-vs-interpret",
+                               p.name() + " at state " + std::to_string(s)});
+                break;
+            }
+            for (const unsigned threads :
+                 {1u, std::max(options.threads, 2u)}) {
+                if (eval_bits(space, p.renamed(p.name()), threads) == want)
+                    continue;
+                out.push_back({"predicate/fill-vs-scan",
+                               p.name() + " at " + std::to_string(threads) +
+                                   " thread(s)"});
+                break;
+            }
+        }
+    }
+
     // -- cache oracle ------------------------------------------------------
     if (!exploration_cache_disabled()) {
         ExplorationCache& cache = ExplorationCache::global();

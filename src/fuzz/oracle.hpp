@@ -12,6 +12,17 @@
 //                               witness paths.
 //   graph/threads-1-vs-N        CSR exploration at 1 thread vs N threads
 //                               (the determinism contract).
+//   predicate/fill-vs-scan      eval_bits (word-algebra fill, per-state
+//                               scan of opaque subtrees only) vs a loop
+//                               over Predicate::interpret at every state,
+//                               bit for bit including the padding, at 1
+//                               and N threads, for every guard, init,
+//                               invariant, bad-state and leads-to
+//                               predicate.
+//   predicate/bytecode-vs-interpret
+//                               Predicate::eval (bytecode compiled on
+//                               first use) vs Predicate::interpret at
+//                               every state, for the same predicates.
 //   cache/hit-shares-build      two ExplorationCache::get_or_build calls
 //                               for the same key return the same object.
 //   cache/cached-vs-fresh       the cached graph equals a cache-bypassing

@@ -23,7 +23,16 @@ bool effect_uses_channel(const EffectNode& e, std::size_t chan) {
     }
 }
 
+void mark_term_vars(const TermNode& t, std::vector<bool>& used) {
+    if (t.kind == TermNode::Kind::kVar && t.var < used.size())
+        used[t.var] = true;
+    for (std::size_t v : t.vars)
+        if (v < used.size()) used[v] = true;
+    for (const TermNode& kid : t.kids) mark_term_vars(kid, used);
+}
+
 void mark_pred_vars(const PredNode& n, std::vector<bool>& used) {
+    for (const TermNode& t : n.terms) mark_term_vars(t, used);
     switch (n.kind) {
         case K::kVarEqConst:
         case K::kVarNeConst:
@@ -57,14 +66,29 @@ void mark_effect_vars(const EffectNode& e, std::vector<bool>& used) {
             for (std::size_t v : e.vars)
                 if (v < used.size()) used[v] = true;
             break;
+        case E::kParallel:
+            for (const auto& branch : e.branches)
+                for (const AssignNode& asg : branch) {
+                    if (asg.var < used.size()) used[asg.var] = true;
+                    mark_term_vars(asg.value, used);
+                }
+            break;
         default:
             break;
     }
 }
 
+void remap_term_var(TermNode& t, std::size_t removed) {
+    if (t.var > removed) --t.var;
+    for (std::size_t& v : t.vars)
+        if (v > removed) --v;
+    for (TermNode& kid : t.kids) remap_term_var(kid, removed);
+}
+
 void remap_pred_var(PredNode& n, std::size_t removed) {
     if (n.var > removed) --n.var;
     if (n.var2 > removed) --n.var2;
+    for (TermNode& t : n.terms) remap_term_var(t, removed);
     for (PredNode& kid : n.kids) remap_pred_var(kid, removed);
 }
 
@@ -73,6 +97,11 @@ void remap_effect_var(EffectNode& e, std::size_t removed) {
     if (e.var2 > removed) --e.var2;
     for (std::size_t& v : e.vars)
         if (v > removed) --v;
+    for (auto& branch : e.branches)
+        for (AssignNode& asg : branch) {
+            if (asg.var > removed) --asg.var;
+            remap_term_var(asg.value, removed);
+        }
 }
 
 void remap_spec_vars(ProgramSpec& s, std::size_t removed) {
@@ -145,11 +174,12 @@ void clamp_spec(ProgramSpec& s, std::size_t var, Value dom) {
 }
 
 /// Structural simplifications of one predicate node, largest first:
-/// `true`, then each kid of an and/or/not (hoisted), then each kid
+/// `true`, then each kid of an and/or/not/count (hoisted), then each kid
 /// replaced by its own simplifications.
 void pred_simplifications(const PredNode& n, std::vector<PredNode>& out) {
     if (n.kind != K::kTrue) out.push_back(PredNode{});  // -> true
-    if (n.kind == K::kAnd || n.kind == K::kOr || n.kind == K::kNot) {
+    if (n.kind == K::kAnd || n.kind == K::kOr || n.kind == K::kNot ||
+        n.kind == K::kCount) {
         for (const PredNode& kid : n.kids) out.push_back(kid);
         for (std::size_t i = 0; i < n.kids.size(); ++i) {
             std::vector<PredNode> kid_simpler;

@@ -1,5 +1,6 @@
 #include "fuzz/spec.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -35,10 +36,55 @@ bool fail(std::string* error, std::string message) {
     return false;
 }
 
+bool validate_term(const ProgramSpec& spec, const TermNode& t,
+                   const std::string& where, std::string* error) {
+    using K = TermNode::Kind;
+    const std::size_t nv = spec.vars.size();
+    switch (t.kind) {
+        case K::kConst:
+            break;
+        case K::kVar:
+            if (t.var >= nv)
+                return fail(error, where + ": term variable out of range");
+            break;
+        case K::kAdd:
+            if (t.kids.size() != 1)
+                return fail(error, where + ": term + needs exactly one kid");
+            if (t.modulus < 0)
+                return fail(error, where + ": negative term modulus");
+            break;
+        case K::kMin:
+        case K::kMax:
+            if (t.kids.empty())
+                return fail(error, where + ": min/max needs at least one kid");
+            break;
+        case K::kCount:
+            if (t.vars.empty())
+                return fail(error, where + ": count needs a variable");
+            for (std::size_t v : t.vars)
+                if (v >= nv)
+                    return fail(error, where + ": counted variable out of range");
+            break;
+    }
+    for (const TermNode& kid : t.kids)
+        if (!validate_term(spec, kid, where, error)) return false;
+    return true;
+}
+
+Predicate::NodeKind compare_kind(int cmp) {
+    using NK = Predicate::NodeKind;
+    static constexpr NK kinds[kNumCompareOps] = {NK::kTermEq, NK::kTermNe,
+                                                 NK::kTermLt, NK::kTermLe};
+    return kinds[cmp];
+}
+
 bool validate_pred(const ProgramSpec& spec, const PredNode& n,
                    const std::string& where, std::string* error) {
     using K = PredNode::Kind;
     const std::size_t nv = spec.vars.size();
+    if ((n.kind == K::kCompare || n.kind == K::kCount) &&
+        (n.cmp < 0 || n.cmp >= kNumCompareOps))
+        return fail(error, where + ": unknown comparison");
     switch (n.kind) {
         case K::kTrue:
         case K::kFalse:
@@ -63,6 +109,16 @@ bool validate_pred(const ProgramSpec& spec, const PredNode& n,
         case K::kNot:
             if (n.kids.size() != 1)
                 return fail(error, where + ": not needs exactly one kid");
+            break;
+        case K::kCompare:
+            if (n.terms.size() != 2)
+                return fail(error, where + ": comparison needs two terms");
+            for (const TermNode& t : n.terms)
+                if (!validate_term(spec, t, where, error)) return false;
+            break;
+        case K::kCount:
+            if (n.kids.empty())
+                return fail(error, where + ": count needs an operand");
             break;
     }
     for (const PredNode& kid : n.kids)
@@ -156,6 +212,26 @@ bool validate_action(const ProgramSpec& spec, const ActionDecl& a,
                 return fail(error,
                             at + ": corrupt needs channel value domain >= 2");
             break;
+        case K::kParallel:
+            if (e.branches.empty())
+                return fail(error, at + ": parallel needs a branch");
+            for (const auto& branch : e.branches) {
+                if (branch.empty())
+                    return fail(error, at + ": empty parallel branch");
+                std::unordered_set<std::size_t> assigned;
+                for (const AssignNode& asg : branch) {
+                    if (asg.var >= nv)
+                        return fail(error, at + ": assigned variable out of range");
+                    if (!assigned.insert(asg.var).second)
+                        return fail(error, at + ": variable assigned twice");
+                    if (!validate_term(spec, asg.value, at, error))
+                        return false;
+                    const auto [lo, hi] = term_bounds(spec, asg.value);
+                    if (lo < 0 || hi >= spec.vars[asg.var].domain)
+                        return fail(error, at + ": term bounds outside the domain");
+                }
+            }
+            break;
     }
     return true;
 }
@@ -224,6 +300,21 @@ Action build_action(const BuiltSystem& sys, const ActionDecl& a) {
             return sys.channels[e.chan].duplicate(a.name);
         case K::kChanCorrupt:
             return sys.channels[e.chan].corrupt(a.name);
+        case K::kParallel: {
+            std::vector<std::vector<Action::EffectForm::Assignment>> branches;
+            for (const auto& branch : e.branches) {
+                branches.emplace_back();
+                for (const AssignNode& asg : branch)
+                    branches.back().push_back(
+                        {static_cast<VarId>(asg.var),
+                         build_term(space, asg.value)});
+            }
+            if (branches.size() == 1)
+                return Action::assign_parallel(space, a.name, guard,
+                                               std::move(branches[0]));
+            return Action::choose_parallel(space, a.name, guard,
+                                           std::move(branches));
+        }
     }
     DCFT_ASSERT(false, "unreachable effect kind");
     return Action::skip(a.name, guard);
@@ -321,9 +412,75 @@ Predicate build_predicate(const StateSpace& space, const PredNode& node) {
         }
         case K::kNot:
             return !build_predicate(space, node.kids.front());
+        case K::kCompare:
+            return Predicate::compare(build_term(space, node.terms[0]),
+                                      compare_kind(node.cmp),
+                                      build_term(space, node.terms[1]));
+        case K::kCount: {
+            std::vector<Predicate> kids;
+            for (const PredNode& kid : node.kids)
+                kids.push_back(build_predicate(space, kid));
+            return Predicate::count(std::move(kids), compare_kind(node.cmp),
+                                    node.value);
+        }
     }
     DCFT_ASSERT(false, "unreachable predicate kind");
     return Predicate::top();
+}
+
+Term build_term(const StateSpace& space, const TermNode& node) {
+    using K = TermNode::Kind;
+    std::vector<Term> kids;
+    for (const TermNode& kid : node.kids)
+        kids.push_back(build_term(space, kid));
+    switch (node.kind) {
+        case K::kConst:
+            return Term::constant(node.value);
+        case K::kVar:
+            return Term::var(space, node.var);
+        case K::kAdd:
+            return kids[0].plus(node.value, node.modulus);
+        case K::kMin:
+            return Term::min(std::move(kids));
+        case K::kMax:
+            return Term::max(std::move(kids));
+        case K::kCount:
+            return Term::count(
+                space, std::vector<VarId>(node.vars.begin(), node.vars.end()),
+                node.value);
+    }
+    DCFT_ASSERT(false, "unreachable term kind");
+    return Term();
+}
+
+std::pair<Value, Value> term_bounds(const ProgramSpec& spec,
+                                    const TermNode& node) {
+    using K = TermNode::Kind;
+    switch (node.kind) {
+        case K::kConst:
+            return {node.value, node.value};
+        case K::kVar:
+            return {0, spec.vars[node.var].domain - 1};
+        case K::kAdd: {
+            if (node.modulus > 0) return {0, node.modulus - 1};
+            const auto [lo, hi] = term_bounds(spec, node.kids[0]);
+            return {lo + node.value, hi + node.value};
+        }
+        case K::kMin:
+        case K::kMax: {
+            const bool is_min = node.kind == K::kMin;
+            auto [lo, hi] = term_bounds(spec, node.kids[0]);
+            for (std::size_t i = 1; i < node.kids.size(); ++i) {
+                const auto [l, h] = term_bounds(spec, node.kids[i]);
+                lo = is_min ? std::min(lo, l) : std::max(lo, l);
+                hi = is_min ? std::min(hi, h) : std::max(hi, h);
+            }
+            return {lo, hi};
+        }
+        case K::kCount:
+            return {0, static_cast<Value>(node.vars.size())};
+    }
+    return {0, 0};
 }
 
 BuiltSystem build(const ProgramSpec& spec) {

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gc/channel.hpp"
@@ -52,6 +53,30 @@ struct ChannelDecl {
     friend bool operator==(const ChannelDecl&, const ChannelDecl&) = default;
 };
 
+/// An integer term over the plain variables of a spec. Mirrors Term::Kind.
+struct TermNode {
+    enum class Kind : std::uint8_t {
+        kConst,  ///< value
+        kVar,    ///< var(var)
+        kAdd,    ///< kids[0] + value, reduced mod modulus when > 0
+        kMin,    ///< the least of kids (>= 1)
+        kMax,    ///< the greatest of kids (>= 1)
+        kCount,  ///< #{v in vars : v == value}
+    };
+    Kind kind = Kind::kConst;
+    std::size_t var = 0;
+    Value value = 0;
+    Value modulus = 0;
+    std::vector<std::size_t> vars;
+    std::vector<TermNode> kids;
+
+    friend bool operator==(const TermNode&, const TermNode&) = default;
+};
+
+/// Comparison of a kCompare / kCount predicate node: 0 ==, 1 !=, 2 <, 3 <=
+/// (Predicate::NodeKind kTermEq/Ne/Lt/Le).
+constexpr int kNumCompareOps = 4;
+
 /// A predicate expression over the plain variables of a spec. Mirrors
 /// Predicate::NodeKind minus kBacked/kOpaque (which are not serializable).
 struct PredNode {
@@ -65,14 +90,26 @@ struct PredNode {
         kAnd,         ///< conjunction of kids (>= 1)
         kOr,          ///< disjunction of kids (>= 1)
         kNot,         ///< negation of kids[0]
+        kCompare,     ///< terms[0] cmp terms[1]
+        kCount,       ///< #{i : kids[i]} cmp value (kids >= 1)
     };
     Kind kind = Kind::kTrue;
     std::size_t var = 0;
     std::size_t var2 = 0;
     Value value = 0;
+    int cmp = 0;  ///< kCompare / kCount: see kNumCompareOps
     std::vector<PredNode> kids;
+    std::vector<TermNode> terms;  ///< kCompare: exactly two
 
     friend bool operator==(const PredNode&, const PredNode&) = default;
+};
+
+/// `var := value` inside a kParallel branch.
+struct AssignNode {
+    std::size_t var = 0;
+    TermNode value;
+
+    friend bool operator==(const AssignNode&, const AssignNode&) = default;
 };
 
 /// A statement shape. Mirrors Action::EffectForm plus the channel action
@@ -92,6 +129,10 @@ struct EffectNode {
         kChanDuplicate,  ///< channel fault: duplicate head (guard true)
         kChanCorrupt,    ///< channel fault: corrupt head (guard true,
                          ///< needs value_domain >= 2)
+        kParallel,       ///< one successor per branch: its assignments at
+                         ///< once (distinct variables, term bounds inside
+                         ///< each variable's domain); one branch =
+                         ///< assign_parallel, more = choose_parallel
     };
     Kind kind = Kind::kSkip;
     std::size_t var = 0;
@@ -101,6 +142,7 @@ struct EffectNode {
     std::vector<Value> choices;
     std::vector<std::size_t> vars;
     std::size_t chan = 0;
+    std::vector<std::vector<AssignNode>> branches;  ///< kParallel
 
     friend bool operator==(const EffectNode&, const EffectNode&) = default;
 };
@@ -179,6 +221,14 @@ BuiltSystem build(const ProgramSpec& spec);
 /// Builds the Predicate of one node against a built space. `spec_vars` is
 /// the number of plain variables (for range assertions in debug builds).
 Predicate build_predicate(const StateSpace& space, const PredNode& node);
+
+/// Builds the Term of one node against a built space.
+Term build_term(const StateSpace& space, const TermNode& node);
+
+/// The bounds [lo, hi] build_term(node) will have (Term::lo/hi), computed
+/// from the spec's domains; precondition: the node's indices are valid.
+std::pair<Value, Value> term_bounds(const ProgramSpec& spec,
+                                    const TermNode& node);
 
 /// One-line human-readable summary ("3 vars, 1 channel, 5+2 actions,
 /// 384 states, grade masking, seed 42") for logs and finding reports.

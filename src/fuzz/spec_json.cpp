@@ -26,9 +26,27 @@ const char* pred_kind_name(PredNode::Kind k) {
         case K::kAnd: return "and";
         case K::kOr: return "or";
         case K::kNot: return "not";
+        case K::kCompare: return "compare";
+        case K::kCount: return "count";
     }
     return "true";
 }
+
+const char* term_kind_name(TermNode::Kind k) {
+    using K = TermNode::Kind;
+    switch (k) {
+        case K::kConst: return "const";
+        case K::kVar: return "var";
+        case K::kAdd: return "add";
+        case K::kMin: return "min";
+        case K::kMax: return "max";
+        case K::kCount: return "count";
+    }
+    return "const";
+}
+
+/// Comparison names, indexed by PredNode::cmp.
+constexpr const char* kCompareNames[kNumCompareOps] = {"==", "!=", "<", "<="};
 
 const char* effect_kind_name(EffectNode::Kind k) {
     using K = EffectNode::Kind;
@@ -45,6 +63,7 @@ const char* effect_kind_name(EffectNode::Kind k) {
         case K::kChanLose: return "chan_lose";
         case K::kChanDuplicate: return "chan_duplicate";
         case K::kChanCorrupt: return "chan_corrupt";
+        case K::kParallel: return "parallel";
     }
     return "skip";
 }
@@ -69,6 +88,8 @@ bool pred_kind_of(const std::string& s, PredNode::Kind& out) {
         {"and", K::kAnd},
         {"or", K::kOr},
         {"not", K::kNot},
+        {"compare", K::kCompare},
+        {"count", K::kCount},
     };
     for (const auto& [name, kind] : table)
         if (s == name) {
@@ -93,10 +114,34 @@ bool effect_kind_of(const std::string& s, EffectNode::Kind& out) {
         {"chan_lose", K::kChanLose},
         {"chan_duplicate", K::kChanDuplicate},
         {"chan_corrupt", K::kChanCorrupt},
+        {"parallel", K::kParallel},
     };
     for (const auto& [name, kind] : table)
         if (s == name) {
             out = kind;
+            return true;
+        }
+    return false;
+}
+
+bool term_kind_of(const std::string& s, TermNode::Kind& out) {
+    using K = TermNode::Kind;
+    static const std::pair<const char*, K> table[] = {
+        {"const", K::kConst}, {"var", K::kVar}, {"add", K::kAdd},
+        {"min", K::kMin},     {"max", K::kMax}, {"count", K::kCount},
+    };
+    for (const auto& [name, kind] : table)
+        if (s == name) {
+            out = kind;
+            return true;
+        }
+    return false;
+}
+
+bool compare_of_name(const std::string& s, int& out) {
+    for (int i = 0; i < kNumCompareOps; ++i)
+        if (s == kCompareNames[i]) {
+            out = i;
             return true;
         }
     return false;
@@ -113,11 +158,57 @@ bool grade_of_name(const std::string& s, int& out) {
 // ---------------------------------------------------------------------------
 // Emission.
 
+void write_term(JsonWriter& w, const TermNode& t) {
+    using K = TermNode::Kind;
+    w.begin_object();
+    w.kv("kind", term_kind_name(t.kind));
+    switch (t.kind) {
+        case K::kConst:
+            w.kv("value", static_cast<std::int64_t>(t.value));
+            break;
+        case K::kVar:
+            w.kv("var", static_cast<std::uint64_t>(t.var));
+            break;
+        case K::kAdd:
+            w.kv("value", static_cast<std::int64_t>(t.value));
+            w.kv("modulus", static_cast<std::int64_t>(t.modulus));
+            break;
+        case K::kCount:
+            w.key("vars").begin_array();
+            for (std::size_t v : t.vars)
+                w.value(static_cast<std::uint64_t>(v));
+            w.end_array();
+            w.kv("value", static_cast<std::int64_t>(t.value));
+            break;
+        default:
+            break;
+    }
+    if (!t.kids.empty()) {
+        w.key("kids").begin_array();
+        for (const TermNode& kid : t.kids) write_term(w, kid);
+        w.end_array();
+    }
+    w.end_object();
+}
+
 void write_pred(JsonWriter& w, const PredNode& n) {
     using K = PredNode::Kind;
     w.begin_object();
     w.kv("kind", pred_kind_name(n.kind));
     switch (n.kind) {
+        case K::kCompare:
+            w.kv("op", kCompareNames[n.cmp]);
+            w.key("terms").begin_array();
+            for (const TermNode& t : n.terms) write_term(w, t);
+            w.end_array();
+            break;
+        case K::kCount:
+            w.kv("op", kCompareNames[n.cmp]);
+            w.kv("value", static_cast<std::int64_t>(n.value));
+            w.key("kids").begin_array();
+            for (const PredNode& kid : n.kids) write_pred(w, kid);
+            w.end_array();
+            break;
         case K::kVarEqConst:
         case K::kVarNeConst:
             w.kv("var", static_cast<std::uint64_t>(n.var));
@@ -190,6 +281,21 @@ void write_effect(JsonWriter& w, const EffectNode& e) {
         case K::kChanCorrupt:
             w.kv("chan", static_cast<std::uint64_t>(e.chan));
             break;
+        case K::kParallel:
+            w.key("branches").begin_array();
+            for (const auto& branch : e.branches) {
+                w.begin_array();
+                for (const AssignNode& asg : branch) {
+                    w.begin_object();
+                    w.kv("var", static_cast<std::uint64_t>(asg.var));
+                    w.key("value");
+                    write_term(w, asg.value);
+                    w.end_object();
+                }
+                w.end_array();
+            }
+            w.end_array();
+            break;
     }
     w.end_object();
 }
@@ -230,6 +336,57 @@ bool read_value(const JsonValue& obj, const char* key, Value& out) {
     return true;
 }
 
+bool read_term(const JsonValue& v, TermNode& out, std::string* error) {
+    using K = TermNode::Kind;
+    if (!v.is_object()) return fail(error, "term: expected object");
+    const JsonValue* kind = v.find("kind", JsonValue::Kind::String);
+    if (kind == nullptr || !term_kind_of(kind->as_string(), out.kind))
+        return fail(error, "term: missing or unknown kind");
+    switch (out.kind) {
+        case K::kConst:
+            if (!read_value(v, "value", out.value))
+                return fail(error, "term: value missing");
+            break;
+        case K::kVar:
+            if (!read_size(v, "var", out.var))
+                return fail(error, "term: var missing");
+            break;
+        case K::kAdd:
+            if (!read_value(v, "value", out.value) ||
+                !read_value(v, "modulus", out.modulus))
+                return fail(error, "term: value/modulus missing");
+            break;
+        case K::kCount: {
+            const JsonValue* vars = v.find("vars", JsonValue::Kind::Array);
+            if (vars == nullptr || !read_value(v, "value", out.value))
+                return fail(error, "term: vars/value missing");
+            for (const JsonValue& item : vars->as_array()) {
+                if (!item.is_number())
+                    return fail(error, "term: non-numeric variable");
+                out.vars.push_back(static_cast<std::size_t>(item.as_number()));
+            }
+            break;
+        }
+        default:
+            break;
+    }
+    if (const JsonValue* kids = v.find("kids", JsonValue::Kind::Array)) {
+        for (const JsonValue& kid : kids->as_array()) {
+            TermNode child;
+            if (!read_term(kid, child, error)) return false;
+            out.kids.push_back(std::move(child));
+        }
+    }
+    return true;
+}
+
+bool read_compare(const JsonValue& v, int& out, std::string* error) {
+    const JsonValue* op = v.find("op", JsonValue::Kind::String);
+    if (op == nullptr || !compare_of_name(op->as_string(), out))
+        return fail(error, "predicate: missing or unknown op");
+    return true;
+}
+
 bool read_pred(const JsonValue& v, PredNode& out, std::string* error) {
     using K = PredNode::Kind;
     if (!v.is_object()) return fail(error, "predicate: expected object");
@@ -237,6 +394,17 @@ bool read_pred(const JsonValue& v, PredNode& out, std::string* error) {
     if (kind == nullptr || !pred_kind_of(kind->as_string(), out.kind))
         return fail(error, "predicate: missing or unknown kind");
     switch (out.kind) {
+        case K::kCompare: {
+            const JsonValue* terms = v.find("terms", JsonValue::Kind::Array);
+            if (!read_compare(v, out.cmp, error)) return false;
+            if (terms == nullptr) return fail(error, "predicate: terms missing");
+            for (const JsonValue& t : terms->as_array()) {
+                TermNode term;
+                if (!read_term(t, term, error)) return false;
+                out.terms.push_back(std::move(term));
+            }
+            break;
+        }
         case K::kVarEqConst:
         case K::kVarNeConst:
             if (!read_size(v, "var", out.var) ||
@@ -249,6 +417,11 @@ bool read_pred(const JsonValue& v, PredNode& out, std::string* error) {
                 !read_size(v, "var2", out.var2))
                 return fail(error, "predicate: var/var2 missing");
             break;
+        case K::kCount:
+            if (!read_compare(v, out.cmp, error)) return false;
+            if (!read_value(v, "value", out.value))
+                return fail(error, "predicate: count value missing");
+            [[fallthrough]];
         case K::kAnd:
         case K::kOr:
         case K::kNot: {
@@ -336,6 +509,26 @@ bool read_effect(const JsonValue& v, EffectNode& out, std::string* error) {
             if (!read_size(v, "chan", out.chan))
                 return fail(error, "effect: chan missing");
             break;
+        case K::kParallel: {
+            const JsonValue* branches =
+                v.find("branches", JsonValue::Kind::Array);
+            if (branches == nullptr)
+                return fail(error, "effect: branches missing");
+            for (const JsonValue& branch : branches->as_array()) {
+                if (!branch.is_array())
+                    return fail(error, "effect: branch must be an array");
+                out.branches.emplace_back();
+                for (const JsonValue& item : branch.as_array()) {
+                    AssignNode asg;
+                    const JsonValue* value = item.find("value");
+                    if (!read_size(item, "var", asg.var) || value == nullptr)
+                        return fail(error, "effect: assignment var/value missing");
+                    if (!read_term(*value, asg.value, error)) return false;
+                    out.branches.back().push_back(std::move(asg));
+                }
+            }
+            break;
+        }
     }
     return true;
 }
@@ -369,7 +562,7 @@ std::string to_json(const ProgramSpec& spec) {
     JsonWriter w;
     w.begin_object();
     w.kv("schema", "dcft.fuzz.program");
-    w.kv("schema_version", std::uint64_t{1});
+    w.kv("schema_version", kSpecSchemaVersion);
     w.kv("name", spec.name);
     w.kv("seed", spec.seed);
     w.kv("grade", grade_name(spec.grade));
@@ -436,7 +629,11 @@ std::optional<ProgramSpec> from_json(const std::string& text,
     }
     const JsonValue* version =
         doc->find("schema_version", JsonValue::Kind::Number);
-    if (version == nullptr || version->as_number() != 1.0) {
+    // Version 1 (no terms, counting atoms or parallel statements) is a
+    // subset of version 2 and reads unchanged.
+    if (version == nullptr ||
+        (version->as_number() != 1.0 &&
+         version->as_number() != static_cast<double>(kSpecSchemaVersion))) {
         fail(error, "spec: unsupported schema_version");
         return std::nullopt;
     }

@@ -9,19 +9,30 @@
 // to_json(from_json(text)) byte-identical to a writer-produced `text`.
 //
 // Envelope:
-//   { "schema": "dcft.fuzz.program", "schema_version": 1,
+//   { "schema": "dcft.fuzz.program", "schema_version": 2,
 //     "name", "seed", "grade": "failsafe"|"nonmasking"|"masking",
 //     "vars": [{"name","domain"}], "channels": [...], "actions": [...],
 //     "fault_actions": [...], "init", "invariant", "bad",
 //     "leads": null | {"from", "to"} }
+//
+// Version 2 added comparison atoms over terms ({"kind": "compare", "op",
+// "terms": [t, t]}), counting atoms ({"kind": "count", "op", "value",
+// "kids"}), terms ({"kind": "const"|"var"|"add"|"min"|"max"|"count", ...,
+// "kids"}) and parallel statements ({"kind": "parallel", "branches":
+// [[{"var", "value": term}]]}). A version-1 document uses none of them
+// and reads unchanged; to_json always writes version 2.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
 #include "fuzz/spec.hpp"
 
 namespace dcft::fuzz {
+
+/// The schema_version to_json writes.
+inline constexpr std::uint64_t kSpecSchemaVersion = 2;
 
 /// Serializes `spec` (deterministic member order, 2-space indentation).
 std::string to_json(const ProgramSpec& spec);

@@ -1,9 +1,12 @@
 #include "gc/predicate.hpp"
 
+#include <atomic>
 #include <mutex>
+#include <optional>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
+#include "gc/fill.hpp"
+#include "gc/guard_code.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 
@@ -22,6 +25,25 @@ struct Predicate::Impl {
         std::mutex mutex;
         std::uint64_t space_uid = 0;
         std::shared_ptr<const BitVec> bits;
+        FillStats stats;  ///< what the fill of `bits` did
+    };
+
+    /// eval's bytecode, compiled for the first space the predicate is
+    /// evaluated in (set once). `space_uid` is 0 and `code` empty when the
+    /// predicate does not compile to anything but a call of itself.
+    struct Compiled {
+        std::uint64_t space_uid = 0;
+        std::optional<CompiledSpace> cs;
+        std::optional<GuardCode> code;
+    };
+    struct CodeSlot {
+        CodeSlot() = default;
+        CodeSlot(const CodeSlot&) {}
+        CodeSlot& operator=(const CodeSlot&) = delete;
+
+        std::mutex mutex;
+        std::atomic<const Compiled*> ready{nullptr};
+        std::unique_ptr<const Compiled> owned;
     };
 
     std::string name;
@@ -37,8 +59,36 @@ struct Predicate::Impl {
     Value value = 0;
     std::vector<Predicate> kids;
     std::vector<Term> terms{};
+    /// Comparison of a kCount node (its k is `value`).
+    NodeKind count_op = NodeKind::kTermEq;
     /// Filled by eval_bits for non-backed predicates.
     mutable ScanMemo memo{};
+    /// Filled by the first eval of a structured predicate.
+    mutable CodeSlot code{};
+
+    /// Compiles self (whose impl this is) for `space` into the code slot,
+    /// once; returns the slot's contents. Kept out of line so that eval
+    /// stays a short function.
+    [[gnu::noinline]] const Compiled* compile(const Predicate& self,
+                                              const StateSpace& space) const {
+        const std::lock_guard<std::mutex> lock(code.mutex);
+        if (const Compiled* c = code.ready.load(std::memory_order_relaxed))
+            return c;
+        auto built = std::make_unique<Compiled>();
+        built->cs.emplace(space);
+        try {
+            GuardCode g(*built->cs, self);
+            if (!g.calls_root()) {
+                built->code.emplace(std::move(g));
+                built->space_uid = space.uid();
+            }
+        } catch (const ContractError&) {
+            // A term nests deeper than TermCode's stack: interpret.
+        }
+        code.owned = std::move(built);
+        code.ready.store(code.owned.get(), std::memory_order_release);
+        return code.owned.get();
+    }
 };
 
 namespace {
@@ -160,16 +210,25 @@ Predicate Predicate::vars_ne(const StateSpace& space, VarId a, VarId b) {
     return out;
 }
 
-Predicate Predicate::compare(const Term& a, NodeKind op, const Term& b) {
-    const char* sym = nullptr;
+namespace {
+
+/// The symbol of a comparison kind (kTermEq/Ne/Lt/Le); `who` names the
+/// factory in the error for any other kind.
+const char* comparison_symbol(Predicate::NodeKind op, const char* who) {
     switch (op) {
-        case NodeKind::kTermEq: sym = "=="; break;
-        case NodeKind::kTermNe: sym = "!="; break;
-        case NodeKind::kTermLt: sym = "<"; break;
-        case NodeKind::kTermLe: sym = "<="; break;
+        case Predicate::NodeKind::kTermEq: return "==";
+        case Predicate::NodeKind::kTermNe: return "!=";
+        case Predicate::NodeKind::kTermLt: return "<";
+        case Predicate::NodeKind::kTermLe: return "<=";
         default:
-            throw ContractError("Predicate::compare: not a comparison kind");
+            throw ContractError(std::string(who) + ": not a comparison kind");
     }
+}
+
+}  // namespace
+
+Predicate Predicate::compare(const Term& a, NodeKind op, const Term& b) {
+    const char* sym = comparison_symbol(op, "Predicate::compare");
     Predicate out(a.text() + sym + b.text(),
                   [a, op, b](const StateSpace& sp, StateIndex s) {
                       return compares(op, a.eval(sp, s), b.eval(sp, s));
@@ -177,6 +236,54 @@ Predicate Predicate::compare(const Term& a, NodeKind op, const Term& b) {
     Impl* impl = const_cast<Impl*>(out.impl_.get());
     impl->kind = op;
     impl->terms = {a, b};
+    return out;
+}
+
+Predicate Predicate::connective(std::vector<Predicate> ps, NodeKind kind) {
+    DCFT_EXPECTS(!ps.empty(), "Predicate::all_of/any_of: requires an operand");
+    if (ps.size() == 1) return ps[0];
+    const bool all = kind == NodeKind::kAnd;
+    std::string name = "(";
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        name += (i == 0 ? "" : all ? " && " : " || ") + ps[i].name();
+    name += ")";
+    Predicate out(std::move(name),
+                  [ps, all](const StateSpace& sp, StateIndex s) {
+                      for (const Predicate& q : ps)
+                          if (q.interpret(sp, s) != all) return !all;
+                      return all;
+                  });
+    out.set_node(kind, std::move(ps));
+    return out;
+}
+
+Predicate Predicate::all_of(std::vector<Predicate> ps) {
+    return connective(std::move(ps), NodeKind::kAnd);
+}
+
+Predicate Predicate::any_of(std::vector<Predicate> ps) {
+    return connective(std::move(ps), NodeKind::kOr);
+}
+
+Predicate Predicate::count(std::vector<Predicate> ps, NodeKind op,
+                           Value k) {
+    DCFT_EXPECTS(!ps.empty(), "Predicate::count: requires an operand");
+    const char* sym = comparison_symbol(op, "Predicate::count");
+    std::string name = "#{";
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        name += (i == 0 ? "" : ",") + ps[i].name();
+    name += std::string("}") + sym + std::to_string(k);
+    Predicate out(std::move(name),
+                  [ps, op, k](const StateSpace& sp, StateIndex s) {
+                      Value holding = 0;
+                      for (const Predicate& q : ps)
+                          if (q.interpret(sp, s)) ++holding;
+                      return compares(op, holding, k);
+                  });
+    out.set_node(NodeKind::kCount, std::move(ps));
+    Impl* impl = const_cast<Impl*>(out.impl_.get());
+    impl->value = k;
+    impl->count_op = op;
     return out;
 }
 
@@ -190,6 +297,26 @@ bool Predicate::compares(NodeKind op, Value x, Value y) {
 }
 
 bool Predicate::eval(const StateSpace& space, StateIndex s) const {
+    const Impl& t = *impl_;
+    switch (t.kind) {
+        case NodeKind::kTrue:
+            return true;
+        case NodeKind::kFalse:
+            return false;
+        case NodeKind::kBacked:
+            return t.bits->test(s);
+        case NodeKind::kOpaque:
+            return t.fn(space, s);
+        default:
+            break;
+    }
+    const Impl::Compiled* c = t.code.ready.load(std::memory_order_acquire);
+    if (c == nullptr) c = t.compile(*this, space);
+    if (c->space_uid == space.uid()) return c->code->eval(*c->cs, space, s);
+    return t.fn(space, s);
+}
+
+bool Predicate::interpret(const StateSpace& space, StateIndex s) const {
     return impl_->fn(space, s);
 }
 
@@ -204,7 +331,7 @@ Predicate Predicate::renamed(std::string name) const {
     out.impl_ = std::make_shared<Impl>(
         Impl{std::move(name), impl_->fn, impl_->bits, impl_->kind,
              impl_->var, impl_->var2, impl_->value, impl_->kids,
-             impl_->terms});
+             impl_->terms, impl_->count_op});
     return out;
 }
 
@@ -221,6 +348,9 @@ Predicate::NodeKind Predicate::node_kind() const { return impl_->kind; }
 VarId Predicate::node_var() const { return impl_->var; }
 VarId Predicate::node_var2() const { return impl_->var2; }
 Value Predicate::node_value() const { return impl_->value; }
+Predicate::NodeKind Predicate::node_count_op() const {
+    return impl_->count_op;
+}
 std::span<const Predicate> Predicate::node_operands() const {
     return impl_->kids;
 }
@@ -235,7 +365,7 @@ Predicate operator&&(const Predicate& a, const Predicate& b) {
     }
     Predicate out(std::move(name),
                   [a, b](const StateSpace& sp, StateIndex s) {
-                      return a.eval(sp, s) && b.eval(sp, s);
+                      return a.interpret(sp, s) && b.interpret(sp, s);
                   });
     out.set_node(Predicate::NodeKind::kAnd, {a, b});
     return out;
@@ -250,7 +380,7 @@ Predicate operator||(const Predicate& a, const Predicate& b) {
     }
     Predicate out(std::move(name),
                   [a, b](const StateSpace& sp, StateIndex s) {
-                      return a.eval(sp, s) || b.eval(sp, s);
+                      return a.interpret(sp, s) || b.interpret(sp, s);
                   });
     out.set_node(Predicate::NodeKind::kOr, {a, b});
     return out;
@@ -264,7 +394,7 @@ Predicate operator!(const Predicate& a) {
     }
     Predicate out(std::move(name),
                   [a](const StateSpace& sp, StateIndex s) {
-                      return !a.eval(sp, s);
+                      return !a.interpret(sp, s);
                   });
     out.set_node(Predicate::NodeKind::kNot, {a});
     return out;
@@ -277,54 +407,82 @@ Predicate implies(const Predicate& a, const Predicate& b) {
         *bits |= *b.backing_bits();
         return Predicate::from_bits(std::move(name), std::move(bits));
     }
-    return Predicate(std::move(name),
-                     [a, b](const StateSpace& sp, StateIndex s) {
-                         return !a.eval(sp, s) || b.eval(sp, s);
-                     });
+    Predicate out(std::move(name),
+                  [a, b](const StateSpace& sp, StateIndex s) {
+                      return !a.interpret(sp, s) || b.interpret(sp, s);
+                  });
+    out.set_node(Predicate::NodeKind::kOr, {!a, b});
+    return out;
 }
 
 BitVec eval_bits(const StateSpace& space, const Predicate& p,
                  unsigned n_threads) {
     const StateIndex n = space.num_states();
+    MaterializeRecord record{p.name(), "backed", 0, 0, false};
     // Backed fast path: the answer already exists as words.
     if (const auto& bits = p.backing_bits();
         bits != nullptr && bits->size_bits() == n) {
         obs::count("verify/predicate_eval/backed_hits");
+        MaterializeLog::note(std::move(record));
         return *bits;
     }
-    // Scan at most once per (predicate, space): concurrent callers wait
-    // for the scan in flight and then share its bits.
+    // Fill at most once per (predicate, space): concurrent callers wait
+    // for the fill in flight and then share its bits.
     Predicate::Impl::ScanMemo& memo = p.impl_->memo;
     const std::lock_guard<std::mutex> lock(memo.mutex);
-    if (memo.bits != nullptr && memo.space_uid == space.uid()) {
+    const bool hit = memo.bits != nullptr && memo.space_uid == space.uid();
+    if (hit) {
         obs::count("verify/predicate_eval/memo_hits");
-        return *memo.bits;
+    } else {
+        const obs::Span span("verify/predicate_eval");
+        // Refuse a fill the host could never hold, rather than let an
+        // allocation end the process with bad_alloc: the remembered bits,
+        // the caller's copy and the temporaries the fill keeps at once.
+        static const std::uint64_t ram_bytes =
+            obs::host_info().total_ram_bytes;
+        const std::uint64_t bytes = (n + BitVec::kWordBits - 1) /
+                                    BitVec::kWordBits * sizeof(std::uint64_t);
+        const std::uint64_t temps = fill_temp_bytes(n, p, n_threads);
+        if (ram_bytes != 0 &&
+            (bytes > ram_bytes / 2 || 2 * bytes + temps > ram_bytes))
+            throw ContractError(
+                "state space too large: " + std::to_string(n) +
+                " states need a " + std::to_string(bytes) +
+                "-byte bitset to evaluate predicate " + p.name() +
+                " (twice, plus " + std::to_string(temps) +
+                " bytes of fill temporaries), more than " +
+                std::to_string(ram_bytes) + " bytes of physical RAM");
+        auto out = std::make_shared<BitVec>(n);
+        const CompiledSpace cs(space);
+        memo.stats = fill_guard_bits(cs, p, *out, n_threads);
+        memo.space_uid = space.uid();
+        memo.bits = std::move(out);
+        obs::count(memo.stats.root_scanned ? "verify/predicate_eval/bulk_scans"
+                                           : "verify/predicate_eval/word_fills");
+        obs::count("verify/predicate_eval/states_scanned",
+                   memo.stats.states_scanned);
+        record.states_scanned = memo.stats.states_scanned;
     }
-    const obs::Span span("verify/predicate_eval");
-    // Refuse a bitset the host could never hold, rather than let the
-    // allocation end the process with bad_alloc.
-    static const std::uint64_t ram_bytes = obs::host_info().total_ram_bytes;
-    const std::uint64_t bytes = (n + BitVec::kWordBits - 1) /
-                                BitVec::kWordBits * sizeof(std::uint64_t);
-    if (ram_bytes != 0 && bytes > ram_bytes)
-        throw ContractError(
-            "state space too large: " + std::to_string(n) +
-            " states need a " + std::to_string(bytes) +
-            "-byte bitset to evaluate predicate " + p.name() + ", more than " +
-            std::to_string(ram_bytes) + " bytes of physical RAM");
-    obs::count("verify/predicate_eval/bulk_scans");
-    obs::count("verify/predicate_eval/states_scanned", n);
-    auto out = std::make_shared<BitVec>(n);
-    const unsigned threads = resolve_verifier_threads(n_threads);
-    // Chunks are aligned to 64 states so no two workers share a word.
-    parallel_chunks(n, threads, BitVec::kWordBits,
-                    [&](unsigned, std::uint64_t begin, std::uint64_t end) {
-                        for (StateIndex s = begin; s < end; ++s)
-                            if (p.eval(space, s)) out->set(s);
-                    });
-    memo.space_uid = space.uid();
-    memo.bits = out;
-    return *out;
+    record.path = memo.stats.root_scanned ? "per_state_scan" : "word_algebra";
+    record.kcall_ops = memo.stats.kcall_ops;
+    record.memo_hit = hit;
+    MaterializeLog::note(std::move(record));
+    return *memo.bits;
+}
+
+namespace {
+thread_local MaterializeLog* innermost_log = nullptr;
+}  // namespace
+
+MaterializeLog::MaterializeLog() : outer_(innermost_log) {
+    innermost_log = this;
+}
+
+MaterializeLog::~MaterializeLog() { innermost_log = outer_; }
+
+void MaterializeLog::note(MaterializeRecord record) {
+    if (innermost_log != nullptr)
+        innermost_log->records_.push_back(std::move(record));
 }
 
 bool implies_everywhere(const StateSpace& space, const Predicate& a,

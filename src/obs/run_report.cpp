@@ -181,6 +181,20 @@ void write_query(JsonWriter& w, const ReportQuery& q) {
     w.kv("reason", q.reason);
     w.kv("invariant_size", q.invariant_size);
     w.kv("span_size", q.span_size);
+    if (!q.materialize.empty()) {
+        w.key("materialize");
+        w.begin_array();
+        for (const QueryMaterialize& m : q.materialize) {
+            w.begin_object();
+            w.kv("predicate", m.predicate);
+            w.kv("path", m.path);
+            w.kv("kcall_ops", m.kcall_ops);
+            w.kv("states_scanned", m.states_scanned);
+            w.kv("memo_hit", m.memo_hit);
+            w.end_object();
+        }
+        w.end_array();
+    }
     if (q.masking_distance) {
         const QueryMaskingDistance& md = *q.masking_distance;
         w.key("masking_distance");

@@ -28,7 +28,10 @@
 //   }
 //
 // A run report's payload is "queries": one entry per tolerance query with
-// the verdict, invariant/span sizes, and a replayable witness trace:
+// the verdict, invariant/span sizes, a "materialize" array (one
+// { predicate, path, kcall_ops, states_scanned, memo_hit } per predicate
+// the query materialized; omitted when it materialized none), and a
+// replayable witness trace:
 // failing queries carry the counterexample of the first failing obligation;
 // passing queries carry the exploration witness (BFS path to the deepest
 // fault-span state). Graded runs (--graded) attach two extra members per
@@ -90,6 +93,18 @@ struct QueryMonteCarlo {
     QueryStatsBlock faults_absorbed;
 };
 
+/// How one query materialized one predicate (gc/predicate.hpp
+/// MaterializeRecord): "backed", "word_algebra" or "per_state_scan", the
+/// subtrees the fill evaluated per state (kCall ops), the states it so
+/// evaluated in this query, and whether eval_bits' memo served it.
+struct QueryMaterialize {
+    std::string predicate;
+    std::string path;
+    std::uint64_t kcall_ops = 0;
+    std::uint64_t states_scanned = 0;
+    bool memo_hit = false;
+};
+
 /// One tolerance query in a run report.
 struct ReportQuery {
     std::string name;     ///< unique label, e.g. "token-ring/base/masking"
@@ -104,6 +119,8 @@ struct ReportQuery {
     /// a deepest-trace witness), or "" (no witness available).
     std::string witness_kind;
     std::vector<WitnessStep> witness;
+    /// One entry per predicate the query materialized.
+    std::vector<QueryMaterialize> materialize;
     /// Graded blocks (--graded / graded requests only); both present or
     /// both absent.
     std::optional<QueryMaskingDistance> masking_distance;

@@ -6,16 +6,16 @@
 // StateSpace::set.
 // This layer compiles a guarded command once per exploration:
 //
-//   * guards with structural metadata (Predicate::NodeKind) lower to a
-//     small postfix bytecode over CompiledSpace digit reads — no
-//     std::function dispatch; the terms of comparison atoms and of
-//     parallel assignments lower to TermCode, a value bytecode; opaque
-//     subtrees fall back to a kCall op that invokes Predicate::eval for
-//     just that subtree;
-//   * the whole-space *guard bitset* fills word-level enabled masks per
-//     action (periodic range fills for var==const leaves, word algebra
-//     for and/or/not, word copies for set-backed operands), so the BFS
-//     inner loop tests one bit per (state, action);
+//   * guards with structural metadata (Predicate::NodeKind) lower to
+//     GuardCode (gc/guard_code.hpp), a small postfix bytecode over
+//     CompiledSpace digit reads — no std::function dispatch; the terms of
+//     comparison atoms and of parallel assignments lower to TermCode, a
+//     value bytecode; opaque subtrees fall back to a kCall op that invokes
+//     Predicate::eval for just that subtree;
+//   * the whole-space *guard bitset* is the guard's fill_guard_bits
+//     (gc/fill.hpp, the routine eval_bits materializes every state
+//     predicate with), so the BFS inner loop tests one bit per
+//     (state, action);
 //   * effects with structural metadata (Action::EffectForm) become
 //     stride-delta arithmetic on the packed index; kGeneric effects call
 //     the original statement.
@@ -38,122 +38,12 @@
 #include "common/bitvec.hpp"
 #include "gc/action.hpp"
 #include "gc/compiled.hpp"
+#include "gc/fill.hpp"
+#include "gc/guard_code.hpp"
 #include "gc/predicate.hpp"
 #include "gc/program.hpp"
 
 namespace dcft {
-
-/// Postfix bytecode for one Term: digit reads and integer arithmetic on a
-/// small value stack, no std::function dispatch.
-class TermCode {
-public:
-    /// Compiles t. Throws ContractError when the term nests deeper than
-    /// the value stack (kMaxStack).
-    explicit TermCode(const Term& t);
-
-    /// The value of the term at state s.
-    Value eval(const CompiledSpace& cs, StateIndex s) const {
-        // Single-op terms (a variable or a constant) skip the stack.
-        if (ops_.size() == 1) {
-            if (ops_[0].k == Op::K::kVar) return cs.get(s, ops_[0].var);
-            if (ops_[0].k == Op::K::kConst) return ops_[0].value;
-        }
-        return eval_stack(cs, s);
-    }
-
-private:
-    struct Op {
-        enum class K : std::uint8_t {
-            kConst,  ///< push value
-            kVar,    ///< push the digit of var
-            kAdd,    ///< top += value
-            kMod,    ///< top = non-negative residue of top mod value
-            kMin,    ///< pop two, push the lesser
-            kMax,    ///< pop two, push the greater
-            kCount,  ///< push #{v in count_vars_[begin, end) : v == value}
-        };
-        K k;
-        VarId var = 0;
-        Value value = 0;
-        std::uint32_t begin = 0;
-        std::uint32_t end = 0;
-    };
-
-    static constexpr int kMaxStack = 64;
-
-    Value eval_stack(const CompiledSpace& cs, StateIndex s) const;
-
-    std::vector<Op> ops_;
-    std::vector<VarId> count_vars_;
-};
-
-/// Postfix bytecode for one guard predicate. Compiled from the structural
-/// metadata of a Predicate; opaque subtrees become kCall ops.
-class GuardCode {
-public:
-    /// Compiles p. Every structured node lowers to a dedicated op; kOpaque
-    /// (and pathological nesting deeper than the eval stack) lowers to
-    /// kCall on the subtree, which simply invokes Predicate::eval.
-    GuardCode(const CompiledSpace& cs, const Predicate& p);
-
-    /// Evaluates the guard at state s without std::function dispatch on
-    /// any structured node.
-    bool eval(const CompiledSpace& cs, StateIndex s) const;
-
-    /// Number of kCall fallback ops (0 = fully compiled).
-    std::size_t num_opaque_ops() const { return opaque_.size(); }
-
-private:
-    friend void fill_guard_bits(const CompiledSpace& cs, const Predicate& p,
-                                BitVec& out);
-
-    struct Op {
-        enum class K : std::uint8_t {
-            kTrue,
-            kFalse,
-            kVarEqConst,
-            kVarNeConst,
-            kVarEqVar,
-            kVarNeVar,
-            kCompare,   ///< comparison atom: compares_[idx]
-            kTestBits,  ///< set-backed leaf: bits[idx].test(s)
-            kCall,      ///< opaque leaf: opaque[idx].eval(space, s)
-            kAnd,
-            kOr,
-            kNot,
-        };
-        K k;
-        VarId var = 0;
-        VarId var2 = 0;
-        Value value = 0;
-        std::uint32_t idx = 0;
-    };
-
-    /// A lowered comparison atom `a op b` (op: a Predicate::kTerm* kind).
-    struct Compare {
-        Predicate::NodeKind op;
-        TermCode a;
-        TermCode b;
-        bool eval(const CompiledSpace& cs, StateIndex s) const;
-    };
-
-    static constexpr int kMaxStack = 64;
-
-    std::vector<Op> ops_;
-    std::vector<Compare> compares_;
-    std::vector<std::shared_ptr<const BitVec>> bits_;
-    std::vector<Predicate> opaque_;
-};
-
-/// Fills `out` (sized to the space) with the states satisfying p, using
-/// word-level algebra wherever p's structure allows: periodic range fills
-/// for var-vs-const leaves, word copies for set-backed leaves, per-value
-/// set algebra for comparison atoms whose terms take at most
-/// kMaxTermValues values, word and/or/not for connectives. Other subtrees
-/// fall back to a per-state bytecode scan of just that subtree. `out` is
-/// overwritten.
-void fill_guard_bits(const CompiledSpace& cs, const Predicate& p,
-                     BitVec& out);
 
 class CompiledAction;
 

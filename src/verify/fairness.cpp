@@ -89,12 +89,22 @@ SccResult tarjan_scc(const TransitionSystem& ts, const std::vector<char>& in_h) 
 std::vector<char> eval_on_nodes(const TransitionSystem& ts,
                                 const Predicate& p) {
     std::vector<char> out(ts.num_nodes());
-    // Set-backed predicates answer with a bit probe per node instead of a
-    // std::function call.
+    // Set-backed predicates answer with a bit probe per node. So does a
+    // structured predicate on a graph covering at least an eighth of the
+    // space: eval_bits fills it by word algebra once for every query of
+    // the run, and its bitset is no larger than these per-node flags.
+    const StateIndex n_states = ts.space().num_states();
     if (const auto& bits = p.backing_bits();
-        bits != nullptr && bits->size_bits() == ts.space().num_states()) {
+        bits != nullptr && bits->size_bits() == n_states) {
         for (NodeId n = 0; n < ts.num_nodes(); ++n)
             out[n] = bits->test(ts.state_of(n)) ? 1 : 0;
+        return out;
+    }
+    if (p.node_kind() != Predicate::NodeKind::kOpaque &&
+        static_cast<StateIndex>(ts.num_nodes()) * 8 >= n_states) {
+        const BitVec bits = eval_bits(ts.space(), p);
+        for (NodeId n = 0; n < ts.num_nodes(); ++n)
+            out[n] = bits.test(ts.state_of(n)) ? 1 : 0;
         return out;
     }
     for (NodeId n = 0; n < ts.num_nodes(); ++n)

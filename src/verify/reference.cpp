@@ -7,6 +7,17 @@
 
 namespace dcft::reference {
 
+namespace {
+
+/// Action::successors with the guard interpreted (Predicate::interpret),
+/// not run as bytecode: the oracle stays independent of gc/guard_code.
+void successors_of(const Action& a, const StateSpace& space, StateIndex s,
+                   std::vector<StateIndex>& out) {
+    if (a.guard().interpret(space, s)) a.apply_effect(space, s, out);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // RefTransitionSystem: the seed's FIFO exploration, verbatim in structure.
 // ---------------------------------------------------------------------------
@@ -19,7 +30,7 @@ RefTransitionSystem::RefTransitionSystem(const Program& program,
     std::deque<NodeId> frontier;
     const StateIndex n_states = space_->num_states();
     for (StateIndex s = 0; s < n_states; ++s) {
-        if (!init.eval(*space_, s)) continue;
+        if (!init.interpret(*space_, s)) continue;
         const NodeId id = static_cast<NodeId>(states_.size());
         states_.push_back(s);
         node_of_.emplace(s, id);
@@ -52,7 +63,7 @@ RefTransitionSystem::RefTransitionSystem(const Program& program,
         const StateIndex s = states_[n];
         for (std::uint32_t a = 0; a < program_.num_actions(); ++a) {
             succ.clear();
-            program_.action(a).successors(*space_, s, succ);
+            successors_of(program_.action(a), *space_, s, succ);
             for (StateIndex t : succ) {
                 const NodeId to = intern(t);
                 prog_edges_[n].push_back(RefEdge{a, to});
@@ -62,7 +73,7 @@ RefTransitionSystem::RefTransitionSystem(const Program& program,
             std::uint32_t a = 0;
             for (const auto& fac : faults->actions()) {
                 succ.clear();
-                fac.successors(*space_, s, succ);
+                successors_of(fac, *space_, s, succ);
                 for (StateIndex t : succ) {
                     const NodeId to = intern(t);
                     fault_rows_[n].push_back(RefEdge{a, to});
@@ -81,7 +92,7 @@ std::size_t RefTransitionSystem::num_program_edges() const {
 
 bool RefTransitionSystem::enabled(NodeId n, std::uint32_t a) const {
     DCFT_EXPECTS(a < program_.num_actions(), "action index out of range");
-    return program_.action(a).enabled(*space_, states_[n]);
+    return program_.action(a).guard().interpret(*space_, states_[n]);
 }
 
 const std::vector<std::vector<NodeId>>& RefTransitionSystem::predecessors(
@@ -137,12 +148,12 @@ CheckResult ref_check_preserved_by(const StateSpace& space,
                                    const Predicate& s, const char* what) {
     std::vector<StateIndex> succ;
     for (StateIndex st = 0; st < space.num_states(); ++st) {
-        if (!s.eval(space, st)) continue;
+        if (!s.interpret(space, st)) continue;
         for (const auto& ac : actions) {
             succ.clear();
-            ac.successors(space, st, succ);
+            successors_of(ac, space, st, succ);
             for (StateIndex t : succ) {
-                if (!s.eval(space, t)) {
+                if (!s.interpret(space, t)) {
                     return CheckResult::failure(
                         std::string(what) + ": predicate " + s.name() +
                         " not preserved by action '" + ac.name() +
@@ -173,15 +184,17 @@ StateSet ref_reachable_states(const Program& p, const FaultClass* f,
     StateSet seen(space.num_states());
     std::deque<StateIndex> frontier;
     for (StateIndex s = 0; s < space.num_states(); ++s) {
-        if (from.eval(space, s) && seen.insert(s)) frontier.push_back(s);
+        if (from.interpret(space, s) && seen.insert(s)) frontier.push_back(s);
     }
     std::vector<StateIndex> succ;
     while (!frontier.empty()) {
         const StateIndex s = frontier.front();
         frontier.pop_front();
         succ.clear();
-        p.successors(s, succ);
-        if (f != nullptr) f->successors(s, succ);
+        for (const Action& a : p.actions()) successors_of(a, space, s, succ);
+        if (f != nullptr)
+            for (const Action& a : f->actions())
+                successors_of(a, space, s, succ);
         for (StateIndex t : succ)
             if (seen.insert(t)) frontier.push_back(t);
     }
@@ -266,7 +279,7 @@ std::vector<char> ref_eval_on_nodes(const RefTransitionSystem& ts,
                                     const Predicate& p) {
     std::vector<char> out(ts.num_nodes());
     for (NodeId n = 0; n < ts.num_nodes(); ++n)
-        out[n] = p.eval(ts.space(), ts.state_of(n)) ? 1 : 0;
+        out[n] = p.interpret(ts.space(), ts.state_of(n)) ? 1 : 0;
     return out;
 }
 
@@ -370,7 +383,7 @@ CheckResult ref_check_leads_to(const RefTransitionSystem& ts,
     }
 
     for (NodeId v = 0; v < ts.num_nodes(); ++v) {
-        if (!target[v] && bad[v] && p.eval(ts.space(), ts.state_of(v))) {
+        if (!target[v] && bad[v] && p.interpret(ts.space(), ts.state_of(v))) {
             return CheckResult::failure(
                 "leads-to violated: " + p.name() + " ~~> " + q.name() +
                 " fails from state " + ts.space().format(ts.state_of(v)) +
@@ -490,7 +503,7 @@ ToleranceReport ref_check_tolerance(const Program& p, const FaultClass& f,
     // Seed count_satisfying: one std::function call per state.
     StateIndex inv_size = 0;
     for (StateIndex s = 0; s < space.num_states(); ++s)
-        if (invariant.eval(space, s)) ++inv_size;
+        if (invariant.interpret(space, s)) ++inv_size;
     report.invariant_size = inv_size;
 
     report.in_absence = ref_refines_spec(p, spec, invariant);

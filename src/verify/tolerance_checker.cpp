@@ -1,5 +1,6 @@
 #include "verify/tolerance_checker.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -40,10 +41,36 @@ ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
     return check_tolerance(p, f, spec, invariant, grade, ToleranceOptions{});
 }
 
+namespace {
+
+ToleranceReport decide(const Program& p, const FaultClass& f,
+                       const ProblemSpec& spec, const Predicate& invariant,
+                       Tolerance grade, const ToleranceOptions& options);
+
+}  // namespace
+
 ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
                                 const ProblemSpec& spec,
                                 const Predicate& invariant, Tolerance grade,
                                 const ToleranceOptions& options) {
+    const MaterializeLog log;
+    ToleranceReport report = decide(p, f, spec, invariant, grade, options);
+    for (const MaterializeRecord& r : log.records()) {
+        const auto& seen = report.materialized;
+        if (std::none_of(seen.begin(), seen.end(),
+                         [&](const MaterializeRecord& m) {
+                             return m.predicate == r.predicate;
+                         }))
+            report.materialized.push_back(r);
+    }
+    return report;
+}
+
+namespace {
+
+ToleranceReport decide(const Program& p, const FaultClass& f,
+                       const ProblemSpec& spec, const Predicate& invariant,
+                       Tolerance grade, const ToleranceOptions& options) {
     const obs::Span span("verify/check_tolerance");
     obs::count("verify/tolerance_queries");
     const StateSpace& space = p.space();
@@ -160,6 +187,8 @@ ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
     }
     return report;
 }
+
+}  // namespace
 
 ToleranceReport check_failsafe(const Program& p, const FaultClass& f,
                                const ProblemSpec& spec,

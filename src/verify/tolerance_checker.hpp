@@ -66,6 +66,10 @@ struct ToleranceReport {
     /// as the exploration witness of passing queries; failing queries
     /// export the counterexample trace on in_absence/in_presence instead.
     std::vector<WitnessStep> deepest_trace;
+    /// How each predicate the query materialized got its state set (one
+    /// record per predicate name, the first eval_bits call's; run
+    /// reports export these as the query's "materialize" entries).
+    std::vector<MaterializeRecord> materialized;
 
     bool ok() const { return in_absence.ok && in_presence.ok; }
     /// The counterexample trace of the first failing obligation (empty

@@ -155,5 +155,22 @@ TEST(AlternatingBitTest, ChannelGuardsMatchTheOpaqueLambdas) {
             << a.name();
 }
 
+TEST(AlternatingBitMigrationTest, PhaseInvariantMatchesTheOpaqueLambda) {
+    const AlternatingBitSystem sys = make_alternating_bit(6, 4);  // catalog
+    const VarId sbit = sys.sbit, rbit = sys.rbit, sent = sys.sent,
+                delivered = sys.delivered;
+    const Value m = 4;
+    test::expect_same_guard(
+        sys.space, sys.in_sync,
+        Predicate("abp-phase-invariant", [=](const StateSpace& sp,
+                                             StateIndex s) {
+            const bool same = sp.get(s, sbit) == sp.get(s, rbit);
+            const Value d = sp.get(s, delivered);
+            const Value n = sp.get(s, sent);
+            return same ? d == n : d == (n + 1) % m;
+        }));
+    EXPECT_EQ(sys.in_sync.name(), "abp-phase-invariant");
+}
+
 }  // namespace
 }  // namespace dcft

@@ -169,5 +169,28 @@ TEST(BarrierTest, StructuredActionsMatchTheOpaqueLambdas) {
         Action("release", sys.root_witness && all_arrived, release_effect));
 }
 
+TEST(BarrierMigrationTest, TruthfulMatchesTheOpaqueLambda) {
+    const BarrierSystem sys = make_barrier(8);  // catalog size
+    const int n = sys.n;
+    const std::vector<VarId> arrived = sys.arrived, w = sys.w;
+    auto child_var = [n, arrived, w](int node) -> VarId {
+        if (node >= n) return arrived[static_cast<std::size_t>(node - n)];
+        return w[static_cast<std::size_t>(node)];
+    };
+    test::expect_same_guard(
+        sys.space, sys.witnesses_truthful,
+        Predicate("witnesses-truthful",
+                  [child_var, w, n](const StateSpace& sp, StateIndex s) {
+                      for (int k = n - 1; k >= 1; --k) {
+                          if (sp.get(s, w[static_cast<std::size_t>(k)]) == 1 &&
+                              (sp.get(s, child_var(2 * k)) == 0 ||
+                               sp.get(s, child_var(2 * k + 1)) == 0))
+                              return false;
+                      }
+                      return true;
+                  }));
+    EXPECT_EQ(sys.witnesses_truthful.name(), "witnesses-truthful");
+}
+
 }  // namespace
 }  // namespace dcft

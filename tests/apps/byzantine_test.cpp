@@ -234,5 +234,56 @@ TEST(ByzantineMigrationTest, StructuredActionsMatchTheOpaqueLambdas) {
     }
 }
 
+TEST(ByzantineMigrationTest, SpecPredicatesMatchTheOpaqueLambdas) {
+    // The spec predicates at catalog size (n = 6); the detection
+    // predicates X.j at n = 5 (and n = 4, which has an even number of
+    // voters, so ties occur).
+    {
+        const auto sys = make_byzantine(6, 1);
+        std::vector<VarId> all_b = sys.b;
+        all_b.push_back(sys.b_g);
+        test::expect_same_guard(
+            sys.space, sys.no_byzantine,
+            Predicate("no-byzantine",
+                      [all_b](const StateSpace& sp, StateIndex s) {
+                          for (VarId v : all_b)
+                              if (sp.get(s, v) != 0) return false;
+                          return true;
+                      }));
+        const std::vector<VarId> outv = sys.out, bv = sys.b;
+        test::expect_same_guard(
+            sys.space, sys.all_honest_output,
+            Predicate("all-honest-output",
+                      [outv, bv](const StateSpace& sp, StateIndex s) {
+                          for (std::size_t i = 0; i < outv.size(); ++i)
+                              if (sp.get(s, bv[i]) == 0 &&
+                                  sp.get(s, outv[i]) == 2)
+                                  return false;
+                          return true;
+                      }));
+        EXPECT_EQ(sys.no_byzantine.name(), "no-byzantine");
+        EXPECT_EQ(sys.all_honest_output.name(), "all-honest-output");
+    }
+    for (const int n : {4, 5}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const auto sys = make_byzantine(n, 1);
+        const std::vector<VarId> dvars = sys.d;
+        const VarId dg = sys.d_g, bg = sys.b_g;
+        for (int j = 1; j < n; ++j) {
+            const VarId dj = dvars[static_cast<std::size_t>(j - 1)];
+            const Predicate want(
+                "X." + std::to_string(j) + "(d.j==corrdecn)",
+                [dvars, dj, dg, bg](const StateSpace& sp, StateIndex s) {
+                    const Value corr = sp.get(s, bg) == 0
+                                           ? sp.get(s, dg)
+                                           : oracle_majority(sp, s, dvars);
+                    return sp.get(s, dj) == corr;
+                });
+            EXPECT_EQ(sys.detection(j).name(), want.name());
+            test::expect_same_guard(sys.space, sys.detection(j), want);
+        }
+    }
+}
+
 }  // namespace
 }  // namespace dcft

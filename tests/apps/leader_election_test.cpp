@@ -166,5 +166,52 @@ TEST(LeaderElectionTest, StructuredActionsMatchTheOpaqueLambdas) {
     }
 }
 
+TEST(LeaderElectionMigrationTest, SpecPredicatesMatchTheOpaqueLambdas) {
+    // Catalog size: the 4-node heap-shaped tree with identity ids.
+    const auto sys = make_leader_election({0, 0, 0, 1});
+    const std::vector<VarId> agg = sys.agg, ldr = sys.ldr;
+    // Subtree maxima of the identity ids, by one reverse sweep.
+    std::vector<Value> maxima = {0, 1, 2, 3};
+    for (std::size_t i = 3; i >= 1; --i) {
+        const auto p = static_cast<std::size_t>(sys.parent[i]);
+        maxima[p] = std::max(maxima[p], maxima[i]);
+    }
+    const Value leader = sys.true_leader;
+    EXPECT_EQ(leader, 3);
+    test::expect_same_guard(
+        sys.space, sys.aggregation_correct,
+        Predicate("aggregation-correct",
+                  [agg, maxima](const StateSpace& sp, StateIndex s) {
+                      for (std::size_t i = 0; i < agg.size(); ++i)
+                          if (sp.get(s, agg[i]) != maxima[i]) return false;
+                      return true;
+                  }));
+    test::expect_same_guard(
+        sys.space, sys.leader_agreed,
+        Predicate("leader-agreed",
+                  [ldr, leader](const StateSpace& sp, StateIndex s) {
+                      for (VarId v : ldr)
+                          if (sp.get(s, v) != leader) return false;
+                      return true;
+                  }));
+    EXPECT_EQ(sys.aggregation_correct.name(), "aggregation-correct");
+    EXPECT_EQ(sys.leader_agreed.name(), "leader-agreed");
+    EXPECT_EQ(sys.legitimate.name(), "election-legitimate");
+}
+
+TEST(LeaderElectionMigrationTest, LegitimateFillsInThreeBitsets) {
+    // Election 6 has 6^12 states (a 272 MB bitset). Its invariant's fill
+    // keeps three block-long temporaries per worker (the block, the
+    // running conjunction and one operand) beside the result, which
+    // eval_bits' RAM check counts before allocating anything.
+    std::vector<int> parent(6, 0);
+    for (int i = 1; i < 6; ++i) parent[static_cast<std::size_t>(i)] = (i - 1) / 2;
+    const auto sys = make_leader_election(parent);
+    EXPECT_EQ(sys.space->num_states(), 2176782336u);
+    EXPECT_EQ(fill_peak_bitsets(sys.legitimate), 3u);
+    EXPECT_EQ(fill_temp_bytes(sys.space->num_states(), sys.legitimate, 4),
+              4u * 3u * 4096u);
+}
+
 }  // namespace
 }  // namespace dcft

@@ -9,6 +9,7 @@
 #include "verify/encapsulation.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -195,6 +196,26 @@ TEST_F(MemoryAccessTest, DifferentDomainsAndValues) {
                 << "domain=" << domain << " v=" << v;
         }
     }
+}
+
+TEST(MemoryAccessMigrationTest, InvariantFillsByWordAlgebra) {
+    // U1 = z1 => present was an opaque implication; it is now the
+    // structured !z1 || present, so S fills without a per-state scan.
+    const MemoryAccessSystem sys = make_memory_access(6, 1);  // catalog
+    const VarId present = sys.present_var, z1 = sys.z1_var;
+    test::expect_same_guard(
+        sys.space, sys.U1,
+        Predicate("U1", [=](const StateSpace& sp, StateIndex s) {
+            return sp.get(s, z1) != 1 || sp.get(s, present) == 1;
+        }));
+    test::expect_same_guard(
+        sys.space, sys.S,
+        Predicate("S", [=](const StateSpace& sp, StateIndex s) {
+            return (sp.get(s, z1) != 1 || sp.get(s, present) == 1) &&
+                   sp.get(s, present) == 1;
+        }));
+    EXPECT_EQ(sys.U1.name(), "U1(z1=>present)");
+    EXPECT_EQ(sys.S.name(), "S(U1&&X1)");
 }
 
 }  // namespace

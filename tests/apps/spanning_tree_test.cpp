@@ -183,5 +183,20 @@ TEST(SpanningTreeTest, StructuredActionsMatchTheOpaqueLambdas) {
     }
 }
 
+TEST(SpanningTreeMigrationTest, LegitimateMatchesTheOpaqueLambda) {
+    const auto sys = make_spanning_tree(path_graph(6));  // catalog size
+    const std::vector<VarId> dist = sys.dist;
+    const std::vector<Value> truth = sys.true_distances;
+    test::expect_same_guard(
+        sys.space, sys.legitimate,
+        Predicate("distances-correct",
+                  [dist, truth](const StateSpace& sp, StateIndex s) {
+                      for (std::size_t i = 0; i < dist.size(); ++i)
+                          if (sp.get(s, dist[i]) != truth[i]) return false;
+                      return true;
+                  }));
+    EXPECT_EQ(sys.legitimate.name(), "distances-correct");
+}
+
 }  // namespace
 }  // namespace dcft

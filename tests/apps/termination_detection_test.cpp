@@ -218,5 +218,32 @@ TEST(TerminationDetectionTest, StructuredActionsMatchTheOpaqueLambdas) {
             }));
 }
 
+TEST(TerminationMigrationTest, SpecPredicatesMatchTheOpaqueLambdas) {
+    const auto sys = make_termination_detection(6);  // catalog size
+    const std::vector<VarId> active = sys.active_var, colour = sys.colour_var;
+    const VarId token = sys.token_var, tcolour = sys.tcolour_var,
+                done = sys.done_var;
+    constexpr Value kBlack = 1;
+    test::expect_same_guard(
+        sys.space, sys.all_passive,
+        Predicate("all-passive", [active](const StateSpace& sp, StateIndex s) {
+            for (VarId a : active)
+                if (sp.get(s, a) == 1) return false;
+            return true;
+        }));
+    test::expect_same_guard(
+        sys.space, sys.initial,
+        Predicate("initial", [=](const StateSpace& sp, StateIndex s) {
+            if (sp.get(s, token) != 0) return false;
+            if (sp.get(s, tcolour) != kBlack) return false;
+            if (sp.get(s, done) != 0) return false;
+            for (VarId c : colour)
+                if (sp.get(s, c) != kBlack) return false;
+            return true;
+        }));
+    EXPECT_EQ(sys.all_passive.name(), "all-passive");
+    EXPECT_EQ(sys.initial.name(), "initial");
+}
+
 }  // namespace
 }  // namespace dcft

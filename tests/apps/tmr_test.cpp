@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "verify/component_checker.hpp"
 #include "verify/encapsulation.hpp"
 #include "verify/refinement.hpp"
@@ -191,6 +193,35 @@ TEST(TmrMigrationTest, StructuredActionsMatchTheOpaqueLambdas) {
                                        outv.push_back(sp.set(s, input, c));
                            }
                        }));
+}
+
+TEST(TmrMigrationTest, SpecPredicatesMatchTheOpaqueLambdas) {
+    // Catalog size (domain 4); the oracle is the majority rule the
+    // structured predicates replaced.
+    const TmrSystem sys = make_tmr(4);
+    const VarId x = sys.x_var, y = sys.y_var, z = sys.z_var,
+                out = sys.out_var;
+    auto majority = [](const StateSpace& sp, StateIndex s, VarId a, VarId b,
+                       VarId c) -> std::optional<Value> {
+        const Value va = sp.get(s, a), vb = sp.get(s, b), vc = sp.get(s, c);
+        if (va == vb || va == vc) return va;
+        if (vb == vc) return vb;
+        return std::nullopt;
+    };
+    test::expect_same_guard(
+        sys.space, sys.x_uncorrupted,
+        Predicate("X_DR(x==uncor)", [=](const StateSpace& sp, StateIndex s) {
+            const auto maj = majority(sp, s, x, y, z);
+            return maj.has_value() && sp.get(s, x) == *maj;
+        }));
+    test::expect_same_guard(
+        sys.space, sys.output_correct,
+        Predicate("out==uncor", [=](const StateSpace& sp, StateIndex s) {
+            const auto maj = majority(sp, s, x, y, z);
+            return maj.has_value() && sp.get(s, out) == *maj;
+        }));
+    EXPECT_EQ(sys.x_uncorrupted.name(), "X_DR(x==uncor)");
+    EXPECT_EQ(sys.output_correct.name(), "out==uncor");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "verify/fairness.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
+#include "lambda_oracle.hpp"
 
 namespace dcft {
 namespace {
@@ -119,6 +120,52 @@ TEST(TokenRingTest, TwoProcessRing) {
     auto sys = make_token_ring(2, 3);
     EXPECT_TRUE(
         converges(sys.ring, nullptr, Predicate::top(), sys.legitimate).ok);
+}
+
+TEST(TokenRingMigrationTest, SpecPredicatesMatchTheOpaqueLambdas) {
+    // Catalog size: n = K = 6. The lambdas are the ones the counting atom
+    // and the vars_eq/vars_ne guards replaced.
+    const auto sys = make_token_ring(6, 6);
+    const std::vector<VarId> x = sys.x;
+    auto privileged = [x](const StateSpace& sp, StateIndex s, int i) {
+        const std::size_t u = static_cast<std::size_t>(i);
+        if (i == 0) return sp.get(s, x[0]) == sp.get(s, x.back());
+        return sp.get(s, x[u]) != sp.get(s, x[u - 1]);
+    };
+    auto privileges = [x, privileged](const StateSpace& sp, StateIndex s) {
+        int count = 0;
+        for (int i = 0; i < static_cast<int>(x.size()); ++i)
+            count += privileged(sp, s, i) ? 1 : 0;
+        return count;
+    };
+    test::expect_same_guard(
+        sys.space, sys.legitimate,
+        Predicate("one-privilege", [privileges](const StateSpace& sp,
+                                                StateIndex s) {
+            return privileges(sp, s) == 1;
+        }));
+    EXPECT_EQ(sys.legitimate.name(), "one-privilege");
+    const Predicate bad = sys.spec.safety().bad_states();
+    EXPECT_EQ(bad.name(), "not-one-privilege");
+    test::expect_same_guard(
+        sys.space, bad,
+        Predicate("not-one-privilege", [privileges](const StateSpace& sp,
+                                                    StateIndex s) {
+            return privileges(sp, s) != 1;
+        }));
+    const auto& leads = sys.spec.liveness().obligations();
+    ASSERT_EQ(leads.size(), x.size());
+    for (int i = 0; i < static_cast<int>(x.size()); ++i) {
+        const Predicate want(
+            "privilege." + std::to_string(i),
+            [privileged, i](const StateSpace& sp, StateIndex s) {
+                return privileged(sp, s, i);
+            });
+        EXPECT_EQ(sys.privilege(i).name(), want.name());
+        test::expect_same_guard(sys.space, sys.privilege(i), want);
+        test::expect_same_guard(sys.space,
+                                leads[static_cast<std::size_t>(i)].to, want);
+    }
 }
 
 }  // namespace

@@ -164,5 +164,91 @@ TEST(PredicateTest, EvalBitsMemoIsThreadSafe) {
     EXPECT_EQ(calls->load(), sp->num_states());  // one shared scan
 }
 
+/// Predicate::eval against Predicate::interpret at every state of sp.
+void expect_eval_matches_interpret(const StateSpace& sp, const Predicate& p) {
+    for (StateIndex s = 0; s < sp.num_states(); ++s)
+        ASSERT_EQ(p.eval(sp, s), p.interpret(sp, s)) << p.name() << " at " << s;
+}
+
+TEST(PredicateEvalTest, BytecodeMatchesTheEvaluationFunction) {
+    // Leaf runs (connectives and counting atoms over variable atoms only),
+    // short-circuit jumps over mixed operands, and a set-backed leaf.
+    auto sp = make_space({Variable{"a", 3, {}}, Variable{"b", 5, {}},
+                          Variable{"c", 2, {}}, Variable{"d", 3, {}}});
+    const Predicate a1 = Predicate::var_eq(*sp, "a", 1);
+    const Predicate b4 = Predicate::var_ne(*sp, "b", 4);
+    const Predicate ad = Predicate::vars_eq(*sp, 0, 3);
+    const Predicate bc = Predicate::vars_ne(*sp, 1, 2);
+    auto bits = std::make_shared<BitVec>(sp->num_states());
+    for (StateIndex s = 0; s < sp->num_states(); s += 7) bits->set(s);
+    const Predicate backed = Predicate::from_bits("every-7th", bits);
+    const Predicate lt = Predicate::compare(
+        Term::var(*sp, 1), Predicate::NodeKind::kTermLt,
+        Term::var(*sp, 0).plus(1, 3));
+    for (const Predicate& p :
+         {Predicate::all_of({a1, b4, ad, bc}), Predicate::any_of({a1, b4, ad}),
+          Predicate::count({a1, b4, ad, bc}, Predicate::NodeKind::kTermEq, 2),
+          Predicate::count({a1, bc}, Predicate::NodeKind::kTermLe, 0),
+          Predicate::all_of({a1 || lt, !backed, Predicate::any_of({ad, bc})}),
+          Predicate::any_of({a1 && b4, lt, backed && !bc}),
+          Predicate::count({a1 && b4, lt, backed, ad},
+                           Predicate::NodeKind::kTermNe, 1),
+          implies(lt, a1 || (ad && !b4))})
+        expect_eval_matches_interpret(*sp, p);
+}
+
+TEST(PredicateEvalTest, TooDeepForBytecodeFallsBackToTheFunction) {
+    auto sp = space2x3();
+    const Predicate a1 = Predicate::var_eq(*sp, "a", 1);
+    // A counting atom over 70 compound operands needs 70 stack slots, more
+    // than the bytecode's 64: it compiles to a call of itself, which eval
+    // must not run (that would recurse forever).
+    std::vector<Predicate> ops(70, !a1);
+    expect_eval_matches_interpret(
+        *sp, Predicate::count(ops, Predicate::NodeKind::kTermEq, 70));
+    // A term nested 70 deep does not compile at all.
+    Term t = Term::var(*sp, 1);
+    for (int i = 0; i < 70; ++i) t = Term::min({Term::var(*sp, 0), t});
+    expect_eval_matches_interpret(
+        *sp, Predicate::compare(t, Predicate::NodeKind::kTermEq,
+                                Term::constant(0)));
+}
+
+TEST(PredicateEvalTest, AnotherSpaceUsesTheFunction) {
+    // The bytecode is compiled for the first space a predicate is
+    // evaluated in; a copy of that space has a fresh uid and is served by
+    // the evaluation function, with the same answers.
+    auto sp = space2x3();
+    const StateSpace copy = *sp;
+    ASSERT_NE(copy.uid(), sp->uid());
+    const Predicate p = Predicate::all_of(
+        {Predicate::var_ne(*sp, "a", 0), Predicate::var_ne(*sp, "b", 1)});
+    for (StateIndex s = 0; s < sp->num_states(); ++s) {
+        ASSERT_EQ(p.eval(*sp, s), p.interpret(*sp, s));
+        ASSERT_EQ(p.eval(copy, s), p.interpret(copy, s));
+    }
+}
+
+TEST(PredicateEvalTest, FirstEvaluationsRaceSafely) {
+    auto sp = make_space({Variable{"a", 64, {}}, Variable{"b", 64, {}}});
+    const Predicate p = Predicate::count(
+        {Predicate::var_eq(*sp, "a", 3), Predicate::vars_eq(*sp, 0, 1),
+         Predicate::var_ne(*sp, "b", 5)},
+        Predicate::NodeKind::kTermEq, 1);
+    constexpr int kThreads = 8;
+    std::vector<std::uint64_t> held(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kThreads; ++i)
+        workers.emplace_back([&, i] {
+            for (StateIndex s = 0; s < sp->num_states(); ++s)
+                held[i] += p.eval(*sp, s) ? 1 : 0;
+        });
+    for (auto& w : workers) w.join();
+    std::uint64_t want = 0;
+    for (StateIndex s = 0; s < sp->num_states(); ++s)
+        want += p.interpret(*sp, s) ? 1 : 0;
+    for (int i = 0; i < kThreads; ++i) EXPECT_EQ(held[i], want);
+}
+
 }  // namespace
 }  // namespace dcft

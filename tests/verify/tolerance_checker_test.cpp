@@ -189,9 +189,10 @@ std::uint64_t counter(std::string_view path) {
     return 0;
 }
 
-TEST(ToleranceTest, GridScansTheInvariantOnceAndSkipsSpanClosure) {
+TEST(ToleranceTest, GridFillsTheInvariantOnceAndSkipsSpanClosure) {
     // A `dcft verify` grid plus the masking distance: the invariant is
-    // scanned once for all four calls, and the only closure obligations
+    // materialized once for all four calls, by word algebra alone (no
+    // state evaluated one by one), and the only closure obligations
     // discharged are the in-absence ones (the fault span is closed by
     // construction).
     const apps::SystemInstance sys = apps::load_system("token-ring", 5);
@@ -208,12 +209,17 @@ TEST(ToleranceTest, GridScansTheInvariantOnceAndSkipsSpanClosure) {
         }
         masking_distance(program, *sys.faults, sys.spec, sys.invariant);
     }
+    const std::uint64_t fills = counter("verify/predicate_eval/word_fills");
+    const std::uint64_t whole_scans =
+        counter("verify/predicate_eval/bulk_scans");
     const std::uint64_t scanned =
         counter("verify/predicate_eval/states_scanned");
     const std::uint64_t closures = counter("verify/obligations/closure");
     obs::set_enabled(false);
     ExplorationCache::global().clear();
-    EXPECT_EQ(scanned, sys.space->num_states());
+    EXPECT_EQ(fills, 1u);
+    EXPECT_EQ(whole_scans, 0u);
+    EXPECT_EQ(scanned, 0u);
     EXPECT_EQ(closures, grades);
 }
 

@@ -21,7 +21,11 @@
 // `masking_distance` (distance null exactly when masking, consistent
 // witness_faults) and `monte_carlo` (run accounting, violation rate in
 // [0,1], stats blocks whose aggregates are numbers or null with a
-// consistent count). Exits non-zero on the first malformed artifact.
+// consistent count). Every query must carry its "materialize" entries
+// (path backed / word_algebra / per_state_scan; per-state scans only with
+// kCall ops), summing to no more than the verify/predicate_eval/
+// states_scanned and word_fills counters. Exits non-zero on the first
+// malformed artifact.
 // Registered as the ctest targets `report_check` (token-ring,
 // Byzantine), `trace_smoke` (--trace on token-ring),
 // `report_check_graded` (--graded on token-ring) and `trace_smoke_graded`
@@ -165,15 +169,57 @@ void check_graded_blocks(const JsonValue& q) {
             "time_to_violation count disagrees with violated_runs");
 }
 
+/// Fresh materializations of a run, summed over its queries' entries
+/// (cross-checked against the verify/predicate_eval/* counters, which
+/// also count fills outside any query, e.g. while loading a system).
+struct MaterializeTotals {
+    double states_scanned = 0.0;
+    double word_fills = 0.0;
+};
+
+/// The query's "materialize" entries: at least one (the invariant), each
+/// naming its path, with per-state scans only where kCall ops exist.
+void check_materialize(const JsonValue& q, MaterializeTotals* totals) {
+    const auto& entries =
+        member(q, "materialize", JsonValue::Kind::Array).as_array();
+    require(!entries.empty(), "query without a materialize entry");
+    for (const JsonValue& m : entries) {
+        member(m, "predicate", JsonValue::Kind::String);
+        const std::string path =
+            member(m, "path", JsonValue::Kind::String).as_string();
+        require(path == "backed" || path == "word_algebra" ||
+                    path == "per_state_scan",
+                "unknown materialize path '" + path + "'");
+        check_nonneg_number(m, "kcall_ops");
+        check_nonneg_number(m, "states_scanned");
+        const double kcall =
+            member(m, "kcall_ops", JsonValue::Kind::Number).as_number();
+        const double scanned =
+            member(m, "states_scanned", JsonValue::Kind::Number).as_number();
+        const bool memo = member(m, "memo_hit", JsonValue::Kind::Bool).as_bool();
+        if (path == "per_state_scan")
+            require(kcall >= 1.0, "per-state scan without a kCall op");
+        if (path == "backed")
+            require(kcall == 0.0 && scanned == 0.0 && !memo,
+                    "backed materialization that filled or scanned");
+        if (memo || kcall == 0.0)
+            require(scanned == 0.0,
+                    "memo hit or pure word-algebra fill with scanned states");
+        totals->states_scanned += scanned;
+        if (path == "word_algebra" && !memo) totals->word_fills += 1.0;
+    }
+}
+
 /// Validates one query; reports back whether it carried a non-trivial
 /// witness and whether it passed.
 void check_query(const JsonValue& q, bool graded, bool* ok_out,
-                 bool* has_witness_out) {
+                 bool* has_witness_out, MaterializeTotals* totals) {
     for (const char* key : {"name", "system", "variant", "grade", "reason"})
         member(q, key, JsonValue::Kind::String);
     const bool ok = member(q, "ok", JsonValue::Kind::Bool).as_bool();
     check_nonneg_number(q, "invariant_size");
     check_nonneg_number(q, "span_size");
+    check_materialize(q, totals);
     if (graded) check_graded_blocks(q);
     const JsonValue& witness =
         member(q, "witness", JsonValue::Kind::Object);
@@ -363,9 +409,10 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
         member(doc, "queries", JsonValue::Kind::Array).as_array();
     require(!queries.empty(), "report with no queries");
     summary.queries = queries.size();
+    MaterializeTotals materialized;
     for (const JsonValue& q : queries) {
         bool ok = false, has_witness = false;
-        check_query(q, graded, &ok, &has_witness);
+        check_query(q, graded, &ok, &has_witness, &materialized);
         if (has_witness) {
             if (ok)
                 ++summary.passing_with_witness;
@@ -422,6 +469,18 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
                      ? fault_counter->second.as_number()
                      : 0.0),
             "timeline fault_edges do not sum to verify/explore/fault_edges");
+    auto counter = [&](const char* path) {
+        const auto it = counters.find(path);
+        return it != counters.end() ? it->second.as_number() : 0.0;
+    };
+    require(materialized.states_scanned <=
+                counter("verify/predicate_eval/states_scanned"),
+            "materialize entries scanned more states than "
+            "verify/predicate_eval/states_scanned");
+    require(materialized.word_fills <=
+                counter("verify/predicate_eval/word_fills"),
+            "materialize entries report more word-algebra fills than "
+            "verify/predicate_eval/word_fills");
     const auto& spans =
         member(telemetry, "spans", JsonValue::Kind::Array).as_array();
     require(!spans.empty(), "telemetry with no spans");
