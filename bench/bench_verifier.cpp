@@ -19,8 +19,7 @@
 //   bench_verifier --json --large       additionally runs the
 //                                       large-instance tier (token ring
 //                                       n=8: 16.7M states; Byzantine n=5;
-//                                       forced-sparse interner; early-exit
-//                                       vs full fail-safe query; persistent
+//                                       forced-sparse interner; persistent
 //                                       graph store cold-explore vs
 //                                       warm-mmap on the n=8 ring), single
 //                                       rep, with states/sec and peak-RSS
@@ -249,8 +248,6 @@ struct Workload {
     std::uint64_t span_size = 0;
     double reference_ms = 0.0;
     double peak_rss_mb = -1.0;   ///< VmHWM across the sweep (large tier only)
-    double full_ms = 0.0;        ///< kind "early_exit": full exploration
-    double early_exit_ms = 0.0;  ///< kind "early_exit": stop-predicate run
     std::uint64_t spill_bytes = 0;           ///< huge tier: spill volume
     std::uint64_t spill_released_bytes = 0;  ///< huge tier: RSS released
     int differential_identical = -1;  ///< "spill_differential": 1 ok, 0 not
@@ -419,8 +416,8 @@ Workload bench_graded(const std::string& name, const std::string& system,
 
 // ---------------------------------------------------------------------------
 // Large-instance tier (--large): 10^7-state explorations, the forced-sparse
-// interner, and the early-exit fail-safe query. One rep per point (seconds
-// to tens of seconds each), peak-RSS sampled across the sweep.
+// interner, and the graph store. One rep per point (seconds to tens of
+// seconds each), peak-RSS sampled across the sweep.
 
 /// Raw exploration of a large system, one rep per thread count.
 Workload bench_large_ts_build(const std::string& name,
@@ -445,48 +442,6 @@ Workload bench_large_ts_build(const std::string& name,
         w.ms_by_threads.emplace_back(t, ms);
     }
     w.peak_rss_mb = peak_rss_mb();
-    return w;
-}
-
-/// The failing fail-safe query on the n=8 ring (16.7M states), with and
-/// without ToleranceOptions::early_exit. The bad predicate is reachable
-/// at fault depth 1 from the legitimate states, so the early-exit run
-/// stops after a handful of BFS levels while the full pipeline explores
-/// the entire p[]F graph; the acceptance bar is a >=10x gap. Peak RSS is
-/// sampled after the full run (the early-exit fragment's footprint is
-/// negligible by comparison).
-Workload bench_large_early_exit(const std::vector<unsigned>& threads) {
-    auto sys = apps::make_token_ring(8, 8);
-    Workload w;
-    w.name = "large/earlyexit/token_ring_n8_failsafe";
-    w.kind = "early_exit";
-    w.system =
-        "token ring (n=8, K=8), corrupt-any faults, fail-safe verdict "
-        "from the legitimate states (verdict: fail)";
-    w.states = sys.space->num_states();
-    const unsigned t = threads.empty() ? 1 : threads.front();
-    set_verifier_threads(t);
-    reset_peak_rss();
-    w.early_exit_ms = time_once_ms([&] {
-        ExplorationCache::global().clear();
-        const ToleranceReport r = check_tolerance(
-            sys.ring, sys.corrupt_any, sys.spec, sys.legitimate,
-            Tolerance::FailSafe, ToleranceOptions{.early_exit = true});
-        w.verdict_ok = r.ok();
-        w.invariant_size = r.invariant_size;
-        w.span_size = r.span_size;  // prefix lower bound on early exit
-    });
-    w.has_verdict = true;
-    w.full_ms = time_once_ms([&] {
-        ExplorationCache::global().clear();
-        benchmark::DoNotOptimize(
-            check_tolerance(sys.ring, sys.corrupt_any, sys.spec,
-                            sys.legitimate, Tolerance::FailSafe));
-    });
-    ExplorationCache::global().clear();
-    unsetenv("DCFT_VERIFIER_THREADS");
-    w.peak_rss_mb = peak_rss_mb();
-    w.ms_by_threads.emplace_back(t, w.early_exit_ms);
     return w;
 }
 
@@ -694,12 +649,6 @@ void write_json(const std::string& path, const std::vector<Workload>& ws,
             w.kv("states_per_sec",
                  best > 0 ? 1000.0 * static_cast<double>(wl.nodes) / best
                           : 0.0);
-        if (wl.kind == "early_exit") {
-            w.kv("full_ms", wl.full_ms);
-            w.kv("early_exit_ms", wl.early_exit_ms);
-            w.kv("speedup_early_exit",
-                 wl.early_exit_ms > 0 ? wl.full_ms / wl.early_exit_ms : 0.0);
-        }
         if (wl.kind == "graph_store") {
             w.kv("store_cold_ms", wl.store_cold_ms);
             w.kv("store_warm_ms", wl.store_warm_ms);
@@ -855,8 +804,6 @@ int emit_json(const std::string& path, bool smoke, bool large, bool huge,
                 sys.ring, &sys.corrupt_any, sys.legitimate, threads));
             unsetenv("DCFT_DIRECT_MAP_MAX");
         }
-        std::printf("large: early-exit vs full fail-safe n=8 ...\n");
-        ws.push_back(bench_large_early_exit(threads));
         std::printf("large: graph store cold vs warm n=8 ...\n");
         ws.push_back(bench_large_store(threads));
     }

@@ -1,11 +1,11 @@
 // Shared parsing of DCFT_* environment variables.
 //
 // Every boolean toggle the library reads from the environment
-// (DCFT_TELEMETRY, DCFT_SPILL, DCFT_NO_EXPLORE_CACHE, ...) goes
-// through env_flag_enabled so they all agree on what "off" means. The
-// historical per-site parsers disagreed: one treated "00" as enabled,
-// another treated "false" as enabled — a user exporting a DCFT_NO_*
-// toggle as "false" got that path *disabled*. The shared rule:
+// (DCFT_TELEMETRY, DCFT_TRACE, DCFT_SPILL) goes through env_flag_enabled
+// so they all agree on what "off" means. The historical per-site parsers
+// disagreed: one treated "00" as enabled, another treated "false" as
+// enabled — a user exporting a toggle as "false" got it switched *on*.
+// The shared rule:
 //
 //   unset, "", "0", "00", "false", "off", "no"  (case-insensitive, any
 //   number of leading zeros)                    -> disabled

@@ -225,8 +225,7 @@ std::optional<std::string> first_report_difference(const ToleranceReport& a,
     if (!same_result(a.in_presence, b.in_presence))
         return "in_presence: '" + a.in_presence.reason + "' vs '" +
                b.in_presence.reason + "' (ok, reason or witness)";
-    if (a.invariant_size != b.invariant_size || a.span_size != b.span_size ||
-        a.span_complete != b.span_complete)
+    if (a.invariant_size != b.invariant_size || a.span_size != b.span_size)
         return "sizes: |S|=" + std::to_string(a.invariant_size) + " vs " +
                std::to_string(b.invariant_size) + ", |T|=" +
                std::to_string(a.span_size) + " vs " +
@@ -335,32 +334,6 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     if (auto d = first_ts_difference(ts1, tsN))
         out.push_back({"graph/threads-1-vs-N", *d});
 
-    // Early exit on the forced parallel merge: check_unreachable's
-    // stop-predicate exploration at N threads, with the exploration cache
-    // cleared on both sides so it cannot serve the full graph, must find
-    // the full serial graph's first bad node and its witness trace.
-    {
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
-        const CheckResult early = [&] {
-            const EnvGuard merge_all("DCFT_PARALLEL_WORK_MIN", "1");
-            return check_unreachable(sys.program, faults, sys.init, sys.bad,
-                                     std::max(options.threads, 2u));
-        }();
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
-        const NodeId bn = ts1.first_bad_node(sys.bad);
-        const bool reachable = bn != TransitionSystem::kNoNode;
-        if (early.ok == reachable)
-            out.push_back({"graph/early-exit-vs-full",
-                           std::string("early-exit ok=") +
-                               (early.ok ? "true" : "false") +
-                               " but the full graph says reachable=" +
-                               (reachable ? "true" : "false")});
-        else if (reachable && early.witness != ts1.witness_trace(bn))
-            out.push_back({"graph/early-exit-vs-full",
-                           "early-exit witness differs from the full-graph "
-                           "trace to node " + std::to_string(bn)});
-    }
-
     // -- predicate oracle --------------------------------------------------
     {
         // eval_bits fills structured predicates by word algebra and scans
@@ -404,7 +377,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     }
 
     // -- cache oracle ------------------------------------------------------
-    if (!exploration_cache_disabled()) {
+    {
         ExplorationCache& cache = ExplorationCache::global();
         cache.clear();
         const auto first =
@@ -450,7 +423,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                         out.push_back({"store/roundtrip", *d});
                 }
             }
-            if (!exploration_cache_disabled()) {
+            {
                 const EnvGuard store_env("DCFT_GRAPH_STORE", dir.c_str());
                 ExplorationCache& cache = ExplorationCache::global();
                 cache.clear();
@@ -481,53 +454,42 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                            "(threads=N) " + *d});
     }
 
-    // -- early-exit oracles ------------------------------------------------
+    // -- verdict oracles ---------------------------------------------------
     {
-        // check_unreachable (stop-predicate exploration) vs the canonical
-        // scan of the full graph: same verdict, same message, same witness
-        // trace — with the exploration cache in play and bypassed.
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        // check_unreachable on the forced parallel merge, from a cleared
+        // cache, vs the canonical scan of the serial graph: same verdict,
+        // same message, same witness trace, and the witness replays.
+        ExplorationCache::global().clear();
+        const CheckResult a = [&] {
+            const EnvGuard merge_all("DCFT_PARALLEL_WORK_MIN", "1");
+            return check_unreachable(sys.program, faults, sys.init, sys.bad,
+                                     std::max(options.threads, 2u));
+        }();
+        ExplorationCache::global().clear();
         const NodeId bn = ts1.first_bad_node(sys.bad);
         const bool reachable = bn != TransitionSystem::kNoNode;
-        const CheckResult a =
-            check_unreachable(sys.program, faults, sys.init, sys.bad, 1);
         if (a.ok == reachable) {
-            out.push_back({"earlyexit/unreachable-vs-full",
-                           std::string("early-exit ok=") +
+            out.push_back({"verdict/unreachable",
+                           std::string("check_unreachable ok=") +
                                (a.ok ? "true" : "false") +
-                               " but full-graph first_bad_node says "
-                               "reachable=" +
+                               " but first_bad_node says reachable=" +
                                (reachable ? "true" : "false")});
         } else if (reachable) {
             const std::string expect_reason =
-                "reachable: state " +
-                sys.space->format(ts1.state_of(bn)) + " satisfies " +
-                sys.bad.name() + "; witness: " + ts1.format_witness(bn);
+                "reachable: state " + sys.space->format(ts1.state_of(bn)) +
+                " satisfies " + sys.bad.name() +
+                "; witness: " + ts1.format_witness(bn);
             if (a.reason != expect_reason)
-                out.push_back({"earlyexit/unreachable-vs-full",
-                               "reason differs: early-exit '" + a.reason +
-                                   "' vs full '" + expect_reason + "'"});
+                out.push_back({"verdict/unreachable",
+                               "reason differs: '" + a.reason +
+                                   "' vs serial '" + expect_reason + "'"});
             if (a.witness != ts1.witness_trace(bn))
-                out.push_back({"earlyexit/unreachable-vs-full",
-                               "witness trace differs from full-graph "
+                out.push_back({"verdict/unreachable",
+                               "witness trace differs from the serial "
                                "trace to node " + std::to_string(bn)});
-            validate_witness(sys, a.witness, "earlyexit/unreachable", out);
+            validate_witness(sys, a.witness, "verdict/unreachable", out);
         }
-        {
-            // Cache-bypass equivalence at a different thread count.
-            const EnvGuard no_cache("DCFT_NO_EXPLORE_CACHE", "1");
-            const CheckResult c = check_unreachable(
-                sys.program, faults, sys.init, sys.bad, options.threads);
-            if (a.ok != c.ok || a.reason != c.reason ||
-                a.witness != c.witness)
-                out.push_back({"earlyexit/unreachable-vs-full",
-                               "cache-bypassed run diverges from cached "
-                               "run (ok/reason/witness)"});
-        }
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
     }
-
-    // -- verdict oracles ---------------------------------------------------
     {
         const CheckResult a = check_closed(sys.program, sys.invariant);
         const CheckResult b =
@@ -666,12 +628,12 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
         const Tolerance forward[] = {Tolerance::FailSafe,
                                      Tolerance::Nonmasking,
                                      Tolerance::Masking};
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        ExplorationCache::global().clear();
         std::vector<ToleranceReport> first;
         for (const Tolerance grade : forward)
             first.push_back(check_tolerance(sys.program, sys.faults,
                                             sys.problem, sys.invariant, grade));
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        ExplorationCache::global().clear();
         const Predicate fresh = sys.invariant.renamed(sys.invariant.name());
         for (std::size_t i = std::size(forward); i-- > 0;) {
             const ToleranceReport again = check_tolerance(
@@ -681,63 +643,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                                to_string(forward[i]) +
                                    " differs between orders: " + *d});
         }
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
-    }
-
-    // -- early-exit tolerance oracle ---------------------------------------
-    {
-        // Fail-safe with ToleranceOptions::early_exit vs the default full
-        // pipeline: identical verdicts, and on failure the identical
-        // in-presence counterexample (closure of the span on its own graph
-        // is trivially true, so the first full-pipeline failure is exactly
-        // the least bad node the stop predicate fires on). Fuzz specs use
-        // never(bad) safety, so the early path is always applicable.
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
-        ToleranceOptions early;
-        early.early_exit = true;
-        const ToleranceReport fast = check_tolerance(
-            sys.program, sys.faults, sys.problem, sys.invariant,
-            Tolerance::FailSafe, early);
-        if (fast.in_absence.ok != failsafe.in_absence.ok ||
-            fast.in_presence.ok != failsafe.in_presence.ok) {
-            std::ostringstream os;
-            os << "early-exit (absence=" << fast.in_absence.ok
-               << ", presence=" << fast.in_presence.ok << ") vs full (absence="
-               << failsafe.in_absence.ok << ", presence="
-               << failsafe.in_presence.ok << ")";
-            out.push_back({"earlyexit/tolerance-failsafe", os.str()});
-        } else if (!failsafe.in_presence.ok) {
-            if (fast.in_presence.reason != failsafe.in_presence.reason)
-                out.push_back({"earlyexit/tolerance-failsafe",
-                               "in-presence reason differs: early-exit '" +
-                                   fast.in_presence.reason + "' vs full '" +
-                                   failsafe.in_presence.reason + "'"});
-            if (fast.in_presence.witness != failsafe.in_presence.witness)
-                out.push_back({"earlyexit/tolerance-failsafe",
-                               "in-presence witness trace differs"});
-            if (fast.span_complete)
-                out.push_back({"earlyexit/tolerance-failsafe",
-                               "failing early-exit query reported a "
-                               "complete span"});
-            if (fast.span_size > failsafe.span_size)
-                out.push_back({"earlyexit/tolerance-failsafe",
-                               "early-exit span exceeds the full span: " +
-                                   std::to_string(fast.span_size) + " vs " +
-                                   std::to_string(failsafe.span_size)});
-            validate_witness(sys, fast.in_presence.witness,
-                             "earlyexit/tolerance-failsafe", out);
-        } else if (!fast.span_complete ||
-                   fast.span_size != failsafe.span_size) {
-            out.push_back({"earlyexit/tolerance-failsafe",
-                           "passing query must materialize the full span ("
-                           "complete=" +
-                               std::string(fast.span_complete ? "true"
-                                                              : "false") +
-                               ", size " + std::to_string(fast.span_size) +
-                               " vs " + std::to_string(failsafe.span_size) +
-                               ")"});
-        }
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        ExplorationCache::global().clear();
     }
 
     // -- graded oracle -----------------------------------------------------
@@ -771,7 +677,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
             validate_witness(sys, game.witness, "graded/game-vs-explicit",
                              out);
         }
-        if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+        ExplorationCache::global().clear();
     }
 
     // -- trace-checker oracles ---------------------------------------------
@@ -844,7 +750,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     }
 
     // Leave no residue for the next campaign iteration.
-    if (!exploration_cache_disabled()) ExplorationCache::global().clear();
+    ExplorationCache::global().clear();
     return out;
 }
 

@@ -25,8 +25,8 @@
 //                               every state, for the same predicates.
 //   cache/hit-shares-build      two ExplorationCache::get_or_build calls
 //                               for the same key return the same object.
-//   cache/cached-vs-fresh       the cached graph equals a cache-bypassing
-//                               fresh exploration.
+//   cache/cached-vs-fresh       the cached graph equals a directly
+//                               constructed fresh exploration.
 //   store/roundtrip             a dcft.graph snapshot of the canonical
 //                               graph (GraphStore::save into a per-spec
 //                               temp directory), mmap-adopted back, is
@@ -39,19 +39,6 @@
 //                               (sparse sharded interner forced at every
 //                               size, serial and chunked) vs the default
 //                               direct-mapped tier.
-//   earlyexit/unreachable-vs-full
-//                               check_unreachable (stop-predicate
-//                               exploration) vs first_bad_node on the full
-//                               graph: verdict, message, and witness trace
-//                               must agree, with the exploration cache in
-//                               play and bypassed (DCFT_NO_EXPLORE_CACHE).
-//   earlyexit/tolerance-failsafe
-//                               check_tolerance with
-//                               ToleranceOptions::early_exit vs the
-//                               default pipeline: same verdicts; on
-//                               failure the identical in-presence
-//                               reason/witness and a strictly partial
-//                               span; on success the full span.
 //   tolerance/presence-vs-refines
 //                               for fail-safe and masking, check_tolerance's
 //                               in_presence (which skips the span's
@@ -74,6 +61,11 @@
 //                               obligation holds; a finite distance comes
 //                               with a replayable witness carrying exactly
 //                               `distance` fault steps.
+//   verdict/unreachable         check_unreachable at N threads on the
+//                               forced parallel merge, from a cleared
+//                               exploration cache, vs first_bad_node on
+//                               the serial graph: ok flag, reason and
+//                               witness trace; the witness replays.
 //   verdict/closed|reachable|converges|refines|refines-with-faults|
 //   verdict/tolerance           the optimized verdict pipeline vs the
 //                               ref_* reference pipeline (ok flags, state

@@ -112,7 +112,6 @@ void write_timeline(JsonWriter& w) {
         w.kv("id", tl.id);
         w.kv("space_states", tl.space_states);
         w.kv("total_ns", tl.total_ns);
-        w.kv("complete", tl.complete);
         w.kv("spilled", tl.spilled);
         w.key("levels");
         w.begin_array();

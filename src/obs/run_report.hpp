@@ -11,8 +11,8 @@
 //     "command": "<reconstructed command line>",
 //     "host": { "cores", "page_size_bytes", "kernel", "total_ram_bytes" },
 //     ...kind-specific payload...,
-//     "timeline": [ { "id", "space_states", "total_ns", "complete",
-//                     "spilled",               // run_report kind only:
+//     "timeline": [ {                          // run_report kind only:
+//                     "id", "space_states", "total_ns", "spilled",
 //                     "levels": [ {            // one row per BFS level
 //                       "level", "frontier", "new_nodes", "program_edges",
 //                       "fault_edges", "level_ns", "expand_claim_ns",

@@ -134,7 +134,6 @@ struct ExplorationTimeline {
     std::uint64_t id = 0;              ///< Process-wide exploration ordinal.
     std::uint64_t space_states = 0;    ///< Full state-space size (ETA basis).
     std::uint64_t total_ns = 0;
-    bool complete = false;             ///< False when early-exit stopped it.
     bool spilled = false;
     std::vector<LevelStat> levels;
 };

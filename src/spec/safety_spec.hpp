@@ -70,9 +70,9 @@ public:
     /// Whether the specification is transition-free: no bad-transition
     /// relation anywhere (recursively through conjunctions). For such
     /// specs a computation violates safety iff it *reaches* a state
-    /// satisfying bad_states() — the shape the early-exit exploration
-    /// exploits (a violation is then a reachability fact, independent of
-    /// the path taken). never() specs and their conjunctions qualify;
+    /// satisfying bad_states() — a reachability fact, independent of the
+    /// path taken, so the safety scan skips every edge. never() specs and
+    /// their conjunctions qualify;
     /// pair()/closure() specs do not.
     bool state_only() const;
 

@@ -1,10 +1,8 @@
 #include "verify/exploration_cache.hpp"
 
-#include <chrono>
 #include <exception>
 #include <utility>
 
-#include "common/env.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/graph_store.hpp"
 
@@ -36,10 +34,6 @@ bool same_actions(const std::vector<Action>& pinned,
 }
 
 }  // namespace
-
-bool exploration_cache_disabled() {
-    return env_flag_enabled("DCFT_NO_EXPLORE_CACHE");
-}
 
 bool ExplorationCache::matches(const Key& k, const StateSpace& space,
                                const Program& program,
@@ -104,11 +98,6 @@ void ExplorationCache::note_ready_bytes(std::uint64_t token,
 std::shared_ptr<const TransitionSystem> ExplorationCache::get_or_build(
     const Program& program, const FaultClass* faults, const Predicate& init,
     unsigned n_threads) {
-    if (exploration_cache_disabled()) {
-        obs::count("verify/explore_cache/bypass");
-        return std::make_shared<TransitionSystem>(program, faults, init,
-                                                  n_threads);
-    }
     const obs::Span span("verify/explore_cache");
 
     // Materialize the initial set once: it is both the exact key
@@ -186,122 +175,6 @@ std::shared_ptr<const TransitionSystem> ExplorationCache::get_or_build(
         remove_entry(token);
         throw;
     }
-}
-
-std::shared_ptr<const TransitionSystem>
-ExplorationCache::get_or_build_early_exit(const Program& program,
-                                          const FaultClass* faults,
-                                          const Predicate& init,
-                                          const Predicate& stop_on,
-                                          unsigned n_threads) {
-    if (exploration_cache_disabled()) {
-        obs::count("verify/explore_cache/bypass");
-        ExploreOptions opts;
-        opts.n_threads = n_threads;
-        opts.stop_on = &stop_on;
-        return std::make_shared<TransitionSystem>(program, faults, init,
-                                                  opts);
-    }
-    const obs::Span span("verify/explore_cache/early_exit");
-
-    const StateSpace& space = program.space();
-    BitVec init_bits = [&] {
-        if (const auto& b = init.backing_bits();
-            b != nullptr && b->size_bits() == space.num_states())
-            return *b;
-        return eval_bits(space, init, n_threads);
-    }();
-    const std::uint64_t h = hash_bits(init_bits);
-
-    // Serve only already-*completed* resident builds: parking an early-exit
-    // query on an in-flight full exploration could cost far more than the
-    // fragment it wants, so an in-flight key match is treated as a miss.
-    std::shared_future<std::shared_ptr<const TransitionSystem>> resident;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (!matches(it->key, space, program, faults, h, init_bits))
-                continue;
-            if (it->ts.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-                obs::count("verify/explore_cache/early_exit_hits");
-                obs::instant("verify/explore_cache/early_exit_hit");
-                entries_.splice(entries_.begin(), entries_, it);  // LRU
-                resident = it->ts;
-            }
-            break;
-        }
-    }
-    if (resident.valid()) return resident.get();  // full graph; caller scans
-    obs::count("verify/explore_cache/early_exit_misses");
-    obs::instant("verify/explore_cache/early_exit_miss");
-
-    // A stored snapshot is always a *complete* graph, so it serves the
-    // early-exit query the same way a resident full graph does: adopt it,
-    // publish it in memory, and let the caller scan via first_bad_node.
-    GraphStore* const store = GraphStore::global();
-    GraphKey gkey;
-    if (store != nullptr) {
-        gkey = graph_key(program, faults, init_bits);
-        if (auto loaded = store->load(gkey, program, faults)) {
-            std::shared_ptr<const TransitionSystem> ts = std::move(loaded);
-            publish_if_absent(space, program, faults, h, init_bits, ts);
-            return ts;
-        }
-    }
-
-    // Build outside the lock, seeded from the materialized bits exactly as
-    // get_or_build would, so a run-to-exhaustion result IS the graph the
-    // full path builds (and can be published in its place).
-    auto bits = std::make_shared<const BitVec>(std::move(init_bits));
-    const Predicate seeded = Predicate::from_bits(init.name(), bits);
-    ExploreOptions opts;
-    opts.n_threads = n_threads;
-    opts.stop_on = &stop_on;
-    auto ts = std::make_shared<const TransitionSystem>(program, faults,
-                                                       seeded, opts);
-    if (!ts->complete()) {
-        // Early-exit fragment: NEVER cached (a later get_or_build for this
-        // key must not be served an incomplete graph) and never stored —
-        // the store holds complete graphs only.
-        obs::count("verify/explore_cache/early_exit_fragments");
-        return ts;
-    }
-
-    // The stop predicate never fired: this is the full graph. Publish it
-    // (unless a racing build of the same key got there first), and to the
-    // persistent store.
-    if (publish_if_absent(space, program, faults, h, *bits, ts))
-        obs::count("verify/explore_cache/early_exit_published");
-    if (store != nullptr) store->save(gkey, *ts);
-    return ts;
-}
-
-bool ExplorationCache::publish_if_absent(
-    const StateSpace& space, const Program& program, const FaultClass* faults,
-    std::uint64_t init_hash, const BitVec& init_bits,
-    const std::shared_ptr<const TransitionSystem>& ts) {
-    std::promise<std::shared_ptr<const TransitionSystem>> ready;
-    ready.set_value(ts);
-    std::uint64_t token = 0;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto& e : entries_)
-            if (matches(e.key, space, program, faults, init_hash, init_bits))
-                return false;
-        obs::instant("verify/explore_cache/publish", ts->num_nodes());
-        token = ++next_token_;
-        entries_.push_front(Entry{make_key(space, program, faults, init_hash,
-                                           init_bits),
-                                  token,
-                                  ready.get_future().share()});
-        while (entries_.size() > capacity()) {
-            obs::count("verify/explore_cache/evictions");
-            entries_.pop_back();
-        }
-    }
-    note_ready_bytes(token, ts->resident_bytes());
-    return true;
 }
 
 void ExplorationCache::remove_entry(std::uint64_t token) {

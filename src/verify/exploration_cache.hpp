@@ -48,12 +48,9 @@
 //
 // Persistent store integration: when DCFT_GRAPH_STORE names a directory
 // (see verify/graph_store.hpp), a miss first tries to mmap-adopt a stored
-// snapshot — including on the early-exit path, where a stored *complete*
-// graph is answered via first_bad_node exactly like an in-memory hit —
-// and a completed fresh build is published back to the store.
-// DCFT_NO_EXPLORE_CACHE=1 bypasses the cache entirely (every call
-// builds); benches clear() inside timed loops so repeated queries measure
-// real exploration work.
+// snapshot, and a fresh build is published back to the store. Every entry
+// is a complete graph. Benches and tests that need a fresh exploration
+// clear() the cache (or construct a TransitionSystem directly).
 #pragma once
 
 #include <cstdint>
@@ -70,10 +67,6 @@
 
 namespace dcft {
 
-/// True iff DCFT_NO_EXPLORE_CACHE is set to a truthy value (see
-/// common/env.hpp for the shared DCFT_* truthiness rule).
-bool exploration_cache_disabled();
-
 class ExplorationCache {
 public:
     /// The process-wide cache used by the verdict and synthesis pipelines.
@@ -87,23 +80,6 @@ public:
     std::shared_ptr<const TransitionSystem> get_or_build(
         const Program& program, const FaultClass* faults,
         const Predicate& init, unsigned n_threads = 0);
-
-    /// Early-exit variant for safety-style obligations. Returns either
-    ///  * the cached *complete* graph of (program [, faults], init) when
-    ///    one is already resident (callers then use first_bad_node), or
-    ///  * a fresh exploration with `stop_on` registered: the result is an
-    ///    early-exit fragment when the predicate fired (bad_node() set) or
-    ///    the full graph when it never fired.
-    /// Cache discipline: fragments are NEVER inserted — a subsequent
-    /// get_or_build for the same key can therefore never be served an
-    /// incomplete graph — while a fresh build that ran to exhaustion IS
-    /// published (it is exactly the graph get_or_build would have built).
-    /// An in-flight full build of the same key is not waited on: the
-    /// fragment is typically far cheaper than parking on a large BFS.
-    std::shared_ptr<const TransitionSystem> get_or_build_early_exit(
-        const Program& program, const FaultClass* faults,
-        const Predicate& init, const Predicate& stop_on,
-        unsigned n_threads = 0);
 
     /// Drops every entry (benches use this to time real explorations).
     /// In-flight builds complete normally for their waiters; they are
@@ -150,17 +126,7 @@ private:
     /// resident_bytes gauge.
     void note_ready_bytes(std::uint64_t token, std::uint64_t bytes);
 
-    /// Inserts a ready entry for (program [, faults], init) unless one is
-    /// already present; returns true when inserted. Shared by the
-    /// early-exit publish and the store-load paths.
-    bool publish_if_absent(
-        const StateSpace& space, const Program& program,
-        const FaultClass* faults, std::uint64_t init_hash,
-        const BitVec& init_bits,
-        const std::shared_ptr<const TransitionSystem>& ts);
-
-    /// Whether `k` identifies (program [, faults], init_bits) — the one
-    /// key comparison, shared by the full and early-exit lookups.
+    /// Whether `k` identifies (program [, faults], init_bits).
     static bool matches(const Key& k, const StateSpace& space,
                         const Program& program, const FaultClass* faults,
                         std::uint64_t init_hash, const BitVec& init_bits);

@@ -5,7 +5,6 @@
 #include <memory>
 #include <span>
 
-#include "common/check.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/action_kernel.hpp"
@@ -114,8 +113,6 @@ std::vector<char> eval_on_nodes(const TransitionSystem& ts,
 
 std::vector<char> program_attractor(const TransitionSystem& ts,
                                     const std::vector<char>& target) {
-    DCFT_EXPECTS(ts.complete(),
-                 "program_attractor requires a complete exploration");
     const obs::Span span("verify/liveness/attractor");
     const std::size_t n = ts.num_nodes();
     enum : char { kOpen, kOnStack, kTarget, kAttractor, kResidue };
@@ -186,8 +183,6 @@ std::vector<char> program_attractor(const TransitionSystem& ts,
 
 std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
                                      const std::vector<char>& target) {
-    DCFT_EXPECTS(ts.complete(),
-                 "fair_avoidance_set requires a complete exploration");
     const std::size_t n = ts.num_nodes();
 
     // Attractor nodes reach target on every program-only run, so only the
@@ -306,8 +301,6 @@ CheckResult check_leads_to(const TransitionSystem& ts, const Predicate& p,
                            const Predicate& q, bool include_fault_edges) {
     const obs::Span span("verify/liveness");
     obs::count("verify/obligations/liveness");
-    DCFT_EXPECTS(ts.complete(),
-                 "check_leads_to requires a complete exploration");
     const std::vector<char> target = eval_on_nodes(ts, q);
     std::vector<char> bad = fair_avoidance_set(ts, target);
 

@@ -36,13 +36,13 @@ namespace dcft {
 /// successors is in `target` or in the attractor (least fixpoint). Every
 /// maximal program-only computation from an attractor node reaches
 /// `target` within finitely many steps, whatever the scheduler does.
-/// `target` is indexed by NodeId; ts must be complete().
+/// `target` is indexed by NodeId.
 std::vector<char> program_attractor(const TransitionSystem& ts,
                                     const std::vector<char>& target);
 
 /// For each node of ts: true iff some fair maximal *program-only*
 /// computation starting there never visits a node satisfying `target`.
-/// `target` is indexed by NodeId; ts must be complete().
+/// `target` is indexed by NodeId.
 std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
                                      const std::vector<char>& target);
 
@@ -52,8 +52,7 @@ std::vector<char> eval_on_nodes(const TransitionSystem& ts,
 
 /// Checks P ~~> Q over all computations captured by ts (fault edges are
 /// taken finitely often when `include_fault_edges`; they are always exempt
-/// from fairness). Considers every node of ts as potentially visited;
-/// ts must be complete().
+/// from fairness). Considers every node of ts as potentially visited.
 CheckResult check_leads_to(const TransitionSystem& ts, const Predicate& p,
                            const Predicate& q, bool include_fault_edges);
 

@@ -176,11 +176,6 @@ bool fault_rows_stay_inside(const TransitionSystem& ts) {
     return true;
 }
 
-bool verify_payload_enabled() {
-    // Opt-out knob: DCFT_GRAPH_STORE_VERIFY=0 skips the payload scan.
-    return env_flag_state("DCFT_GRAPH_STORE_VERIFY").value_or(true);
-}
-
 }  // namespace
 
 std::string GraphKey::hex() const {
@@ -353,9 +348,8 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
         return reject(std::move(why));
     };
 
-    if (verify_payload_enabled() &&
-        hdr.payload_checksum !=
-            checksum_words(bytes + kPage, file_size - kPage))
+    if (hdr.payload_checksum !=
+        checksum_words(bytes + kPage, file_size - kPage))
         return reject_mapped("payload checksum mismatch");
 
     TransitionSystem::AdoptedArrays arrays;
@@ -406,10 +400,6 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
 bool GraphStore::save(const GraphKey& key, const TransitionSystem& ts,
                       std::string* error) {
     if (error != nullptr) error->clear();
-    if (!ts.complete()) {
-        if (error != nullptr) *error = "refusing to store an early-exit fragment";
-        return false;
-    }
     const obs::Span span("verify/graph_store/save");
 
     Header hdr{};

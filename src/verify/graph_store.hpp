@@ -39,8 +39,6 @@
 // Loads validate all of it before adopting a single byte: a truncated,
 // corrupted, or version-skewed file is *rejected* (nullptr + counter +
 // reason), never crashed on and never served as a silently wrong graph.
-// DCFT_GRAPH_STORE_VERIFY=0 skips the payload checksum scan for callers
-// that prefer pure-mmap latency over end-to-end integrity.
 // Fault rows are not stored but regenerated from the caller's fault class,
 // so a load also regenerates the rows of 64 stored nodes and rejects the
 // file when one leads outside the stored node set (an opaque fault lambda
@@ -96,9 +94,9 @@ public:
                                            const FaultClass* faults,
                                            std::string* error = nullptr);
 
-    /// Writes a snapshot of `ts` (which must be complete()) under `key`,
-    /// atomically, then enforces the byte budget. Returns false (with
-    /// `error` set) on I/O failure; an existing entry is overwritten.
+    /// Writes a snapshot of `ts` under `key`, atomically, then enforces
+    /// the byte budget. Returns false (with `error` set) on I/O failure;
+    /// an existing entry is overwritten.
     bool save(const GraphKey& key, const TransitionSystem& ts,
               std::string* error = nullptr);
 

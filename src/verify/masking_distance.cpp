@@ -201,8 +201,6 @@ MaskingDistanceResult masking_distance_on(const TransitionSystem& ts,
                                           const SafetySpec& safety) {
     const obs::Span span("verify/masking_distance");
     obs::count("verify/masking_distance_queries");
-    DCFT_EXPECTS(ts.complete(),
-                 "masking_distance_on requires a complete exploration");
     const StateSpace& space = ts.space();
     const GameSolution sol = solve_game(ts, safety);
     const GameTree& tree = sol.tree;

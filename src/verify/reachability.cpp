@@ -59,14 +59,9 @@ CheckResult check_unreachable(const Program& p, const FaultClass* f,
                               unsigned n_threads) {
     const obs::Span span("verify/reachability");
     obs::count("verify/obligations/reachability");
-    const auto ts = ExplorationCache::global().get_or_build_early_exit(
-        p, f, from, bad, n_threads);
-    // Fragment: the stop predicate fired and bad_node() is the canonical
-    // first violation. Complete graph (cache hit, or `bad` unreachable):
-    // first_bad_node scans for exactly the node the early exit would have
-    // reported.
-    const NodeId b =
-        ts->complete() ? ts->first_bad_node(bad) : ts->bad_node();
+    const auto ts =
+        ExplorationCache::global().get_or_build(p, f, from, n_threads);
+    const NodeId b = ts->first_bad_node(bad);
     if (b == TransitionSystem::kNoNode) return CheckResult::success();
     obs::count("verify/obligations/failed");
     return CheckResult::failure(

@@ -17,14 +17,11 @@ namespace dcft {
 StateSet reachable_states(const Program& p, const FaultClass* f,
                           const Predicate& from, unsigned n_threads = 0);
 
-/// Early-exit reachability obligation: fails iff some state satisfying
-/// `bad` is reachable from `from` under p (and, if non-null, f). The
-/// exploration registers `bad` as a stop predicate, so a violation
-/// terminates the BFS at the first (canonically least node id, hence
-/// deterministic) bad state with a replayable witness, instead of
-/// materializing the full graph. When the process-wide ExplorationCache
-/// already holds the complete graph of (p [, f], from) the verdict is a
-/// scan of that graph — the same node, message, and witness either way.
+/// Reachability obligation: fails iff some state satisfying `bad` is
+/// reachable from `from` under p (and, if non-null, f). The verdict is a
+/// scan of the complete graph of (p [, f], from), shared through the
+/// process-wide ExplorationCache; a violation reports the canonical first
+/// bad node (TransitionSystem::first_bad_node) with a replayable witness.
 CheckResult check_unreachable(const Program& p, const FaultClass* f,
                               const Predicate& from, const Predicate& bad,
                               unsigned n_threads = 0);

@@ -128,60 +128,10 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
     return CheckResult::success();
 }
 
-/// The early-exit pipeline of refines_spec (see RefinesOptions): one
-/// stop-predicate exploration decides closure + state-only safety at once.
-/// Precondition: no liveness obligations, spec.safety().state_only().
-CheckResult refines_spec_early_exit(const Program& p, const ProblemSpec& spec,
-                                    const Predicate& from,
-                                    const FaultClass* faults) {
-    const obs::Span span("verify/refines_spec");
-    const Predicate bad = spec.safety().bad_states();
-    const Predicate stop = bad || !from;
-    const auto ts = ExplorationCache::global().get_or_build_early_exit(
-        p, faults, from, stop);
-    if (ts->complete()) {
-        // Cache hit on the full graph, or the stop predicate never fired
-        // (the query passes): the default scans give byte-identical
-        // messages either way.
-        return refines_spec_on(*ts, faults, spec, from);
-    }
-    // Fragment: bad_node() is the canonically least violating state.
-    const NodeId b = ts->bad_node();
-    const StateSpace& space = ts->space();
-    const StateIndex t = ts->state_of(b);
-    obs::count("verify/obligations/failed");
-    if (!from.eval(space, t)) {
-        // Closure escape: the BFS tree parent of b has a smaller node id
-        // than every violating state, so it satisfies `from` — the tree
-        // edge is exactly a from -> !from step.
-        obs::count("verify/obligations/closure");
-        std::vector<WitnessStep> trace = ts->witness_trace(b);
-        const WitnessStep& last = trace.back();
-        const WitnessStep& prev = trace[trace.size() - 2];
-        const std::string what = last.fault
-                                     ? ("preserved by " + faults->name())
-                                     : ("closed in " + p.name());
-        std::string reason = what + ": predicate " + from.name() +
-                             " not preserved by action '" + last.action +
-                             "' from " + prev.state_repr + " to " +
-                             last.state_repr;
-        return CheckResult::failure(std::move(reason), std::move(trace));
-    }
-    // Bad state inside `from`'s closure: the exact check_safety_on report.
-    obs::count("verify/obligations/safety");
-    return CheckResult::failure(
-        "safety violated: state " + space.format(t) + " is excluded by " +
-            spec.safety().name() + "; witness: " + ts->format_witness(b),
-        ts->witness_trace(b));
-}
-
 }  // namespace
 
 CheckResult refines_spec(const Program& p, const ProblemSpec& spec,
                          const Predicate& from, const RefinesOptions& opts) {
-    if (opts.early_exit && spec.liveness().obligations().empty() &&
-        spec.safety().state_only())
-        return refines_spec_early_exit(p, spec, from, opts.faults);
     // One exploration serves the closure check *and* the safety/liveness
     // obligations: the recorded edges of the roots are exactly the successor
     // sets check_closed would enumerate. The exploration itself is shared

@@ -25,20 +25,6 @@ namespace dcft {
 struct RefinesOptions {
     /// When set, checks 'p [] F refines ... from `from`'.
     const FaultClass* faults = nullptr;
-
-    /// Opt-in early exit for safety-style queries. Applies only when the
-    /// spec has no liveness obligations and its safety part is
-    /// state_only(): the exploration then registers
-    /// (spec.safety().bad_states() || !from) as a stop predicate and
-    /// terminates at the first (canonically least node id) violating
-    /// state instead of materializing the full graph. The verdict is
-    /// identical to the default path; on failure the counterexample is
-    /// the canonically first violating *state* (closure escape or bad
-    /// state, whichever is discovered first), which may differ from the
-    /// default path's closure-first report order while remaining a valid
-    /// minimal-depth witness. Liveness specs and non-state-only safety
-    /// silently fall back to the full pipeline.
-    bool early_exit = false;
 };
 
 /// 'p refines SPEC from `from`' (or 'p [] F refines SPEC from `from`').

@@ -35,42 +35,11 @@ namespace dcft {
 //     identical to what fresh enumerations would produce, so all verdicts
 //     match the definitional pipeline (cross-checked by the tolerance and
 //     app test suites and the tolerance/presence-vs-refines fuzz oracle).
-ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
-                                const ProblemSpec& spec,
-                                const Predicate& invariant, Tolerance grade) {
-    return check_tolerance(p, f, spec, invariant, grade, ToleranceOptions{});
-}
-
 namespace {
 
 ToleranceReport decide(const Program& p, const FaultClass& f,
                        const ProblemSpec& spec, const Predicate& invariant,
-                       Tolerance grade, const ToleranceOptions& options);
-
-}  // namespace
-
-ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
-                                const ProblemSpec& spec,
-                                const Predicate& invariant, Tolerance grade,
-                                const ToleranceOptions& options) {
-    const MaterializeLog log;
-    ToleranceReport report = decide(p, f, spec, invariant, grade, options);
-    for (const MaterializeRecord& r : log.records()) {
-        const auto& seen = report.materialized;
-        if (std::none_of(seen.begin(), seen.end(),
-                         [&](const MaterializeRecord& m) {
-                             return m.predicate == r.predicate;
-                         }))
-            report.materialized.push_back(r);
-    }
-    return report;
-}
-
-namespace {
-
-ToleranceReport decide(const Program& p, const FaultClass& f,
-                       const ProblemSpec& spec, const Predicate& invariant,
-                       Tolerance grade, const ToleranceOptions& options) {
+                       Tolerance grade) {
     const obs::Span span("verify/check_tolerance");
     obs::count("verify/tolerance_queries");
     const StateSpace& space = p.space();
@@ -95,56 +64,9 @@ ToleranceReport decide(const Program& p, const FaultClass& f,
         report.in_absence = refines_spec_on(*ts_p, nullptr, spec, inv);
     }
 
-    // Early-exit applicability (ToleranceOptions): safety-style grades
-    // with a transition-free safety part. FailSafe drops liveness by
-    // definition; Masking qualifies only when the spec has none.
-    const bool early_applicable =
-        options.early_exit && spec.safety().state_only() &&
-        (grade == Tolerance::FailSafe ||
-         (grade == Tolerance::Masking &&
-          spec.liveness().obligations().empty()));
-
     // One exploration of p [] F from the invariant; its node set is the
-    // canonical fault span T. On the early-exit path the spec's bad-state
-    // predicate rides along as a stop condition: closure of T on its own
-    // graph is trivially true (T *is* the node set), so the first failure
-    // of the default in-presence pipeline is exactly the least bad node —
-    // the node the stop predicate fires on.
-    std::shared_ptr<const TransitionSystem> ts_pf_ptr;
-    if (early_applicable) {
-        const ProblemSpec eff =
-            grade == Tolerance::FailSafe ? spec.failsafe_weakening() : spec;
-        const Predicate bad = eff.safety().bad_states();
-        ts_pf_ptr = cache.get_or_build_early_exit(p, &f, inv, bad);
-        if (!ts_pf_ptr->complete()) {
-            // Fired: report the exact failure the full safety scan would
-            // have produced, over the explored prefix of the span.
-            const TransitionSystem& frag = *ts_pf_ptr;
-            const NodeId b = frag.bad_node();
-            obs::count("verify/check_tolerance/early_exit");
-            obs::count("verify/obligations/safety");
-            obs::count("verify/obligations/failed");
-            report.in_presence = CheckResult::failure(
-                "safety violated: state " + space.format(frag.state_of(b)) +
-                    " is excluded by " + eff.safety().name() +
-                    "; witness: " + frag.format_witness(b),
-                frag.witness_trace(b));
-            auto span_states =
-                std::make_shared<StateSet>(frag.state_bits());
-            report.fault_span = predicate_of(
-                span_states, "span(" + p.name() + "," + f.name() + "," +
-                                 invariant.name() + ")");
-            report.span_size = span_states->count();
-            report.span_complete = false;
-            report.deepest_trace = frag.witness_trace(b);
-            return report;
-        }
-        // The stop predicate never fired (or the cache already held the
-        // complete graph): fall through to the default evaluation — same
-        // graph, byte-identical results.
-    } else {
-        ts_pf_ptr = cache.get_or_build(p, &f, inv);
-    }
+    // canonical fault span T.
+    const auto ts_pf_ptr = cache.get_or_build(p, &f, inv);
     const TransitionSystem& ts_pf = *ts_pf_ptr;
     auto span_states = std::make_shared<StateSet>(ts_pf.state_bits());
     report.fault_span = predicate_of(
@@ -189,6 +111,22 @@ ToleranceReport decide(const Program& p, const FaultClass& f,
 }
 
 }  // namespace
+
+ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
+                                const ProblemSpec& spec,
+                                const Predicate& invariant, Tolerance grade) {
+    const MaterializeLog log;
+    ToleranceReport report = decide(p, f, spec, invariant, grade);
+    for (const MaterializeRecord& r : log.records()) {
+        const auto& seen = report.materialized;
+        if (std::none_of(seen.begin(), seen.end(),
+                         [&](const MaterializeRecord& m) {
+                             return m.predicate == r.predicate;
+                         }))
+            report.materialized.push_back(r);
+    }
+    return report;
+}
 
 ToleranceReport check_failsafe(const Program& p, const FaultClass& f,
                                const ProblemSpec& spec,

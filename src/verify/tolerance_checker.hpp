@@ -24,41 +24,16 @@
 
 namespace dcft {
 
-/// Knobs for check_tolerance beyond the (p, f, spec, S, grade) tuple.
-struct ToleranceOptions {
-    /// Opt-in early exit for safety-style grades. Applies to FailSafe
-    /// always, and to Masking when the spec has no liveness obligations —
-    /// in both cases only when the safety part is state_only(). The
-    /// p [] F exploration then registers the spec's bad-state predicate
-    /// as a stop condition: a violating query terminates at the first
-    /// (canonically least node id, hence deterministic) bad state of the
-    /// fault span with the exact witness and message the full pipeline
-    /// reports, instead of materializing the whole span. Passing queries,
-    /// non-applicable grades, and cache hits on the full graph are
-    /// byte-identical to the default pipeline. When a query fails via
-    /// early exit the report's fault_span/span_size cover only the
-    /// explored prefix (span_complete == false).
-    bool early_exit = false;
-};
-
 /// Full report for one tolerance query.
 struct ToleranceReport {
     /// 'p refines SPEC from S' (the absence-of-faults obligation).
     CheckResult in_absence;
     /// The grade-specific obligation from the canonical fault span.
     CheckResult in_presence;
-    /// The canonical fault span T used for `in_presence`. When
-    /// span_complete is false this covers only the explored prefix of T
-    /// (the early exit fired before the span was fully materialized).
+    /// The canonical fault span T used for `in_presence`.
     Predicate fault_span;
-    /// |T| (number of states), for diagnostics and benches. A lower bound
-    /// when span_complete is false.
+    /// |T| (number of states), for diagnostics and benches.
     StateIndex span_size = 0;
-    /// Whether fault_span/span_size describe the full canonical span.
-    /// Always true for the default pipeline; false exactly when an
-    /// early-exit query (ToleranceOptions::early_exit) failed before
-    /// exhausting the exploration.
-    bool span_complete = true;
     /// |S| (number of invariant states).
     StateIndex invariant_size = 0;
     /// BFS path from the invariant to the deepest explored fault-span
@@ -87,12 +62,6 @@ struct ToleranceReport {
 ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
                                 const ProblemSpec& spec,
                                 const Predicate& invariant, Tolerance grade);
-
-/// As above with explicit options (early-exit safety obligations).
-ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
-                                const ProblemSpec& spec,
-                                const Predicate& invariant, Tolerance grade,
-                                const ToleranceOptions& options);
 
 /// Convenience wrappers.
 ToleranceReport check_failsafe(const Program& p, const FaultClass& f,

@@ -392,8 +392,7 @@ std::uint64_t TransitionSystem::DirectMap::touched_bytes() const {
 TransitionSystem::TransitionSystem(const Program& program,
                                    const FaultClass* faults,
                                    const Predicate& init, unsigned n_threads)
-    : TransitionSystem(program, faults, init,
-                       ExploreOptions{n_threads, nullptr}) {}
+    : TransitionSystem(program, faults, init, ExploreOptions{n_threads}) {}
 
 TransitionSystem::TransitionSystem(const Program& program,
                                    const FaultClass* faults,
@@ -403,7 +402,7 @@ TransitionSystem::TransitionSystem(const Program& program,
     if (faults != nullptr)
         faults_ = std::make_shared<const FaultClass>(*faults);
     explore(faults, init, resolve_verifier_threads(options.n_threads),
-            options.stop_on, options.spill || spill_enabled());
+            options.spill || spill_enabled());
 }
 
 TransitionSystem::TransitionSystem(const Program& program,
@@ -419,7 +418,6 @@ TransitionSystem::TransitionSystem(const Program& program,
       prog_offsets_(std::move(arrays.prog_offsets)),
       prog_edges_(std::move(arrays.prog_edges)),
       fault_edge_count_(arrays.num_fault_edges),
-      expanded_end_(states_.size()),
       identity_nodes_(arrays.identity_nodes) {
     // The snapshot stores no interner: node_of/has_state rebuild it on
     // first use. The tier decision matches a fresh exploration's, so the
@@ -452,7 +450,7 @@ const TransitionSystem::FaultKernel& TransitionSystem::fault_kernel() const {
 void TransitionSystem::fault_steps(NodeId n,
                                    std::vector<FaultStep>& out) const {
     out.clear();
-    if (faults_ == nullptr || n >= expanded_end_) return;
+    if (faults_ == nullptr) return;
     fault_kernel().steps(states_[n], out);
 }
 
@@ -508,7 +506,7 @@ TransitionSystem::~TransitionSystem() = default;
 
 void TransitionSystem::explore(const FaultClass* faults,
                                const Predicate& init, unsigned n_threads,
-                               const Predicate* stop_on, bool spill) {
+                               bool spill) {
     const bool telemetry = obs::enabled();
     // The per-level timeline rides on either structured-output mode:
     // run reports (telemetry) embed it, traces cross-reference it.
@@ -568,16 +566,6 @@ void TransitionSystem::explore(const FaultClass* faults,
             if (bk->batchable()) sweep_kernel = std::move(bk);
         }
         obs::instant("verify/compile/guard_bits", level_index);
-    };
-
-    // The early-exit stop predicate, compiled to guard bytecode.
-    std::unique_ptr<GuardCode> stop_code;
-    if (stop_on != nullptr)
-        stop_code = std::make_unique<GuardCode>(cspace, *stop_on);
-    std::uint64_t stop_scans = 0;
-    auto stop_at = [&](StateIndex s) {
-        ++stop_scans;
-        return stop_code->eval(cspace, s);
     };
 
     // Expands one state into `recs` (CompiledActionSet::expand): its
@@ -734,30 +722,6 @@ void TransitionSystem::explore(const FaultClass* faults,
     // edge is written: consumers regenerate fault rows (fault_steps).
     std::uint64_t fault_count = 0;
 
-    // Scans the newly discovered nodes [from_id, states_.size()) in id
-    // order against the stop predicate; on a hit records the canonically
-    // least bad node and flips the fragment incomplete. Scanning whole
-    // levels (never mid-level) keeps the discovered prefix — numbering,
-    // edges, parents — identical for every thread count.
-    auto scan_new_nodes = [&](std::size_t from_id) -> bool {
-        if (stop_on == nullptr) return false;
-        for (std::size_t i = from_id; i < states_.size(); ++i) {
-            if (stop_at(states_[i])) {
-                bad_node_ = static_cast<NodeId>(i);
-                complete_ = false;
-                obs::instant("verify/explore/early_exit_stop", i);
-                return true;
-            }
-        }
-        return false;
-    };
-
-    // On early exit the last level's nodes are never expanded; give them
-    // empty CSR rows so the accessors stay total.
-    auto pad_offsets = [&] {
-        prog_offsets_.resize(states_.size() + 1, prog_edges_.size());
-    };
-
     std::uint64_t n_levels = 0;  // telemetry: BFS depth / frontier stats
     std::uint64_t frontier_max = 0;
     std::uint64_t levels_below_threshold = 0;
@@ -769,8 +733,6 @@ void TransitionSystem::explore(const FaultClass* faults,
             (faults != nullptr ? faults->actions().size() : 0),
         1);
     const std::uint64_t work_min = parallel_work_min();
-
-    bool stopped = scan_new_nodes(0);  // a bad root ends it before level 1
 
     // Per-level timeline rows (embedded in run reports, see
     // obs/trace.hpp) and heartbeat updates. One row per BFS level; the
@@ -841,7 +803,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::vector<Counts> bcounts;
     std::uint64_t sweep_states = 0;  // telemetry: states via identity sweep
     std::size_t level_begin = 0;
-    while (!stopped && level_begin < states_.size()) {
+    while (level_begin < states_.size()) {
         const std::uint64_t level_index = n_levels;
         if (!guard_bits_bought) {
             if (guard_bits_pay(states_.size(), n_states))
@@ -952,8 +914,6 @@ void TransitionSystem::explore(const FaultClass* faults,
                     prog_offsets_.release_prefix(seg_end);
                 }
             }
-            expanded_end_ = level_end;
-            stopped = scan_new_nodes(level_end);
             finish_level(level_index, level_begin, level_end, lvl_t0,
                          chunks > 1, sweep_chunks, phase_ns);
             level_begin = level_end;
@@ -999,8 +959,6 @@ void TransitionSystem::explore(const FaultClass* faults,
                 prog_edges_.release_prefix(prog_edges_.size());
                 prog_offsets_.release_prefix(level_end);
             }
-            expanded_end_ = level_end;
-            stopped = scan_new_nodes(level_end);
             finish_level(level_index, level_begin, level_end, lvl_t0,
                          /*parallel_merge=*/false, /*n_chunks=*/1, phase_ns);
             level_begin = level_end;
@@ -1151,13 +1109,10 @@ void TransitionSystem::explore(const FaultClass* faults,
             prog_edges_.release_prefix(prog_edges_.size());
             prog_offsets_.release_prefix(level_end);
         }
-        expanded_end_ = level_end;
-        stopped = scan_new_nodes(level_end);
         finish_level(level_index, level_begin, level_end, lvl_t0,
                      /*parallel_merge=*/true, chunks, phase_ns);
         level_begin = level_end;
     }
-    if (stopped) pad_offsets();
     fault_edge_count_ = fault_count;
     // Keep only the fault half of the compiled program (its guard bitsets
     // included) for fault-row regeneration.
@@ -1178,7 +1133,6 @@ void TransitionSystem::explore(const FaultClass* faults,
         obs::ExplorationTimeline tl;
         tl.space_states = n_states;
         tl.total_ns = obs::now_ns() - explore_t0;
-        tl.complete = complete_;
         tl.spilled = spill;
         tl.levels = std::move(tl_levels);
         obs::timeline_publish(std::move(tl));
@@ -1223,13 +1177,6 @@ void TransitionSystem::explore(const FaultClass* faults,
         reg.counter("verify/explore/interner_misses").add(states_.size());
         reg.counter("verify/explore/interner_hits")
             .add(intern_calls - states_.size());
-        if (stop_on != nullptr) {
-            reg.counter("verify/explore/stop_scans").add(stop_scans);
-            reg.counter("verify/explore/early_exit").add(stopped ? 1 : 0);
-            if (stopped)
-                reg.counter("verify/explore/early_exit_depth")
-                    .record_max(n_levels);
-        }
         // Interner tier + peak-bytes gauges. Probe/resize counts depend
         // on claim timing and slot layout, byte capacities on the growth
         // pattern of the chosen path — thread-variant by nature, hence
@@ -1275,12 +1222,6 @@ std::uint64_t TransitionSystem::spill_released_bytes() const {
     return states_.spill_released_bytes() + parent_.spill_released_bytes() +
            prog_offsets_.spill_released_bytes() +
            prog_edges_.spill_released_bytes();
-}
-
-NodeId TransitionSystem::bad_node() const {
-    DCFT_EXPECTS(!complete_ && bad_node_ != kNoNode,
-                 "TransitionSystem::bad_node: exploration completed");
-    return bad_node_;
 }
 
 NodeId TransitionSystem::first_bad_node(const Predicate& bad) const {

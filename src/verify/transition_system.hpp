@@ -28,12 +28,8 @@
 //    on per-state guard bytecode until the discovered node count times 64
 //    reaches the space size, the point where filling a bitset (|space|/64
 //    word operations) costs no more than the bytecode already spent.
-//  * Safety-style obligations may register a stop predicate
-//    (ExploreOptions::stop_on): the exploration then terminates at the
-//    first — canonically least node id, hence deterministic — discovered
-//    state satisfying it, instead of materializing the full graph. The
-//    resulting fragment keeps the canonical node numbering as a prefix of
-//    the full graph's, so witnesses agree with full-graph scans.
+//  * Every exploration runs to exhaustion: a TransitionSystem is always
+//    the complete reachable graph, which every verdict consumer needs.
 //  * Program edges are stored CSR (compressed sparse row): flat
 //    offsets[] / edges[] arrays, giving cache-friendly iteration
 //    everywhere the checkers consume adjacency.
@@ -76,13 +72,6 @@ struct ExploreOptions {
     /// default_verifier_threads()). The resulting system is identical for
     /// every thread count.
     unsigned n_threads = 0;
-
-    /// When non-null, the exploration stops at the first discovered state
-    /// satisfying this predicate (checked once per newly interned state,
-    /// in canonical node-id order at each BFS level). The stop state and
-    /// every node of its level are retained; nodes past the last expanded
-    /// level carry empty edge rows. Must outlive the constructor call.
-    const Predicate* stop_on = nullptr;
 
     /// Out-of-core mode: node and CSR arrays live in mmap-backed spill
     /// files and sealed BFS levels are advised out of RSS, so peak
@@ -137,7 +126,7 @@ public:
     TransitionSystem(const Program& program, const FaultClass* faults,
                      const Predicate& init, unsigned n_threads = 0);
 
-    /// As above with explicit options (early-exit stop predicate).
+    /// As above with explicit options (thread bound, out-of-core mode).
     TransitionSystem(const Program& program, const FaultClass* faults,
                      const Predicate& init, const ExploreOptions& options);
 
@@ -172,24 +161,9 @@ public:
     std::size_t num_nodes() const { return states_.size(); }
     StateIndex state_of(NodeId n) const { return states_[n]; }
 
-    /// Whether the exploration ran to exhaustion. Always true when no stop
-    /// predicate was registered; false iff the stop predicate fired.
-    /// Incomplete systems are early-exit fragments: every discovered node
-    /// and its canonical numbering is a prefix of the full graph's, but
-    /// nodes of the last level carry no outgoing edges and terminal() is
-    /// meaningless for them.
-    bool complete() const { return complete_; }
-
-    /// The node the stop predicate fired on. Only valid when !complete();
-    /// this is the least node id of any state satisfying the stop
-    /// predicate in the *full* graph (the canonical first violation), so
-    /// witnesses agree with full-graph scans (see first_bad_node).
-    NodeId bad_node() const;
-
-    /// Least node id whose state satisfies `bad`, or kNoNode. On a
-    /// complete graph this is exactly the node an early-exit exploration
-    /// with stop_on = &bad would have reported — the scan the early-exit
-    /// consumers use when the cache already holds the full graph.
+    /// Least node id whose state satisfies `bad`, or kNoNode: the
+    /// canonical first violation (least BFS depth, then discovery order),
+    /// whose witness_path is a shortest path from the initial set.
     NodeId first_bad_node(const Predicate& bad) const;
 
     /// Node of a state, if the state is in the reachable fragment.
@@ -208,8 +182,8 @@ public:
     /// kernel (fault edges are not stored). Clears `out`, then appends
     /// (action, target state) in exploration order: fault actions in
     /// declaration order, each action's successors in its own order.
-    /// Empty for fault-free systems and for the unexpanded last level of
-    /// an early-exit fragment. Thread-safe; `out` is caller-owned scratch.
+    /// Empty for fault-free systems. Thread-safe; `out` is caller-owned
+    /// scratch.
     void fault_steps(NodeId n, std::vector<FaultStep>& out) const;
 
     /// fault_steps(n) with every target mapped to its node (node_of) —
@@ -222,8 +196,6 @@ public:
     bool enabled(NodeId n, std::uint32_t a) const;
 
     /// Whether no program action is enabled at node n (p-maximal end state).
-    /// Only meaningful on complete() systems (an early-exit fragment has
-    /// unexpanded frontier nodes with empty rows).
     bool terminal(NodeId n) const {
         return prog_offsets_[n] == prog_offsets_[n + 1];
     }
@@ -362,7 +334,7 @@ private:
     const FaultKernel& fault_kernel() const;
 
     void explore(const FaultClass* faults, const Predicate& init,
-                 unsigned n_threads, const Predicate* stop_on, bool spill);
+                 unsigned n_threads, bool spill);
     void build_predecessors(CsrList& out, bool include_faults) const;
     /// Builds the reverse state -> node map of an adopted system on first
     /// use (direct map or sparse table, by the usual tier rule).
@@ -388,9 +360,6 @@ private:
     SpillVector<Edge> prog_edges_;
     std::uint64_t fault_edge_count_ = 0;
     bool spilled_ = false;
-    /// Nodes [0, expanded_end_) were expanded; an early-exit fragment's
-    /// last level lies past it and has empty fault rows.
-    std::size_t expanded_end_ = 0;
 
     // Fault-row regeneration: the compiled fault actions with their guard
     // bitsets (and a fault-only batch kernel when batchable). Installed by
@@ -417,10 +386,6 @@ private:
     /// Resident bytes of the interner tier, set once it is complete (end
     /// of exploration, or the lazy rebuild) and read by resident_bytes().
     mutable std::atomic<std::uint64_t> interner_bytes_{0};
-
-    // Early-exit state (see complete() / bad_node()).
-    bool complete_ = true;
-    NodeId bad_node_ = kNoNode;
 
     // Lazily built predecessor CSRs, one once_flag each so asking for the
     // program-only reverse graph never pays for the (often much larger)

@@ -1,7 +1,7 @@
 // The shared DCFT_* environment parsing rule (common/env.hpp): one
 // truthiness table for every boolean flag, one positive-integer parser for
 // every numeric knob — and the consumers (telemetry, spill gate,
-// exploration cache, progress heartbeat) all observe the shared rule,
+// progress heartbeat) all observe the shared rule,
 // including the historical bugs it fixes ("00" and "false" used to count
 // as enabled, "NO" and "OFF" used to turn the heartbeat on).
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "common/env.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
-#include "verify/exploration_cache.hpp"
 #include "verify/spill.hpp"
 
 namespace dcft {
@@ -88,17 +87,6 @@ TEST(EnvTest, SpillGateTreatsFalseAndDoubleZeroAsDisabled) {
     EXPECT_TRUE(spill_enabled());
     unsetenv("DCFT_SPILL");
     EXPECT_FALSE(spill_enabled());
-}
-
-TEST(EnvTest, ExplorationCacheGateTreatsFalseAndDoubleZeroAsDisabled) {
-    setenv("DCFT_NO_EXPLORE_CACHE", "false", 1);
-    EXPECT_FALSE(exploration_cache_disabled());
-    setenv("DCFT_NO_EXPLORE_CACHE", "00", 1);
-    EXPECT_FALSE(exploration_cache_disabled());
-    setenv("DCFT_NO_EXPLORE_CACHE", "on", 1);
-    EXPECT_TRUE(exploration_cache_disabled());
-    unsetenv("DCFT_NO_EXPLORE_CACHE");
-    EXPECT_FALSE(exploration_cache_disabled());
 }
 
 TEST(EnvTest, TelemetryResolvesThroughSharedRule) {

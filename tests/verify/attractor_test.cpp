@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "obs/progress.hpp"
 #include "verify/fairness.hpp"
@@ -222,34 +220,6 @@ TEST(AttractorTest, ResidueCycleWithAForcedExitIsCleared) {
     EXPECT_EQ(fair_avoidance_set(ts, target), marks_of(ts, {}));
     EXPECT_TRUE(
         check_reaches(ts, Predicate::var_eq(*space, "v", 2), false).ok);
-}
-
-TEST(AttractorTest, FragmentsAreRefused) {
-    // An early-exit fragment leaves its last level unexpanded, with empty
-    // rows that would read as terminal states.
-    const Adjacency adj = {{1}, {2}, {3}, {3}};
-    const Program p = graph_program(adj);
-    const Predicate at2 = Predicate::var_eq(p.space(), "v", 2);
-    ExploreOptions options;
-    options.stop_on = &at2;
-    const TransitionSystem frag(
-        p, nullptr, Predicate::var_eq(p.space(), "v", 0), options);
-    ASSERT_FALSE(frag.complete());
-    const std::vector<char> target(frag.num_nodes(), 0);
-    const auto refuses = [](auto&& call, const char* what) {
-        try {
-            call();
-            ADD_FAILURE() << what << " accepted a fragment";
-        } catch (const ContractError& e) {
-            EXPECT_NE(std::strstr(e.what(), what), nullptr) << e.what();
-        }
-    };
-    refuses([&] { program_attractor(frag, target); },
-            "program_attractor requires a complete exploration");
-    refuses([&] { fair_avoidance_set(frag, target); },
-            "fair_avoidance_set requires a complete exploration");
-    refuses([&] { check_leads_to(frag, Predicate::top(), at2, false); },
-            "check_leads_to requires a complete exploration");
 }
 
 TEST(AttractorTest, HeartbeatPublishesSettledNodes) {

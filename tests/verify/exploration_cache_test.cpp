@@ -1,15 +1,13 @@
 // ExplorationCache behaviour: hits are pointer-identical, every key
 // component invalidates (program rename, action restriction, fault class,
 // initial set), extensionally equal initial predicates share an entry,
-// LRU eviction beyond capacity(), DCFT_NO_EXPLORE_CACHE
-// bypasses the cache entirely, identity keys survive object destruction
-// and allocator address reuse (the ABA regression), and builds of
+// LRU eviction beyond capacity(), identity keys survive object
+// destruction and allocator address reuse (the ABA regression), and builds of
 // unrelated keys proceed concurrently while same-key builds dedup.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -26,17 +24,11 @@ namespace {
 
 /// The cache under test is the process-wide singleton (the object the
 /// verdict and synthesis pipelines actually share), so every test starts
-/// and ends with clear() + clean env to stay order-independent.
+/// and ends with clear() to stay order-independent.
 class ExplorationCacheTest : public ::testing::Test {
 protected:
-    void SetUp() override {
-        unsetenv("DCFT_NO_EXPLORE_CACHE");
-        ExplorationCache::global().clear();
-    }
-    void TearDown() override {
-        unsetenv("DCFT_NO_EXPLORE_CACHE");
-        ExplorationCache::global().clear();
-    }
+    void SetUp() override { ExplorationCache::global().clear(); }
+    void TearDown() override { ExplorationCache::global().clear(); }
 };
 
 TEST_F(ExplorationCacheTest, RepeatQueryIsPointerIdenticalHit) {
@@ -143,26 +135,6 @@ TEST_F(ExplorationCacheTest, LruEvictionHonoursCap) {
     // ...while the oldest was evicted and rebuilds to a fresh object.
     EXPECT_NE(cache.get_or_build(sys.ring, nullptr, inits[0]).get(),
               built[0].get());
-}
-
-TEST_F(ExplorationCacheTest, DisableEnvBypassesCache) {
-    auto sys = apps::make_token_ring(4, 4);
-    auto& cache = ExplorationCache::global();
-
-    setenv("DCFT_NO_EXPLORE_CACHE", "1", 1);
-    EXPECT_TRUE(exploration_cache_disabled());
-    const auto a = cache.get_or_build(sys.ring, nullptr, Predicate::top());
-    const auto b = cache.get_or_build(sys.ring, nullptr, Predicate::top());
-    EXPECT_NE(a.get(), b.get()) << "bypass must rebuild every call";
-    EXPECT_EQ(cache.size(), 0u) << "bypass must not populate the cache";
-    EXPECT_EQ(a->num_nodes(), b->num_nodes());
-
-    unsetenv("DCFT_NO_EXPLORE_CACHE");
-    EXPECT_FALSE(exploration_cache_disabled());
-    const auto c = cache.get_or_build(sys.ring, nullptr, Predicate::top());
-    EXPECT_EQ(
-        cache.get_or_build(sys.ring, nullptr, Predicate::top()).get(),
-        c.get());
 }
 
 // ---------------------------------------------------------------------------

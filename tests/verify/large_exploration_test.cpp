@@ -1,9 +1,7 @@
 // Large-instance exploration engine tests (DESIGN.md §7, "Large-instance
-// exploration"): sparse-vs-direct interner graph identity, early-exit
-// witness determinism across thread counts, the ExplorationCache fragment
-// discipline (early-exit fragments are never served as full graphs), and
-// the first_bad_node / early-exit equivalence that makes stop-predicate
-// verdicts agree with full-graph scans.
+// exploration"): sparse-vs-direct interner graph identity, and
+// first_bad_node witnesses and the verdicts built on them (check_unreachable,
+// fail-safe tolerance, refines_spec) agreeing across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -55,7 +53,6 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b) {
     ASSERT_EQ(a.initial_nodes(), b.initial_nodes());
     ASSERT_EQ(a.num_program_edges(), b.num_program_edges());
     ASSERT_EQ(a.num_fault_edges(), b.num_fault_edges());
-    ASSERT_EQ(a.complete(), b.complete());
     std::vector<TransitionSystem::Edge> fa, fb;
     for (NodeId n = 0; n < a.num_nodes(); ++n) {
         ASSERT_EQ(a.state_of(n), b.state_of(n)) << "node " << n;
@@ -89,7 +86,6 @@ TEST(SparseInternerTest, SparseAndDirectMappedGraphsAreIdentical) {
 
     const TransitionSystem direct(sys.ring, &sys.corrupt_any, sys.legitimate,
                                   /*n_threads=*/2);
-    ASSERT_TRUE(direct.complete());
 
     // Force the sparse sharded table at every size.
     const EnvVarGuard force("DCFT_DIRECT_MAP_MAX", "1024");
@@ -109,65 +105,37 @@ TEST(SparseInternerTest, SparseAndDirectMappedGraphsAreIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Early-exit semantics: bad_node() is the canonically least violating node,
-// the fragment's numbering is a prefix of the full graph's, and verdicts /
-// witnesses agree with full-graph scans — for every thread count.
+// First violations: first_bad_node is the canonically least violating node,
+// the same node with the same witness at every thread count, and the
+// verdicts built on it report exactly that node.
 // ---------------------------------------------------------------------------
 
-TEST(EarlyExitTest, FragmentIsCanonicalPrefixAndAgreesWithFirstBadNode) {
+TEST(FirstBadNodeTest, SameNodeAndWitnessAtEveryThreadCount) {
     const auto sys = apps::make_token_ring(5, 5);  // 3125 states
     const Predicate bad = sys.spec.safety().bad_states();
-    const TransitionSystem full(sys.ring, &sys.corrupt_any, sys.legitimate,
-                                /*n_threads=*/1);
-    const NodeId expect = full.first_bad_node(bad);
+    const TransitionSystem serial(sys.ring, &sys.corrupt_any, sys.legitimate,
+                                  /*n_threads=*/1);
+    const NodeId expect = serial.first_bad_node(bad);
     ASSERT_NE(expect, TransitionSystem::kNoNode);
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        ExploreOptions opts;
-        opts.n_threads = threads;
-        opts.stop_on = &bad;
-        const TransitionSystem frag(sys.ring, &sys.corrupt_any,
-                                    sys.legitimate, opts);
-        ASSERT_FALSE(frag.complete());
-        ASSERT_EQ(frag.bad_node(), expect);
-        ASSERT_EQ(frag.witness_path(frag.bad_node()),
-                  full.witness_path(expect));
-        ASSERT_EQ(frag.format_witness(frag.bad_node()),
-                  full.format_witness(expect));
-        // Canonical-prefix property: every fragment node is the same node
-        // of the full graph.
-        ASSERT_LE(frag.num_nodes(), full.num_nodes());
-        for (NodeId n = 0; n < frag.num_nodes(); ++n)
-            ASSERT_EQ(frag.state_of(n), full.state_of(n)) << "node " << n;
+    for (const unsigned threads : {2u, 8u}) {
+        const TransitionSystem ts(sys.ring, &sys.corrupt_any, sys.legitimate,
+                                  threads);
+        ASSERT_EQ(ts.first_bad_node(bad), expect);
+        ASSERT_EQ(ts.witness_path(expect), serial.witness_path(expect));
+        ASSERT_EQ(ts.format_witness(expect), serial.format_witness(expect));
     }
-}
 
-TEST(EarlyExitTest, StopPredicateThatNeverFiresYieldsTheCompleteGraph) {
-    const auto sys = apps::make_token_ring(4, 4);
     const Predicate never("never-bad",
                           [](const StateSpace&, StateIndex) { return false; });
-    ExploreOptions opts;
-    opts.stop_on = &never;
-    const TransitionSystem ts(sys.ring, &sys.corrupt_any, Predicate::top(),
-                              opts);
-    ASSERT_TRUE(ts.complete());
-    const TransitionSystem plain(sys.ring, &sys.corrupt_any, Predicate::top(),
-                                 1u);
-    expect_identical(ts, plain);
-    ASSERT_EQ(ts.first_bad_node(never), TransitionSystem::kNoNode);
+    ASSERT_EQ(serial.first_bad_node(never), TransitionSystem::kNoNode);
 }
 
-// ---------------------------------------------------------------------------
-// Early-exit obligations: check_unreachable / check_tolerance(early_exit) /
-// refines_spec(early_exit) agree with the full pipelines — verdicts,
-// messages, and witness traces — across thread counts and cache bypass.
-// ---------------------------------------------------------------------------
-
-TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
+TEST(FirstBadNodeTest, CheckUnreachableReportsTheFirstBadNode) {
     const auto sys = apps::make_token_ring(5, 5);
     const Predicate bad = sys.spec.safety().bad_states();
 
-    // Reference: full exploration + canonical scan.
+    // Reference: serial exploration + canonical scan.
     const TransitionSystem full(sys.ring, &sys.corrupt_any, sys.legitimate,
                                 1u);
     const NodeId b = full.first_bad_node(bad);
@@ -175,20 +143,16 @@ TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
 
     for (const char* threads : {"1", "2", "8"}) {
         const EnvVarGuard tg("DCFT_VERIFIER_THREADS", threads);
-        for (const char* bypass :
-             {static_cast<const char*>(nullptr), "1"}) {
-            const EnvVarGuard cg("DCFT_NO_EXPLORE_CACHE", bypass);
-            ExplorationCache::global().clear();
-            const CheckResult r = check_unreachable(
-                sys.ring, &sys.corrupt_any, sys.legitimate, bad);
-            ASSERT_FALSE(r.ok);
-            EXPECT_EQ(r.reason, "reachable: state " +
-                                    sys.space->format(full.state_of(b)) +
-                                    " satisfies " + bad.name() +
-                                    "; witness: " + full.format_witness(b));
-            ASSERT_EQ(r.witness.size(), full.witness_trace(b).size());
-            EXPECT_EQ(r.witness, full.witness_trace(b));
-        }
+        ExplorationCache::global().clear();
+        const CheckResult r = check_unreachable(sys.ring, &sys.corrupt_any,
+                                                sys.legitimate, bad);
+        ASSERT_FALSE(r.ok);
+        EXPECT_EQ(r.reason, "reachable: state " +
+                                sys.space->format(full.state_of(b)) +
+                                " satisfies " + bad.name() +
+                                "; witness: " + full.format_witness(b));
+        ASSERT_EQ(r.witness.size(), full.witness_trace(b).size());
+        EXPECT_EQ(r.witness, full.witness_trace(b));
     }
     ExplorationCache::global().clear();
 
@@ -198,125 +162,52 @@ TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
     EXPECT_TRUE(
         check_unreachable(sys.ring, &sys.corrupt_any, sys.legitimate, none)
             .ok);
+    ExplorationCache::global().clear();
 }
 
-TEST(EarlyExitTest, FailsafeToleranceEarlyExitMatchesDefaultPipeline) {
+TEST(FirstBadNodeTest, FailsafeCounterexampleIsThreadCountInvariant) {
     const auto sys = apps::make_token_ring(5, 5);
     ASSERT_TRUE(sys.spec.safety().state_only());
 
-    for (const char* threads : {"1", "2", "8"}) {
+    ExplorationCache::global().clear();
+    const ToleranceReport serial = [&] {
+        const EnvVarGuard tg("DCFT_VERIFIER_THREADS", "1");
+        return check_tolerance(sys.ring, sys.corrupt_any, sys.spec,
+                               sys.legitimate, Tolerance::FailSafe);
+    }();
+    // The corrupt-any faults break mutual exclusion.
+    ASSERT_FALSE(serial.ok());
+    for (const char* threads : {"2", "8"}) {
         const EnvVarGuard tg("DCFT_VERIFIER_THREADS", threads);
         ExplorationCache::global().clear();
-        const ToleranceReport slow = check_tolerance(
+        const ToleranceReport r = check_tolerance(
             sys.ring, sys.corrupt_any, sys.spec, sys.legitimate,
             Tolerance::FailSafe);
-        ExplorationCache::global().clear();
-        ToleranceOptions opts;
-        opts.early_exit = true;
-        const ToleranceReport fast = check_tolerance(
-            sys.ring, sys.corrupt_any, sys.spec, sys.legitimate,
-            Tolerance::FailSafe, opts);
-
-        // The corrupt-any faults break mutual exclusion: both pipelines
-        // must fail with the exact same counterexample.
-        ASSERT_FALSE(slow.ok()) << "threads=" << threads;
-        ASSERT_FALSE(fast.ok()) << "threads=" << threads;
-        EXPECT_EQ(slow.in_absence.ok, fast.in_absence.ok);
-        EXPECT_EQ(slow.in_presence.reason, fast.in_presence.reason);
-        EXPECT_EQ(slow.in_presence.witness, fast.in_presence.witness);
-        EXPECT_TRUE(slow.span_complete);
-        EXPECT_FALSE(fast.span_complete);
-        EXPECT_LE(fast.span_size, slow.span_size);
-
-        // With the full graph already cached, the early-exit path is
-        // served the complete graph and reproduces the default report.
-        const ToleranceReport cached = check_tolerance(
-            sys.ring, sys.corrupt_any, sys.spec, sys.legitimate,
-            Tolerance::FailSafe, opts);
-        ExplorationCache::global().clear();
-        // (cache kept from `fast`? fragments are never cached, so this
-        //  rebuilt the fragment — still the same counterexample.)
-        EXPECT_EQ(cached.in_presence.reason, fast.in_presence.reason);
-        EXPECT_EQ(cached.in_presence.witness, fast.in_presence.witness);
+        ASSERT_FALSE(r.ok()) << "threads=" << threads;
+        EXPECT_EQ(r.in_absence.ok, serial.in_absence.ok);
+        EXPECT_EQ(r.in_presence.reason, serial.in_presence.reason);
+        EXPECT_EQ(r.in_presence.witness, serial.in_presence.witness);
+        EXPECT_EQ(r.span_size, serial.span_size);
     }
     ExplorationCache::global().clear();
 }
 
-TEST(EarlyExitTest, RefinesSpecEarlyExitAgreesWithDefault) {
+TEST(FirstBadNodeTest, RefinesFailsafeWeakeningWithAndWithoutFaults) {
     const auto sys = apps::make_token_ring(4, 4);
     const ProblemSpec failsafe = sys.spec.failsafe_weakening();
     ASSERT_TRUE(failsafe.safety().state_only());
     ASSERT_TRUE(failsafe.liveness().obligations().empty());
 
-    RefinesOptions fast;
-    fast.faults = &sys.corrupt_any;
-    fast.early_exit = true;
-    RefinesOptions slow;
-    slow.faults = &sys.corrupt_any;
-
     // Failing query (faults escape the safety part of SPEC_token).
     ExplorationCache::global().clear();
-    const CheckResult a = refines_spec(sys.ring, failsafe, sys.legitimate,
-                                       slow);
-    ExplorationCache::global().clear();
-    const CheckResult b = refines_spec(sys.ring, failsafe, sys.legitimate,
-                                       fast);
-    EXPECT_EQ(a.ok, b.ok);
-    ASSERT_FALSE(b.ok);
-    ASSERT_FALSE(b.witness.empty());
+    const CheckResult a =
+        refines_spec(sys.ring, failsafe, sys.legitimate, {&sys.corrupt_any});
+    ASSERT_FALSE(a.ok);
+    ASSERT_FALSE(a.witness.empty());
 
     // Passing query: program-only refinement from the legitimate set.
-    ExplorationCache::global().clear();
-    RefinesOptions fast_nf;
-    fast_nf.early_exit = true;
-    EXPECT_TRUE(refines_spec(sys.ring, failsafe, sys.legitimate, fast_nf).ok);
     EXPECT_TRUE(refines_spec(sys.ring, failsafe, sys.legitimate, {}).ok);
     ExplorationCache::global().clear();
-}
-
-// ---------------------------------------------------------------------------
-// ExplorationCache discipline: early-exit fragments are never served as
-// full graphs; complete early-exit builds are published and shared.
-// ---------------------------------------------------------------------------
-
-TEST(ExplorationCacheFragmentTest, FragmentsAreNeverCachedAsFullGraphs) {
-    const auto sys = apps::make_token_ring(4, 4);  // 256 states
-    const Predicate bad = sys.spec.safety().bad_states();
-    ExplorationCache& cache = ExplorationCache::global();
-    cache.clear();
-
-    // 1. Early-exit miss builds a fragment...
-    const auto frag = cache.get_or_build_early_exit(
-        sys.ring, &sys.corrupt_any, sys.legitimate, bad);
-    ASSERT_FALSE(frag->complete());
-
-    // 2. ...which must NOT satisfy a later full request for the same key.
-    const auto full =
-        cache.get_or_build(sys.ring, &sys.corrupt_any, sys.legitimate);
-    ASSERT_TRUE(full->complete());
-    EXPECT_NE(frag.get(), full.get());
-    EXPECT_GT(full->num_nodes(), frag->num_nodes());
-
-    // 3. With the full graph resident, early-exit requests are served the
-    //    complete graph (same shared object).
-    const auto hit = cache.get_or_build_early_exit(
-        sys.ring, &sys.corrupt_any, sys.legitimate, bad);
-    EXPECT_EQ(hit.get(), full.get());
-    ASSERT_TRUE(hit->complete());
-    EXPECT_NE(hit->first_bad_node(bad), TransitionSystem::kNoNode);
-
-    // 4. A complete early-exit build (stop never fires) IS published: the
-    //    next full request shares it.
-    cache.clear();
-    const Predicate never("never-bad",
-                          [](const StateSpace&, StateIndex) { return false; });
-    const auto done = cache.get_or_build_early_exit(
-        sys.ring, &sys.corrupt_any, sys.legitimate, never);
-    ASSERT_TRUE(done->complete());
-    const auto shared =
-        cache.get_or_build(sys.ring, &sys.corrupt_any, sys.legitimate);
-    EXPECT_EQ(done.get(), shared.get());
-    cache.clear();
 }
 
 }  // namespace

@@ -258,14 +258,10 @@ private:
     std::optional<std::string> old_;
 };
 
-/// Every regenerated fault row of `ts` equals the reference row. On an
-/// early-exit fragment (a prefix of the full graph's numbering) that holds
-/// for every expanded node; the unexpanded last level has empty rows.
+/// Every regenerated fault row of `ts` equals the reference row.
 void expect_fault_rows_match(const TransitionSystem& ts,
                              const reference::RefTransitionSystem& ref) {
-    std::size_t last_depth = 0;
-    for (NodeId n = 0; n < ts.num_nodes(); ++n)
-        last_depth = std::max(last_depth, ts.witness_path(n).size());
+    ASSERT_EQ(ts.num_nodes(), ref.num_nodes());
     std::vector<TransitionSystem::Edge> row;
     std::vector<TransitionSystem::FaultStep> steps;
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
@@ -273,10 +269,6 @@ void expect_fault_rows_match(const TransitionSystem& ts,
         ts.fault_edges(n, row);
         ts.fault_steps(n, steps);
         ASSERT_EQ(row.size(), steps.size()) << "node " << n;
-        if (!ts.complete() && ts.witness_path(n).size() == last_depth) {
-            EXPECT_TRUE(row.empty()) << "unexpanded node " << n;
-            continue;
-        }
         const auto& rrow = ref.fault_edges(n);
         ASSERT_EQ(row.size(), rrow.size()) << "node " << n;
         for (std::size_t i = 0; i < row.size(); ++i) {
@@ -289,30 +281,21 @@ void expect_fault_rows_match(const TransitionSystem& ts,
     }
 }
 
-/// Complete graph + early-exit fragment of (program, faults) from `init`,
-/// at 1 and 4 threads.
+/// The graph of (program, faults) from `init`, at 1 and 4 threads.
 void check_regenerated_rows(const Program& program, const FaultClass& faults,
-                            const Predicate& init, const Predicate& stop) {
+                            const Predicate& init) {
     const reference::RefTransitionSystem ref(program, &faults, init);
     for (const unsigned threads : {1u, 4u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         const TransitionSystem full(program, &faults, init, threads);
-        ASSERT_TRUE(full.complete());
         expect_fault_rows_match(full, ref);
-        ExploreOptions opts;
-        opts.n_threads = threads;
-        opts.stop_on = &stop;
-        const TransitionSystem frag(program, &faults, init, opts);
-        ASSERT_FALSE(frag.complete());
-        expect_fault_rows_match(frag, ref);
     }
 }
 
 TEST(FaultRowsOnDemandTest, BatchableFaultsMatchReference) {
     // corrupt-any: fault rows regenerated from guard-bitset probes.
     auto sys = apps::make_token_ring(4, 4);
-    check_regenerated_rows(sys.ring, sys.corrupt_any, sys.legitimate,
-                           !sys.legitimate);
+    check_regenerated_rows(sys.ring, sys.corrupt_any, sys.legitimate);
 }
 
 TEST(FaultRowsOnDemandTest, ScalarFaultsMatchReference) {
@@ -320,18 +303,13 @@ TEST(FaultRowsOnDemandTest, ScalarFaultsMatchReference) {
     for (std::uint64_t seed = 1; seed < 9; ++seed) {
         RandomSystem sys = random_system(seed);
         const Predicate init = Predicate::var_eq(*sys.space, "b", 1);
-        const Predicate stop = Predicate::var_eq(*sys.space, "b", 0);
-        const TransitionSystem probe(sys.program, &sys.faults, init, 1);
-        if (probe.first_bad_node(stop) == TransitionSystem::kNoNode) continue;
-        check_regenerated_rows(sys.program, sys.faults, init, stop);
+        check_regenerated_rows(sys.program, sys.faults, init);
     }
 }
 
 TEST(FaultRowsOnDemandTest, ByzantineMatchesReference) {
-    // Stops at the first state a fault made Byzantine (level >= 1).
     auto sys = apps::make_byzantine(4, 1);
-    check_regenerated_rows(sys.masking, sys.byzantine_fault, sys.no_byzantine,
-                           !sys.no_byzantine);
+    check_regenerated_rows(sys.masking, sys.byzantine_fault, sys.no_byzantine);
 }
 
 TEST(FaultRowsOnDemandTest, ResidentBytesCountNoFaultEdges) {
@@ -452,30 +430,19 @@ struct LineRuleSystem {
     }
 };
 
-/// Asserts `ts` is the reference exploration, or on an early exit its
-/// prefix: same nodes, roots and parents, the same program rows for every
-/// expanded node (empty for the unexpanded last level), and as many fault
-/// edges as the reference rows of the expanded nodes hold.
-void expect_reference_prefix(const TransitionSystem& ts,
-                             const reference::RefTransitionSystem& ref) {
-    ASSERT_LE(ts.num_nodes(), ref.num_nodes());
-    if (ts.complete()) {
-        ASSERT_EQ(ts.num_nodes(), ref.num_nodes());
-    }
+/// Asserts `ts` is the reference exploration: same nodes, roots and
+/// parents, the same program rows, and as many fault edges as the
+/// reference rows hold.
+void expect_reference_graph(const TransitionSystem& ts,
+                            const reference::RefTransitionSystem& ref) {
+    ASSERT_EQ(ts.num_nodes(), ref.num_nodes());
     ASSERT_EQ(ts.initial_nodes(), ref.initial_nodes());
-    std::size_t last_depth = 0;
-    for (NodeId n = 0; n < ts.num_nodes(); ++n)
-        last_depth = std::max(last_depth, ts.witness_path(n).size());
     std::uint64_t fault_edges = 0;
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         ASSERT_EQ(ts.state_of(n), ref.state_of(n)) << "node " << n;
         ASSERT_EQ(ts.raw_parent()[n], ref.parents()[n]) << "node " << n;
         ASSERT_EQ(ts.witness_path(n), ref.witness_path(n)) << "node " << n;
         const auto prog = ts.program_edges(n);
-        if (!ts.complete() && ts.witness_path(n).size() == last_depth) {
-            EXPECT_TRUE(prog.empty()) << "unexpanded node " << n;
-            continue;
-        }
         const auto& rprog = ref.program_edges(n);
         ASSERT_EQ(prog.size(), rprog.size()) << "node " << n;
         for (std::size_t i = 0; i < prog.size(); ++i) {
@@ -487,12 +454,11 @@ void expect_reference_prefix(const TransitionSystem& ts,
     EXPECT_EQ(ts.num_fault_edges(), fault_edges);
 }
 
-/// Explores `sys` from its init (stopping at `stop` when given) serially
-/// and on the forced parallel merge; both runs must be the reference
-/// exploration (prefix) with identical witness traces. The parallel merge
-/// makes no marks on its parallel levels, so it skips less.
-void check_line_rule(const LineRuleSystem& sys,
-                     const Predicate* stop = nullptr) {
+/// Explores `sys` from its init serially and on the forced parallel merge;
+/// both runs must be the reference exploration with identical witness
+/// traces. The parallel merge makes no marks on its parallel levels, so it
+/// skips less.
+void check_line_rule(const LineRuleSystem& sys) {
     const Predicate init = sys.init();
     const reference::RefTransitionSystem ref(sys.program, &sys.faults, init);
     obs::set_enabled(true);
@@ -503,12 +469,9 @@ void check_line_rule(const LineRuleSystem& sys,
         const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
                              parallel ? "1" : nullptr);
         obs::Registry::global().reset();
-        ExploreOptions opts;
-        opts.n_threads = parallel ? 4 : 1;
-        opts.stop_on = stop;
-        const TransitionSystem ts(sys.program, &sys.faults, init, opts);
-        EXPECT_EQ(ts.complete(), stop == nullptr);
-        expect_reference_prefix(ts, ref);
+        const TransitionSystem ts(sys.program, &sys.faults, init,
+                                  parallel ? 4u : 1u);
+        expect_reference_graph(ts, ref);
         std::vector<std::vector<WitnessStep>> traces;
         for (NodeId n = 0; n < ts.num_nodes(); ++n)
             traces.push_back(ts.witness_trace(n));
@@ -552,19 +515,6 @@ TEST(LineRuleTest, OverlappingCorruptAnyFaultsAndAChoiceFault) {
     check_line_rule(sys);
 }
 
-TEST(LineRuleTest, EarlyExitFragment) {
-    // Stops a few levels in, after lines have been marked: the fragment is
-    // still the reference's prefix.
-    LineRuleSystem sys;
-    sys.faults.add_action(Action::corrupt_any(
-        *sys.space, "corrupt", Predicate::vars_ne(*sys.space, sys.p, sys.q),
-        {sys.p, sys.q}));
-    const Predicate stop = Predicate::var_eq(*sys.space, sys.p, 3) &&
-                           Predicate::var_eq(*sys.space, sys.q, 2) &&
-                           Predicate::var_eq(*sys.space, sys.w, 2);
-    check_line_rule(sys, &stop);
-}
-
 // ---------------------------------------------------------------------------
 // Guard bitsets bought at a level boundary, over a lazily committed direct
 // map. Explorations start on guard bytecode and buy the whole-space
@@ -582,14 +532,12 @@ struct PurchaseCounters {
                            const PurchaseCounters&) = default;
 };
 
-/// Explores (program, faults) from `init` (stopping at `stop` when given)
-/// in every configuration below, checks each run against the reference
-/// (its prefix on an early exit), and returns the purchase counters, which
-/// every configuration must share.
+/// Explores (program, faults) from `init` in every configuration below,
+/// checks each run against the reference, and returns the purchase
+/// counters, which every configuration must share.
 PurchaseCounters check_purchase(const Program& program,
                                 const FaultClass& faults,
-                                const Predicate& init,
-                                const Predicate* stop = nullptr) {
+                                const Predicate& init) {
     struct Config {
         const char* map_max;
         unsigned threads;
@@ -612,12 +560,8 @@ PurchaseCounters check_purchase(const Program& program,
         const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
                              c.threads > 1 ? "1" : nullptr);
         obs::Registry::global().reset();
-        ExploreOptions opts;
-        opts.n_threads = c.threads;
-        opts.stop_on = stop;
-        const TransitionSystem ts(program, &faults, init, opts);
-        EXPECT_EQ(ts.complete(), stop == nullptr);
-        expect_reference_prefix(ts, ref);
+        const TransitionSystem ts(program, &faults, init, c.threads);
+        expect_reference_graph(ts, ref);
         expect_fault_rows_match(ts, ref);
         std::vector<std::vector<WitnessStep>> traces;
         for (NodeId n = 0; n < ts.num_nodes(); ++n)
@@ -668,20 +612,6 @@ TEST(GuardBitsPurchaseTest, BoughtMidRunTokenRing) {
     EXPECT_EQ(c.levels_before_guard_bits, 1u);
     EXPECT_GT(c.levels, c.levels_before_guard_bits);
     EXPECT_EQ(c.guard_bits_built, sys.ring.num_actions() + 1);
-}
-
-TEST(GuardBitsPurchaseTest, EarlyExitBeforeThePurchase) {
-    // The first fault step leaves the legitimate states, so the stop
-    // predicate fires on level 0's successors, before the purchase. The
-    // fragment's node count still pays for the kept fault kernel's one
-    // bitset.
-    auto sys = apps::make_token_ring(6, 6);
-    const Predicate stop = !sys.legitimate;
-    const PurchaseCounters c =
-        check_purchase(sys.ring, sys.corrupt_any, sys.legitimate, &stop);
-    EXPECT_EQ(c.levels, 1u);
-    EXPECT_EQ(c.levels_before_guard_bits, 1u);
-    EXPECT_EQ(c.guard_bits_built, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@
 // intersection of workload names must be non-empty — an empty overlap
 // means the series drifted apart and the gate would silently pass, so it
 // is treated as failure. Workloads present on only one side are listed
-// but do not fail the gate (benchmark sets may grow).
+// but do not fail the gate (benchmark sets may grow). An unreadable or
+// malformed input exits 2.
 //
 // The ctest smoke target wires this as:
 //   bench_verifier --smoke --json=BENCH_verifier.smoke.json
@@ -23,211 +24,24 @@
 //
 // --json-out=FILE additionally writes a machine-readable summary in the
 // shared dcft.report envelope (kind "bench_compare"): the per-workload
-// base/cand/ratio/regressed rows plus the gate verdict. The tool stays
-// standalone (no dcft dependency) so it can run against committed
-// artifacts on machines without a build tree; the envelope fields are
-// kept in sync with obs/run_report.hpp by report_check.
-//
-// The parser below handles exactly the JSON subset our writer emits
-// (objects, arrays, strings without surrogate escapes, numbers, bools,
-// null) — no external dependency.
-#include <cctype>
-#include <cmath>
+// base/cand/ratio/regressed rows plus the gate verdict. Both directions
+// go through the shared JSON code (obs/json.hpp, obs/run_report.hpp).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+#include "obs/run_report.hpp"
+#include "verify/spill.hpp"
+
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader.
-
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::shared_ptr<JsonArray> array;
-    std::shared_ptr<JsonObject> object;
-
-    const JsonValue* find(const std::string& key) const {
-        if (kind != Kind::kObject) return nullptr;
-        const auto it = object->find(key);
-        return it == object->end() ? nullptr : &it->second;
-    }
-};
-
-class JsonParser {
-public:
-    explicit JsonParser(const std::string& text) : text_(text) {}
-
-    bool parse(JsonValue& out, std::string& error) {
-        pos_ = 0;
-        if (!value(out)) {
-            error = error_ + " (at byte " + std::to_string(pos_) + ")";
-            return false;
-        }
-        skip_ws();
-        if (pos_ != text_.size()) {
-            error = "trailing content at byte " + std::to_string(pos_);
-            return false;
-        }
-        return true;
-    }
-
-private:
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool fail(const std::string& msg) {
-        if (error_.empty()) error_ = msg;
-        return false;
-    }
-
-    bool literal(const char* word, JsonValue& out, JsonValue::Kind k,
-                 bool b) {
-        const std::size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) != 0)
-            return fail(std::string("expected ") + word);
-        pos_ += len;
-        out.kind = k;
-        out.boolean = b;
-        return true;
-    }
-
-    bool string_token(std::string& out) {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"') return true;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size()) return fail("bad escape");
-            const char e = text_[pos_++];
-            switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
-                case 'u': {
-                    if (pos_ + 4 > text_.size()) return fail("bad \\u");
-                    // ASCII-only \uXXXX is enough for our writer; anything
-                    // else is preserved as '?' (names never contain it).
-                    const std::string hex = text_.substr(pos_, 4);
-                    pos_ += 4;
-                    const long cp = std::strtol(hex.c_str(), nullptr, 16);
-                    out.push_back(cp < 0x80 ? static_cast<char>(cp) : '?');
-                    break;
-                }
-                default: return fail("bad escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool value(JsonValue& out) {
-        skip_ws();
-        if (pos_ >= text_.size()) return fail("unexpected end of input");
-        const char c = text_[pos_];
-        if (c == 'n') return literal("null", out, JsonValue::Kind::kNull, false);
-        if (c == 't') return literal("true", out, JsonValue::Kind::kBool, true);
-        if (c == 'f')
-            return literal("false", out, JsonValue::Kind::kBool, false);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::kString;
-            return string_token(out.string);
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::Kind::kArray;
-            out.array = std::make_shared<JsonArray>();
-            skip_ws();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                JsonValue elem;
-                if (!value(elem)) return false;
-                out.array->push_back(std::move(elem));
-                skip_ws();
-                if (pos_ >= text_.size()) return fail("unterminated array");
-                const char d = text_[pos_++];
-                if (d == ']') return true;
-                if (d != ',') return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::Kind::kObject;
-            out.object = std::make_shared<JsonObject>();
-            skip_ws();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skip_ws();
-                std::string key;
-                if (!string_token(key)) return false;
-                skip_ws();
-                if (pos_ >= text_.size() || text_[pos_++] != ':')
-                    return fail("expected ':'");
-                JsonValue elem;
-                if (!value(elem)) return false;
-                (*out.object)[key] = std::move(elem);
-                skip_ws();
-                if (pos_ >= text_.size()) return fail("unterminated object");
-                const char d = text_[pos_++];
-                if (d == '}') return true;
-                if (d != ',') return fail("expected ',' or '}'");
-            }
-        }
-        // Number.
-        const std::size_t start = pos_;
-        if (text_[pos_] == '-') ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        if (pos_ == start) return fail("expected value");
-        out.kind = JsonValue::Kind::kNumber;
-        out.number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                                 nullptr);
-        return true;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
-
-// ---------------------------------------------------------------------------
-// Series extraction.
+using dcft::obs::JsonValue;
+using dcft::obs::JsonWriter;
 
 bool load_best_ms(const std::string& path,
                   std::map<std::string, double>& out) {
@@ -238,43 +52,35 @@ bool load_best_ms(const std::string& path,
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
 
-    JsonValue root;
     std::string error;
-    if (!JsonParser(text).parse(root, error)) {
+    const auto root = dcft::obs::parse_json(buf.str(), &error);
+    if (!root) {
         std::fprintf(stderr, "bench_compare: %s: parse error: %s\n",
                      path.c_str(), error.c_str());
         return false;
     }
-    // The series may be wrapped in the dcft.report envelope ({"dcft": ...,
-    // "body": {...}}) or be the bare bench object; accept both.
-    const JsonValue* body = root.find("body");
-    if (body == nullptr) body = &root;
-    const JsonValue* workloads = body->find("workloads");
-    if (workloads == nullptr || workloads->kind != JsonValue::Kind::kArray) {
+    const JsonValue* workloads =
+        root->find("workloads", JsonValue::Kind::Array);
+    if (workloads == nullptr) {
         std::fprintf(stderr, "bench_compare: %s: no workloads array\n",
                      path.c_str());
         return false;
     }
-    for (const JsonValue& w : *workloads->array) {
-        const JsonValue* name = w.find("name");
-        const JsonValue* best = w.find("best_ms");
-        if (name == nullptr || name->kind != JsonValue::Kind::kString ||
-            best == nullptr || best->kind != JsonValue::Kind::kNumber) {
+    for (const JsonValue& w : workloads->as_array()) {
+        const JsonValue* name = w.find("name", JsonValue::Kind::String);
+        const JsonValue* best = w.find("best_ms", JsonValue::Kind::Number);
+        if (name == nullptr || best == nullptr) {
             std::fprintf(stderr,
                          "bench_compare: %s: workload without "
                          "name/best_ms\n",
                          path.c_str());
             return false;
         }
-        out[name->string] = best->number;
+        out[name->as_string()] = best->as_number();
     }
     return true;
 }
-
-// ---------------------------------------------------------------------------
-// JSON summary (dcft.report envelope, kind "bench_compare").
 
 /// One comparison row. Workloads on only one side have base_ms or cand_ms
 /// < 0 (emitted as null).
@@ -286,74 +92,44 @@ struct Row {
     bool regressed = false;
 };
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    return out;
-}
-
-/// Mirrors obs::begin_envelope's field layout without linking dcft — this
-/// tool must stay runnable against committed artifacts on any machine.
+/// The --json-out summary: the dcft.report envelope (kind
+/// "bench_compare") around the gate's settings, rows and verdict.
 bool write_json_report(const std::string& path, const std::string& command,
                        const std::string& baseline_path,
                        const std::string& candidate_path, double tolerance_pct,
                        double min_delta_ms, const std::vector<Row>& rows,
                        std::size_t compared, std::size_t regressions) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return false;
-    out << "{\n";
-    out << "  \"schema\": \"dcft.report\",\n";
-    out << "  \"schema_version\": 1,\n";
-    out << "  \"kind\": \"bench_compare\",\n";
-    out << "  \"tool\": \"bench_compare\",\n";
-    out << "  \"command\": \"" << json_escape(command) << "\",\n";
-    out << "  \"baseline\": \"" << json_escape(baseline_path) << "\",\n";
-    out << "  \"candidate\": \"" << json_escape(candidate_path) << "\",\n";
-    out << "  \"tolerance_pct\": " << tolerance_pct << ",\n";
-    out << "  \"min_delta_ms\": " << min_delta_ms << ",\n";
-    out << "  \"workloads\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        out << (i > 0 ? "," : "") << "\n    {\"name\": \""
-            << json_escape(r.name) << "\", \"base_ms\": ";
-        if (r.base_ms < 0.0)
-            out << "null";
-        else
-            out << r.base_ms;
-        out << ", \"cand_ms\": ";
-        if (r.cand_ms < 0.0)
-            out << "null";
-        else
-            out << r.cand_ms;
-        out << ", \"ratio\": ";
-        if (r.base_ms < 0.0 || r.cand_ms < 0.0)
-            out << "null";
-        else
-            out << r.ratio;
-        out << ", \"regressed\": " << (r.regressed ? "true" : "false") << "}";
+    JsonWriter w;
+    dcft::obs::begin_envelope(w, "bench_compare", "bench_compare", command);
+    w.kv("baseline", baseline_path);
+    w.kv("candidate", candidate_path);
+    w.kv("tolerance_pct", tolerance_pct);
+    w.kv("min_delta_ms", min_delta_ms);
+    w.key("workloads");
+    w.begin_array();
+    for (const Row& r : rows) {
+        const bool both = r.base_ms >= 0.0 && r.cand_ms >= 0.0;
+        w.begin_object();
+        w.kv("name", r.name);
+        w.key("base_ms");
+        r.base_ms < 0.0 ? w.null() : w.value(r.base_ms);
+        w.key("cand_ms");
+        r.cand_ms < 0.0 ? w.null() : w.value(r.cand_ms);
+        w.key("ratio");
+        both ? w.value(r.ratio) : w.null();
+        w.kv("regressed", r.regressed);
+        w.end_object();
     }
-    out << "\n  ],\n";
-    out << "  \"summary\": {\"compared\": " << compared
-        << ", \"regressions\": " << regressions
-        << ", \"ok\": " << (compared > 0 && regressions == 0 ? "true" : "false")
-        << "}\n";
-    out << "}\n";
+    w.end_array();
+    w.key("summary");
+    w.begin_object();
+    w.kv("compared", static_cast<std::uint64_t>(compared));
+    w.kv("regressions", static_cast<std::uint64_t>(regressions));
+    w.kv("ok", compared > 0 && regressions == 0);
+    w.end_object();
+    w.end_object();
+    std::ofstream out(path, std::ios::binary);
+    out << w.str() << '\n';
     return out.good();
 }
 
@@ -395,19 +171,14 @@ int main(int argc, char** argv) {
     }
 
     // The regression gate compares against a baseline recorded in the
-    // *default* configuration. Oracle/diagnostic env modes deliberately
-    // trade speed for checking (out-of-core storage, no cache), so
-    // comparing under them would only ever report the mode's own
-    // overhead.
-    for (const char* flag : {"DCFT_SPILL", "DCFT_NO_EXPLORE_CACHE"}) {
-        const char* v = std::getenv(flag);
-        if (v != nullptr && *v != '\0' && std::string(v) != "0") {
-            std::printf(
-                "bench_compare: %s is set — perf gate skipped (only "
-                "meaningful in the default configuration)\n",
-                flag);
-            return 0;
-        }
+    // *default* configuration. Out-of-core storage deliberately trades
+    // speed for residency, so comparing under it would only ever report
+    // the mode's own overhead.
+    if (dcft::spill_enabled()) {
+        std::printf(
+            "bench_compare: DCFT_SPILL is set — perf gate skipped (only "
+            "meaningful in the default configuration)\n");
+        return 0;
     }
 
     std::map<std::string, double> baseline, candidate;

@@ -9,9 +9,9 @@
 //
 // Default mode runs a campaign: for each derived program seed, generate a
 // random guarded-command system, run the full differential oracle matrix
-// (reference vs CSR exploration, 1 vs N threads, early exit on the
-// parallel merge vs the full graph, cache vs bypass, sparse vs direct
-// interner, optimized vs reference verdict pipelines,
+// (reference vs CSR exploration, 1 vs N threads, cached vs fresh
+// graphs, sparse vs direct interner, optimized vs reference verdict
+// pipelines,
 // simulator traces vs explored graphs, witness replay, offline trace
 // checking), and on divergence minimize the program with the
 // delta-debugging shrinker and write the reproducer into --corpus-dir.

@@ -266,7 +266,6 @@ std::size_t check_timeline(const JsonValue& doc, double* fault_edges) {
         check_nonneg_number(tl, "id");
         check_nonneg_number(tl, "space_states");
         check_nonneg_number(tl, "total_ns");
-        member(tl, "complete", JsonValue::Kind::Bool);
         member(tl, "spilled", JsonValue::Kind::Bool);
         const auto& levels =
             member(tl, "levels", JsonValue::Kind::Array).as_array();
