@@ -787,7 +787,7 @@ int emit_json(const std::string& path, bool smoke, bool large, bool huge,
         {
             // Interner ablation: the same fault-closed exploration with
             // the direct-mapped tier (default) and with the sparse
-            // sharded table forced via DCFT_DIRECT_MAP_MAX=1024.
+            // table forced via DCFT_DIRECT_MAP_MAX=1024.
             std::printf("large: interner sparse-vs-direct n=7 ...\n");
             auto sys = apps::make_token_ring(7, 7);
             ws.push_back(bench_large_ts_build(
@@ -799,7 +799,7 @@ int emit_json(const std::string& path, bool smoke, bool large, bool huge,
             ws.push_back(bench_large_ts_build(
                 "large/ts_build/token_ring_n7_faults_sparse",
                 "token ring (n=7, K=7), corrupt-any faults from the "
-                "legitimate states, sparse sharded interner "
+                "legitimate states, sparse interner "
                 "(DCFT_DIRECT_MAP_MAX=1024)",
                 sys.ring, &sys.corrupt_any, sys.legitimate, threads));
             unsetenv("DCFT_DIRECT_MAP_MAX");

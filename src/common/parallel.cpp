@@ -63,28 +63,6 @@ unsigned parallel_chunk_count(std::uint64_t total, unsigned n_threads,
     return static_cast<unsigned>(std::max<std::uint64_t>(chunks, 1));
 }
 
-void parallel_each(unsigned count, const std::function<void(unsigned)>& fn) {
-    if (count <= 1) {
-        if (count == 1) fn(0);
-        return;
-    }
-    std::vector<std::exception_ptr> errors(count);
-    std::vector<std::thread> workers;
-    workers.reserve(count);
-    for (unsigned c = 0; c < count; ++c) {
-        workers.emplace_back([&, c] {
-            try {
-                fn(c);
-            } catch (...) {
-                errors[c] = std::current_exception();
-            }
-        });
-    }
-    for (auto& t : workers) t.join();
-    for (const auto& err : errors)
-        if (err) std::rethrow_exception(err);
-}
-
 void parallel_chunks(
     std::uint64_t total, unsigned n_threads, std::uint64_t align,
     const std::function<void(unsigned, std::uint64_t, std::uint64_t)>& fn) {
@@ -97,11 +75,23 @@ void parallel_chunks(
     // chunks never share a word when writing into bit vectors.
     std::uint64_t len = (total + chunks - 1) / chunks;
     len = ((len + align - 1) / align) * align;
-    parallel_each(chunks, [&](unsigned c) {
-        const std::uint64_t begin = std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(c) * len, total);
-        fn(c, begin, std::min<std::uint64_t>(begin + len, total));
-    });
+    std::vector<std::exception_ptr> errors(chunks);
+    std::vector<std::thread> workers;
+    workers.reserve(chunks);
+    for (unsigned c = 0; c < chunks; ++c) {
+        workers.emplace_back([&, c] {
+            const std::uint64_t begin = std::min<std::uint64_t>(
+                static_cast<std::uint64_t>(c) * len, total);
+            try {
+                fn(c, begin, std::min<std::uint64_t>(begin + len, total));
+            } catch (...) {
+                errors[c] = std::current_exception();
+            }
+        });
+    }
+    for (auto& t : workers) t.join();
+    for (const auto& err : errors)
+        if (err) std::rethrow_exception(err);
 }
 
 }  // namespace dcft

@@ -39,14 +39,6 @@ void parallel_chunks(
     const std::function<void(unsigned chunk, std::uint64_t begin,
                              std::uint64_t end)>& fn);
 
-/// Invokes fn(i) for every i in [0, count) on one worker thread per index
-/// — concurrently when count > 1, inline otherwise. For passes whose items
-/// are the chunks of an earlier parallel_chunks() call: each keeps a worker
-/// of its own however little work it holds (parallel_chunks would fold a
-/// handful of items into one inline chunk). Same write and exception
-/// contract as parallel_chunks.
-void parallel_each(unsigned count, const std::function<void(unsigned)>& fn);
-
 /// Number of chunks parallel_chunks() will use for the given arguments —
 /// callers size their per-chunk buffer arrays with this.
 unsigned parallel_chunk_count(std::uint64_t total, unsigned n_threads,

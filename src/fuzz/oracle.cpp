@@ -322,15 +322,10 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     if (auto d = first_graph_difference(ref, ts1))
         out.push_back({"graph/ref-vs-csr", *d});
 
-    // Fuzz programs stay far below the production work threshold, so the
-    // N-thread build lowers it to 1: every level then runs the parallel
-    // merge (chunked expansion, min-chunk-wins claims, publish, edge
-    // write), checked against the serial BFS.
-    const TransitionSystem tsN = [&] {
-        const EnvGuard merge_all("DCFT_PARALLEL_WORK_MIN", "1");
-        return TransitionSystem(sys.program, faults, sys.init,
-                                std::max(options.threads, 2u));
-    }();
+    // The thread count must reach no output: the N-thread graph is the
+    // serial one, node for node and edge for edge.
+    const TransitionSystem tsN(sys.program, faults, sys.init,
+                               std::max(options.threads, 2u));
     if (auto d = first_ts_difference(ts1, tsN))
         out.push_back({"graph/threads-1-vs-N", *d});
 
@@ -440,9 +435,8 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
 
     // -- interner oracle ---------------------------------------------------
     {
-        // A tiny DCFT_DIRECT_MAP_MAX forces the sparse sharded interner at
-        // every size; the graph must stay bit-identical, serial and
-        // chunked alike.
+        // A tiny DCFT_DIRECT_MAP_MAX forces the sparse interner at every
+        // size; the graph must stay bit-identical at 1 and N threads.
         const EnvGuard tiny_map("DCFT_DIRECT_MAP_MAX", "64");
         const TransitionSystem sparse1(sys.program, faults, sys.init, 1);
         if (auto d = first_ts_difference(ts1, sparse1))
@@ -456,15 +450,13 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
 
     // -- verdict oracles ---------------------------------------------------
     {
-        // check_unreachable on the forced parallel merge, from a cleared
-        // cache, vs the canonical scan of the serial graph: same verdict,
-        // same message, same witness trace, and the witness replays.
+        // check_unreachable at N threads, from a cleared cache, vs the
+        // canonical scan of the serial graph: same verdict, same message,
+        // same witness trace, and the witness replays.
         ExplorationCache::global().clear();
-        const CheckResult a = [&] {
-            const EnvGuard merge_all("DCFT_PARALLEL_WORK_MIN", "1");
-            return check_unreachable(sys.program, faults, sys.init, sys.bad,
-                                     std::max(options.threads, 2u));
-        }();
+        const CheckResult a =
+            check_unreachable(sys.program, faults, sys.init, sys.bad,
+                              std::max(options.threads, 2u));
         ExplorationCache::global().clear();
         const NodeId bn = ts1.first_bad_node(sys.bad);
         const bool reachable = bn != TransitionSystem::kNoNode;

@@ -36,8 +36,8 @@
 //                               cleared, get_or_build serves the adopted
 //                               snapshot and it equals the fresh build.
 //   interner/sparse-vs-direct   exploration under DCFT_DIRECT_MAP_MAX=64
-//                               (sparse sharded interner forced at every
-//                               size, serial and chunked) vs the default
+//                               (sparse interner forced at every size,
+//                               at 1 and N threads) vs the default
 //                               direct-mapped tier.
 //   tolerance/presence-vs-refines
 //                               for fail-safe and masking, check_tolerance's
@@ -61,11 +61,11 @@
 //                               obligation holds; a finite distance comes
 //                               with a replayable witness carrying exactly
 //                               `distance` fault steps.
-//   verdict/unreachable         check_unreachable at N threads on the
-//                               forced parallel merge, from a cleared
-//                               exploration cache, vs first_bad_node on
-//                               the serial graph: ok flag, reason and
-//                               witness trace; the witness replays.
+//   verdict/unreachable         check_unreachable at N threads, from a
+//                               cleared exploration cache, vs
+//                               first_bad_node on the serial graph: ok
+//                               flag, reason and witness trace; the
+//                               witness replays.
 //   verdict/closed|reachable|converges|refines|refines-with-faults|
 //   verdict/tolerance           the optimized verdict pipeline vs the
 //                               ref_* reference pipeline (ok flags, state

@@ -123,10 +123,6 @@ void write_timeline(JsonWriter& w) {
             w.kv("program_edges", ls.program_edges);
             w.kv("fault_edges", ls.fault_edges);
             w.kv("level_ns", ls.level_ns);
-            w.kv("expand_claim_ns", ls.expand_claim_ns);
-            w.kv("claim_filter_ns", ls.claim_filter_ns);
-            w.kv("publish_ns", ls.publish_ns);
-            w.kv("edge_write_ns", ls.edge_write_ns);
             w.kv("rss_bytes", ls.rss_bytes);
             w.kv("spill_bytes", ls.spill_bytes);
             w.kv("spill_released_bytes", ls.spill_released_bytes);

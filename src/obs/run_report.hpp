@@ -15,9 +15,8 @@
 //                     "id", "space_states", "total_ns", "spilled",
 //                     "levels": [ {            // one row per BFS level
 //                       "level", "frontier", "new_nodes", "program_edges",
-//                       "fault_edges", "level_ns", "expand_claim_ns",
-//                       "claim_filter_ns", "publish_ns", "edge_write_ns",
-//                       "rss_bytes", "spill_bytes", "spill_released_bytes",
+//                       "fault_edges", "level_ns", "rss_bytes",
+//                       "spill_bytes", "spill_released_bytes",
 //                       "parallel", "chunks" }, ... ] }, ... ],
 //     "telemetry": {
 //       "enabled": true,

@@ -3,7 +3,7 @@
 // Where the timers of obs/telemetry.hpp record *aggregates* (accumulated
 // span nanos), this layer records *ordered events* — begin/end spans and
 // instant markers with nanosecond timestamps and a lane (thread) id — so
-// questions like "which merge phase stalls at level 190?" become a
+// questions like "which BFS level stalls, and on which lane?" become a
 // timeline instead of a guess. Events are recorded by the primitives of
 // obs/telemetry.hpp, never directly: obs::Span emits a begin/end pair
 // named after its timer path, obs::instant a marker. So every timed phase
@@ -17,11 +17,12 @@
 //     use, so a recorded event stores a 4-byte id, never a string.
 //   * Each OS thread appends to a lane: a fixed-capacity event buffer it
 //     owns exclusively (size is published with a release store; snapshots
-//     read it with acquire). The BFS merge spawns short-lived workers every
-//     level, so lanes are pooled — a thread leases a lane on its first
-//     event and returns it at thread exit, keeping memory bounded by the
-//     peak thread count, not the thread-spawn count, and giving the export
-//     stable per-worker lanes.
+//     read it with acquire). Parallel passes (fills, the identity sweep,
+//     liveness) spawn short-lived workers on every call, so lanes are
+//     pooled — a thread leases a lane on its first event and returns it
+//     at thread exit, keeping memory bounded by the peak thread count,
+//     not the thread-spawn count, and giving the export stable per-worker
+//     lanes.
 //   * Overflow never blocks and never reallocates: once a lane is full,
 //     further events are dropped and counted. The per-lane drop counts are
 //     summed into the `obs/trace/dropped` telemetry counter at snapshot
@@ -119,14 +120,10 @@ struct LevelStat {
     std::uint64_t program_edges = 0;   ///< Program transitions written.
     std::uint64_t fault_edges = 0;     ///< Fault transitions written.
     std::uint64_t level_ns = 0;        ///< Wall time for the whole level.
-    std::uint64_t expand_claim_ns = 0; ///< Parallel merge phase breakdown…
-    std::uint64_t claim_filter_ns = 0;
-    std::uint64_t publish_ns = 0;
-    std::uint64_t edge_write_ns = 0;   ///< …all 0 on the serial path.
     std::uint64_t rss_bytes = 0;       ///< Resident set after the level (0 if unknown).
     std::uint64_t spill_bytes = 0;     ///< Cumulative bytes in spill files.
     std::uint64_t spill_released_bytes = 0;  ///< Cumulative bytes returned to the OS.
-    bool parallel = false;             ///< Took the two-pass parallel merge.
+    bool parallel = false;             ///< A chunked identity sweep.
     std::uint64_t chunks = 1;          ///< Worker chunks (1 on serial levels).
 };
 

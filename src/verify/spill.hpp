@@ -18,7 +18,7 @@
 //     overwrite every byte immediately after).
 //   * Spill mode (enable_spill() while empty): an *unlinked* temporary
 //     file mapped MAP_SHARED. Once a prefix of the array is sealed (its
-//     BFS level fully merged), release_prefix() drops those pages from
+//     BFS level fully written), release_prefix() drops those pages from
 //     the process with madvise(MADV_DONTNEED) — for a shared file
 //     mapping this is purely an RSS hint: dirty pages migrate to the
 //     page cache (and eventually disk), and any later read faults them

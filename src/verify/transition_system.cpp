@@ -3,8 +3,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <new>
 #include <utility>
 
@@ -22,9 +20,9 @@ namespace dcft {
 namespace {
 
 /// Largest space for which the interner is a direct-mapped NodeId array
-/// (4 bytes per state of the *whole* space). Beyond this the sharded
-/// sparse table takes over. Overridable via DCFT_DIRECT_MAP_MAX so the
-/// sparse path is exercisable (tests, fuzzing, benches) at any size.
+/// (4 bytes per state of the *whole* space). Beyond this the sparse
+/// open-addressing table takes over. Overridable via DCFT_DIRECT_MAP_MAX so
+/// the sparse path is exercisable (tests, fuzzing, benches) at any size.
 constexpr StateIndex kDefaultDirectMapMax = StateIndex{1} << 25;
 
 StateIndex direct_map_max() {
@@ -33,28 +31,15 @@ StateIndex direct_map_max() {
     return kDefaultDirectMapMax;
 }
 
-/// Levels whose *work* — frontier size × total action count — falls below
-/// this stay on the fused serial path even when multiple workers are
-/// available: the staging buffers, claim traffic, and chunk dispatch of
-/// the parallel merge cost more than the expansion itself. The old
-/// heuristic thresholded on frontier size alone (16384 states), which let
-/// medium levels with few actions go parallel and regress 1.7–2.4×
-/// (token_ring n6/n7 ts_build at 2 threads in BENCH_verifier.json); a
-/// work-based threshold keeps them serial while still parallelizing
-/// genuinely large levels (token_ring n8: 1.3e8 work units). Recorded in
-/// telemetry as the gauge verify/explore/parallel_threshold; the count of
-/// levels under it (verify/explore/levels_below_threshold) is a function
-/// of the canonical BFS and the program only — never of the worker
-/// budget — hence identical for every thread count.
+/// Work floor of the chunked identity sweep: a sweep whose work — states
+/// × total action count — reaches this runs as two deterministic passes
+/// over one chunk per worker; smaller sweeps, and every frontier level,
+/// run on one thread. Recorded in telemetry as the gauge
+/// verify/explore/parallel_threshold; the levels expanded on one thread
+/// (verify/explore/levels_below_threshold) are counted by the work rule,
+/// not by the worker budget, so the count is identical for every thread
+/// count.
 constexpr std::uint64_t kParallelWorkMin = std::uint64_t{1} << 23;
-
-/// The effective threshold: DCFT_PARALLEL_WORK_MIN overrides the default,
-/// so tests can force the parallel merge onto workloads far below the
-/// production cutoff (mirrors DCFT_DIRECT_MAP_MAX for the interner tiers).
-std::uint64_t parallel_work_min() {
-    if (const auto v = env_positive_u64("DCFT_PARALLEL_WORK_MIN")) return *v;
-    return kParallelWorkMin;
-}
 
 /// Segment length (states) of the identity sweep when spilling: after
 /// each segment the sealed CSR/offset/node prefixes are advised out of
@@ -69,30 +54,6 @@ constexpr std::size_t kExpandBlock = 64;
 /// Cap on speculative reserve() sizing (states) so pathological spaces do
 /// not pre-allocate unbounded memory.
 constexpr std::size_t kReserveCap = std::size_t{1} << 22;
-
-/// Claim markers of the parallel merge: chunk c writes kClaimBase + c into
-/// an interner slot to tentatively own a newly discovered state. Real node
-/// ids must stay below kClaimBase (checked per level); kNoNode (all-ones)
-/// is "absent" and compares greater than every marker.
-constexpr NodeId kClaimBase = 0xFFFF0000u;
-
-/// Chunk-private buffers produced by one worker for one slice of a BFS
-/// level. For each node of the slice, in order: `counts` holds
-/// (#program successors, #fault successors) and `recs` holds those
-/// successors contiguously — program records first, then fault records,
-/// each as (action index, target state). Fault records only feed the
-/// claims: no fault edge is written. `claims` holds the (target,
-/// parent) pairs this chunk tentatively claimed, in first-local-occurrence
-/// order — after the filter pass this is exactly the canonical new-node
-/// subsequence the chunk contributes.
-struct ChunkBuf {
-    std::vector<CompiledActionSet::Rec> recs;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> counts;
-    std::vector<std::pair<StateIndex, NodeId>> claims;
-    std::uint64_t prog_total = 0;   ///< program records in recs
-    std::uint64_t fault_total = 0;  ///< fault records in recs
-    std::uint64_t begin = 0;        ///< slice start within the level
-};
 
 /// The rent-or-buy rule for whole-space guard bitsets. Filling one costs
 /// |space| / 64 word operations; evaluating the guard bytecode costs one
@@ -152,36 +113,26 @@ struct TransitionSystem::FaultKernel {
 // ---------------------------------------------------------------------------
 // SparseNodeTable: the interner tier for spaces beyond DCFT_DIRECT_MAP_MAX.
 //
-// An open-addressing (linear probing) table sharded by a splitmix64
-// fingerprint of the packed state index: the low bits of the fingerprint
-// select one of 64 shards, the high bits the probe start inside the shard.
-// Keys are stored biased by one (0 = empty slot) so membership needs no
-// separate occupancy bitmap; values are NodeIds — or, transiently during
-// the parallel merge's claim phase, kClaimBase+chunk markers.
+// One open-addressing (linear probing) table; a splitmix64 fingerprint of
+// the packed state index picks the probe start. Keys are stored biased by
+// one (0 = empty slot) so membership needs no separate occupancy bitmap;
+// values are NodeIds.
 //
-// Concurrency contract, phase by phase:
-//   * serial exploration path: find_or_insert, single-threaded, lock-free;
-//   * claim phase (parallel):  claim() under a per-shard mutex — the only
-//     phase that inserts, so growth is confined here;
-//   * filter/publish phases:   keys are frozen; find() is a lock-free
-//     read and publish() overwrites only the caller-owned value slot;
-//   * consumers (has_state, node_of, edge resolution): find(), lock-free.
+// Inserts (find_or_insert) come only from the exploration's one thread;
+// once it is built, find() is a lock-free read for every consumer
+// (has_state, node_of, fault-row resolution).
 class SparseNodeTable {
 public:
-    static constexpr unsigned kShardBits = 6;
-    static constexpr std::size_t kNumShards = std::size_t{1} << kShardBits;
-
-    /// Sizes every shard for ~`expected` total entries (load factor 0.7)
-    /// up front — the reserve that keeps large explorations from
-    /// rehashing level after level.
+    /// Sizes the table for ~`expected` entries (load factor 0.7) up front
+    /// — the reserve that keeps large explorations from rehashing level
+    /// after level.
     explicit SparseNodeTable(std::size_t expected) {
-        const std::size_t per_shard = expected / kNumShards + 1;
-        for (Shard& sh : shards_) sh.rehash(slots_for(per_shard));
+        rehash(slots_for(expected));
     }
 
     static std::uint64_t fingerprint(StateIndex s) {
         // splitmix64 finalizer: full-avalanche, cheap, and stable — the
-        // shard/probe layout is a pure function of the state index.
+        // probe layout is a pure function of the state index.
         std::uint64_t z =
             static_cast<std::uint64_t>(s) + 0x9E3779B97F4A7C15ULL;
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -190,131 +141,49 @@ public:
     }
 
     /// Lock-free lookup (no concurrent inserts allowed). kNoNode if
-    /// absent; during the merge the returned value may be a claim marker.
+    /// absent.
     NodeId find(StateIndex s) const {
-        const std::uint64_t h = fingerprint(s);
-        const Shard& sh = shards_[h & (kNumShards - 1)];
         const std::uint64_t key = static_cast<std::uint64_t>(s) + 1;
-        std::size_t i = (h >> kShardBits) & sh.mask;
+        std::size_t i = fingerprint(s) & mask_;
         for (;;) {
-            const std::uint64_t k = sh.keys[i];
-            if (k == key) return sh.vals[i];
+            const std::uint64_t k = keys_[i];
+            if (k == key) return vals_[i];
             if (k == 0) return TransitionSystem::kNoNode;
-            i = (i + 1) & sh.mask;
+            i = (i + 1) & mask_;
         }
     }
 
     /// Serial find-or-insert: returns the resident id, or installs `id`
     /// and returns it. Single-threaded callers only.
     NodeId find_or_insert(StateIndex s, NodeId id) {
-        const std::uint64_t h = fingerprint(s);
-        Shard& sh = shards_[h & (kNumShards - 1)];
-        maybe_grow(sh);
+        if ((size_ + 1) * 10 >= (mask_ + 1) * 7) {
+            rehash((mask_ + 1) * 2);
+            ++resizes_;
+        }
         const std::uint64_t key = static_cast<std::uint64_t>(s) + 1;
-        std::size_t i = (h >> kShardBits) & sh.mask;
+        std::size_t i = fingerprint(s) & mask_;
         for (;;) {
-            ++sh.probes;
-            const std::uint64_t k = sh.keys[i];
-            if (k == key) return sh.vals[i];
+            ++probes_;
+            const std::uint64_t k = keys_[i];
+            if (k == key) return vals_[i];
             if (k == 0) {
-                sh.keys[i] = key;
-                sh.vals[i] = id;
-                ++sh.size;
+                keys_[i] = key;
+                vals_[i] = id;
+                ++size_;
                 return id;
             }
-            i = (i + 1) & sh.mask;
+            i = (i + 1) & mask_;
         }
     }
 
-    /// Claim protocol of the parallel merge (thread-safe, per-shard lock).
-    /// Returns true iff this call installed `mark`: the slot was absent or
-    /// held a *larger* chunk's marker — min-chunk-wins, which makes the
-    /// final owner of every new state the canonically first chunk that
-    /// produced it, independent of thread timing.
-    bool claim(StateIndex s, NodeId mark) {
-        const std::uint64_t h = fingerprint(s);
-        Shard& sh = shards_[h & (kNumShards - 1)];
-        const std::lock_guard<std::mutex> lock(sh.mu);
-        maybe_grow(sh);
-        const std::uint64_t key = static_cast<std::uint64_t>(s) + 1;
-        std::size_t i = (h >> kShardBits) & sh.mask;
-        for (;;) {
-            ++sh.probes;
-            const std::uint64_t k = sh.keys[i];
-            if (k == key) {
-                NodeId& v = sh.vals[i];
-                if (v < kClaimBase || v <= mark) return false;
-                v = mark;
-                return true;
-            }
-            if (k == 0) {
-                sh.keys[i] = key;
-                sh.vals[i] = mark;
-                ++sh.size;
-                return true;
-            }
-            i = (i + 1) & sh.mask;
-        }
-    }
-
-    /// Publishes the final id of a claim the caller won (keys frozen, one
-    /// writer per slot — lock-free by construction).
-    void publish(StateIndex s, NodeId id) {
-        const std::uint64_t h = fingerprint(s);
-        Shard& sh = shards_[h & (kNumShards - 1)];
-        const std::uint64_t key = static_cast<std::uint64_t>(s) + 1;
-        std::size_t i = (h >> kShardBits) & sh.mask;
-        while (sh.keys[i] != key) i = (i + 1) & sh.mask;
-        sh.vals[i] = id;
-    }
-
-    std::uint64_t probes() const {
-        std::uint64_t p = 0;
-        for (const Shard& sh : shards_) p += sh.probes;
-        return p;
-    }
-    std::uint64_t resizes() const {
-        std::uint64_t r = 0;
-        for (const Shard& sh : shards_) r += sh.resizes;
-        return r;
-    }
+    std::uint64_t probes() const { return probes_; }
+    std::uint64_t resizes() const { return resizes_; }
     std::uint64_t bytes() const {
-        std::uint64_t b = 0;
-        for (const Shard& sh : shards_)
-            b += sh.keys.capacity() * sizeof(std::uint64_t) +
-                 sh.vals.capacity() * sizeof(NodeId);
-        return b;
+        return keys_.capacity() * sizeof(std::uint64_t) +
+               vals_.capacity() * sizeof(NodeId);
     }
 
 private:
-    struct Shard {
-        std::vector<std::uint64_t> keys;  ///< state index + 1; 0 = empty
-        std::vector<NodeId> vals;
-        std::size_t size = 0;
-        std::size_t mask = 0;
-        std::uint64_t probes = 0;
-        std::uint64_t resizes = 0;
-        std::mutex mu;
-
-        void rehash(std::size_t new_cap) {
-            std::vector<std::uint64_t> old_keys = std::move(keys);
-            std::vector<NodeId> old_vals = std::move(vals);
-            keys.assign(new_cap, 0);
-            vals.assign(new_cap, TransitionSystem::kNoNode);
-            mask = new_cap - 1;
-            for (std::size_t j = 0; j < old_keys.size(); ++j) {
-                const std::uint64_t k = old_keys[j];
-                if (k == 0) continue;
-                const std::uint64_t h = fingerprint(
-                    static_cast<StateIndex>(k - 1));
-                std::size_t i = (h >> kShardBits) & mask;
-                while (keys[i] != 0) i = (i + 1) & mask;
-                keys[i] = k;
-                vals[i] = old_vals[j];
-            }
-        }
-    };
-
     static std::size_t slots_for(std::size_t entries) {
         // Smallest power of two keeping load factor <= 0.7, min 16 slots.
         std::size_t cap = 16;
@@ -322,13 +191,29 @@ private:
         return cap;
     }
 
-    void maybe_grow(Shard& sh) {
-        if ((sh.size + 1) * 10 < (sh.mask + 1) * 7) return;
-        sh.rehash((sh.mask + 1) * 2);
-        ++sh.resizes;
+    void rehash(std::size_t new_cap) {
+        std::vector<std::uint64_t> old_keys = std::move(keys_);
+        std::vector<NodeId> old_vals = std::move(vals_);
+        keys_.assign(new_cap, 0);
+        vals_.assign(new_cap, TransitionSystem::kNoNode);
+        mask_ = new_cap - 1;
+        for (std::size_t j = 0; j < old_keys.size(); ++j) {
+            const std::uint64_t k = old_keys[j];
+            if (k == 0) continue;
+            std::size_t i =
+                fingerprint(static_cast<StateIndex>(k - 1)) & mask_;
+            while (keys_[i] != 0) i = (i + 1) & mask_;
+            keys_[i] = k;
+            vals_[i] = old_vals[j];
+        }
     }
 
-    std::array<Shard, kNumShards> shards_;
+    std::vector<std::uint64_t> keys_;  ///< state index + 1; 0 = empty
+    std::vector<NodeId> vals_;
+    std::size_t size_ = 0;
+    std::size_t mask_ = 0;
+    std::uint64_t probes_ = 0;
+    std::uint64_t resizes_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -358,19 +243,6 @@ void TransitionSystem::DirectMap::allocate(std::size_t n) {
     slots_ = static_cast<NodeId*>(p);
     size_ = n;
     pages_ = BitVec((n + kSlotsPerPage - 1) / kSlotsPerPage);
-}
-
-bool TransitionSystem::DirectMap::claim(StateIndex s, NodeId mark) {
-    std::atomic_ref<NodeId> slot(slots_[static_cast<std::size_t>(s)]);
-    NodeId raw = slot.load(std::memory_order_relaxed);
-    for (;;) {
-        // Real id, or a smaller/equal chunk's marker: nothing to do.
-        // (Absent decodes to kNoNode, above every marker.)
-        const NodeId cur = ~raw;
-        if (cur < kClaimBase || cur <= mark) return false;
-        if (slot.compare_exchange_weak(raw, ~mark, std::memory_order_relaxed))
-            return true;
-    }
 }
 
 void TransitionSystem::DirectMap::note_pages(const StateIndex* states,
@@ -600,7 +472,7 @@ void TransitionSystem::explore(const FaultClass* faults,
     // lookup is the identity and no reverse map is allocated at all (the
     // hottest memory traffic of dense explorations, and ~4 bytes/state of
     // allocation, both gone). Otherwise: direct-mapped NodeId array up to
-    // DCFT_DIRECT_MAP_MAX states, sharded open-addressing table beyond —
+    // DCFT_DIRECT_MAP_MAX states, an open-addressing table beyond —
     // reserved from the init-set cardinality times a growth estimate so
     // large explorations do not rehash level after level.
     identity_nodes_ = init_pop == n_states;
@@ -622,10 +494,10 @@ void TransitionSystem::explore(const FaultClass* faults,
     // same number of times for every thread count (pinned by trace_test).
     obs::instant("verify/interner/tier",
                  identity_nodes_ ? 0 : direct_mapped_ ? 1 : 2);
-    // The corrupt-any line rule (LineMarks): serial levels on the
-    // direct-mapped tier skip fault successors whose line is already fully
-    // interned. Its n/dom(v) bits per corrupted variable stay far below
-    // the direct map's 4 bytes per state.
+    // The corrupt-any line rule (LineMarks): every level on the
+    // direct-mapped tier skips fault successors whose line is already
+    // fully interned. Its n/dom(v) bits per corrupted variable stay far
+    // below the direct map's 4 bytes per state.
     std::unique_ptr<LineMarks> marks;
     if (direct_mapped_ && !identity_nodes_ && compiled->has_faults()) {
         marks = std::make_unique<LineMarks>(
@@ -656,8 +528,7 @@ void TransitionSystem::explore(const FaultClass* faults,
         kEdgeReserveCap));
 
     // Interns t (first discovery appends it to the next BFS level with
-    // `from` as its BFS-tree parent). Serial — called only from the fused
-    // serial path, in canonical order.
+    // `from` as its BFS-tree parent). Called in canonical FIFO order.
     auto intern = [&](StateIndex t, NodeId from) -> NodeId {
         if (identity_nodes_) return static_cast<NodeId>(t);
         if (direct_mapped_) {
@@ -676,14 +547,6 @@ void TransitionSystem::explore(const FaultClass* faults,
             parent_.push_back(from);
         }
         return got;
-    };
-
-    // Resolves a state that is known to be interned (merge phase B and
-    // consumers within this function). Lock-free on every tier.
-    auto lookup = [&](StateIndex t) -> NodeId {
-        if (identity_nodes_) return static_cast<NodeId>(t);
-        if (direct_mapped_) return node_map_.get(t);
-        return sparse_->find(t);
     };
 
     // Intern the satisfying seed states in ascending order — the
@@ -725,24 +588,21 @@ void TransitionSystem::explore(const FaultClass* faults,
     std::uint64_t n_levels = 0;  // telemetry: BFS depth / frontier stats
     std::uint64_t frontier_max = 0;
     std::uint64_t levels_below_threshold = 0;
-    // Cost model input of the serial/parallel decision: expanding one
+    // Cost model input of the sweep's chunking decision: expanding one
     // state costs ~one guard probe + successor emission per action, so
     // level work scales with frontier size × action count.
     const std::uint64_t actions_per_state = std::max<std::uint64_t>(
         program_.num_actions() +
             (faults != nullptr ? faults->actions().size() : 0),
         1);
-    const std::uint64_t work_min = parallel_work_min();
 
     // Per-level timeline rows (embedded in run reports, see
-    // obs/trace.hpp) and heartbeat updates. One row per BFS level; the
-    // merge-phase ns breakdown is filled only on the parallel path.
+    // obs/trace.hpp) and heartbeat updates. One row per BFS level.
     std::vector<obs::LevelStat> tl_levels;
     std::uint64_t tl_prev_prog = 0, tl_prev_fault = 0;
     auto finish_level = [&](std::uint64_t level_index, std::size_t lvl_begin,
                             std::size_t lvl_end, std::uint64_t lvl_t0,
-                            bool parallel_merge, unsigned n_chunks,
-                            const std::array<std::uint64_t, 4>& phase_ns) {
+                            unsigned n_chunks) {
         const std::uint64_t new_nodes = states_.size() - lvl_end;
         if (direct_mapped_)
             node_map_.note_pages(states_.data() + lvl_end, new_nodes);
@@ -754,14 +614,10 @@ void TransitionSystem::explore(const FaultClass* faults,
             ls.program_edges = prog_edges_.size() - tl_prev_prog;
             ls.fault_edges = fault_count - tl_prev_fault;
             ls.level_ns = obs::now_ns() - lvl_t0;
-            ls.expand_claim_ns = phase_ns[0];
-            ls.claim_filter_ns = phase_ns[1];
-            ls.publish_ns = phase_ns[2];
-            ls.edge_write_ns = phase_ns[3];
             ls.rss_bytes = obs::current_rss_bytes().value_or(0);
             ls.spill_bytes = spill ? spill_bytes() : 0;
             ls.spill_released_bytes = spill ? spill_released_bytes() : 0;
-            ls.parallel = parallel_merge;
+            ls.parallel = n_chunks > 1;
             ls.chunks = n_chunks;
             tl_levels.push_back(ls);
             tl_prev_prog = prog_edges_.size();
@@ -774,32 +630,11 @@ void TransitionSystem::explore(const FaultClass* faults,
                 spill ? spill_released_bytes() : 0);
     };
 
-    // Level-synchronous BFS. Workers expand disjoint contiguous slices of
-    // the current level into chunk-private buffers; a deterministic
-    // two-pass merge then interns and appends without any serial section:
-    //
-    //   A  (parallel) expand + claim: every successor record is staged;
-    //      uninterned targets are claimed min-chunk-wins (CAS on the
-    //      direct map, per-shard lock on the sparse table), and each chunk
-    //      keeps its first-local-occurrence claims in order;
-    //   A2 (parallel) filter: drop claims lost to a smaller chunk — what
-    //      remains per chunk is its canonical new-node subsequence;
-    //   —  (serial, O(chunks)) prefix sums over per-chunk new-node and
-    //      edge counts in canonical chunk order; pre-size states_/parent_/
-    //      edge/offset arrays for the level;
-    //   A3 (parallel) publish: assign ids base[c]+j, overwrite markers
-    //      with real ids, write states_/parent_;
-    //   B  (parallel) resolve every record to its final id and write
-    //      edges + per-node offsets into the pre-sized CSR slices.
-    //
-    // Because a new node's owner is the canonically first chunk that
-    // produced it and chunks are concatenated in slice order, discovery
-    // order — and with it node numbering, edge order, and the BFS parent
-    // tree — is identical to the sequential FIFO exploration, for every
-    // thread count.
-    std::vector<ChunkBuf> bufs;
-    std::vector<std::uint64_t> base_new, base_prog;
-    std::vector<CompiledActionSet::Rec> brecs;  // serial-path staging
+    // Level-synchronous FIFO BFS: each level's states are expanded in id
+    // order and their successors interned in record order, so node
+    // numbering, edge order and the BFS parent tree are the canonical ones
+    // for every thread count.
+    std::vector<CompiledActionSet::Rec> brecs;  // one block's records
     std::vector<Counts> bcounts;
     std::uint64_t sweep_states = 0;  // telemetry: states via identity sweep
     std::size_t level_begin = 0;
@@ -815,25 +650,8 @@ void TransitionSystem::explore(const FaultClass* faults,
         const std::size_t level_end = states_.size();
         const std::uint64_t level_size = level_end - level_begin;
         const std::uint64_t lvl_t0 = timeline ? obs::now_ns() : 0;
-        std::array<std::uint64_t, 4> phase_ns{0, 0, 0, 0};
         ++n_levels;
         frontier_max = std::max(frontier_max, level_size);
-        // Levels with too little work stay serial regardless of the worker
-        // budget: the staging/merge overhead dominates under the
-        // threshold. Work = frontier size × actions — a function of the
-        // canonical BFS and the program only, so the telemetry stays
-        // thread-count-invariant.
-        const bool small_level =
-            level_size * actions_per_state < work_min;
-        if (small_level) ++levels_below_threshold;
-        // A level over the threshold is split into one chunk per worker,
-        // however few states it has: the threshold alone decides, so a
-        // lowered DCFT_PARALLEL_WORK_MIN sends even tiny levels through
-        // the parallel merge.
-        const unsigned chunks =
-            small_level ? 1
-                        : static_cast<unsigned>(std::min<std::uint64_t>(
-                              n_threads, level_size));
 
         // Identity fast path: the one level of an identity exploration is
         // the whole space in ascending contiguous order, so the sweep
@@ -842,6 +660,12 @@ void TransitionSystem::explore(const FaultClass* faults,
         // positions are pure prefix sums of guard-bitset popcounts, hence
         // bit-identical for every thread count.
         if (sweep_kernel != nullptr) {
+            // A sweep under the work floor runs on one thread, and so
+            // counts as one; whether it is chunked depends on the level's
+            // work only, never on the worker budget.
+            const bool chunked =
+                level_size * actions_per_state >= kParallelWorkMin;
+            if (!chunked) ++levels_below_threshold;
             const BatchKernel& batch = *sweep_kernel;
             const obs::Span sweep_span("verify/explore/sweep");
             sweep_states = n_states;
@@ -869,10 +693,9 @@ void TransitionSystem::explore(const FaultClass* faults,
                     std::min<StateIndex>(n_states, seg + seg_step);
                 const std::uint64_t seg_words = ((seg_end - seg) + 63) >> 6;
                 const unsigned seg_chunks =
-                    chunks <= 1
-                        ? 1
-                        : parallel_chunk_count(seg_words, n_threads,
-                                               /*align=*/1);
+                    chunked ? parallel_chunk_count(seg_words, n_threads,
+                                                   /*align=*/1)
+                            : 1;
                 sweep_chunks = std::max(sweep_chunks, seg_chunks);
                 if (seg_chunks <= 1) {
                     batch.sweep(seg, seg_end,
@@ -915,194 +738,40 @@ void TransitionSystem::explore(const FaultClass* faults,
                 }
             }
             finish_level(level_index, level_begin, level_end, lvl_t0,
-                         chunks > 1, sweep_chunks, phase_ns);
+                         sweep_chunks);
             level_begin = level_end;
             continue;
         }
 
-        if (chunks <= 1) {
-            // Fused serial path: one worker would process the whole level,
-            // so skip the staging buffers and intern/append inline. This is
-            // exactly the sequential FIFO BFS, hence trivially canonical.
-            // Line marks only leave out interning calls that would hit, so
-            // every decision that still runs happens in the same order.
-            const std::uint64_t skipped0 =
-                marks != nullptr ? marks->skipped() : 0;
-            // Each block of states is expanded into flat records first,
-            // then interned in record order — the FIFO sequence.
-            for (std::size_t i = level_begin; i < level_end;
-                 i += kExpandBlock) {
-                const std::size_t bn = std::min(kExpandBlock, level_end - i);
-                brecs.clear();
-                bcounts.clear();
-                for (std::size_t j = 0; j < bn; ++j)
-                    bcounts.push_back(expand(states_[i + j], brecs,
-                                             marks.get()));
-                std::size_t r = 0;
-                for (std::size_t j = 0; j < bn; ++j) {
-                    const NodeId node = static_cast<NodeId>(i + j);
-                    const auto [n_prog, n_fault] = bcounts[j];
-                    for (std::uint32_t k = 0; k < n_prog; ++k, ++r) {
-                        const auto [a, t] = brecs[r];
-                        prog_edges_.push_back(Edge{a, intern(t, node)});
-                    }
-                    prog_offsets_.push_back(prog_edges_.size());
-                    for (std::uint32_t k = 0; k < n_fault; ++k, ++r)
-                        intern(brecs[r].second, node);
-                    fault_count += n_fault;
+        // Every other level runs on this thread. Line marks only leave out
+        // interning calls that would hit, so every decision that still runs
+        // happens in the same order.
+        ++levels_below_threshold;
+        const std::uint64_t skipped0 =
+            marks != nullptr ? marks->skipped() : 0;
+        // Each block of states is expanded into flat records first, then
+        // interned in record order — the FIFO sequence.
+        for (std::size_t i = level_begin; i < level_end; i += kExpandBlock) {
+            const std::size_t bn = std::min(kExpandBlock, level_end - i);
+            brecs.clear();
+            bcounts.clear();
+            for (std::size_t j = 0; j < bn; ++j)
+                bcounts.push_back(expand(states_[i + j], brecs, marks.get()));
+            std::size_t r = 0;
+            for (std::size_t j = 0; j < bn; ++j) {
+                const NodeId node = static_cast<NodeId>(i + j);
+                const auto [n_prog, n_fault] = bcounts[j];
+                for (std::uint32_t k = 0; k < n_prog; ++k, ++r) {
+                    const auto [a, t] = brecs[r];
+                    prog_edges_.push_back(Edge{a, intern(t, node)});
                 }
+                prog_offsets_.push_back(prog_edges_.size());
+                for (std::uint32_t k = 0; k < n_fault; ++k, ++r)
+                    intern(brecs[r].second, node);
+                fault_count += n_fault;
             }
-            if (marks != nullptr) fault_count += marks->skipped() - skipped0;
-            if (spill) {
-                states_.release_prefix(level_end);
-                parent_.release_prefix(level_end);
-                prog_edges_.release_prefix(prog_edges_.size());
-                prog_offsets_.release_prefix(level_end);
-            }
-            finish_level(level_index, level_begin, level_end, lvl_t0,
-                         /*parallel_merge=*/false, /*n_chunks=*/1, phase_ns);
-            level_begin = level_end;
-            continue;
         }
-
-        DCFT_ASSERT(chunks < (kNoNode - kClaimBase),
-                    "TransitionSystem: chunk count exceeds claim markers");
-        if (bufs.size() < chunks) bufs.resize(chunks);
-        if (base_new.size() < chunks) {
-            base_new.resize(chunks);
-            base_prog.resize(chunks);
-        }
-
-        // Phase A: parallel expand + claim. No line marks here: a line
-        // marked by one chunk would hide its targets from a smaller chunk
-        // of the same level and break min-chunk-wins.
-        {
-            const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::Span pspan("verify/explore/expand_claim");
-            const std::uint64_t chunk_len = (level_size + chunks - 1) / chunks;
-            parallel_each(
-                chunks,
-                [&](unsigned c) {
-                    const obs::Span cspan(
-                        "verify/explore/expand_claim/chunk", c);
-                    const std::uint64_t begin = std::min<std::uint64_t>(
-                        c * chunk_len, level_size);
-                    const std::uint64_t end = std::min<std::uint64_t>(
-                        begin + chunk_len, level_size);
-                    ChunkBuf& buf = bufs[c];
-                    buf.recs.clear();
-                    buf.counts.clear();
-                    buf.claims.clear();
-                    buf.prog_total = 0;
-                    buf.fault_total = 0;
-                    buf.begin = begin;
-                    const NodeId mark = kClaimBase + c;
-                    auto try_claim = [&](StateIndex t, NodeId from) {
-                        if (identity_nodes_) return;  // everything interned
-                        if (direct_mapped_ ? node_map_.claim(t, mark)
-                                           : sparse_->claim(t, mark))
-                            buf.claims.emplace_back(t, from);
-                    };
-                    // Records land in buf.recs in canonical order; each
-                    // state's are claimed right after its expansion.
-                    for (std::uint64_t i = begin; i < end; ++i) {
-                        const NodeId node =
-                            static_cast<NodeId>(level_begin + i);
-                        const std::size_t r0 = buf.recs.size();
-                        const Counts n =
-                            expand(states_[node], buf.recs, nullptr);
-                        buf.counts.push_back(n);
-                        buf.prog_total += n.first;
-                        buf.fault_total += n.second;
-                        for (std::size_t r = r0; r < buf.recs.size(); ++r)
-                            try_claim(buf.recs[r].second, node);
-                    }
-                });
-            if (timeline) phase_ns[0] = obs::now_ns() - pt0;
-        }
-
-        // Phase A2: drop claims lost to a smaller chunk. What survives,
-        // in order, is the chunk's canonical new-node subsequence.
-        {
-            const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::Span pspan("verify/explore/claim_filter");
-            parallel_each(chunks, [&](unsigned c) {
-                const obs::Span cspan("verify/explore/claim_filter/chunk", c);
-                auto& cl = bufs[c].claims;
-                const NodeId mark = kClaimBase + static_cast<NodeId>(c);
-                std::size_t kept = 0;
-                for (const auto& [t, from] : cl)
-                    if (lookup(t) == mark) cl[kept++] = {t, from};
-                cl.resize(kept);
-            });
-            if (timeline) phase_ns[1] = obs::now_ns() - pt0;
-        }
-
-        // Serial prefix sums in canonical chunk order; pre-size the level.
-        std::uint64_t total_new = 0, prog_total = 0;
-        for (unsigned c = 0; c < chunks; ++c) {
-            base_new[c] = level_end + total_new;
-            base_prog[c] = prog_edges_.size() + prog_total;
-            total_new += bufs[c].claims.size();
-            prog_total += bufs[c].prog_total;
-            fault_count += bufs[c].fault_total;
-        }
-        DCFT_ASSERT(level_end + total_new < kClaimBase,
-                    "TransitionSystem: node count exceeds claim base");
-        states_.resize(level_end + total_new);
-        parent_.resize(level_end + total_new);
-        prog_edges_.resize(prog_edges_.size() + prog_total);
-        prog_offsets_.resize(level_end + 1);
-
-        // Phase A3: publish ids — overwrite the winning markers with the
-        // final node ids and record states/parents. Each slot has exactly
-        // one writer (its owner chunk), so this is race-free without
-        // locks; the join below orders it before phase B's reads.
-        {
-            const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::Span pspan("verify/explore/publish");
-            parallel_each(chunks, [&](unsigned c) {
-                const obs::Span cspan("verify/explore/publish/chunk", c);
-                const auto& cl = bufs[c].claims;
-                for (std::size_t j = 0; j < cl.size(); ++j) {
-                    const auto& [t, from] = cl[j];
-                    const NodeId id = static_cast<NodeId>(base_new[c] + j);
-                    if (direct_mapped_)
-                        node_map_.set(t, id);
-                    else
-                        sparse_->publish(t, id);
-                    states_[id] = t;
-                    parent_[id] = from;
-                }
-            });
-            if (timeline) phase_ns[2] = obs::now_ns() - pt0;
-        }
-
-        // Phase B: resolve every program record to its final id and write
-        // edges + per-node offsets into the pre-sized slices. Fault records
-        // have done their work (the claims) and are skipped.
-        {
-            const std::uint64_t pt0 = timeline ? obs::now_ns() : 0;
-            const obs::Span pspan("verify/explore/edge_write");
-            parallel_each(chunks, [&](unsigned c) {
-                const obs::Span cspan("verify/explore/edge_write/chunk", c);
-                const ChunkBuf& buf = bufs[c];
-                std::uint64_t pc = base_prog[c];
-                std::size_t r = 0;
-                NodeId node = static_cast<NodeId>(level_begin + buf.begin);
-                for (const auto& [n_prog, n_fault] : buf.counts) {
-                    for (std::uint32_t k = 0; k < n_prog; ++k, ++r) {
-                        const auto& [a, t] = buf.recs[r];
-                        prog_edges_[pc++] = Edge{a, lookup(t)};
-                    }
-                    prog_offsets_[node + 1] = pc;
-                    r += n_fault;
-                    ++node;
-                }
-            });
-            if (timeline) phase_ns[3] = obs::now_ns() - pt0;
-        }
-
+        if (marks != nullptr) fault_count += marks->skipped() - skipped0;
         if (spill) {
             states_.release_prefix(level_end);
             parent_.release_prefix(level_end);
@@ -1110,7 +779,7 @@ void TransitionSystem::explore(const FaultClass* faults,
             prog_offsets_.release_prefix(level_end);
         }
         finish_level(level_index, level_begin, level_end, lvl_t0,
-                     /*parallel_merge=*/true, chunks, phase_ns);
+                     /*n_chunks=*/1);
         level_begin = level_end;
     }
     fault_edge_count_ = fault_count;
@@ -1145,10 +814,12 @@ void TransitionSystem::explore(const FaultClass* faults,
     // interner statistics live under verify/interner/ and verify/mem/.
     if (telemetry) {
         auto& reg = obs::Registry::global();
-        // Both threshold counters are functions of the canonical BFS (the
-        // level sizes), never of the worker budget, so they stay identical
-        // across thread counts like every other verify/explore/ counter.
-        reg.counter("verify/explore/parallel_threshold").set(work_min);
+        // The sweep's work floor and the levels expanded on one thread
+        // (every level but a sweep at or over the floor): functions of the
+        // canonical level sizes, never of the worker budget, so they stay
+        // identical across thread counts like every other verify/explore/
+        // counter.
+        reg.counter("verify/explore/parallel_threshold").set(kParallelWorkMin);
         reg.counter("verify/explore/levels_below_threshold")
             .add(levels_below_threshold);
         // Levels run on guard bytecode before the bitsets paid for
@@ -1192,8 +863,10 @@ void TransitionSystem::explore(const FaultClass* faults,
         }
         reg.counter("verify/mem/interner_bytes")
             .record_max(interner_bytes_.load());
-        // Line marks are made on serial levels only, so this depends on
-        // the serial/parallel choice of each level.
+        // Line marks are made on every level of a direct-mapped
+        // exploration, in canonical order, so this is a function of the
+        // canonical BFS like the verify/explore/ counters; it lives here
+        // because it depends on the interner tier.
         reg.counter("verify/interner/fault_successors_skipped")
             .add(marks != nullptr ? marks->skipped() : 0);
         reg.counter("verify/mem/nodes_bytes")

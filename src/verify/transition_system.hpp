@@ -7,21 +7,20 @@
 // and p-maximal, and fault actions occur only finitely often (Section 2.3).
 //
 // Performance architecture (see DESIGN.md §7):
-//  * Exploration is level-synchronous parallel BFS: each frontier level is
-//    split into contiguous chunks whose successor sets are computed by
-//    worker threads into chunk-private buffers. Newly discovered states
-//    are interned by a two-pass deterministic merge (parallel per-chunk
-//    claim + dedup, a serial prefix sum over chunk counts in canonical
-//    chunk order, then parallel id publication and edge writes into
-//    pre-sized CSR slices) — there is no serial intern/append section.
-//    Node numbering, edge order, and witness paths are bit-for-bit
-//    identical to the sequential FIFO BFS for every thread count.
+//  * Exploration is the FIFO BFS, one level at a time on one thread: each
+//    level's states are expanded in id order and their successors interned
+//    in record order, with the corrupt-any line rule (LineMarks) on every
+//    level. The one parallel level is the identity sweep of a whole-space
+//    seed: over a work floor it runs as two deterministic passes (count,
+//    then sweep into pre-counted CSR slices) over one chunk per worker.
+//    Node numbering, edge order, and witness paths are therefore
+//    bit-for-bit identical for every thread count.
 //  * The interner is three-tiered: when the initial set covers the whole
 //    space, node id == state index and no reverse map is allocated at all;
 //    spaces up to DCFT_DIRECT_MAP_MAX states (default 2^25) use a
 //    direct-mapped NodeId array (O(1) array probe per successor) in a
 //    lazily committed anonymous mapping, so only the pages of reached
-//    states cost memory; larger spaces use a sharded open-addressing
+//    states cost memory; larger spaces use an open-addressing
 //    fingerprint table (SparseNodeTable) sized from the initial-set
 //    cardinality.
 //  * Whole-space guard bitsets are bought at a level boundary: levels run
@@ -64,7 +63,7 @@ namespace dcft {
 /// Node identifier inside one TransitionSystem (dense, 0-based).
 using NodeId = std::uint32_t;
 
-class SparseNodeTable;  // sharded open-addressing interner (internal)
+class SparseNodeTable;  // open-addressing interner (internal)
 
 /// Exploration knobs beyond the (program, faults, init) triple.
 struct ExploreOptions {
@@ -304,11 +303,6 @@ private:
         void set(StateIndex s, NodeId id) {
             slots_[static_cast<std::size_t>(s)] = ~id;
         }
-        /// The parallel merge's claim: installs `mark` iff the slot is
-        /// absent or holds a larger claim marker (min-chunk-wins on the
-        /// decoded value). Thread-safe against concurrent claims.
-        bool claim(StateIndex s, NodeId mark);
-
         /// Records the pages of `n` interned states in a page bitmap (one
         /// bit per map page) — called on each batch of new nodes while it
         /// is still resident, so spilled node arrays are never re-read.
@@ -373,7 +367,7 @@ private:
     // Interner / reverse lookup — one of three tiers (see file comment):
     // identity (init covered the space: node id == state index, nothing
     // allocated), direct-mapped (node_map_ has space_->num_states()
-    // slots), or the sharded sparse table.
+    // slots), or the sparse open-addressing table.
     bool identity_nodes_ = false;
     bool direct_mapped_ = false;
     /// Adopted systems defer the reverse map to the first has_state()/

@@ -222,33 +222,23 @@ TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
     EXPECT_EQ(counter_value("verify/explore/sweep_states"), 0u);
 }
 
-/// Calls of the timer at `path` (0 when never recorded).
-std::uint64_t span_calls(const std::string& path) {
-    for (const auto& t : obs::Registry::global().timers())
-        if (t.path == path) return t.calls;
-    return 0;
-}
-
-TEST(TelemetryTest, ParallelMergePhasesRunOneWorkerPerChunk) {
+TEST(TelemetryTest, GraphAndLineSkipsIndependentOfThreadCount) {
     TelemetryGuard guard;
-    // Token ring n=6 p [] F from the legitimate states: with the work
-    // threshold at 1 every level takes the parallel merge, and the wide
-    // levels split into 4 chunks. Each later phase must run one worker per
-    // chunk of phase A, and the graph must equal the serial one.
+    // Token ring n=6 p [] F from the legitimate states at 1 and 4 threads:
+    // the line rule runs on every level, so the skipped fault successors,
+    // like the graph itself, must not depend on the thread count.
     auto ring = apps::make_token_ring(6, 6);
-    setenv("DCFT_PARALLEL_WORK_MIN", "1", 1);
-    const TransitionSystem par(ring.ring, &ring.corrupt_any, ring.legitimate,
-                               /*n_threads=*/4);
-    unsetenv("DCFT_PARALLEL_WORK_MIN");
-    const std::uint64_t chunks =
-        span_calls("verify/explore/expand_claim/chunk");
-    EXPECT_GT(chunks, counter_value("verify/explore/levels"));
-    EXPECT_EQ(span_calls("verify/explore/claim_filter/chunk"), chunks);
-    EXPECT_EQ(span_calls("verify/explore/publish/chunk"), chunks);
-    EXPECT_EQ(span_calls("verify/explore/edge_write/chunk"), chunks);
-
     const TransitionSystem serial(ring.ring, &ring.corrupt_any,
                                   ring.legitimate, /*n_threads=*/1);
+    const std::uint64_t serial_skips =
+        counter_value("verify/interner/fault_successors_skipped");
+    obs::Registry::global().reset();
+    const TransitionSystem par(ring.ring, &ring.corrupt_any, ring.legitimate,
+                               /*n_threads=*/4);
+    EXPECT_GT(serial_skips, 0u);
+    EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"),
+              serial_skips);
+
     ASSERT_EQ(par.num_nodes(), serial.num_nodes());
     EXPECT_EQ(par.num_fault_edges(), serial.num_fault_edges());
     EXPECT_TRUE(std::ranges::equal(par.raw_parent(), serial.raw_parent()));

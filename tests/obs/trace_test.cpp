@@ -45,12 +45,10 @@ std::map<std::string, std::uint64_t> instant_counts(
     return out;
 }
 
-/// Explores token-ring n=6 (46656 states — big enough that 2/8-thread
-/// runs really take the parallel merge under the floored work threshold)
-/// and returns the instant counts of that exploration.
+/// Explores token-ring n=6 (46656 states) and returns the instant counts
+/// of that exploration.
 std::map<std::string, std::uint64_t> explore_instants(unsigned threads) {
     setenv("DCFT_VERIFIER_THREADS", std::to_string(threads).c_str(), 1);
-    setenv("DCFT_PARALLEL_WORK_MIN", "1", 1);
     obs::trace_reset();
     auto sys = apps::make_token_ring(6, 6);
     // Seed from the single legitimate start state so the BFS has real
@@ -61,7 +59,6 @@ std::map<std::string, std::uint64_t> explore_instants(unsigned threads) {
     const TransitionSystem ts(sys.ring, &sys.corrupt_any, seed);
     EXPECT_GT(ts.num_nodes(), 0u);
     unsetenv("DCFT_VERIFIER_THREADS");
-    unsetenv("DCFT_PARALLEL_WORK_MIN");
     return instant_counts(obs::trace_snapshot());
 }
 

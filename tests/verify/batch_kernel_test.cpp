@@ -25,34 +25,6 @@
 namespace dcft {
 namespace {
 
-/// Sets an environment variable for the current scope and restores the
-/// previous value (or unsets) on destruction. The explorer re-reads its
-/// DCFT_* switches on every build, so scoping a guard around one
-/// construction is enough to pin that build's configuration.
-class EnvGuard {
-public:
-    EnvGuard(const char* name, const char* value) : name_(name) {
-        if (const char* prev = std::getenv(name)) {
-            had_prev_ = true;
-            prev_ = prev;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~EnvGuard() {
-        if (had_prev_)
-            ::setenv(name_, prev_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    const char* name_;
-    bool had_prev_ = false;
-    std::string prev_;
-};
-
 /// Asserts two transition systems are bit-for-bit identical: numbering,
 /// roots, edge lists (order included), witness paths, predecessor rows.
 /// `witness_stride` samples the per-node path/predecessor checks on large
@@ -128,22 +100,26 @@ void expect_reference(const TransitionSystem& ts,
     EXPECT_EQ(ts.num_fault_edges(), fault_edges);
 }
 
-/// States the identity sweep covered in the last exploration.
-std::uint64_t swept_states() {
+/// Value of the counter at `path` (0 when never recorded).
+std::uint64_t counter_value(const std::string& path) {
     for (const auto& c : obs::Registry::global().counters())
-        if (c.path == "verify/explore/sweep_states") return c.value;
+        if (c.path == path) return c.value;
     return 0;
 }
 
+/// States the identity sweep covered in the last exploration.
+std::uint64_t swept_states() {
+    return counter_value("verify/explore/sweep_states");
+}
+
 /// Explores `program` (with `faults` when non-null) from `init` at 1 and
-/// 4 threads, the parallel merge forced on, and checks each build against
-/// the reference. Returns the states the identity sweep covered, which
-/// must not depend on the thread count.
+/// 4 threads and checks each build against the reference. Returns the
+/// states the identity sweep covered, which must not depend on the thread
+/// count.
 std::uint64_t check_reference(const Program& program,
                               const FaultClass* faults,
                               const Predicate& init) {
     const reference::RefTransitionSystem ref(program, faults, init);
-    EnvGuard force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
     obs::set_enabled(true);
     std::vector<std::uint64_t> swept;
     for (const unsigned threads : {1u, 4u}) {
@@ -184,6 +160,44 @@ TEST(IdentitySweepTest, ExactBlockMultipleMatchesReference) {
               256u);
 }
 
+// 6^8 = 1,679,616 states x 8 actions: the one identity level reaches the
+// 2^23 work floor, so at 4 threads the sweep runs as two passes over one
+// chunk per worker, in core and spilled. Both must be the 1-thread build
+// bit for bit, and the level counts as chunked at every thread count.
+TEST(IdentitySweepTest, ChunkedSweepAboveWorkFloorMatchesSerial) {
+    auto sys = apps::make_token_ring(8, 6);
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    const TransitionSystem serial(sys.ring, nullptr, Predicate::top(), 1);
+    ASSERT_EQ(serial.num_nodes(), 1'679'616u);
+    EXPECT_EQ(counter_value("verify/explore/levels_below_threshold"), 0u);
+    for (const bool spill : {false, true}) {
+        SCOPED_TRACE(spill ? "spilled" : "in core");
+        obs::Registry::global().reset();
+        ExploreOptions opts;
+        opts.n_threads = 4;
+        opts.spill = spill;
+        const TransitionSystem chunked(sys.ring, nullptr, Predicate::top(),
+                                       opts);
+        std::uint64_t chunk_calls = 0;
+        for (const auto& t : obs::Registry::global().timers())
+            if (t.path == "verify/explore/sweep/chunk") chunk_calls = t.calls;
+        EXPECT_EQ(chunk_calls, 4u);
+        EXPECT_EQ(counter_value("verify/explore/levels_below_threshold"), 0u);
+        // The raw arrays are the whole graph (program-only, so no fault
+        // rows); comparing them skips the predecessor CSRs of 10M edges.
+        EXPECT_TRUE(std::ranges::equal(chunked.raw_states(),
+                                       serial.raw_states()));
+        EXPECT_TRUE(std::ranges::equal(chunked.raw_parent(),
+                                       serial.raw_parent()));
+        EXPECT_TRUE(std::ranges::equal(chunked.raw_prog_offsets(),
+                                       serial.raw_prog_offsets()));
+        EXPECT_TRUE(std::ranges::equal(chunked.raw_prog_edges(),
+                                       serial.raw_prog_edges()));
+    }
+    obs::set_enabled(false);
+}
+
 // Multi-level BFS from a single root: every level has a different size
 // (almost all % 64 != 0), so the serial levels' 64-state staging blocks
 // end in a partial block, and no sweep runs.
@@ -201,11 +215,9 @@ TEST(FrontierExpansionTest, SingleRootMatchesReference) {
 // ---------------------------------------------------------------------------
 
 // The spilled build must reproduce the in-core graph bit-for-bit at every
-// thread count, including thread counts that engage the parallel
-// two-pass merge (DCFT_PARALLEL_WORK_MIN=1 forces it far below the
-// production work threshold). Reading edges and predecessors back after
-// the build is the "reload" half: sealed levels were advised out of RSS
-// and must page back in from the spill file intact.
+// thread count. Reading edges and predecessors back after the build is the
+// "reload" half: sealed levels were advised out of RSS and must page back
+// in from the spill file intact.
 TEST(SpillIdentityTest, SpillAndReloadAcrossThreadCounts) {
     auto sys = apps::make_token_ring(6, 6);  // 46656 states
     const TransitionSystem in_core(sys.ring, &sys.corrupt_any,
@@ -213,7 +225,6 @@ TEST(SpillIdentityTest, SpillAndReloadAcrossThreadCounts) {
     // Under an ambient DCFT_SPILL=1 (the spill ablation run) the baseline
     // build spills too; the identity check below still holds.
     if (std::getenv("DCFT_SPILL") == nullptr) EXPECT_FALSE(in_core.spilled());
-    EnvGuard force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
     for (const unsigned threads : {1u, 2u, 8u}) {
         ExploreOptions opts;
         opts.n_threads = threads;
@@ -246,14 +257,12 @@ TEST(SpillIdentityTest, SpillFrontierExplorationMatchesInCore) {
     }
 }
 
-// ≥280k-state ring (5^8 = 390625): the out-of-core build seals and
-// releases multiple sweep segments and its CSR must still be bit-identical
-// to the in-core graph, serial and parallel.
+// ≥280k-state ring (5^8 = 390625): the out-of-core build's CSR must still
+// be bit-identical to the in-core graph at 1 and 2 threads.
 TEST(SpillIdentityTest, LargeRingOutOfCoreBitIdentical) {
     auto sys = apps::make_token_ring(8, 5);
     const TransitionSystem in_core(sys.ring, nullptr, Predicate::top(), 1);
     ASSERT_EQ(in_core.num_nodes(), 390625u);
-    EnvGuard force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
     for (const unsigned threads : {1u, 2u}) {
         ExploreOptions opts;
         opts.n_threads = threads;

@@ -87,7 +87,7 @@ TEST(SparseInternerTest, SparseAndDirectMappedGraphsAreIdentical) {
     const TransitionSystem direct(sys.ring, &sys.corrupt_any, sys.legitimate,
                                   /*n_threads=*/2);
 
-    // Force the sparse sharded table at every size.
+    // Force the sparse table at every size.
     const EnvVarGuard force("DCFT_DIRECT_MAP_MAX", "1024");
     for (const unsigned threads : {1u, 2u, 8u}) {
         const TransitionSystem sparse(sys.ring, &sys.corrupt_any,

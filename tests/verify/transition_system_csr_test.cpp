@@ -5,7 +5,7 @@
 // sequential FIFO BFS: same node numbering, same edge lists (order
 // included), same BFS parents and witness paths — for every thread count.
 // These tests pin that contract on randomized guarded-command programs and
-// on app systems large enough to exercise the parallel chunked path, and
+// on app-sized systems at several thread counts, and
 // additionally cross-check the verdict pipeline (leads-to, tolerance
 // grades) against the reference pipeline.
 #include <gtest/gtest.h>
@@ -204,9 +204,9 @@ TEST_P(CsrDifferentialTest, ToleranceVerdictAgreesWithReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrDifferentialTest,
                          ::testing::Range<std::uint64_t>(1, 25));
 
-// App-sized systems whose first BFS level exceeds the parallel grain, so
-// the chunked expansion path (not just the fused serial one) is exercised
-// and must still match the purely sequential reference.
+// App-sized systems explored at several thread counts must match the
+// purely sequential reference (under sparse_interner_smoke, on the sparse
+// tier).
 TEST(CsrParallelPathTest, TokenRingMatchesReferenceAcrossThreadCounts) {
     auto sys = apps::make_token_ring(6, 6);  // 46656 states, one big level
     const reference::RefTransitionSystem ref(sys.ring, nullptr,
@@ -341,14 +341,12 @@ TEST(FaultRowsOnDemandTest, ResidentBytesCountNoFaultEdges) {
 }
 
 TEST(FaultRowsOnDemandTest, FaultPredecessorsMatchReferenceAtAnyThreadCount) {
-    // 46656 states: with the work threshold forced down, the 4-thread
-    // exploration takes the parallel merge; the predecessor build
-    // regenerates the same fault rows from either graph.
+    // 46656 states: the predecessor build regenerates the same fault rows
+    // from the graphs explored at 1 and 4 threads.
     auto sys = apps::make_token_ring(6, 6);
     const reference::RefTransitionSystem ref(sys.ring, &sys.corrupt_any,
                                              sys.legitimate);
     const auto& rpreds = ref.predecessors(/*include_faults=*/true);
-    const ScopedEnv work("DCFT_PARALLEL_WORK_MIN", "1");
     for (const char* threads : {"1", "4"}) {
         const ScopedEnv env("DCFT_VERIFIER_THREADS", threads);
         const TransitionSystem ts(sys.ring, &sys.corrupt_any, sys.legitimate);
@@ -365,9 +363,8 @@ TEST(FaultRowsOnDemandTest, FaultPredecessorsMatchReferenceAtAnyThreadCount) {
 
 TEST(FaultRowsOnDemandTest, FaultScansAgreeAcrossThreadCounts) {
     // The fault-transition safety and closure scans regenerate fault rows
-    // from graphs explored at 1 and 4 threads (the parallel merge forced
-    // on); verdicts, reasons and witnesses must agree.
-    const ScopedEnv work("DCFT_PARALLEL_WORK_MIN", "1");
+    // from graphs explored at 1 and 4 threads; verdicts, reasons and
+    // witnesses must agree.
     for (const auto& [name, size] :
          std::vector<std::pair<std::string, int>>{{"byzantine", 4},
                                                   {"barrier", 8}}) {
@@ -399,15 +396,15 @@ TEST(FaultRowsOnDemandTest, FaultScansAgreeAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// The corrupt-any line rule: serial levels on the direct-mapped tier skip
-// the fault successors of a line that an earlier expansion already
-// interned. Node numbering, parents, the program CSR, the fault-edge
-// count and every witness trace must stay exactly the reference's,
-// serially (marks on) and on the forced parallel merge (marks off).
+// The corrupt-any line rule: levels on the direct-mapped tier skip the
+// fault successors of a line that an earlier expansion already interned.
+// Node numbering, parents, the program CSR, the fault-edge count and every
+// witness trace must stay exactly the reference's, at 1 and 4 threads,
+// and the skips must not depend on the thread count.
 
 /// A structured program over p, q (domain 4) and r, w (domain 3), with the
 /// fault class a test supplies. The idle
-/// variable z (domain 256) widens the BFS levels past the parallel grain.
+/// variable z (domain 256) widens the BFS levels.
 struct LineRuleSystem {
     std::shared_ptr<const StateSpace> space = make_space(
         {Variable{"p", 4, {}}, Variable{"q", 4, {}}, Variable{"r", 3, {}},
@@ -454,23 +451,18 @@ void expect_reference_graph(const TransitionSystem& ts,
     EXPECT_EQ(ts.num_fault_edges(), fault_edges);
 }
 
-/// Explores `sys` from its init serially and on the forced parallel merge;
-/// both runs must be the reference exploration with identical witness
-/// traces. The parallel merge makes no marks on its parallel levels, so it
-/// skips less.
+/// Explores `sys` from its init at 1 and 4 threads; both runs must be the
+/// reference exploration with identical witness traces and line skips.
 void check_line_rule(const LineRuleSystem& sys) {
     const Predicate init = sys.init();
     const reference::RefTransitionSystem ref(sys.program, &sys.faults, init);
     obs::set_enabled(true);
     std::optional<std::vector<std::vector<WitnessStep>>> first_traces;
-    std::uint64_t serial_skips = 0, parallel_skips = 0;
-    for (const bool parallel : {false, true}) {
-        SCOPED_TRACE(parallel ? "parallel" : "serial");
-        const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
-                             parallel ? "1" : nullptr);
+    std::vector<std::uint64_t> skips;
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
         obs::Registry::global().reset();
-        const TransitionSystem ts(sys.program, &sys.faults, init,
-                                  parallel ? 4u : 1u);
+        const TransitionSystem ts(sys.program, &sys.faults, init, threads);
         expect_reference_graph(ts, ref);
         std::vector<std::vector<WitnessStep>> traces;
         for (NodeId n = 0; n < ts.num_nodes(); ++n)
@@ -482,11 +474,12 @@ void check_line_rule(const LineRuleSystem& sys) {
 
         for (const auto& c : obs::Registry::global().counters())
             if (c.path == "verify/interner/fault_successors_skipped")
-                (parallel ? parallel_skips : serial_skips) = c.value;
+                skips.push_back(c.value);
     }
     obs::set_enabled(false);
-    EXPECT_GT(serial_skips, 0u);
-    EXPECT_LT(parallel_skips, serial_skips);
+    ASSERT_EQ(skips.size(), 2u);
+    EXPECT_GT(skips[0], 0u);
+    EXPECT_EQ(skips[1], skips[0]);
 }
 
 TEST(LineRuleTest, GuardFalseOnPartOfEveryLine) {
@@ -521,8 +514,7 @@ TEST(LineRuleTest, OverlappingCorruptAnyFaultsAndAChoiceFault) {
 // bitsets at the first level where the discovered nodes times 64 reach
 // the space size. The purchase must not show in the graph: numbering,
 // parents, program rows, fault rows and witness traces equal the
-// reference, serially and on the forced parallel merge (the direct map's
-// ~id claim CAS), and on the sparse tier.
+// reference at 1 and 4 threads, on the direct map and on the sparse tier.
 
 struct PurchaseCounters {
     std::uint64_t levels = 0;
@@ -544,7 +536,7 @@ PurchaseCounters check_purchase(const Program& program,
     };
     const Config configs[] = {
         {nullptr, 1},  // guard bitsets once bought, serial
-        {nullptr, 4},  // parallel merge: the direct map's claim
+        {nullptr, 4},
         {"1", 1},      // DCFT_DIRECT_MAP_MAX=1: the sparse tier
         {"1", 4},
     };
@@ -557,8 +549,6 @@ PurchaseCounters check_purchase(const Program& program,
                      (c.map_max ? c.map_max : "unset") +
                      " threads=" + std::to_string(c.threads));
         const ScopedEnv map_env("DCFT_DIRECT_MAP_MAX", c.map_max);
-        const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
-                             c.threads > 1 ? "1" : nullptr);
         obs::Registry::global().reset();
         const TransitionSystem ts(program, &faults, init, c.threads);
         expect_reference_graph(ts, ref);
@@ -618,7 +608,7 @@ TEST(GuardBitsPurchaseTest, BoughtMidRunTokenRing) {
 // Every statement form through the one per-state expander. Each IR effect
 // form — the ones the identity sweep lowers and the ones it does not —
 // and a kTerm* comparison guard run through CompiledActionSet::expand on
-// serial levels, on the forced parallel merge and on the sparse tier, and
+// 1 and 4 threads, on the direct map and on the sparse tier, and
 // through the fault kernel's regenerated rows. Every run must be the
 // reference exploration, witness traces included.
 
@@ -657,10 +647,10 @@ std::vector<WitnessStep> reference_trace(
     return out;
 }
 
-/// Explores (program, faults) from `init` serially, on the forced
-/// parallel merge (4 threads) and on the sparse tier (serial and
-/// parallel); each must equal the reference — nodes, parents, program
-/// and fault rows, witness paths and witness traces.
+/// Explores (program, faults) from `init` at 1 and 4 threads, on the
+/// direct map and on the sparse tier; each must equal the reference —
+/// nodes, parents, program and fault rows, witness paths and witness
+/// traces.
 void check_against_reference(const Program& program, const FaultClass& faults,
                              const Predicate& init) {
     const reference::RefTransitionSystem ref(program, &faults, init);
@@ -670,13 +660,11 @@ void check_against_reference(const Program& program, const FaultClass& faults,
         unsigned threads;
     };
     for (const Config& c : {Config{"serial", nullptr, 1},
-                            Config{"parallel merge", nullptr, 4},
+                            Config{"4 threads", nullptr, 4},
                             Config{"sparse tier", "1", 1},
-                            Config{"sparse tier, parallel", "1", 4}}) {
+                            Config{"sparse tier, 4 threads", "1", 4}}) {
         SCOPED_TRACE(c.name);
         const ScopedEnv map_env("DCFT_DIRECT_MAP_MAX", c.map_max);
-        const ScopedEnv work("DCFT_PARALLEL_WORK_MIN",
-                             c.threads > 1 ? "1" : nullptr);
         const TransitionSystem ts(program, &faults, init, c.threads);
         expect_same_system(ts, ref);
         expect_fault_rows_match(ts, ref);

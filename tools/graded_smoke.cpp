@@ -172,7 +172,6 @@ std::string game_bytes(const dcft::MaskingDistanceResult& r) {
 
 /// Phase 3: the game at 1 and 4 verifier threads.
 void check_game_threads() {
-    ::setenv("DCFT_PARALLEL_WORK_MIN", "1", 1);
     const std::vector<std::pair<std::string, int>> systems = {
         {"token-ring", 6}, {"barrier", 8}, {"byzantine", 5}, {"reset", 8},
         {"abp", 6}};
@@ -196,7 +195,6 @@ void check_game_threads() {
                         name.c_str(), size, variant.c_str());
         }
     }
-    ::unsetenv("DCFT_PARALLEL_WORK_MIN");
 }
 
 /// Phase 4: the graded blocks of the graded-grid systems against a golden

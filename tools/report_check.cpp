@@ -274,8 +274,7 @@ std::size_t check_timeline(const JsonValue& doc, double* fault_edges) {
             const JsonValue& row = levels[i];
             for (const char* key :
                  {"frontier", "new_nodes", "program_edges", "fault_edges",
-                  "level_ns", "expand_claim_ns", "claim_filter_ns",
-                  "publish_ns", "edge_write_ns", "rss_bytes", "spill_bytes",
+                  "level_ns", "rss_bytes", "spill_bytes",
                   "spill_released_bytes"})
                 check_nonneg_number(row, key);
             const bool parallel =
