@@ -787,22 +787,35 @@ int emit_json(const std::string& path, bool smoke, bool large, bool huge,
         {
             // Interner ablation: the same fault-closed exploration with
             // the direct-mapped tier (default) and with the sparse
-            // table forced via DCFT_DIRECT_MAP_MAX=1024.
+            // table forced via DCFT_DIRECT_MAP_MAX=1024. Every counter
+            // but the last is corruptible: the ring's own corrupt-any
+            // makes the span syntactically full, and that exploration is
+            // the identity sweep (the full_span row) with no interner.
             std::printf("large: interner sparse-vs-direct n=7 ...\n");
             auto sys = apps::make_token_ring(7, 7);
+            FaultClass partial(sys.space, "corrupt-all-but-last");
+            partial.add_action(Action::corrupt_any(
+                *sys.space, "corrupt", Predicate::top(),
+                std::vector<VarId>(sys.x.begin(), sys.x.end() - 1)));
             ws.push_back(bench_large_ts_build(
-                "large/ts_build/token_ring_n7_faults_direct",
-                "token ring (n=7, K=7), corrupt-any faults from the "
-                "legitimate states, direct-mapped interner",
-                sys.ring, &sys.corrupt_any, sys.legitimate, threads));
+                "large/ts_build/token_ring_n7_partial_faults_direct",
+                "token ring (n=7, K=7), corrupt-any of every counter but "
+                "the last from the legitimate states, direct-mapped "
+                "interner",
+                sys.ring, &partial, sys.legitimate, threads));
             setenv("DCFT_DIRECT_MAP_MAX", "1024", 1);
             ws.push_back(bench_large_ts_build(
-                "large/ts_build/token_ring_n7_faults_sparse",
-                "token ring (n=7, K=7), corrupt-any faults from the "
-                "legitimate states, sparse interner "
+                "large/ts_build/token_ring_n7_partial_faults_sparse",
+                "token ring (n=7, K=7), corrupt-any of every counter but "
+                "the last from the legitimate states, sparse interner "
                 "(DCFT_DIRECT_MAP_MAX=1024)",
-                sys.ring, &sys.corrupt_any, sys.legitimate, threads));
+                sys.ring, &partial, sys.legitimate, threads));
             unsetenv("DCFT_DIRECT_MAP_MAX");
+            ws.push_back(bench_large_ts_build(
+                "large/ts_build/token_ring_n7_full_span",
+                "token ring (n=7, K=7), corrupt-any faults from the "
+                "legitimate states: a full fault span, one identity sweep",
+                sys.ring, &sys.corrupt_any, sys.legitimate, threads));
         }
         std::printf("large: graph store cold vs warm n=8 ...\n");
         ws.push_back(bench_large_store(threads));

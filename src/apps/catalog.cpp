@@ -169,9 +169,12 @@ obs::ReportQuery tolerance_query(const std::string& system,
     if (!report.ok() && !report.counterexample().empty()) {
         q.witness_kind = "counterexample";
         q.witness = report.counterexample();
-    } else if (report.ok() && !report.deepest_trace.empty()) {
-        q.witness_kind = "exploration";
-        q.witness = report.deepest_trace;
+    } else if (report.ok()) {
+        if (std::vector<WitnessStep> deepest = report.deepest_trace();
+            !deepest.empty()) {
+            q.witness_kind = "exploration";
+            q.witness = std::move(deepest);
+        }
     }
     return q;
 }

@@ -14,6 +14,7 @@
 #include "runtime/trace_checker.hpp"
 #include "verify/closure.hpp"
 #include "verify/exploration_cache.hpp"
+#include "verify/fairness.hpp"
 #include "verify/graph_store.hpp"
 #include "verify/masking_distance.hpp"
 #include "verify/reachability.hpp"
@@ -234,9 +235,113 @@ std::optional<std::string> first_report_difference(const ToleranceReport& a,
     const auto& sb = b.fault_span.backing_bits();
     if (a.fault_span.name() != b.fault_span.name() || !sa || !sb || *sa != *sb)
         return std::string("fault span predicates differ");
-    if (a.deepest_trace != b.deepest_trace)
+    if (a.deepest_trace() != b.deepest_trace())
         return std::string("deepest exploration traces differ");
     return std::nullopt;
+}
+
+/// The reference exploration as a BFS-numbered TransitionSystem (adopted
+/// from its arrays): the checkers run on it exactly as on an explored
+/// graph, with node ids in canonical order.
+std::shared_ptr<TransitionSystem> adopt_reference(
+    const reference::RefTransitionSystem& ref, const FaultClass& faults) {
+    TransitionSystem::AdoptedArrays arrays;
+    arrays.initial = ref.initial_nodes();
+    arrays.prog_offsets.push_back(0);
+    for (NodeId n = 0; n < ref.num_nodes(); ++n) {
+        arrays.states.push_back(ref.state_of(n));
+        arrays.parent.push_back(ref.parents()[n]);
+        for (const auto& e : ref.program_edges(n))
+            arrays.prog_edges.push_back({e.action, e.to});
+        arrays.prog_offsets.push_back(arrays.prog_edges.size());
+        arrays.num_fault_edges += ref.fault_edges(n).size();
+    }
+    return TransitionSystem::adopt(ref.program(), &faults, std::move(arrays));
+}
+
+/// The span/identity-vs-explored leg: `sys` with an unconditional
+/// corrupt-any over every variable added to its faults, so every
+/// non-empty seed has the whole space as its fault span and explores as
+/// an identity graph. Compares against the reference exploration: the
+/// graph by state (canonical order, program and fault rows, every witness
+/// path), then the three grades (reasons, witnesses and the deepest
+/// exploration witness) and the masking distance against the same
+/// checkers run on the reference graph in canonical numbering.
+void check_full_span(const BuiltSystem& sys, std::vector<Divergence>& out) {
+    const char* kOracle = "span/identity-vs-explored";
+    FaultClass full(sys.space, sys.faults.name() + "+corrupt-all");
+    for (const Action& a : sys.faults.actions()) full.add_action(a);
+    std::vector<VarId> all(sys.space->num_vars());
+    for (VarId v = 0; v < all.size(); ++v) all[v] = v;
+    full.add_action(Action::corrupt_any(*sys.space, "corrupt-all",
+                                        Predicate::top(), all));
+
+    const TransitionSystem ts(sys.program, &full, sys.init, 1);
+    const reference::RefTransitionSystem ref(sys.program, &full, sys.init);
+    if (ts.num_nodes() > 0 && !ts.identity_interner())
+        out.push_back({kOracle, "a non-empty seed did not explore as an "
+                                "identity graph"});
+    if (auto d = first_graph_difference(ref, ts)) {
+        out.push_back({kOracle, "graph: " + *d});
+        return;
+    }
+
+    const reference::RefTransitionSystem ref_inv(sys.program, &full,
+                                                 sys.invariant);
+    const auto bfs = adopt_reference(ref_inv, full);
+    for (const Tolerance grade :
+         {Tolerance::FailSafe, Tolerance::Nonmasking, Tolerance::Masking}) {
+        const std::string where = to_string(grade) + ": ";
+        const ToleranceReport r = check_tolerance(
+            sys.program, full, sys.problem, sys.invariant, grade);
+        CheckResult want;
+        switch (grade) {
+            case Tolerance::Masking:
+                want = check_spec_on(*bfs, &full, sys.problem);
+                break;
+            case Tolerance::FailSafe:
+                want = check_spec_on(*bfs, &full,
+                                     sys.problem.failsafe_weakening());
+                break;
+            case Tolerance::Nonmasking:
+                want = check_reaches(*bfs, sys.invariant, true);
+                if (!want)
+                    want = CheckResult::failure(
+                        "nonmasking: computations do not converge to " +
+                            sys.invariant.name() + ": " + want.reason,
+                        std::move(want.witness));
+                else
+                    want = r.in_absence;
+                break;
+        }
+        if (!same_result(r.in_presence, want))
+            out.push_back({kOracle, where + "in_presence '" +
+                                        r.in_presence.reason +
+                                        "' vs canonical '" + want.reason +
+                                        "' (ok, reason or witness)"});
+        const std::vector<WitnessStep> deepest =
+            bfs->num_nodes() > 0
+                ? bfs->witness_trace(
+                      static_cast<NodeId>(bfs->num_nodes() - 1))
+                : std::vector<WitnessStep>{};
+        if (r.deepest_trace() != deepest)
+            out.push_back({kOracle, where + "deepest exploration witness "
+                                            "differs"});
+    }
+    if (ref_inv.num_nodes() > 0) {
+        const auto ts_inv = ExplorationCache::global().get_or_build(
+            sys.program, &full, sys.invariant);
+        const MaskingDistanceResult a =
+            masking_distance_on(*ts_inv, sys.problem.safety());
+        const MaskingDistanceResult b =
+            masking_distance_on(*bfs, sys.problem.safety());
+        if (a.masking != b.masking || a.distance != b.distance ||
+            a.reason != b.reason || a.witness != b.witness)
+            out.push_back({kOracle, "masking distance '" + a.reason +
+                                        "' vs canonical '" + b.reason +
+                                        "'"});
+    }
+    ExplorationCache::global().clear();
 }
 
 }  // namespace
@@ -246,6 +351,7 @@ std::optional<std::string> first_graph_difference(
     if (ref.num_nodes() != ts.num_nodes())
         return "node count: ref " + std::to_string(ref.num_nodes()) +
                " vs csr " + std::to_string(ts.num_nodes());
+    if (!ts.canonical_ids()) return first_identity_difference(ref, ts);
     if (ref.states() !=
         [&] {
             std::vector<StateIndex> s(ts.num_nodes());
@@ -282,6 +388,51 @@ std::optional<std::string> first_graph_difference(
             return "terminality at node " + std::to_string(n) + " differs";
         if (ref.witness_path(n) != ts.witness_path(n))
             return "witness path to node " + std::to_string(n) + " differs";
+    }
+    return std::nullopt;
+}
+
+std::optional<std::string> first_identity_difference(
+    const reference::RefTransitionSystem& ref, const TransitionSystem& ts) {
+    if (ref.num_nodes() != ts.num_nodes())
+        return "node count: ref " + std::to_string(ref.num_nodes()) +
+               " vs csr " + std::to_string(ts.num_nodes());
+    if (!ts.identity_interner())
+        return std::string("not an identity graph");
+    // The reference numbers nodes in canonical BFS order, so its node r is
+    // canonical position r, and its initial nodes are positions 0..|S|-1.
+    for (std::size_t i = 0; i < ref.initial_nodes().size(); ++i)
+        if (i >= ts.initial_nodes().size() ||
+            ts.state_of(ts.initial_nodes()[i]) !=
+                ref.state_of(ref.initial_nodes()[i]))
+            return std::string("initial node sets differ");
+    if (ref.initial_nodes().size() != ts.initial_nodes().size())
+        return std::string("initial node sets differ");
+    const auto state_edges = [](const auto& edges, const auto& state_of) {
+        std::vector<std::pair<std::uint32_t, StateIndex>> out;
+        for (const auto& e : edges) out.emplace_back(e.action, state_of(e.to));
+        return out;
+    };
+    const auto ref_state = [&](NodeId v) { return ref.state_of(v); };
+    const auto ts_state = [&](NodeId v) { return ts.state_of(v); };
+    std::vector<TransitionSystem::Edge> tf;
+    for (NodeId r = 0; r < ref.num_nodes(); ++r) {
+        const StateIndex s = ref.state_of(r);
+        const std::string at = "state " + ref.space().format(s);
+        if (ts.canonical_node(r) != ts.node_of(s))
+            return "canonical position " + std::to_string(r) + " is not " + at;
+        const NodeId n = ts.node_of(s);
+        if (state_edges(ref.program_edges(r), ref_state) !=
+            state_edges(ts.program_edges(n), ts_state))
+            return "program row of " + at + " differs";
+        ts.fault_edges(n, tf);
+        if (state_edges(ref.fault_edges(r), ref_state) !=
+            state_edges(tf, ts_state))
+            return "fault row of " + at + " differs";
+        if (ref.terminal(r) != ts.terminal(n))
+            return "terminality of " + at + " differs";
+        if (ref.witness_path(r) != ts.witness_path(n))
+            return "witness path to " + at + " differs";
     }
     return std::nullopt;
 }
@@ -448,6 +599,9 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                            "(threads=N) " + *d});
     }
 
+    // -- full fault span -----------------------------------------------------
+    check_full_span(sys, out);
+
     // -- verdict oracles ---------------------------------------------------
     {
         // check_unreachable at N threads, from a cleared cache, vs the
@@ -564,10 +718,11 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                      "tolerance/in_absence", out);
     validate_witness(sys, graded.in_presence.witness,
                      "tolerance/in_presence", out);
-    validate_witness(sys, graded.deepest_trace, "tolerance/deepest", out);
+    validate_witness(sys, graded.deepest_trace(), "tolerance/deepest", out);
     validate_witness(sys, failsafe.in_presence.witness,
                      "failsafe/in_presence", out);
-    validate_witness(sys, failsafe.deepest_trace, "failsafe/deepest", out);
+    const std::vector<WitnessStep> failsafe_deepest = failsafe.deepest_trace();
+    validate_witness(sys, failsafe_deepest, "failsafe/deepest", out);
 
     // -- tolerance oracles -------------------------------------------------
     {
@@ -673,10 +828,10 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
     }
 
     // -- trace-checker oracles ---------------------------------------------
-    if (failsafe.in_presence.ok && !failsafe.deepest_trace.empty()) {
+    if (failsafe.in_presence.ok && !failsafe_deepest.empty()) {
         // The exploration witness of a passing fail-safe query must itself
         // be safe when replayed through the offline trace checker.
-        const RunResult run = witness_to_run(sys, failsafe.deepest_trace);
+        const RunResult run = witness_to_run(sys, failsafe_deepest);
         const TraceReport report =
             check_trace_safety(*sys.space, run, sys.safety);
         if (!report.ok())

@@ -35,6 +35,18 @@
 //                               directory and the exploration cache
 //                               cleared, get_or_build serves the adopted
 //                               snapshot and it equals the fresh build.
+//   span/identity-vs-explored   the program with an unconditional
+//                               corrupt-any over every variable added to
+//                               its faults (a full fault span, so an
+//                               identity graph from every non-empty
+//                               seed) vs the reference exploration: by
+//                               state, canonical order, program and
+//                               regenerated fault rows and every witness
+//                               path; then the three grades (ok, reason,
+//                               witness, deepest exploration witness) and
+//                               the masking distance vs the same checkers
+//                               on the reference graph in canonical
+//                               numbering.
 //   interner/sparse-vs-direct   exploration under DCFT_DIRECT_MAP_MAX=64
 //                               (sparse interner forced at every size,
 //                               at 1 and N threads) vs the default
@@ -123,8 +135,19 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
 
 /// First difference between the reference and optimized explorations
 /// (node states, initial nodes, edges, terminality, witness paths), or
-/// nullopt when identical. Exposed for the oracle unit tests.
+/// nullopt when identical; by state on identity graphs whose node ids are
+/// not canonical positions (first_identity_difference). Exposed for the
+/// oracle unit tests.
 std::optional<std::string> first_graph_difference(
+    const reference::RefTransitionSystem& ref, const TransitionSystem& ts);
+
+/// First difference between the reference exploration and an identity
+/// graph from a partial seed, compared by state: the reference's node
+/// order is the canonical order, so position r of the canonical replay
+/// must hold the reference's node r; program and regenerated fault rows,
+/// terminality and witness paths must agree state for state. nullopt when
+/// identical. first_graph_difference delegates here for such graphs.
+std::optional<std::string> first_identity_difference(
     const reference::RefTransitionSystem& ref, const TransitionSystem& ts);
 
 /// First difference between two optimized explorations (used by the

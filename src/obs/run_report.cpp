@@ -113,6 +113,7 @@ void write_timeline(JsonWriter& w) {
         w.kv("space_states", tl.space_states);
         w.kv("total_ns", tl.total_ns);
         w.kv("spilled", tl.spilled);
+        w.kv("identity", tl.identity);
         w.key("levels");
         w.begin_array();
         for (const LevelStat& ls : tl.levels) {

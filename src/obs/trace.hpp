@@ -132,6 +132,9 @@ struct ExplorationTimeline {
     std::uint64_t space_states = 0;    ///< Full state-space size (ETA basis).
     std::uint64_t total_ns = 0;
     bool spilled = false;
+    /// An identity sweep (node id == state index): one row, whose
+    /// new_nodes is space_states.
+    bool identity = false;
     std::vector<LevelStat> levels;
 };
 

@@ -327,17 +327,19 @@ CheckResult check_leads_to(const TransitionSystem& ts, const Predicate& p,
         }
     }
 
-    for (NodeId v = 0; v < ts.num_nodes(); ++v) {
-        if (!target[v] && bad[v] && p.eval(ts.space(), ts.state_of(v))) {
-            return CheckResult::failure(
-                "leads-to violated: " + p.name() + " ~~> " + q.name() +
-                    " fails from state " +
-                    ts.space().format(ts.state_of(v)) +
-                    (ts.terminal(v) ? " (maximal/terminal state)"
-                                    : " (fair computation avoids target)") +
-                    "; reached via: " + ts.format_witness(v),
-                ts.witness_trace(v));
-        }
+    // The canonical first violating node (replayed on identity graphs
+    // only when there is one).
+    const NodeId v = ts.first_canonical([&](NodeId u) {
+        return !target[u] && bad[u] && p.eval(ts.space(), ts.state_of(u));
+    });
+    if (v != TransitionSystem::kNoNode) {
+        return CheckResult::failure(
+            "leads-to violated: " + p.name() + " ~~> " + q.name() +
+                " fails from state " + ts.space().format(ts.state_of(v)) +
+                (ts.terminal(v) ? " (maximal/terminal state)"
+                                : " (fair computation avoids target)") +
+                "; reached via: " + ts.format_witness(v),
+            ts.witness_trace(v));
     }
     return CheckResult::success();
 }

@@ -23,7 +23,10 @@ constexpr char kMagic[8] = {'D', 'C', 'F', 'T', 'G', 'R', 'F', '1'};
 // Version 2 dropped the fault CSR sections — fault edges are regenerated
 // from the compiled fault kernel, never stored — and the fault-action
 // names, which come from the caller's FaultClass (the key pins them).
-constexpr std::uint32_t kVersion = 2;
+// Version 3 stores identity graphs from any seed (a full fault span, not
+// only a whole-space seed) with empty states and parent sections: node id
+// == state index, and parents come from the canonical replay.
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kEndianMark = 0x01020304u;
 constexpr std::uint64_t kFlagIdentityNodes = 1;
 constexpr std::uint64_t kDefaultBudget = std::uint64_t{32} << 30;  // 32 GiB
@@ -264,16 +267,19 @@ bool GraphStore::contains(const GraphKey& key) const {
 std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
                                                    const Program& program,
                                                    const FaultClass* faults,
-                                                   std::string* error) {
+                                                   std::string* error,
+                                                   StoreLoadError* kind) {
     if (error != nullptr) error->clear();
     const std::string path = path_of(key);
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         obs::count("verify/graph_store/misses");
+        if (kind != nullptr) *kind = StoreLoadError::kMiss;
         return nullptr;
     }
     const obs::Span span("verify/graph_store/load");
 
+    if (kind != nullptr) *kind = StoreLoadError::kInvalid;
     auto reject = [&](std::string why) -> std::shared_ptr<TransitionSystem> {
         ::close(fd);
         obs::count("verify/graph_store/load_errors");
@@ -296,9 +302,11 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
         return reject("bad magic (not a dcft.graph file)");
     if (hdr.endian != kEndianMark)
         return reject("endianness mismatch");
-    if (hdr.version != kVersion)
+    if (hdr.version != kVersion) {
+        if (kind != nullptr) *kind = StoreLoadError::kVersion;
         return reject("unsupported dcft.graph version " +
                       std::to_string(hdr.version));
+    }
     if (hdr.header_checksum != header_digest(hdr))
         return reject("header checksum mismatch");
     if (hdr.key_lo != key.lo || hdr.key_hi != key.hi)
@@ -315,12 +323,14 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
     const bool identity = (hdr.flags & kFlagIdentityNodes) != 0;
     if (identity && hdr.num_nodes != hdr.num_states)
         return reject("identity flag with partial node set");
+    // Identity graphs store neither node states nor BFS parents.
+    const std::uint64_t stored_nodes = identity ? 0 : hdr.num_nodes;
 
     // Section table: exact byte counts, page-aligned offsets, all inside
     // the file, in order.
     const std::uint64_t expect_bytes[kNumSections] = {
-        hdr.num_nodes * sizeof(StateIndex),
-        hdr.num_nodes * sizeof(NodeId),
+        stored_nodes * sizeof(StateIndex),
+        stored_nodes * sizeof(NodeId),
         (hdr.num_nodes + 1) * sizeof(std::uint64_t),
         hdr.num_prog_edges * sizeof(TransitionSystem::Edge),
         hdr.num_initial * sizeof(NodeId),
@@ -369,8 +379,8 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
                   n_elems);
     };
     try {
-        adopt_vec(arrays.states, kSecStates, hdr.num_nodes);
-        adopt_vec(arrays.parent, kSecParent, hdr.num_nodes);
+        adopt_vec(arrays.states, kSecStates, stored_nodes);
+        adopt_vec(arrays.parent, kSecParent, stored_nodes);
         adopt_vec(arrays.prog_offsets, kSecProgOffsets, hdr.num_nodes + 1);
         adopt_vec(arrays.prog_edges, kSecProgEdges, hdr.num_prog_edges);
     } catch (const std::exception& e) {
@@ -388,6 +398,7 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
         return reject("regenerated fault rows leave the stored node set");
 
     ::close(fd);  // mappings keep the file referenced
+    if (kind != nullptr) *kind = StoreLoadError::kNone;
     // LRU bump: both timestamps to now, so eviction order tracks use.
     (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
 

@@ -2,8 +2,10 @@
 // systems, shared across processes and restarts.
 //
 // A TransitionSystem is already flat arrays (node states, BFS parents,
-// program CSR offsets/edges; fault edges are regenerated, never stored),
-// so a snapshot is those arrays written verbatim into
+// program CSR offsets/edges; fault edges are regenerated, never stored;
+// identity graphs have no node states or parents, only an identity flag
+// and their initial set), so a snapshot is those arrays written verbatim
+// into
 // a versioned, checksummed, page-aligned file and *adopted* back by mmap
 // — loading is O(mmap + checksum scan), there is no deserialization loop
 // and no per-element work (see DESIGN.md §10).
@@ -71,6 +73,14 @@ struct GraphKey {
 GraphKey graph_key(const Program& program, const FaultClass* faults,
                    const BitVec& init_bits);
 
+/// Why GraphStore::load returned no graph.
+enum class StoreLoadError {
+    kNone,     ///< loaded
+    kMiss,     ///< no snapshot under the key
+    kVersion,  ///< a snapshot of another format version (re-explore)
+    kInvalid,  ///< corrupt, truncated or inconsistent snapshot
+};
+
 /// One snapshot directory (see file comment). Thread-safe: every method
 /// is self-contained filesystem work.
 class GraphStore {
@@ -88,11 +98,13 @@ public:
     /// Loads the snapshot of `key`, reconstructing it over `program` /
     /// `faults` (which the caller has already matched to the key). On a
     /// miss or any validation failure returns nullptr; when `error` is
-    /// non-null it receives the reason ("" for a plain miss).
+    /// non-null it receives the reason ("" for a plain miss), and when
+    /// `kind` is non-null the typed cause.
     std::shared_ptr<TransitionSystem> load(const GraphKey& key,
                                            const Program& program,
                                            const FaultClass* faults,
-                                           std::string* error = nullptr);
+                                           std::string* error = nullptr,
+                                           StoreLoadError* kind = nullptr);
 
     /// Writes a snapshot of `ts` under `key`, atomically, then enforces
     /// the byte budget. Returns false (with `error` set) on I/O failure;

@@ -36,8 +36,9 @@ struct Violation {
     StateIndex edge_to = 0;
     bool edge_fault = false;
 
-    /// Candidates are ranked by (fault count, node id): the order of the
-    /// canonical scan over nodes by id that keeps the first least count.
+    /// Candidates are ranked by (fault count, canonical position): the
+    /// order of the canonical scan that keeps the first least count. On
+    /// graphs whose node ids are canonical positions, that is the rank.
     std::uint64_t rank() const {
         return std::uint64_t{faults} << 32 | node;
     }
@@ -58,11 +59,14 @@ struct GameSolution {
 /// The same pass finds the best violation, so every fault row is
 /// regenerated at most once. Each node's candidate, in scan order: its
 /// state or first violating program step (k faults), else its first
-/// violating fault step (k + 1). The best is the least (count, node id) —
-/// the canonical scan's answer. A node's row is regenerated only while it
-/// can still discover a node or beat the best: fault steps of a
-/// transition-free spec never violate it, and once every node is in the
-/// tree they discover nothing.
+/// violating fault step (k + 1). The best is the least (count, canonical
+/// position) — the canonical scan's answer. Where node ids are canonical
+/// positions the pass ranks by (count, node id) directly. Otherwise it
+/// keeps every node tied at the least count, and the canonical replay
+/// (first_canonical) picks among them afterwards. A node's row is
+/// regenerated only while it can still discover a node or beat the best:
+/// fault steps of a transition-free spec never violate it, and once every
+/// node is in the tree they discover nothing.
 GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
     const std::size_t n_nodes = ts.num_nodes();
     const StateSpace& space = ts.space();
@@ -74,6 +78,19 @@ GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
     tree.parent.assign(n_nodes, kUnvisited);
     tree.action.assign(n_nodes, 0);
     tree.fault.assign(n_nodes, 0);
+    const bool by_id = ts.canonical_ids();
+    BitVec tied(by_id ? 0 : n_nodes);  // nodes at the least count so far
+    const auto beats = [&](std::uint32_t faults, NodeId n) {
+        return by_id ? Violation{faults, n}.rank() < best.rank()
+                     : faults <= best.faults;
+    };
+    const auto record = [&](const Violation& v) {
+        if (!by_id) {
+            if (v.faults < best.faults) tied.clear_all();
+            tied.set(v.node);
+        }
+        best = v;
+    };
 
     std::vector<NodeId> seeds = ts.initial_nodes();
     for (const NodeId r : seeds) {
@@ -110,30 +127,29 @@ GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
         for (const NodeId n : queue) {
             const StateIndex s = ts.state_of(n);
             bool hit = false;
-            if (Violation{layer, n}.rank() < best.rank()) {
+            if (beats(layer, n)) {
                 if (!safety.state_allowed(space, s)) {
-                    best = {layer, n};
+                    record({layer, n});
                     hit = true;
                 }
                 for (const auto& e : ts.program_edges(n)) {
                     if (hit || !check_steps) break;
                     const StateIndex t = ts.state_of(e.to);
                     if (!safety.transition_allowed(space, s, t)) {
-                        best = {layer, n, e.action, t, false};
+                        record({layer, n, e.action, t, false});
                         hit = true;
                     }
                 }
             }
             // Prune before regenerating the row: it is needed only to
             // reach nodes outside the tree or to beat the best.
-            bool check = check_steps && !hit &&
-                         Violation{layer + 1, n}.rank() < best.rank();
+            bool check = check_steps && !hit && beats(layer + 1, n);
             if (tree.visited + seeds.size() < n_nodes) {
                 ts.fault_edges(n, edges);
                 for (const auto& [a, to] : edges) {
                     if (check && !safety.transition_allowed(
                                      space, s, ts.state_of(to))) {
-                        best = {layer + 1, n, a, ts.state_of(to), true};
+                        record({layer + 1, n, a, ts.state_of(to), true});
                         check = false;
                     }
                     if (tree.dist[to] != kUnvisited) continue;
@@ -147,7 +163,7 @@ GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
                 ts.fault_steps(n, steps);
                 for (const auto& [a, t] : steps) {
                     if (!safety.transition_allowed(space, s, t)) {
-                        best = {layer + 1, n, a, t, true};
+                        record({layer + 1, n, a, t, true});
                         break;
                     }
                 }
@@ -158,6 +174,37 @@ GameSolution solve_game(const TransitionSystem& ts, const SafetySpec& safety) {
     tree.layers = layer;
     DCFT_ASSERT(tree.visited == n_nodes,
                 "masking_distance: node outside the game");
+    if (!by_id && best.faults != kUnvisited) {
+        // The canonically first tied node, and its candidate again: its
+        // own state or program step at its layer, else its fault step.
+        const NodeId w = ts.first_canonical(
+            [&](NodeId v) { return tied.test(v); });
+        const StateIndex s = ts.state_of(w);
+        const std::uint32_t k = tree.dist[w];
+        Violation v{best.faults, w};
+        bool found = k == best.faults && !safety.state_allowed(space, s);
+        for (const auto& e : ts.program_edges(w)) {
+            if (found || k != best.faults || !check_steps) break;
+            const StateIndex t = ts.state_of(e.to);
+            if (!safety.transition_allowed(space, s, t)) {
+                v = {k, w, e.action, t, false};
+                found = true;
+            }
+        }
+        if (!found) {
+            ts.fault_steps(w, steps);
+            for (const auto& [a, t] : steps) {
+                if (!safety.transition_allowed(space, s, t)) {
+                    v = {k + 1, w, a, t, true};
+                    found = true;
+                    break;
+                }
+            }
+        }
+        DCFT_ASSERT(found && v.faults == best.faults,
+                    "masking_distance: tied node without its violation");
+        best = v;
+    }
     return sol;
 }
 

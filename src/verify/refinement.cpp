@@ -1,6 +1,7 @@
 #include "verify/refinement.hpp"
 
 #include "common/bitvec.hpp"
+#include "common/check.hpp"
 #include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/action_kernel.hpp"
@@ -89,42 +90,56 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
     const bool faults = include_fault_edges && !state_only &&
                         ts.num_fault_actions() > 0;
     std::vector<TransitionSystem::FaultStep> row;
-    for (NodeId n = 0; n < ts.num_nodes(); ++n) {
+    // The first violation in canonical order: the node's state, then its
+    // program edges in CSR order, then its regenerated fault row. The
+    // nodes are scanned order-free first (first_canonical), so the
+    // canonical order is replayed only on a failing check.
+    const auto violates = [&](NodeId n) {
         const StateIndex s = ts.state_of(n);
-        if (!spec.state_allowed(space, s)) {
-            return CheckResult::failure(
-                "safety violated: state " + space.format(s) +
-                    " is excluded by " + spec.name() + "; witness: " +
-                    ts.format_witness(n),
-                ts.witness_trace(n));
-        }
-        if (state_only) continue;
-        for (const auto& e : ts.program_edges(n)) {
-            const StateIndex t = ts.state_of(e.to);
-            if (!spec.transition_allowed(space, s, t)) {
-                const std::string action =
-                    ts.program().action(e.action).name();
-                return CheckResult::failure(
-                    "safety violated: transition " + space.format(s) +
-                        " -> " + space.format(t) + " (action '" + action +
-                        "') is excluded by " + spec.name() + "; witness: " +
-                        ts.format_witness(n),
-                    trace_plus_step(ts, n, t, action, /*fault=*/false));
-            }
-        }
-        if (!faults) continue;
+        if (!spec.state_allowed(space, s)) return true;
+        if (state_only) return false;
+        for (const auto& e : ts.program_edges(n))
+            if (!spec.transition_allowed(space, s, ts.state_of(e.to)))
+                return true;
+        if (!faults) return false;
         ts.fault_steps(n, row);
-        for (const auto& [a, t] : row) {
-            if (!spec.transition_allowed(space, s, t)) {
-                return CheckResult::failure(
-                    "safety violated by fault step: " + space.format(s) +
-                        " -> " + space.format(t) + " is excluded by " +
-                        spec.name(),
-                    trace_plus_step(ts, n, t, ts.fault_action_name(a),
-                                    /*fault=*/true));
-            }
+        for (const auto& [a, t] : row)
+            if (!spec.transition_allowed(space, s, t)) return true;
+        return false;
+    };
+    const NodeId n = ts.first_canonical(violates);
+    if (n == TransitionSystem::kNoNode) return CheckResult::success();
+    const StateIndex s = ts.state_of(n);
+    if (!spec.state_allowed(space, s)) {
+        return CheckResult::failure(
+            "safety violated: state " + space.format(s) +
+                " is excluded by " + spec.name() + "; witness: " +
+                ts.format_witness(n),
+            ts.witness_trace(n));
+    }
+    for (const auto& e : ts.program_edges(n)) {
+        const StateIndex t = ts.state_of(e.to);
+        if (!spec.transition_allowed(space, s, t)) {
+            const std::string action = ts.program().action(e.action).name();
+            return CheckResult::failure(
+                "safety violated: transition " + space.format(s) + " -> " +
+                    space.format(t) + " (action '" + action +
+                    "') is excluded by " + spec.name() + "; witness: " +
+                    ts.format_witness(n),
+                trace_plus_step(ts, n, t, action, /*fault=*/false));
         }
     }
+    if (faults) ts.fault_steps(n, row);
+    for (const auto& [a, t] : row) {
+        if (!spec.transition_allowed(space, s, t)) {
+            return CheckResult::failure(
+                "safety violated by fault step: " + space.format(s) + " -> " +
+                    space.format(t) + " is excluded by " + spec.name(),
+                trace_plus_step(ts, n, t, ts.fault_action_name(a),
+                                /*fault=*/true));
+        }
+    }
+    DCFT_ASSERT(false, "check_safety_on: violating node without violation");
     return CheckResult::success();
 }
 

@@ -73,13 +73,7 @@ ToleranceReport decide(const Program& p, const FaultClass& f,
         span_states, "span(" + p.name() + "," + f.name() + "," +
                          invariant.name() + ")");
     report.span_size = span_states->count();
-    // Exploration witness: the BFS path to the deepest (last-discovered)
-    // node of the p [] F system. Cheap (one parent-chain walk) and always
-    // replayable — run reports use it for passing queries.
-    if (ts_pf.num_nodes() > 0) {
-        report.deepest_trace = ts_pf.witness_trace(
-            static_cast<NodeId>(ts_pf.num_nodes() - 1));
-    }
+    report.span_graph = ts_pf_ptr;
 
     // In the presence of faults, from T, on the same graph. T is the node
     // set of ts_pf, so T is closed in p [] F by construction and only the
@@ -111,6 +105,12 @@ ToleranceReport decide(const Program& p, const FaultClass& f,
 }
 
 }  // namespace
+
+std::vector<WitnessStep> ToleranceReport::deepest_trace() const {
+    if (span_graph == nullptr || span_graph->num_nodes() == 0) return {};
+    return span_graph->witness_trace(
+        span_graph->canonical_node(span_graph->num_nodes() - 1));
+}
 
 ToleranceReport check_tolerance(const Program& p, const FaultClass& f,
                                 const ProblemSpec& spec,

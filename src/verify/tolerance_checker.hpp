@@ -18,9 +18,12 @@
 // direct implementation of the definitions.
 #pragma once
 
+#include <memory>
+
 #include "spec/problem_spec.hpp"
 #include "verify/check_result.hpp"
 #include "verify/fault_span.hpp"
+#include "verify/transition_system.hpp"
 
 namespace dcft {
 
@@ -36,11 +39,15 @@ struct ToleranceReport {
     StateIndex span_size = 0;
     /// |S| (number of invariant states).
     StateIndex invariant_size = 0;
-    /// BFS path from the invariant to the deepest explored fault-span
-    /// state (replayable, with action provenance). Run reports export this
-    /// as the exploration witness of passing queries; failing queries
-    /// export the counterexample trace on in_absence/in_presence instead.
-    std::vector<WitnessStep> deepest_trace;
+    /// The p [] F graph explored from the invariant (its node set is T).
+    std::shared_ptr<const TransitionSystem> span_graph;
+    /// Canonical BFS path from the invariant to the deepest (last
+    /// discovered) fault-span state (replayable, with action provenance),
+    /// computed on request: on an identity graph it replays the whole
+    /// canonical order. Run reports export this as the exploration witness
+    /// of passing queries; failing queries export the counterexample trace
+    /// on in_absence/in_presence instead. Empty without a span graph.
+    std::vector<WitnessStep> deepest_trace() const;
     /// How each predicate the query materialized got its state set (one
     /// record per predicate name, the first eval_bits call's; run
     /// reports export these as the query's "materialize" entries).

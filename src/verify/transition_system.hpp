@@ -7,26 +7,40 @@
 // and p-maximal, and fault actions occur only finitely often (Section 2.3).
 //
 // Performance architecture (see DESIGN.md §7):
-//  * Exploration is the FIFO BFS, one level at a time on one thread: each
-//    level's states are expanded in id order and their successors interned
-//    in record order, with the corrupt-any line rule (LineMarks) on every
-//    level. The one parallel level is the identity sweep of a whole-space
-//    seed: over a work floor it runs as two deterministic passes (count,
-//    then sweep into pre-counted CSR slices) over one chunk per worker.
-//    Node numbering, edge order, and witness paths are therefore
-//    bit-for-bit identical for every thread count.
-//  * The interner is three-tiered: when the initial set covers the whole
-//    space, node id == state index and no reverse map is allocated at all;
-//    spaces up to DCFT_DIRECT_MAP_MAX states (default 2^25) use a
-//    direct-mapped NodeId array (O(1) array probe per successor) in a
-//    lazily committed anonymous mapping, so only the pages of reached
-//    states cost memory; larger spaces use an open-addressing
-//    fingerprint table (SparseNodeTable) sized from the initial-set
-//    cardinality.
+//  * Two ways to build. An *identity* graph numbers node id == state
+//    index and is built by one sweep over the space: when the initial set
+//    is the whole space, or when the fault span is syntactically the
+//    whole space (full_span_faults: a non-empty initial set and an
+//    unconditional corrupt-any over every variable of domain > 1). The
+//    sweep writes the program CSR (BatchKernel::sweep when the program
+//    lowers, the per-state expander in state order otherwise) and only
+//    counts fault transitions. It builds no interner and keeps no node ->
+//    state or BFS-parent arrays. Every other exploration is the FIFO BFS,
+//    one level at a time on one thread: each level's states are expanded
+//    in id order and their successors interned in record order, with the
+//    corrupt-any line rule (LineMarks) on every direct-mapped level.
+//  * Canonical order. Every order-dependent output (first violation,
+//    witness paths, the deepest exploration witness) is the one of the
+//    canonical FIFO BFS from the initial states in ascending order. On a
+//    BFS-numbered graph that order is the node-id order. On an identity
+//    graph from a partial seed it is replayed on demand (first_canonical,
+//    canonical_node): FIFO from the initial nodes over the CSR program
+//    row, then the regenerated fault row, marking visited nodes. The
+//    replay is mutex-guarded, grows lazily and never past the position
+//    asked for, and supplies the BFS parents of witness_path and
+//    witness_trace. Outputs are therefore identical under both numberings
+//    and for every thread count.
+//  * The interner of a BFS-numbered graph is two-tiered: spaces up to
+//    DCFT_DIRECT_MAP_MAX states (default 2^25) use a direct-mapped NodeId
+//    array (O(1) array probe per successor) in a lazily committed
+//    anonymous mapping, so only the pages of reached states cost memory;
+//    larger spaces use an open-addressing fingerprint table
+//    (SparseNodeTable) sized from the initial-set cardinality.
 //  * Whole-space guard bitsets are bought at a level boundary: levels run
 //    on per-state guard bytecode until the discovered node count times 64
 //    reaches the space size, the point where filling a bitset (|space|/64
 //    word operations) costs no more than the bytecode already spent.
+//    Identity sweeps buy them at once.
 //  * Every exploration runs to exhaustion: a TransitionSystem is always
 //    the complete reachable graph, which every verdict consumer needs.
 //  * Program edges are stored CSR (compressed sparse row): flat
@@ -63,7 +77,16 @@ namespace dcft {
 /// Node identifier inside one TransitionSystem (dense, 0-based).
 using NodeId = std::uint32_t;
 
+class CompiledProgram;  // verify/action_kernel.hpp
+class LineMarks;        // verify/action_kernel.hpp
 class SparseNodeTable;  // open-addressing interner (internal)
+
+/// Whether the fault span of any non-empty initial set under `faults` is
+/// syntactically the whole space: some fault action is an unconditional
+/// corrupt-any (guard `true`) whose variables cover every variable of
+/// domain > 1, so every state is at most num_vars fault steps from any
+/// state. A function of the fault class only.
+bool full_span_faults(const StateSpace& space, const FaultClass& faults);
 
 /// Exploration knobs beyond the (program, faults, init) triple.
 struct ExploreOptions {
@@ -133,9 +156,9 @@ public:
     /// the exact member arrays of a completed exploration, typically
     /// backed by SpillFile::adopt_region mappings of a `dcft.graph` file.
     struct AdoptedArrays {
-        SpillVector<StateIndex> states;
+        SpillVector<StateIndex> states;  ///< empty on identity graphs
         std::vector<NodeId> initial;
-        SpillVector<NodeId> parent;
+        SpillVector<NodeId> parent;  ///< empty on identity graphs
         SpillVector<std::uint64_t> prog_offsets;
         SpillVector<Edge> prog_edges;
         std::uint64_t num_fault_edges = 0;  ///< fault transitions explored
@@ -157,12 +180,55 @@ public:
     const StateSpace& space() const { return *space_; }
     const Program& program() const { return program_; }
 
-    std::size_t num_nodes() const { return states_.size(); }
-    StateIndex state_of(NodeId n) const { return states_[n]; }
+    std::size_t num_nodes() const { return num_nodes_; }
+    StateIndex state_of(NodeId n) const {
+        return identity_nodes_ ? static_cast<StateIndex>(n) : states_[n];
+    }
 
-    /// Least node id whose state satisfies `bad`, or kNoNode: the
-    /// canonical first violation (least BFS depth, then discovery order),
-    /// whose witness_path is a shortest path from the initial set.
+    /// Whether node ids are canonical BFS positions: true on BFS-numbered
+    /// graphs and on identity graphs whose initial set is the whole space
+    /// (every node a root, in ascending order).
+    bool canonical_ids() const {
+        return !identity_nodes_ || initial_.size() == num_nodes_;
+    }
+
+    /// The first node, in canonical BFS order (least depth, then
+    /// discovery order), satisfying `pred` (called as pred(NodeId) ->
+    /// bool, possibly more than once per node), or kNoNode. Its
+    /// witness_path is a shortest path from the initial set. On
+    /// canonical_ids() graphs this is the plain id loop. Otherwise the
+    /// initial nodes (the first positions) are tried first, then the
+    /// nodes are scanned in id order, and the canonical order is replayed
+    /// only when some node matches, and only as far as the first match.
+    /// Thread-safe.
+    template <class Pred>
+    NodeId first_canonical(Pred&& pred) const {
+        if (canonical_ids()) {
+            for (NodeId v = 0; v < num_nodes_; ++v)
+                if (pred(v)) return v;
+            return kNoNode;
+        }
+        // The initial nodes hold the first canonical positions.
+        for (const NodeId r : initial_)
+            if (pred(r)) return r;
+        NodeId any = kNoNode;
+        for (NodeId v = 0; v < num_nodes_ && any == kNoNode; ++v)
+            if (pred(v)) any = v;
+        if (any == kNoNode) return kNoNode;
+        std::vector<NodeId> batch;
+        for (std::size_t pos = initial_.size();; pos += batch.size()) {
+            replay_batch(pos, batch);  // non-empty until `any` is reached
+            for (const NodeId v : batch)
+                if (v == any || pred(v)) return v;
+        }
+    }
+
+    /// The node at canonical BFS position `pos` (< num_nodes()); on an
+    /// identity graph from a partial seed this replays up to `pos`.
+    NodeId canonical_node(std::size_t pos) const;
+
+    /// first_canonical over the states satisfying `bad`: the canonical
+    /// first violation.
     NodeId first_bad_node(const Predicate& bad) const;
 
     /// Node of a state, if the state is in the reachable fragment.
@@ -206,7 +272,9 @@ public:
     std::size_t num_fault_edges() const { return fault_edge_count_; }
 
     /// Raw CSR arrays, exactly as explored — the byte layout the graph
-    /// store serializes. Stable for the lifetime of the system.
+    /// store serializes. Stable for the lifetime of the system. States and
+    /// parents are empty on identity graphs (state_of(n) == n, parents
+    /// come from the canonical replay).
     std::span<const StateIndex> raw_states() const {
         return {states_.data(), states_.size()};
     }
@@ -219,8 +287,8 @@ public:
     std::span<const Edge> raw_prog_edges() const {
         return {prog_edges_.data(), prog_edges_.size()};
     }
-    /// Whether the identity interner tier is active (node id == state
-    /// index; nothing allocated). Recorded in graph snapshots.
+    /// Whether this is an identity graph (node id == state index; no
+    /// interner, no node or parent arrays). Recorded in graph snapshots.
     bool identity_interner() const { return identity_nodes_; }
 
     /// Approximate bytes of RAM/page-cache this system keeps resident:
@@ -259,8 +327,10 @@ public:
     /// invariant under program and fault steps).
     BitVec state_bits() const;
 
-    /// States along a shortest exploration path from some initial node to
-    /// n (inclusive); used to report counterexample witnesses.
+    /// States along the canonical BFS-tree path from its initial node to
+    /// n (inclusive), a shortest path; used to report counterexample
+    /// witnesses. Replays the canonical order as far as n on identity
+    /// graphs from a partial seed.
     std::vector<StateIndex> witness_path(NodeId n) const;
 
     /// witness_path(n) as a structured, replayable trace: each step carries
@@ -281,11 +351,12 @@ public:
     std::string format_witness(NodeId n) const;
 
 private:
-    /// The direct-mapped interner tier: one slot per state of the whole
-    /// space in a private anonymous mapping (no huge pages), so the kernel
-    /// commits a page only when a slot on it is first written. A slot
-    /// holds ~id, making an absent slot 0 — untouched pages read as
-    /// kNoNode without ever being filled.
+    /// The direct-mapped interner tier (and the canonical replay's parent
+    /// map): one slot per state of the whole space in a private anonymous
+    /// mapping (no huge pages), so the kernel commits a page only when a
+    /// slot on it is first written. A slot holds ~id, making an absent
+    /// slot 0 — untouched pages read as kNoNode without ever being
+    /// filled.
     class DirectMap {
     public:
         DirectMap() = default;
@@ -329,6 +400,22 @@ private:
 
     void explore(const FaultClass* faults, const Predicate& init,
                  unsigned n_threads, bool spill);
+    /// The FIFO BFS of explore() on the chosen interner tier.
+    void explore_bfs(const CompiledProgram& compiled,
+                     const BitVec& init_bits, bool spill,
+                     std::uint64_t explore_t0);
+    /// The identity sweep of explore(): node id == state index, program
+    /// CSR written in state order, fault transitions counted.
+    void explore_identity(const CompiledProgram& compiled,
+                          const BitVec& init_bits, unsigned n_threads,
+                          bool spill, std::uint64_t explore_t0);
+
+    /// Copies into `out` up to 64 nodes at canonical positions [pos, ...),
+    /// replaying the canonical order as far as `pos` (first_canonical).
+    /// Empty only past the last node.
+    void replay_batch(std::size_t pos, std::vector<NodeId>& out) const;
+    /// BFS-tree chain from n up to its root (n first).
+    std::vector<NodeId> tree_chain(NodeId n) const;
     void build_predecessors(CsrList& out, bool include_faults) const;
     /// Builds the reverse state -> node map of an adopted system on first
     /// use (direct map or sparse table, by the usual tier rule).
@@ -340,11 +427,14 @@ private:
     /// the source of fault-action names and of the lazily compiled fault
     /// kernel of adopted systems.
     std::shared_ptr<const FaultClass> faults_;
-    /// node -> state, BFS discovery order. Spillable: sealed levels are
-    /// the "cold frontier segments" advised out of RSS in spill mode.
+    std::size_t num_nodes_ = 0;
+    /// node -> state, BFS discovery order (empty on identity graphs).
+    /// Spillable: sealed levels are the "cold frontier segments" advised
+    /// out of RSS in spill mode.
     SpillVector<StateIndex> states_;
     std::vector<NodeId> initial_;
-    SpillVector<NodeId> parent_;  ///< BFS tree; parent_[n] == n at roots
+    /// BFS tree; parent_[n] == n at roots (empty on identity graphs).
+    SpillVector<NodeId> parent_;
 
     // CSR program-edge storage: offsets have num_nodes()+1 entries; edges
     // of node n are [offsets[n], offsets[n+1]), ordered by action index
@@ -364,10 +454,10 @@ private:
     /// resident_bytes() without synchronizing on the once_flag.
     mutable std::atomic<std::uint64_t> fault_kernel_bytes_{0};
 
-    // Interner / reverse lookup — one of three tiers (see file comment):
-    // identity (init covered the space: node id == state index, nothing
-    // allocated), direct-mapped (node_map_ has space_->num_states()
-    // slots), or the sparse open-addressing table.
+    // Interner / reverse lookup — identity (node id == state index,
+    // nothing allocated), or one of the two tiers of a BFS-numbered graph
+    // (see file comment): direct-mapped (node_map_ has
+    // space_->num_states() slots), or the sparse open-addressing table.
     bool identity_nodes_ = false;
     bool direct_mapped_ = false;
     /// Adopted systems defer the reverse map to the first has_state()/
@@ -390,6 +480,28 @@ private:
     mutable std::once_flag preds_all_once_;
     mutable CsrList preds_prog_;
     mutable CsrList preds_all_;
+
+    /// The canonical-order replay of an identity graph from a partial
+    /// seed (see file comment). Positions [0, initial_.size()) are the
+    /// initial nodes; later positions are `order` in discovery order.
+    struct Replay {
+        std::mutex mu;
+        /// BFS parent of every discovered node (roots: themselves); an
+        /// absent slot is an undiscovered node — the visited set. Lazily
+        /// committed, so a short replay costs only the pages it touches.
+        DirectMap parent;
+        std::vector<NodeId> order;  ///< non-root nodes, discovery order
+        std::size_t head = 0;       ///< next canonical position to expand
+        /// The corrupt-any line rule over the replay's expansions: fault
+        /// successors on a line already expanded are all visited, so
+        /// they are skipped without changing the order (null: no line).
+        std::unique_ptr<LineMarks> marks;
+    };
+    mutable Replay replay_;
+    /// Expands canonical positions until `pos` is discovered or `n` is
+    /// visited (whichever is asked; kNoNode = no node). Caller holds
+    /// replay_.mu.
+    void replay_grow(std::size_t pos, NodeId n) const;
 };
 
 }  // namespace dcft

@@ -20,6 +20,7 @@
 #include "verify/exploration_cache.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
+#include "../verify/partial_span.hpp"
 
 namespace dcft {
 namespace {
@@ -119,16 +120,22 @@ TEST(TelemetryTest, ExplorationCounterMatchesExploreSpanCalls) {
 
 TEST(TelemetryTest, LineMarksSkipFaultSuccessorsOfCoveredLines) {
     TelemetryGuard guard;
-    // Token ring n=6, k=6: the fault span is all 6^6 states, each with
-    // 6*5 corrupt successors. Only the first expansion of each of the
-    // 6*6^5 lines (one per variable and other-digit tuple) interns its 5
-    // successors; every other corrupt successor is counted, not interned.
+    // Token ring n=6, k=6 with every counter but the last corruptible:
+    // the fault span is still all 6^6 states, each with 5*5 corrupt
+    // successors, but not syntactically, so the BFS runs on the direct
+    // map. Only the first expansion of each of the 5*6^5 lines (one per
+    // corrupted variable and other-digit tuple) interns its 5 successors;
+    // every other corrupt successor is counted, not interned.
     auto ring = apps::make_token_ring(6, 6);
-    const TransitionSystem ts(ring.ring, &ring.corrupt_any, ring.legitimate,
+    const FaultClass partial = test::corrupt_all_but_last(ring);
+    const TransitionSystem ts(ring.ring, &partial, ring.legitimate,
                               /*n_threads=*/1);
-    EXPECT_EQ(ts.num_fault_edges(), 1'399'680u);
+    EXPECT_FALSE(ts.identity_interner());
+    EXPECT_EQ(counter_value("verify/interner/direct"), 1u);
+    EXPECT_EQ(ts.num_nodes(), 46'656u);
+    EXPECT_EQ(ts.num_fault_edges(), 1'166'400u);
     EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"),
-              1'399'680u - 6u * 7'776u * 5u);
+              1'166'400u - 5u * 7'776u * 5u);
     // interner_hits keeps its arithmetic definition: every target that
     // was already interned, looked up or known to be by a line mark.
     EXPECT_EQ(counter_value("verify/explore/interner_hits"),
@@ -144,6 +151,35 @@ TEST(TelemetryTest, LineMarksSkipFaultSuccessorsOfCoveredLines) {
                              byz.no_byzantine, /*n_threads=*/1);
     EXPECT_GT(b.num_fault_edges(), 0u);
     EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"), 0u);
+}
+
+TEST(TelemetryTest, FullSpanIsOneIdentitySweep) {
+    TelemetryGuard guard;
+    // The ring's own corrupt-any covers every counter unconditionally, so
+    // the fault span of the legitimate states is the whole space: one
+    // sweep, no interner, fault transitions counted (6*5 per state) and
+    // never looked up.
+    auto ring = apps::make_token_ring(6, 6);
+    const TransitionSystem ts(ring.ring, &ring.corrupt_any, ring.legitimate,
+                              /*n_threads=*/1);
+    EXPECT_TRUE(ts.identity_interner());
+    EXPECT_FALSE(ts.canonical_ids());
+    EXPECT_EQ(ts.num_nodes(), 46'656u);
+    EXPECT_EQ(ts.num_fault_edges(), 1'399'680u);
+    EXPECT_EQ(counter_value("verify/interner/identity"), 1u);
+    EXPECT_EQ(counter_value("verify/explore/levels"), 1u);
+    EXPECT_EQ(counter_value("verify/explore/sweep_states"), 46'656u);
+    EXPECT_EQ(counter_value("verify/explore/interner_hits"), 0u);
+    EXPECT_EQ(counter_value("verify/explore/interner_misses"), 0u);
+    EXPECT_EQ(counter_value("verify/explore/fault_edges"), 1'399'680u);
+    EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"), 0u);
+    // Nothing asked for canonical order yet; a witness replays only as far
+    // as its node.
+    EXPECT_EQ(counter_value("verify/canonical/replayed_nodes"), 0u);
+    const NodeId first_fault_target = ts.canonical_node(
+        ts.initial_nodes().size());
+    EXPECT_EQ(ts.witness_path(first_fault_target).size(), 2u);
+    EXPECT_EQ(counter_value("verify/canonical/replayed_nodes"), 1u);
 }
 
 /// Exploration counters under one DCFT_VERIFIER_THREADS setting.
@@ -183,11 +219,47 @@ TEST(TelemetryTest, ExplorationCountersDeterministicAcrossThreadCounts) {
     EXPECT_GT(value("verify/explore/nodes"), 0u);
     EXPECT_GT(value("verify/explore/program_edges"), 0u);
     EXPECT_GT(value("verify/explore/fault_edges"), 0u);
-    // Every intern call is a hit or a miss; misses == discovered nodes.
-    EXPECT_EQ(value("verify/explore/interner_misses"),
-              value("verify/explore/nodes"));
+    // An identity seed is one sweep that makes no interning decision.
+    EXPECT_EQ(value("verify/explore/levels"), 1u);
+    EXPECT_EQ(value("verify/explore/interner_misses"), 0u);
+    EXPECT_EQ(value("verify/explore/interner_hits"), 0u);
     // An identity seed buys the guard bitsets before level 0.
     EXPECT_EQ(value("verify/explore/levels_before_guard_bits"), 0u);
+}
+
+TEST(TelemetryTest, InternerCountersDeterministicAcrossThreadCounts) {
+    TelemetryGuard guard;
+    // A BFS exploration: every intern call is a hit or a miss, misses ==
+    // discovered nodes, at every thread count.
+    auto sys = apps::make_token_ring(4, 4);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    std::vector<std::vector<std::pair<std::string, std::uint64_t>>> runs;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        obs::Registry::global().reset();
+        const TransitionSystem ts(sys.ring, &partial, sys.legitimate,
+                                  threads);
+        EXPECT_FALSE(ts.identity_interner());
+        std::vector<std::pair<std::string, std::uint64_t>> out;
+        for (const auto& c : obs::Registry::global().counters())
+            if (c.path.rfind("verify/explore/", 0) == 0)
+                out.emplace_back(c.path, c.value);
+        runs.push_back(std::move(out));
+    }
+    EXPECT_EQ(runs[0], runs[1]);
+    EXPECT_EQ(runs[0], runs[2]);
+    auto value = [&](const char* path) -> std::uint64_t {
+        for (const auto& [p, v] : runs[0])
+            if (p == path) return v;
+        return 0;
+    };
+    EXPECT_GT(value("verify/explore/levels"), 1u);
+    EXPECT_EQ(value("verify/explore/interner_misses"),
+              value("verify/explore/nodes"));
+    EXPECT_EQ(value("verify/explore/interner_hits"),
+              value("verify/explore/initial_states") +
+                  value("verify/explore/program_edges") +
+                  value("verify/explore/fault_edges") -
+                  value("verify/explore/nodes"));
 }
 
 TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
@@ -208,12 +280,15 @@ TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
               counter_value("verify/explore/levels"));
     ExplorationCache::global().clear();
 
-    // Token ring n=7, p [] F from the legitimate states: levels 0 and 1 run
-    // on bytecode, then the fault successors have reached enough of the
+    // Token ring n=7, p [] F from the legitimate states (every counter
+    // but the last corruptible, so a BFS): levels 0 and 1 run on
+    // bytecode, then the fault successors have reached enough of the
     // 823,543 states that the bitsets are bought.
     obs::Registry::global().reset();
     auto ring = apps::make_token_ring(7, 7);
-    const TransitionSystem ts(ring.ring, &ring.corrupt_any, ring.legitimate);
+    const FaultClass partial = test::corrupt_all_but_last(ring);
+    const TransitionSystem ts(ring.ring, &partial, ring.legitimate);
+    EXPECT_EQ(counter_value("verify/interner/direct"), 1u);
     EXPECT_EQ(counter_value("verify/explore/levels_before_guard_bits"), 2u);
     EXPECT_GT(counter_value("verify/explore/levels"), 2u);
     EXPECT_EQ(counter_value("verify/compile/guard_bits_built"),
@@ -224,16 +299,19 @@ TEST(TelemetryTest, GuardBitsBoughtOnlyWhereTheyPay) {
 
 TEST(TelemetryTest, GraphAndLineSkipsIndependentOfThreadCount) {
     TelemetryGuard guard;
-    // Token ring n=6 p [] F from the legitimate states at 1 and 4 threads:
-    // the line rule runs on every level, so the skipped fault successors,
-    // like the graph itself, must not depend on the thread count.
+    // Token ring n=6 p [] F (every counter but the last corruptible) from
+    // the legitimate states at 1 and 4 threads: the line rule runs on
+    // every level, so the skipped fault successors, like the graph
+    // itself, must not depend on the thread count.
     auto ring = apps::make_token_ring(6, 6);
-    const TransitionSystem serial(ring.ring, &ring.corrupt_any,
-                                  ring.legitimate, /*n_threads=*/1);
+    const FaultClass partial = test::corrupt_all_but_last(ring);
+    const TransitionSystem serial(ring.ring, &partial, ring.legitimate,
+                                  /*n_threads=*/1);
+    EXPECT_EQ(counter_value("verify/interner/direct"), 1u);
     const std::uint64_t serial_skips =
         counter_value("verify/interner/fault_successors_skipped");
     obs::Registry::global().reset();
-    const TransitionSystem par(ring.ring, &ring.corrupt_any, ring.legitimate,
+    const TransitionSystem par(ring.ring, &partial, ring.legitimate,
                                /*n_threads=*/4);
     EXPECT_GT(serial_skips, 0u);
     EXPECT_EQ(counter_value("verify/interner/fault_successors_skipped"),
@@ -428,11 +506,12 @@ TEST(RunReportTest, ToleranceWitnessesAreReplayable) {
     const ToleranceReport pass = check_nonmasking(
         sys.ring, sys.corrupt_any, sys.spec, sys.legitimate);
     ASSERT_TRUE(pass.ok());
-    ASSERT_FALSE(pass.deepest_trace.empty());
-    EXPECT_TRUE(pass.deepest_trace.front().action.empty());  // root
-    for (std::size_t i = 1; i < pass.deepest_trace.size(); ++i) {
-        EXPECT_FALSE(pass.deepest_trace[i].action.empty());
-        EXPECT_FALSE(pass.deepest_trace[i].state_repr.empty());
+    const std::vector<WitnessStep> deepest = pass.deepest_trace();
+    ASSERT_FALSE(deepest.empty());
+    EXPECT_TRUE(deepest.front().action.empty());  // root
+    for (std::size_t i = 1; i < deepest.size(); ++i) {
+        EXPECT_FALSE(deepest[i].action.empty());
+        EXPECT_FALSE(deepest[i].state_repr.empty());
     }
 
     const ToleranceReport fail = check_failsafe(

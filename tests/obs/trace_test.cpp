@@ -14,6 +14,7 @@
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/transition_system.hpp"
+#include "../verify/partial_span.hpp"
 
 namespace dcft {
 namespace {
@@ -52,11 +53,14 @@ std::map<std::string, std::uint64_t> explore_instants(unsigned threads) {
     obs::trace_reset();
     auto sys = apps::make_token_ring(6, 6);
     // Seed from the single legitimate start state so the BFS has real
-    // depth (Predicate::top() would make the whole space level 0).
+    // depth (Predicate::top() would make the whole space level 0), with a
+    // fault class whose span is not syntactically full (the ring's own
+    // corrupt-any would make the exploration one identity sweep).
     const StateIndex init = sys.initial_state();
     const Predicate seed(
         "init", [init](const StateSpace&, StateIndex s) { return s == init; });
-    const TransitionSystem ts(sys.ring, &sys.corrupt_any, seed);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    const TransitionSystem ts(sys.ring, &partial, seed);
     EXPECT_GT(ts.num_nodes(), 0u);
     unsetenv("DCFT_VERIFIER_THREADS");
     return instant_counts(obs::trace_snapshot());

@@ -19,8 +19,10 @@
 
 #include "apps/token_ring.hpp"
 #include "obs/telemetry.hpp"
+#include "fuzz/oracle.hpp"
 #include "verify/reference.hpp"
 #include "verify/transition_system.hpp"
+#include "partial_span.hpp"
 
 namespace dcft {
 namespace {
@@ -79,7 +81,11 @@ void expect_reference(const TransitionSystem& ts,
     std::uint64_t fault_edges = 0;
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         ASSERT_EQ(ts.state_of(n), ref.state_of(n)) << "node " << n;
-        ASSERT_EQ(ts.raw_parent()[n], ref.parents()[n]) << "node " << n;
+        // Identity graphs keep no parent array; those compared here start
+        // from the whole space, where every node is its own root.
+        ASSERT_EQ(ts.identity_interner() ? n : ts.raw_parent()[n],
+                  ref.parents()[n])
+            << "node " << n;
         const auto prog = ts.program_edges(n);
         const auto& rprog = ref.program_edges(n);
         ASSERT_TRUE(std::equal(prog.begin(), prog.end(), rprog.begin(),
@@ -200,14 +206,40 @@ TEST(IdentitySweepTest, ChunkedSweepAboveWorkFloorMatchesSerial) {
 
 // Multi-level BFS from a single root: every level has a different size
 // (almost all % 64 != 0), so the serial levels' 64-state staging blocks
-// end in a partial block, and no sweep runs.
+// end in a partial block, and no sweep runs (every counter but the last
+// corruptible: the ring's own corrupt-any would make the span full).
 TEST(FrontierExpansionTest, SingleRootMatchesReference) {
     auto sys = apps::make_token_ring(5, 3);
     const StateIndex root = sys.initial_state();
     const Predicate init("root", [root](const StateSpace&, StateIndex s) {
         return s == root;
     });
-    EXPECT_EQ(check_reference(sys.ring, &sys.corrupt_any, init), 0u);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    EXPECT_EQ(check_reference(sys.ring, &partial, init), 0u);
+}
+
+// The same root under the ring's own corrupt-any: a full fault span, so
+// one identity sweep covers all 243 states, and the graph is the
+// reference's by state — canonical order, rows and witness paths through
+// the replay — at 1 and 4 threads.
+TEST(IdentitySweepTest, FullSpanFromOneRootMatchesReferenceByState) {
+    auto sys = apps::make_token_ring(5, 3);
+    const StateIndex root = sys.initial_state();
+    const Predicate init("root", [root](const StateSpace&, StateIndex s) {
+        return s == root;
+    });
+    const reference::RefTransitionSystem ref(sys.ring, &sys.corrupt_any,
+                                             init);
+    obs::set_enabled(true);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        obs::Registry::global().reset();
+        const TransitionSystem ts(sys.ring, &sys.corrupt_any, init, threads);
+        EXPECT_EQ(swept_states(), 243u);
+        ASSERT_EQ(ts.initial_nodes(), std::vector<NodeId>{NodeId(root)});
+        EXPECT_EQ(fuzz::first_identity_difference(ref, ts), std::nullopt);
+    }
+    obs::set_enabled(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,13 +277,14 @@ TEST(SpillIdentityTest, SpillFrontierExplorationMatchesInCore) {
     const Predicate init("root", [root](const StateSpace&, StateIndex s) {
         return s == root;
     });
-    const TransitionSystem in_core(sys.ring, &sys.corrupt_any, init, 1);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    const TransitionSystem in_core(sys.ring, &partial, init, 1);
+    ASSERT_FALSE(in_core.identity_interner());
     for (const unsigned threads : {1u, 2u}) {
         ExploreOptions opts;
         opts.n_threads = threads;
         opts.spill = true;
-        const TransitionSystem spilled(sys.ring, &sys.corrupt_any, init,
-                                       opts);
+        const TransitionSystem spilled(sys.ring, &partial, init, opts);
         EXPECT_TRUE(spilled.spilled());
         expect_identical(in_core, spilled);
     }

@@ -131,6 +131,41 @@ TEST(GraphStoreTest, RoundTripIsBitIdenticalAcrossThreadCounts) {
     }
 }
 
+TEST(GraphStoreTest, FullSpanIdentityGraphRoundTrips) {
+    // The ring's corrupt-any makes the span of the legitimate states the
+    // whole space: an identity graph with a partial initial set. The
+    // snapshot holds the identity flag, the initial set and the program
+    // CSR, and no states or parents; the adopted graph replays the same
+    // canonical order and witnesses.
+    auto sys = apps::make_token_ring(4, 4);
+    TempStore tmp;
+    GraphStore store(tmp.dir(), 0);
+    const GraphKey key = key_of(sys, sys.legitimate);
+    const TransitionSystem ts(sys.ring, &sys.corrupt_any, sys.legitimate, 1);
+    ASSERT_TRUE(ts.identity_interner());
+    ASSERT_FALSE(ts.canonical_ids());
+    ASSERT_TRUE(store.save(key, ts));
+    std::string error;
+    StoreLoadError kind = StoreLoadError::kMiss;
+    auto loaded =
+        store.load(key, sys.ring, &sys.corrupt_any, &error, &kind);
+    ASSERT_NE(loaded, nullptr) << error;
+    EXPECT_EQ(kind, StoreLoadError::kNone);
+    EXPECT_TRUE(loaded->identity_interner());
+    EXPECT_TRUE(loaded->raw_states().empty());
+    EXPECT_TRUE(loaded->raw_parent().empty());
+    expect_bit_identical(ts, *loaded);
+    for (std::size_t pos = 0; pos < ts.num_nodes(); ++pos)
+        ASSERT_EQ(loaded->canonical_node(pos), ts.canonical_node(pos));
+    for (NodeId n = 0; n < ts.num_nodes(); ++n)
+        ASSERT_EQ(loaded->witness_trace(n), ts.witness_trace(n));
+    // A graph-store miss is typed too.
+    const GraphKey other = key_of(sys, Predicate::top());
+    EXPECT_EQ(store.load(other, sys.ring, &sys.corrupt_any, &error, &kind),
+              nullptr);
+    EXPECT_EQ(kind, StoreLoadError::kMiss);
+}
+
 TEST(GraphStoreTest, SpillBuiltSnapshotMatchesInCoreBuild) {
     auto sys = apps::make_token_ring(4, 4);
     TempStore tmp;
@@ -204,9 +239,11 @@ TEST(GraphStoreTest, CorruptedTruncatedAndVersionSkewedFilesAreRejected) {
         f.write(static_cast<const char*>(bytes),
                 static_cast<std::streamsize>(n));
     };
+    StoreLoadError kind = StoreLoadError::kNone;
     auto load_error = [&]() {
         std::string error;
-        auto loaded = store.load(key, sys.ring, &sys.corrupt_any, &error);
+        auto loaded =
+            store.load(key, sys.ring, &sys.corrupt_any, &error, &kind);
         EXPECT_EQ(loaded, nullptr);
         return error;
     };
@@ -220,20 +257,30 @@ TEST(GraphStoreTest, CorruptedTruncatedAndVersionSkewedFilesAreRejected) {
         const char flipped = static_cast<char>(byte ^ 0x40);
         patch(file_size / 2, &flipped, 1);
         EXPECT_NE(load_error().find("checksum"), std::string::npos);
+        EXPECT_EQ(kind, StoreLoadError::kInvalid);
         patch(file_size / 2, &byte, 1);  // restore
     }
     // Version skew (validated before the header digest, so the message
-    // names the version). A v1 snapshot, which still carried the fault
-    // CSR sections, is rejected like any other version and re-explored.
+    // names the version, and the typed cause is kVersion). A v1 snapshot,
+    // which still carried the fault CSR sections, and a v2 snapshot,
+    // which stored identity graphs only for whole-space seeds, are
+    // rejected like any other version and re-explored.
     {
         const std::uint32_t v1 = 1;
         patch(8, &v1, sizeof(v1));
         EXPECT_NE(load_error().find("unsupported dcft.graph version 1"),
                   std::string::npos);
+        EXPECT_EQ(kind, StoreLoadError::kVersion);
+        const std::uint32_t v2 = 2;
+        patch(8, &v2, sizeof(v2));
+        EXPECT_NE(load_error().find("unsupported dcft.graph version 2"),
+                  std::string::npos);
+        EXPECT_EQ(kind, StoreLoadError::kVersion);
         const std::uint32_t bad_version = 99;
         patch(8, &bad_version, sizeof(bad_version));
         EXPECT_NE(load_error().find("version"), std::string::npos);
-        const std::uint32_t good_version = 2;
+        EXPECT_EQ(kind, StoreLoadError::kVersion);
+        const std::uint32_t good_version = 3;
         patch(8, &good_version, sizeof(good_version));
     }
     // Header corruption (key bytes): caught by the header digest.

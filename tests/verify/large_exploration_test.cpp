@@ -9,12 +9,15 @@
 #include <vector>
 
 #include "apps/token_ring.hpp"
+#include "obs/telemetry.hpp"
 #include "spec/safety_spec.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/reachability.hpp"
+#include "verify/reference.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
+#include "partial_span.hpp"
 
 namespace dcft {
 namespace {
@@ -76,22 +79,37 @@ void expect_identical(const TransitionSystem& a, const TransitionSystem& b) {
 
 // ---------------------------------------------------------------------------
 // Sparse interner vs direct map: bit-identical graphs on a >= 10^5-state
-// system (token ring n=7, K=6: 279936 states, explored with faults from the
-// legitimate set so the interner — not the identity fast path — is used).
+// system (token ring n=7, K=6: 279936 states, explored from the legitimate
+// set with every counter but the last corruptible, so the interner — not
+// the identity sweep of a full fault span — is used).
 // ---------------------------------------------------------------------------
+
+/// Value of a telemetry counter (0 when never recorded).
+std::uint64_t counter_value(const std::string& path) {
+    for (const auto& c : obs::Registry::global().counters())
+        if (c.path == path) return c.value;
+    return 0;
+}
 
 TEST(SparseInternerTest, SparseAndDirectMappedGraphsAreIdentical) {
     const auto sys = apps::make_token_ring(7, 6);
     ASSERT_GE(sys.space->num_states(), 100000u);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
 
-    const TransitionSystem direct(sys.ring, &sys.corrupt_any, sys.legitimate,
+    const EnvVarGuard unforced("DCFT_DIRECT_MAP_MAX", nullptr);
+    const TransitionSystem direct(sys.ring, &partial, sys.legitimate,
                                   /*n_threads=*/2);
+    EXPECT_EQ(counter_value("verify/interner/direct"), 1u);
 
     // Force the sparse table at every size.
     const EnvVarGuard force("DCFT_DIRECT_MAP_MAX", "1024");
     for (const unsigned threads : {1u, 2u, 8u}) {
-        const TransitionSystem sparse(sys.ring, &sys.corrupt_any,
-                                      sys.legitimate, threads);
+        obs::Registry::global().reset();
+        const TransitionSystem sparse(sys.ring, &partial, sys.legitimate,
+                                      threads);
+        EXPECT_EQ(counter_value("verify/interner/sparse"), 1u);
         expect_identical(direct, sparse);
         // Reverse lookups agree tier-to-tier.
         for (const NodeId n :
@@ -102,6 +120,7 @@ TEST(SparseInternerTest, SparseAndDirectMappedGraphsAreIdentical) {
             ASSERT_EQ(direct.node_of(s), n);
         }
     }
+    obs::set_enabled(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,6 +144,18 @@ TEST(FirstBadNodeTest, SameNodeAndWitnessAtEveryThreadCount) {
         ASSERT_EQ(ts.witness_path(expect), serial.witness_path(expect));
         ASSERT_EQ(ts.format_witness(expect), serial.format_witness(expect));
     }
+
+    // The ring's corrupt-any spans the whole space: an identity graph,
+    // whose first bad node (found by the canonical replay) is the
+    // reference BFS's first bad node, with the same witness.
+    ASSERT_TRUE(serial.identity_interner());
+    const reference::RefTransitionSystem ref(sys.ring, &sys.corrupt_any,
+                                             sys.legitimate);
+    NodeId ref_first = 0;
+    while (!bad.eval(*sys.space, ref.state_of(ref_first))) ++ref_first;
+    EXPECT_EQ(serial.state_of(expect), ref.state_of(ref_first));
+    EXPECT_EQ(serial.witness_path(expect), ref.witness_path(ref_first));
+    EXPECT_EQ(serial.format_witness(expect), ref.format_witness(ref_first));
 
     const Predicate never("never-bad",
                           [](const StateSpace&, StateIndex) { return false; });

@@ -12,13 +12,16 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "apps/byzantine.hpp"
 #include "apps/catalog.hpp"
 #include "apps/token_ring.hpp"
 #include "common/rng.hpp"
+#include "fuzz/oracle.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/fairness.hpp"
 #include "verify/reachability.hpp"
@@ -26,6 +29,7 @@
 #include "verify/state_set.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
+#include "partial_span.hpp"
 
 namespace dcft {
 namespace {
@@ -204,29 +208,78 @@ TEST_P(CsrDifferentialTest, ToleranceVerdictAgreesWithReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrDifferentialTest,
                          ::testing::Range<std::uint64_t>(1, 25));
 
-// App-sized systems explored at several thread counts must match the
-// purely sequential reference (under sparse_interner_smoke, on the sparse
-// tier).
-TEST(CsrParallelPathTest, TokenRingMatchesReferenceAcrossThreadCounts) {
-    auto sys = apps::make_token_ring(6, 6);  // 46656 states, one big level
-    const reference::RefTransitionSystem ref(sys.ring, nullptr,
-                                             Predicate::top());
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        const TransitionSystem ts(sys.ring, nullptr, Predicate::top(),
-                                  threads);
+/// The interner tier counter an exploration of `space` must report: the
+/// sparse table when DCFT_DIRECT_MAP_MAX (as under sparse_interner_smoke)
+/// is below the space size, the direct map otherwise.
+const char* expected_bfs_tier(const StateSpace& space) {
+    const char* max = std::getenv("DCFT_DIRECT_MAP_MAX");
+    const bool sparse = max != nullptr && *max != '\0' &&
+                        std::strtoull(max, nullptr, 10) < space.num_states();
+    return sparse ? "verify/interner/sparse" : "verify/interner/direct";
+}
+
+std::uint64_t counter_value(const std::string& path) {
+    for (const auto& c : obs::Registry::global().counters())
+        if (c.path == path) return c.value;
+    return 0;
+}
+
+/// Explores (program, faults) from `init` at each thread count, checks it
+/// against the reference and asserts the BFS interner tier it ran on.
+void check_bfs_tier(const Program& program, const FaultClass* faults,
+                    const Predicate& init,
+                    std::initializer_list<unsigned> threads) {
+    const reference::RefTransitionSystem ref(program, faults, init);
+    ASSERT_LT(ref.initial_nodes().size(), program.space().num_states());
+    obs::set_enabled(true);
+    for (const unsigned t : threads) {
+        SCOPED_TRACE(std::to_string(t) + " threads");
+        obs::Registry::global().reset();
+        const TransitionSystem ts(program, faults, init, t);
+        EXPECT_FALSE(ts.identity_interner());
+        EXPECT_EQ(counter_value(expected_bfs_tier(program.space())), 1u);
         expect_same_system(ts, ref);
     }
+    obs::set_enabled(false);
+}
+
+// App-sized systems explored from seeds that are not the whole space, at
+// several thread counts, must match the purely sequential reference: on
+// the direct map, and under sparse_interner_smoke (DCFT_DIRECT_MAP_MAX=
+// 1024) on the sparse tier.
+TEST(CsrParallelPathTest, TokenRingMatchesReferenceAcrossThreadCounts) {
+    auto sys = apps::make_token_ring(6, 6);  // 46656 states
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    check_bfs_tier(sys.ring, &partial, sys.legitimate, {1u, 2u, 8u});
 }
 
 TEST(CsrParallelPathTest, ByzantineWithFaultsMatchesReference) {
     auto sys = apps::make_byzantine(4, 1);  // 23328 states
-    const reference::RefTransitionSystem ref(sys.masking,
-                                             &sys.byzantine_fault,
+    check_bfs_tier(sys.masking, &sys.byzantine_fault, sys.no_byzantine,
+                   {1u, 8u});
+}
+
+// Whole-space seeds: one identity sweep whose node ids are the canonical
+// order, so the graph is the reference's node for node.
+TEST(IdentityGraphTest, WholeSpaceSeedsMatchReferenceAcrossThreadCounts) {
+    auto ring = apps::make_token_ring(6, 6);
+    const reference::RefTransitionSystem ref(ring.ring, nullptr,
                                              Predicate::top());
-    for (const unsigned threads : {1u, 8u}) {
-        const TransitionSystem ts(sys.masking, &sys.byzantine_fault,
-                                  Predicate::top(), threads);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        const TransitionSystem ts(ring.ring, nullptr, Predicate::top(),
+                                  threads);
+        EXPECT_TRUE(ts.identity_interner());
+        EXPECT_TRUE(ts.canonical_ids());
         expect_same_system(ts, ref);
+    }
+    auto byz = apps::make_byzantine(4, 1);
+    const reference::RefTransitionSystem bref(byz.masking,
+                                              &byz.byzantine_fault,
+                                              Predicate::top());
+    for (const unsigned threads : {1u, 8u}) {
+        const TransitionSystem ts(byz.masking, &byz.byzantine_fault,
+                                  Predicate::top(), threads);
+        expect_same_system(ts, bref);
     }
 }
 
@@ -293,9 +346,15 @@ void check_regenerated_rows(const Program& program, const FaultClass& faults,
 }
 
 TEST(FaultRowsOnDemandTest, BatchableFaultsMatchReference) {
-    // corrupt-any: fault rows regenerated from guard-bitset probes.
+    // corrupt-any: fault rows regenerated from guard-bitset probes, on a
+    // BFS graph (every counter but the last corruptible).
     auto sys = apps::make_token_ring(4, 4);
-    check_regenerated_rows(sys.ring, sys.corrupt_any, sys.legitimate);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    check_regenerated_rows(sys.ring, partial, sys.legitimate);
+    EXPECT_EQ(counter_value(expected_bfs_tier(*sys.space)), 2u);
+    obs::set_enabled(false);
 }
 
 TEST(FaultRowsOnDemandTest, ScalarFaultsMatchReference) {
@@ -313,10 +372,13 @@ TEST(FaultRowsOnDemandTest, ByzantineMatchesReference) {
 }
 
 TEST(FaultRowsOnDemandTest, ResidentBytesCountNoFaultEdges) {
-    // Pin the direct-mapped interner tier, whose size the bound below uses.
+    // Pin the direct-mapped interner tier, whose size the bound below uses
+    // (a full fault span would build an identity graph instead).
     const ScopedEnv tier("DCFT_DIRECT_MAP_MAX", nullptr);
     auto sys = apps::make_token_ring(4, 4);
-    const TransitionSystem ts(sys.ring, &sys.corrupt_any, sys.legitimate, 1);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    const TransitionSystem ts(sys.ring, &partial, sys.legitimate, 1);
+    ASSERT_FALSE(ts.identity_interner());
     ASSERT_GT(ts.num_fault_edges(), 0u);
     // States, parents, the program CSR, the initial list, the interner
     // tier and the fault kernel's whole-space guard bitsets (one per fault
@@ -342,21 +404,39 @@ TEST(FaultRowsOnDemandTest, ResidentBytesCountNoFaultEdges) {
 
 TEST(FaultRowsOnDemandTest, FaultPredecessorsMatchReferenceAtAnyThreadCount) {
     // 46656 states: the predecessor build regenerates the same fault rows
-    // from the graphs explored at 1 and 4 threads.
+    // from the graphs explored at 1 and 4 threads. With every counter but
+    // the last corruptible the graph is BFS-numbered and each row equals
+    // the reference's; with the full corrupt-any it is an identity graph
+    // and each row holds the reference's predecessors by state.
     auto sys = apps::make_token_ring(6, 6);
-    const reference::RefTransitionSystem ref(sys.ring, &sys.corrupt_any,
-                                             sys.legitimate);
-    const auto& rpreds = ref.predecessors(/*include_faults=*/true);
-    for (const char* threads : {"1", "4"}) {
-        const ScopedEnv env("DCFT_VERIFIER_THREADS", threads);
-        const TransitionSystem ts(sys.ring, &sys.corrupt_any, sys.legitimate);
-        const auto& preds = ts.predecessors(/*include_faults=*/true);
-        ASSERT_EQ(ts.num_nodes(), rpreds.size());
-        for (NodeId n = 0; n < ts.num_nodes(); ++n) {
-            const auto row = preds[n];
-            ASSERT_TRUE(std::equal(row.begin(), row.end(), rpreds[n].begin(),
-                                   rpreds[n].end()))
-                << "threads=" << threads << " node " << n;
+    const FaultClass partial = test::corrupt_all_but_last(sys);
+    for (const FaultClass* faults :
+         std::initializer_list<const FaultClass*>{&partial,
+                                                  &sys.corrupt_any}) {
+        SCOPED_TRACE(faults->name());
+        const reference::RefTransitionSystem ref(sys.ring, faults,
+                                                 sys.legitimate);
+        const auto& rpreds = ref.predecessors(/*include_faults=*/true);
+        for (const char* threads : {"1", "4"}) {
+            const ScopedEnv env("DCFT_VERIFIER_THREADS", threads);
+            const TransitionSystem ts(sys.ring, faults, sys.legitimate);
+            EXPECT_EQ(ts.identity_interner(), faults == &sys.corrupt_any);
+            const auto& preds = ts.predecessors(/*include_faults=*/true);
+            ASSERT_EQ(ts.num_nodes(), rpreds.size());
+            for (NodeId r = 0; r < ts.num_nodes(); ++r) {
+                std::vector<StateIndex> want, got;
+                for (const NodeId u : rpreds[r]) want.push_back(ref.state_of(u));
+                for (const NodeId u : preds[ts.node_of(ref.state_of(r))])
+                    got.push_back(ts.state_of(u));
+                if (!ts.identity_interner()) {
+                    ASSERT_EQ(got, want) << "threads=" << threads << " node "
+                                         << r;
+                    continue;
+                }
+                std::sort(want.begin(), want.end());
+                std::sort(got.begin(), got.end());
+                ASSERT_EQ(got, want) << "threads=" << threads << " node " << r;
+            }
         }
     }
 }
@@ -594,11 +674,13 @@ TEST(GuardBitsPurchaseTest, NeverBoughtByzantine) {
 
 TEST(GuardBitsPurchaseTest, BoughtMidRunTokenRing) {
     // Level 0 runs on bytecode from the legitimate states; its fault
-    // successors reach enough of the 46,656 states that the bitsets are
-    // bought before level 1.
+    // successors (every counter but the last corruptible, so a BFS) reach
+    // enough of the 46,656 states that the bitsets are bought before
+    // level 1.
     auto sys = apps::make_token_ring(6, 6);
+    const FaultClass partial = test::corrupt_all_but_last(sys);
     const PurchaseCounters c =
-        check_purchase(sys.ring, sys.corrupt_any, sys.legitimate);
+        check_purchase(sys.ring, partial, sys.legitimate);
     EXPECT_EQ(c.levels_before_guard_bits, 1u);
     EXPECT_GT(c.levels, c.levels_before_guard_bits);
     EXPECT_EQ(c.guard_bits_built, sys.ring.num_actions() + 1);
@@ -778,6 +860,106 @@ TEST(ExpanderFormsTest, SixtyFiveProgramActionsMatchReference) {
         Predicate::var_eq(sp, x, 0) && Predicate::var_eq(sp, y, 0);
     check_against_reference(program, faults, root);
     check_against_reference(program, faults, Predicate::top());
+}
+
+// ---------------------------------------------------------------------------
+// Full fault spans: an unconditional corrupt-any over every counter makes
+// the span of the legitimate states the whole space, built as one identity
+// sweep. The graph must be the reference exploration by state — canonical
+// order, program and fault rows, witness paths and witness traces through
+// the replay — at 1 and 4 threads, and the tolerance verdicts must match
+// the reference pipeline.
+
+TEST(IdentityGraphTest, FullSpanMatchesReferenceByState) {
+    auto sys = apps::make_token_ring(5, 4);
+    const reference::RefTransitionSystem ref(sys.ring, &sys.corrupt_any,
+                                             sys.legitimate);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const TransitionSystem ts(sys.ring, &sys.corrupt_any, sys.legitimate,
+                                  threads);
+        ASSERT_TRUE(ts.identity_interner());
+        ASSERT_FALSE(ts.canonical_ids());
+        EXPECT_TRUE(ts.raw_states().empty());
+        EXPECT_TRUE(ts.raw_parent().empty());
+        EXPECT_EQ(fuzz::first_identity_difference(ref, ts), std::nullopt);
+        std::uint64_t fault_edges = 0;
+        for (NodeId r = 0; r < ref.num_nodes(); ++r) {
+            fault_edges += ref.fault_edges(r).size();
+            ASSERT_EQ(ts.witness_trace(ts.node_of(ref.state_of(r))),
+                      reference_trace(ref, sys.corrupt_any, r))
+                << "reference node " << r;
+        }
+        EXPECT_EQ(ts.num_fault_edges(), fault_edges);
+        EXPECT_EQ(ts.first_bad_node(Predicate::top()), ts.initial_nodes()[0]);
+    }
+}
+
+TEST(IdentityGraphTest, ScalarFullSpanMatchesReferenceByState) {
+    // A program the sweep kernel does not lower (a kGeneric effect): the
+    // program CSR comes from the per-state expander, and the fault count
+    // from guard popcounts.
+    auto sys = apps::make_token_ring(4, 4);
+    Program program(sys.space, "ring-with-generic");
+    for (const Action& a : sys.ring.actions()) program.add_action(a);
+    const VarId x0 = sys.x[0];
+    program.add_action(Action(
+        "generic", Predicate::var_eq(*sys.space, x0, 1),
+        [x0](const StateSpace& sp, StateIndex s) { return sp.set(s, x0, 2); }));
+    const reference::RefTransitionSystem ref(program, &sys.corrupt_any,
+                                             sys.legitimate);
+    const TransitionSystem ts(program, &sys.corrupt_any, sys.legitimate, 1);
+    ASSERT_TRUE(ts.identity_interner());
+    EXPECT_EQ(fuzz::first_identity_difference(ref, ts), std::nullopt);
+    std::uint64_t fault_edges = 0;
+    for (NodeId r = 0; r < ref.num_nodes(); ++r)
+        fault_edges += ref.fault_edges(r).size();
+    EXPECT_EQ(ts.num_fault_edges(), fault_edges);
+}
+
+TEST(IdentityGraphTest, ConcurrentReplayMatchesSerialReplay) {
+    // Checker threads share one graph, and with it the canonical replay:
+    // witnesses and canonical positions asked for from four threads at
+    // once, in different orders, equal a serial replay's.
+    auto sys = apps::make_token_ring(5, 4);
+    const TransitionSystem serial(sys.ring, &sys.corrupt_any, sys.legitimate,
+                                  1);
+    const TransitionSystem shared(sys.ring, &sys.corrupt_any, sys.legitimate,
+                                  1);
+    ASSERT_FALSE(shared.canonical_ids());
+    const NodeId n = static_cast<NodeId>(serial.num_nodes());
+    std::vector<std::vector<StateIndex>> want(n);
+    std::vector<NodeId> order(n);
+    for (NodeId v = 0; v < n; ++v) want[v] = serial.witness_path(v);
+    for (NodeId p = 0; p < n; ++p) order[p] = serial.canonical_node(p);
+    std::vector<int> mismatches(4, 0);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < 4; ++w) {
+        workers.emplace_back([&, w] {
+            for (NodeId k = 0; k < n; ++k) {
+                const NodeId v = w % 2 == 0 ? (k * 7 + w) % n : n - 1 - k;
+                if (shared.witness_path(v) != want[v]) ++mismatches[w];
+                if (shared.canonical_node(v) != order[v]) ++mismatches[w];
+            }
+        });
+    }
+    for (std::thread& t : workers) t.join();
+    EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+TEST(IdentityGraphTest, FullSpanVerdictsMatchReferencePipeline) {
+    auto sys = apps::make_token_ring(5, 5);
+    for (const Tolerance grade :
+         {Tolerance::FailSafe, Tolerance::Nonmasking, Tolerance::Masking}) {
+        const ToleranceReport a = check_tolerance(
+            sys.ring, sys.corrupt_any, sys.spec, sys.legitimate, grade);
+        const ToleranceReport b = reference::ref_check_tolerance(
+            sys.ring, sys.corrupt_any, sys.spec, sys.legitimate, grade);
+        EXPECT_EQ(a.in_absence.ok, b.in_absence.ok);
+        EXPECT_EQ(a.in_presence.ok, b.in_presence.ok);
+        EXPECT_EQ(a.span_size, sys.space->num_states());
+        EXPECT_EQ(a.span_size, b.span_size);
+    }
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 // entirely from the store: zero new explorations, store hits for every
 // graph the suite needs, no new misses or saves, and verdicts identical
 // to the first pass (the mmap-adopted graphs are bit-identical). Every
-// snapshot is format v2, which stores no fault edges: a p [] F file holds
+// snapshot is format v3, which stores no fault edges: a p [] F file holds
 // exactly the header page plus the page-padded states, parents, program
-// CSR and initial list.
+// CSR and initial list — and an identity graph (here the token-ring
+// fault span, the whole space) no states or parents at all.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -79,7 +80,8 @@ std::uint32_t snapshot_version(const std::filesystem::path& path) {
 }
 
 /// Saves the token-ring 6 fault span and checks the file size against the
-/// sections a v2 snapshot carries.
+/// sections a v3 snapshot carries: the span is the whole space, so it is
+/// an identity graph with no states or parent sections.
 void check_snapshot_size(const std::string& dir) {
     constexpr std::uint64_t kPage = 4096;
     auto padded = [&](std::uint64_t bytes) {
@@ -96,19 +98,19 @@ void check_snapshot_size(const std::string& dir) {
     check(store.save(key, ts), "fault-span snapshot saved");
 
     const std::uint64_t n = ts.num_nodes();
-    const std::uint64_t v2_bytes =
-        kPage + padded(n * sizeof(dcft::StateIndex)) +
-        padded(n * sizeof(dcft::NodeId)) +
-        padded((n + 1) * sizeof(std::uint64_t)) +
+    check(ts.identity_interner(), "the full fault span is an identity graph");
+    const std::uint64_t v3_bytes =
+        kPage + padded((n + 1) * sizeof(std::uint64_t)) +
         padded(ts.num_program_edges() * sizeof(dcft::TransitionSystem::Edge)) +
         padded(ts.initial_nodes().size() * sizeof(dcft::NodeId));
     const std::filesystem::path path = dir + "/" + key.hex() + ".dcftg";
     const std::uint64_t file_bytes = std::filesystem::file_size(path);
-    check(snapshot_version(path) == 2, "snapshot is dcft.graph v2");
-    check(ts.num_fault_edges() > 0 && file_bytes == v2_bytes,
-          "snapshot holds no fault edges (" + std::to_string(file_bytes) +
-              " bytes, header + states + parent + program CSR + initial = " +
-              std::to_string(v2_bytes) + ", " +
+    check(snapshot_version(path) == 3, "snapshot is dcft.graph v3");
+    check(ts.num_fault_edges() > 0 && file_bytes == v3_bytes,
+          "snapshot holds no fault edges, states or parents (" +
+              std::to_string(file_bytes) +
+              " bytes, header + program CSR + initial = " +
+              std::to_string(v3_bytes) + ", " +
               std::to_string(ts.num_fault_edges()) + " fault edges)");
 }
 
@@ -142,12 +144,12 @@ int main() {
           "one .dcftg snapshot per save (" +
               std::to_string(stored_files) + " files, " +
               std::to_string(saves) + " saves)");
-    bool all_v2 = stored_files > 0;
+    bool all_v3 = stored_files > 0;
     for (const auto& entry :
          std::filesystem::directory_iterator(store_dir))
         if (entry.path().extension() == ".dcftg")
-            all_v2 = all_v2 && snapshot_version(entry.path()) == 2;
-    check(all_v2, "every snapshot is dcft.graph v2");
+            all_v3 = all_v3 && snapshot_version(entry.path()) == 3;
+    check(all_v3, "every snapshot is dcft.graph v3");
 
     // Simulate a process restart: the in-memory cache is gone, only the
     // store directory survives.

@@ -7,7 +7,10 @@
 // (obs/json.hpp), and validates the schema: envelope keys, per-query
 // verdict fields, witness traces with action provenance, non-negative
 // counters, the per-level exploration timeline (levels consecutive from
-// 0, non-empty frontiers), and a properly nested span tree. With --trace
+// 0, non-empty frontiers; an identity exploration is one sweep row whose
+// new_nodes is the space size), the canonical replay bounded by the
+// explored nodes (verify/canonical/replayed_nodes <= verify/explore/
+// nodes), and a properly nested span tree. With --trace
 // it additionally passes `--trace FILE --progress=0.2` to each verify
 // run and validates the Chrome trace-event JSON: every event name is a
 // '/'-separated lower_snake path, timestamps are monotone within each
@@ -253,11 +256,14 @@ void check_query(const JsonValue& q, bool graded, bool* ok_out,
 }
 
 /// The 'timeline' member: one entry per exploration, each with per-level
-/// rows whose level numbers run consecutively from 0. Returns the total
-/// number of level rows (cross-checked against the event trace); adds the
-/// rows' fault_edges into `fault_edges` (cross-checked against the
-/// verify/explore/fault_edges counter).
-std::size_t check_timeline(const JsonValue& doc, double* fault_edges) {
+/// rows whose level numbers run consecutively from 0. An identity
+/// exploration is one sweep row that discovers every state of the space
+/// (new_nodes == space_states). Returns the total number of level rows
+/// (cross-checked against the event trace); adds the rows' fault_edges
+/// into `fault_edges` (cross-checked against the verify/explore/
+/// fault_edges counter) and counts identity explorations in `identity`.
+std::size_t check_timeline(const JsonValue& doc, double* fault_edges,
+                           std::size_t* identity) {
     std::size_t level_rows = 0;
     const auto& timelines =
         member(doc, "timeline", JsonValue::Kind::Array).as_array();
@@ -270,6 +276,17 @@ std::size_t check_timeline(const JsonValue& doc, double* fault_edges) {
         const auto& levels =
             member(tl, "levels", JsonValue::Kind::Array).as_array();
         require(!levels.empty(), "timeline entry with no levels");
+        if (member(tl, "identity", JsonValue::Kind::Bool).as_bool()) {
+            ++*identity;
+            require(levels.size() == 1,
+                    "identity exploration with more than one sweep row");
+            require(member(levels[0], "new_nodes", JsonValue::Kind::Number)
+                            .as_number() ==
+                        member(tl, "space_states", JsonValue::Kind::Number)
+                            .as_number(),
+                    "identity sweep row whose new_nodes is not "
+                    "space_states");
+        }
         for (std::size_t i = 0; i < levels.size(); ++i) {
             const JsonValue& row = levels[i];
             for (const char* key :
@@ -372,6 +389,7 @@ struct ReportSummary {
     std::size_t passing_with_witness = 0;
     std::size_t failing_with_witness = 0;
     std::size_t timeline_levels = 0;
+    std::size_t identity_sweeps = 0;    ///< Identity explorations.
     std::set<std::string> timed_spans;  ///< Span paths with calls > 0.
 };
 
@@ -446,7 +464,8 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
     }
 
     double timeline_fault_edges = 0.0;
-    summary.timeline_levels = check_timeline(doc, &timeline_fault_edges);
+    summary.timeline_levels = check_timeline(doc, &timeline_fault_edges,
+                                             &summary.identity_sweeps);
 
     const JsonValue& telemetry =
         member(doc, "telemetry", JsonValue::Kind::Object);
@@ -471,6 +490,11 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
         const auto it = counters.find(path);
         return it != counters.end() ? it->second.as_number() : 0.0;
     };
+    // The canonical replay of identity graphs expands each node at most
+    // once per graph.
+    require(counter("verify/canonical/replayed_nodes") <=
+                counter("verify/explore/nodes"),
+            "verify/canonical/replayed_nodes exceeds verify/explore/nodes");
     require(materialized.states_scanned <=
                 counter("verify/predicate_eval/states_scanned"),
             "materialize entries scanned more states than "
@@ -542,10 +566,10 @@ int run_system(const std::string& cli, const std::string& spec,
         total->failing_with_witness += summary.failing_with_witness;
         std::printf(
             "report_check: %s ok (%zu queries, %zu passing / %zu failing "
-            "with witnesses, %zu timeline levels)\n",
+            "with witnesses, %zu timeline levels, %zu identity sweeps)\n",
             report_path.c_str(), summary.queries,
             summary.passing_with_witness, summary.failing_with_witness,
-            summary.timeline_levels);
+            summary.timeline_levels, summary.identity_sweeps);
     } catch (const Failure& failure) {
         std::fprintf(stderr, "report_check: %s invalid: %s\n",
                      report_path.c_str(), failure.message.c_str());
